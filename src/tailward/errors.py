@@ -54,4 +54,4 @@ class BoundaryCase(TailwardError):
 
 
 class EmbeddingFailure(TailwardError):
-    """Circulant spectrum went negative and no exact fallback applies."""
+    """Circulant spectrum went negative beyond round-off."""

@@ -1,11 +1,11 @@
 """Exact-in-distribution fractional Brownian motion on regular grids.
 
-Paths are generated by circulant embedding of the increment covariance
-(FFT of the nested Toeplitz structure), which is exact when the circulant
-spectrum is nonnegative; tiny negative eigenvalues from roundoff are
-clipped, genuinely negative spectra fall back to a dense factorization for
-moderate grids.  Per-path Philox streams keep batches reproducible for any
-worker partitioning.
+Paths are generated by circulant embedding of the increment covariance,
+one half-spectrum real FFT per path.  The circulant spectrum of fGn is
+nonnegative for every H in (0, 1) (Craigmile 2003), so the embedding is
+exact: round-off negatives are clipped, and a spectrum below the floor
+raises EmbeddingFailure.  Per-path Philox streams keep batches
+reproducible for any worker partitioning.
 """
 
 from __future__ import annotations
@@ -37,52 +37,46 @@ def _is_pow2(n: int) -> bool:
 
 def _fgn_autocov(H: float, n: int) -> np.ndarray:
     k = np.arange(n + 1, dtype=float)
-    return 0.5 * (
-        np.abs(k + 1) ** (2 * H) - 2 * np.abs(k) ** (2 * H) + np.abs(k - 1) ** (2 * H)
-    )
+    return 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
 
 
 @lru_cache(maxsize=16)
-def _circulant_sqrt_spectrum(H: float, n: int) -> np.ndarray | None:
-    """sqrt of the circulant eigenvalues for unit-spacing fGn, or None."""
-    gamma = _fgn_autocov(H, n)
-    c = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[n - 1:0:-1]])
-    lam = np.fft.fft(c).real
-    floor = -1e-8 * lam.max()
-    if lam.min() < floor:
-        return None
-    return np.sqrt(np.maximum(lam, 0.0))
+def _circulant_sqrt_spectrum(H: float, n: int) -> np.ndarray:
+    """Read-only (n+1)-point scale of the half spectrum of unit-spacing fGn.
 
-
-@lru_cache(maxsize=8)
-def _dense_increment_factor(H: float, n: int) -> np.ndarray:
-    gamma = _fgn_autocov(H, n)
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return np.linalg.cholesky(gamma[idx])
+    Entry k is sqrt(lambda_k / m) at the real edges k = 0, n and
+    sqrt(lambda_k / (2m)) in between, with m = 2n.  Raises EmbeddingFailure
+    if the circulant spectrum is negative beyond round-off.
+    """
+    m = 2 * n
+    # The circulant's first row is the symmetric extension of gamma, so its
+    # eigenvalues are the Hermitian FFT of gamma; half of them suffice.
+    lam = np.fft.hfft(_fgn_autocov(H, n), m)[: n + 1]
+    if lam.min() < -1e-8 * lam.max():
+        raise EmbeddingFailure(f"circulant spectrum negative for H={H}, n={n}")
+    scale = np.sqrt(np.maximum(lam, 0.0) / (2 * m))
+    scale[[0, n]] *= math.sqrt(2.0)
+    scale.flags.writeable = False
+    return scale
 
 
 def _fgn_unit(H: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n stationary fractional Gaussian noise values at unit spacing."""
     if H == 0.5:
         return rng.standard_normal(n)
-    sqrt_lam = _circulant_sqrt_spectrum(H, n)
-    if sqrt_lam is None:
-        if n > 1 << 12:
-            raise EmbeddingFailure(
-                f"circulant spectrum negative for H={H}, n={n}; dense "
-                f"fallback is limited to n <= 4096"
-            )
-        return _dense_increment_factor(H, n) @ rng.standard_normal(n)
-    m = 2 * n
-    z_edge = rng.standard_normal(2)
-    z_mid = rng.standard_normal((n - 1, 2))
-    w = np.zeros(m, dtype=complex)
-    w[0] = sqrt_lam[0] * z_edge[0] / math.sqrt(m)
-    w[n] = sqrt_lam[n] * z_edge[1] / math.sqrt(m)
-    interior = sqrt_lam[1:n] * (z_mid[:, 0] + 1j * z_mid[:, 1]) / math.sqrt(2 * m)
-    w[1:n] = interior
-    w[n + 1:] = np.conj(interior[::-1])
-    return np.fft.fft(w).real[:n]
+    scale = _circulant_sqrt_spectrum(H, n)
+    # One buffer holds the half spectrum w (n+1 complex) and the transform
+    # output (2n real), so a path costs one large allocation.  Draw the two
+    # edge normals, then the (re, im) pairs of entries 1..n-1, into w.
+    buf = np.empty(4 * n + 2)
+    w = buf[: 2 * n + 2].view(complex)
+    rng.standard_normal(out=buf[: 2 * n])
+    w[0], w[n] = buf[0], buf[1]  # the edge entries are real
+    w *= scale
+    # np.fft.hfft(w, 2n), the real FFT of w's Hermitian extension, minus
+    # hfft's conjugated copy of w.
+    np.conjugate(w, out=w)
+    return np.fft.irfft(w, 2 * n, norm="forward", out=buf[2 * n + 2:])[:n]
 
 
 def fbm_path(H: float, n_steps: int, T: float, rng: np.random.Generator) -> np.ndarray:
@@ -98,7 +92,8 @@ def fbm_path(H: float, n_steps: int, T: float, rng: np.random.Generator) -> np.n
     if not _is_pow2(n_steps):
         raise SpecError(f"n_steps must be a power of two, got {n_steps}")
     dt = T / n_steps
-    fgn = _fgn_unit(H, n_steps, rng) * dt ** H
+    fgn = _fgn_unit(H, n_steps, rng)
+    fgn *= dt ** H
     path = np.empty(n_steps + 1)
     path[0] = 0.0
     np.cumsum(fgn, out=path[1:])
@@ -149,5 +144,5 @@ def paths_to_csv(H: float, T: float, paths: np.ndarray) -> str:
     t = np.linspace(0.0, T, n_points)
     lines = ["t," + ",".join(f"path{i}" for i in range(arr.shape[0]))]
     for j in range(n_points):
-        lines.append(",".join([repr(t[j])] + [repr(v) for v in arr[:, j]]))
+        lines.append(",".join([repr(float(t[j]))] + [repr(float(v)) for v in arr[:, j]]))
     return "\n".join(lines) + "\n"

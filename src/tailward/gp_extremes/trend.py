@@ -390,9 +390,19 @@ def shifted_trend_tail(model: TrendModel) -> AsymptoticTail:
     """
     if model.eta is None or model.zeta is None:
         raise SpecError("shifted_trend_tail needs eta and zeta specs")
+    case = shifted_trend_case(model)
+    if case == "edge_offset":
+        if model.eta.delta <= 0.0:
+            raise AssumptionError(
+                "a finite-edge offset needs a positive slope edge (delta > 0)"
+            )
+        if 2.0 * model.H >= model.beta:
+            raise AssumptionError(
+                f"finite-edge offset case needs beta > 2H, got beta={model.beta}, "
+                f"H={model.H} (the shifted-sum rule needs decay order > 1)"
+            )
     base = random_trend_tail(model)
     minus_zeta = _zeta_minus_tail(model.zeta)
-    case = shifted_trend_case(model)
     if case == "boundary":
         raise BoundaryCase(
             "the supremum and offset tails decay at the same power order; "
@@ -406,16 +416,6 @@ def shifted_trend_tail(model: TrendModel) -> AsymptoticTail:
             return sum_dominant_tail(minus_zeta, base, x_nonnegative=False)
         except ConditionError as exc:  # pragma: no cover - guarded by case
             raise BoundaryCase(str(exc)) from exc
-    # Finite lower edge of zeta.
-    if model.eta.delta <= 0.0:
-        raise AssumptionError(
-            "a finite-edge offset needs a positive slope edge (delta > 0)"
-        )
-    if 2.0 * model.H >= model.beta:
-        raise AssumptionError(
-            f"finite-edge offset case needs beta > 2H, got beta={model.beta}, "
-            f"H={model.H} (the shifted-sum rule needs decay order > 1)"
-        )
     assert isinstance(base, WeibullType)
     assert isinstance(minus_zeta, EdgePower)
     return sum_mixed_tail(base, minus_zeta)

@@ -138,8 +138,9 @@ class LaplaceResult:
     asymptotic: float  # log of Gamma(mu) * f(0) * S'(0)**-mu * u**-mu * e**(-u*S(0))
 
 
-def _derivative_at_zero(S, step: float = 1e-6) -> float:
+def _derivative_at_zero(S, step: float = 2.0 ** -20) -> float:
     # One-sided second-order difference: (-3 S(0) + 4 S(h) - S(2h)) / (2h).
+    # A power-of-two step is exact in binary, so affine S gives S'(0) exactly.
     s0, s1, s2 = (float(S(np.array([x]))[0]) for x in (0.0, step, 2 * step))
     return (-3.0 * s0 + 4.0 * s1 - s2) / (2.0 * step)
 

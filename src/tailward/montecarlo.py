@@ -78,7 +78,10 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # The exact endpoints at k = 0 and k = n are 0 and 1; round-off misses them.
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == n else min(1.0, center + half)
+    return lo, hi
 
 
 def _combine(xs, ys, combine: str, combiner):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tailward.errors import SpecError
+from tailward.errors import EmbeddingFailure, SpecError
+from tailward.gp_extremes import fbm as fbm_module
 from tailward.gp_extremes import (
     fbm_path,
     fbm_simulate,
@@ -115,3 +116,66 @@ def test_csv_dump_shape():
     assert len(lines) == 10
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 0.0
+
+
+# Complex-FFT circulant generator kept as the reference stream: the full
+# 2n-point Hermitian vector from the same 2n normals, in the same order.
+def _reference_fgn_unit(H, n, rng):
+    k = np.arange(n + 1, dtype=float)
+    gamma = 0.5 * (np.abs(k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
+    c = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[n - 1:0:-1]])
+    sqrt_lam = np.sqrt(np.maximum(np.fft.fft(c).real, 0.0))
+    m = 2 * n
+    z_edge = rng.standard_normal(2)
+    z_mid = rng.standard_normal((n - 1, 2))
+    w = np.zeros(m, dtype=complex)
+    w[0] = sqrt_lam[0] * z_edge[0] / math.sqrt(m)
+    w[n] = sqrt_lam[n] * z_edge[1] / math.sqrt(m)
+    interior = sqrt_lam[1:n] * (z_mid[:, 0] + 1j * z_mid[:, 1]) / math.sqrt(2 * m)
+    w[1:n] = interior
+    w[n + 1:] = np.conj(interior[::-1])
+    return np.fft.fft(w).real[:n]
+
+
+def _reference_path(H, n_steps, T, rng):
+    fgn = _reference_fgn_unit(H, n_steps, rng) * (T / n_steps) ** H
+    return np.concatenate([[0.0], np.cumsum(fgn)])
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
+@pytest.mark.parametrize("n_steps", [1 << 4, 1 << 10, 1 << 14])
+def test_generator_keeps_the_reference_stream(H, n_steps):
+    for seed in range(5):
+        ref = _reference_path(H, n_steps, 2.0, block_rng(seed, 3))
+        path = fbm_path(H, n_steps, 2.0, block_rng(seed, 3))
+        assert np.max(np.abs(path - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        half = n_steps // 2
+        ref2 = _reference_path(H, n_steps, 2.0, block_rng(seed, 4))
+        ref2 -= ref2[half]
+        path2 = two_sided_path(H, half, 1.0, block_rng(seed, 4))
+        assert np.max(np.abs(path2 - ref2)) <= 1e-12 * np.max(np.abs(ref2))
+
+
+def test_circulant_spectrum_nonnegative_on_hurst_grid():
+    # Worst min/max eigenvalue ratio here is about -6.4e-10 (H = 0.9999,
+    # n = 2^16), well above the -1e-8 round-off floor: no EmbeddingFailure.
+    spectrum = fbm_module._circulant_sqrt_spectrum.__wrapped__
+    hursts = [k / 100 for k in range(1, 100)] + [0.999, 0.9999]
+    for H in hursts:
+        for k in range(1, 17):
+            assert np.all(spectrum(H, 1 << k) >= 0.0)
+
+
+def test_cached_spectrum_is_read_only():
+    scale = fbm_module._circulant_sqrt_spectrum(0.3, 64)
+    assert scale.shape == (65,)
+    with pytest.raises(ValueError):
+        scale[0] = 1.0
+
+
+def test_negative_spectrum_raises_embedding_failure(monkeypatch):
+    # Autocovariance 1 at lag 1 only: circulant eigenvalues 2cos(pi k/n).
+    monkeypatch.setattr(fbm_module, "_fgn_autocov", lambda H, n: np.eye(1, n + 1, 1)[0])
+    with pytest.raises(EmbeddingFailure):
+        fbm_path(0.123, 64, 1.0, block_rng(0, 0))
