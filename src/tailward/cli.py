@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 from .asymptotic_engine import (
@@ -193,9 +194,8 @@ def _cmd_verify(args) -> int:
         else:
             predicted, claim = _dispatch_product(x, y)
         from .oracle import ratio_table
-        import time
 
-        t0 = time.time()
+        t0 = time.perf_counter()
         grid = _parse_grid(args.grid)
         table = ratio_table(x, y, args.target, predicted, grid)
         report = reports.VerifyReport(
@@ -210,7 +210,7 @@ def _cmd_verify(args) -> int:
             seed=args.seed,
         )
         report.passed = reports.recompute_pass(report)
-        report.runtime_seconds = time.time() - t0
+        report.runtime_seconds = time.perf_counter() - t0
     elif args.target == "laplace":
         report = reports.run_fixture("laplace-truncated-kernel", seed=args.seed)
     elif args.target == "watson":

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SpecError
-from ..montecarlo import block_rng, resolve_workers, wilson_interval, TailEstimate
+from ..montecarlo import _Z95, block_rng, resolve_workers, wilson_interval, TailEstimate
 from ..tail_model import DistributionModel
 from .fbm import fbm_path, two_sided_path
 
@@ -38,8 +38,6 @@ __all__ = [
     "econst_estimate",
     "sup_exceedance_mc",
 ]
-
-_Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import special
-
 from ..asymptotic_engine import (
     product_mixed_tail,
     sum_dominant_tail,
@@ -30,6 +28,7 @@ from ..errors import (
     MissingPickands,
     SpecError,
 )
+from ..specfun import log_norm_sf, norm_sf
 from ..tail_model import (
     AsymptoticTail,
     EdgePower,
@@ -69,11 +68,11 @@ def log_std_normal_pdf(x: float) -> float:
 
 
 def std_normal_tail(x: float) -> float:
-    return float(special.ndtr(-x))
+    return norm_sf(x)
 
 
 def log_std_normal_tail(x: float) -> float:
-    return float(special.log_ndtr(-x))
+    return log_norm_sf(x)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .tail_model import DistributionModel
+from .tail_model import DistributionModel, PowerTail
 
 __all__ = [
     "TailEstimate",
@@ -133,6 +133,13 @@ def estimate_sf(
     return out
 
 
+def _heavy_first(x: DistributionModel, y: DistributionModel):
+    """(exact, sampled): the operand with the heavier declared power tail first."""
+    ax = x.tail.alpha if isinstance(x.tail, PowerTail) else math.inf
+    ay = y.tail.alpha if isinstance(y.tail, PowerTail) else math.inf
+    return (y, x) if ay < ax else (x, y)
+
+
 def conditional_sf(
     x: DistributionModel,
     y: DistributionModel,
@@ -142,11 +149,15 @@ def conditional_sf(
     seed: int,
     workers: int | None = None,
 ) -> list[TailEstimate]:
-    """Rao-Blackwellized tail estimate: sample Y, evaluate SF_X exactly.
+    """Rao-Blackwellized tail estimate: sample one operand, evaluate the other's SF.
 
-    Averages SF_X(u - Y) (or SF_X(u / Y) for products of positive
-    variables); the exact inner expectation can only shrink the variance
-    relative to the direct indicator estimator.
+    Averages SF_H(u - L) (or SF_H(u / L) for products of positive
+    variables) over draws of L; the exact inner expectation can only shrink
+    the variance relative to the direct indicator estimator.  H is the heavy
+    operand, the one whose declared tail is a ``PowerTail`` (the smaller
+    alpha if both are, X if neither is), and L the other one (Asmussen &
+    Kroese 2006, Adv. Appl. Probab. 38).  When no draw carries mass, the
+    interval is the Wilson interval for zero successes in n, never [0, 0].
     """
     if n < 10 ** 3:
         raise SpecError(f"need n >= 1000 samples, got {n}")
@@ -154,18 +165,19 @@ def conditional_sf(
         raise SpecError(f"unknown op {op!r}")
     if op == "product" and (x.support[0] < 0 or y.support[0] < 0):
         raise DomainError("conditional product estimator needs positive supports")
+    exact, sampled = _heavy_first(x, y)
     grid = np.asarray(list(grid), dtype=float)
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def run_block(b: int) -> tuple[np.ndarray, np.ndarray]:
         rng = block_rng(seed, b)
         count = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
-        ys = np.asarray(y.sample(rng, count), dtype=float)
+        draws = np.asarray(sampled.sample(rng, count), dtype=float)
         if op == "sum":
-            args = grid[None, :] - ys[:, None]
+            args = grid[None, :] - draws[:, None]
         else:
-            args = grid[None, :] / np.maximum(ys[:, None], 1e-320)
-        w = np.exp(x.log_sf(args))
+            args = grid[None, :] / np.maximum(draws[:, None], 1e-320)
+        w = np.exp(exact.log_sf(args))
         return w.sum(axis=0), (w * w).sum(axis=0)
 
     s1 = np.zeros(len(grid))
@@ -177,11 +189,10 @@ def conditional_sf(
     out = []
     for u, t1, t2 in zip(grid, s1, s2):
         p = t1 / n
-        var = max(t2 / n - p * p, 0.0)
-        half = _Z95 * math.sqrt(var / n)
-        out.append(
-            TailEstimate(
-                float(u), p, max(0.0, p - half), min(1.0, p + half), n, "conditional"
-            )
-        )
+        if t1 > 0.0:
+            half = _Z95 * math.sqrt(max(t2 / n - p * p, 0.0) / n)
+            lo, hi = max(0.0, p - half), min(1.0, p + half)
+        else:
+            lo, hi = wilson_interval(0, n)
+        out.append(TailEstimate(float(u), p, lo, hi, n, "conditional"))
     return out

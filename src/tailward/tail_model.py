@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import DivergentMoment, DomainError, SpecError
+from .specfun import log_norm_sf
 
 __all__ = [
     "PowerTail",
@@ -338,7 +338,7 @@ def _make_lognormal(m: float, s: float) -> DistributionModel:
         x = _as_array(u)
         with np.errstate(divide="ignore"):
             z = (np.log(np.maximum(x, 1e-320)) - m) / s
-        out = np.where(x > 0, special.log_ndtr(-z), 0.0)
+        out = np.where(x > 0, log_norm_sf(z), 0.0)
         return _scalar_like(u, out)
 
     def log_density(u):
@@ -372,7 +372,7 @@ def _make_lognormal(m: float, s: float) -> DistributionModel:
 def _make_normal() -> DistributionModel:
     def log_sf(u):
         x = _as_array(u)
-        out = special.log_ndtr(-x)
+        out = log_norm_sf(x)
         return _scalar_like(u, out)
 
     def log_density(u):

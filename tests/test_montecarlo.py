@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import tailward as tw
 from tailward.errors import SpecError
-from tailward.montecarlo import block_rng, resolve_workers, wilson_interval
-from tailward.oracle import sf_sum_exact
+from tailward.montecarlo import _heavy_first, block_rng, resolve_workers, wilson_interval
+from tailward.oracle import sf_product_exact, sf_sum_exact
 
 
 @given(k=st.integers(0, 1000), n=st.integers(1, 1000))
@@ -111,6 +111,45 @@ def test_conditional_coverage_over_replications(weibull12, edge01):
         est = tw.conditional_sf(weibull12, edge01, "sum", [2.0], 2000, seed=1000 + rep)[0]
         n_cover += est.ci_lo <= truth <= est.ci_hi
     assert n_cover >= 180, n_cover
+
+
+def test_conditional_sum_conditions_on_the_light_variable(weibull12, pareto12):
+    # Weibull(1,2) + Pareto(1,2) at u = 1000 (~1.0018e-6): the Pareto SF is
+    # evaluated exactly and the Weibull sampled, whichever argument it is.
+    truth = math.exp(sf_sum_exact(weibull12, pareto12, 1000.0))
+    est = tw.conditional_sf(weibull12, pareto12, "sum", [1000.0], 10 ** 5, seed=3)[0]
+    assert est.ci_lo <= truth <= est.ci_hi
+    assert (est.ci_hi - est.ci_lo) / 2 < 1e-3 * est.p_hat
+    swapped = tw.conditional_sf(pareto12, weibull12, "sum", [1000.0], 10 ** 5, seed=3)[0]
+    assert swapped == est
+
+
+def test_conditional_product_conditions_on_the_light_variable(lognormal01, pareto12):
+    truth = math.exp(sf_product_exact(lognormal01, pareto12, 2700.0))
+    est = tw.conditional_sf(lognormal01, pareto12, "product", [2700.0], 10 ** 5, seed=3)[0]
+    assert est.ci_lo <= truth <= est.ci_hi
+    assert (est.ci_hi - est.ci_lo) / 2 < 0.1 * est.p_hat
+
+
+def test_conditional_evaluates_the_smaller_power_exponent(pareto12, weibull12, edge01):
+    pareto13 = tw.make_model("pareto(1,3)")
+    for x, y in ((pareto12, pareto13), (pareto13, pareto12)):
+        exact, sampled = _heavy_first(x, y)
+        assert exact is pareto12 and sampled is pareto13
+    # No power tail: X stays the exact operand, as before.
+    exact, sampled = _heavy_first(weibull12, edge01)
+    assert exact is weibull12 and sampled is edge01
+    a = tw.conditional_sf(pareto12, pareto13, "sum", [10.0, 100.0], 10 ** 4, seed=1)
+    b = tw.conditional_sf(pareto13, pareto12, "sum", [10.0, 100.0], 10 ** 4, seed=1)
+    assert a == b
+
+
+def test_conditional_without_mass_reports_wilson_upper_bound(weibull12, edge01):
+    n = 10 ** 3
+    est = tw.conditional_sf(weibull12, edge01, "sum", [1000.0], n, seed=0)[0]
+    assert est.p_hat == 0.0
+    assert (est.ci_lo, est.ci_hi) == wilson_interval(0, n)
+    assert est.ci_hi > 0.0
 
 
 def test_block_rng_streams_are_stable():

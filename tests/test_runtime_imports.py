@@ -1,0 +1,60 @@
+"""scipy is a test dependency only: nothing tailward runs may import it.
+
+Each probe runs in a fresh interpreter under ``-X importtime``, which
+prints one line per module the process ever imports.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import numpy as np
+
+import tailward
+import tailward.cli
+import tailward.gp_extremes
+import tailward.reports
+from tailward.gp_extremes import log_std_normal_tail, std_normal_tail
+
+for spec in ("lognormal(0,1)", "normal"):
+    model = tailward.make_model(spec)
+    model.log_sf(3.0)
+    model.log_sf(np.linspace(0.1, 40.0, 30))
+    model.log_sf(np.linspace(0.1, 40.0, 4096))
+log_std_normal_tail(2.5)
+std_normal_tail(2.5)
+for name in ("watson-kernel", "product-power-lognormal-pareto"):
+    assert tailward.reports.run_fixture(name).passed, name
+"""
+
+
+def _imported_modules(*args: str) -> list[str]:
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line]
+
+
+def _scipy(modules: list[str]) -> list[str]:
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_library_calls_never_import_scipy():
+    modules = _imported_modules("-c", PROBE)
+    assert "tailward.specfun" in modules
+    assert _scipy(modules) == []
+
+
+def test_cold_cli_tail_never_imports_scipy():
+    modules = _imported_modules("-m", "tailward.cli", "tail", "sum",
+                                "--x", "weibull(1,2)", "--y", "edge(0,1)")
+    assert "tailward.tail_model" in modules
+    assert _scipy(modules) == []
