@@ -14,8 +14,10 @@ from .asymptotic_engine import (
     model_condition,
     product_mixed_tail,
     product_power_tail,
+    product_tail,
     sum_dominant_tail,
     sum_mixed_tail,
+    sum_tail,
 )
 from .laplace_kernel import (
     LaplaceProblem,
@@ -61,8 +63,10 @@ __all__ = [
     "model_condition",
     "product_mixed_tail",
     "product_power_tail",
+    "product_tail",
     "sum_dominant_tail",
     "sum_mixed_tail",
+    "sum_tail",
     "LaplaceProblem",
     "LaplaceResult",
     "laplace_general",

@@ -5,6 +5,9 @@ combination, with the combination's hypotheses checked symbolically before
 any formula is applied.  Domination conditions are decided on the tail
 families, never on sampled function values: the conditions quantify over
 all large u, which no finite sample can certify.
+
+``sum_tail`` and ``product_tail`` are the classifiers: given two laws they
+decide which theorem applies and return its tail with the theorem's name.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Optional
 from .errors import (
     AssumptionError,
     ConditionError,
-    DivergentMoment,
     SpecError,
     Unsupported,
 )
@@ -37,6 +39,8 @@ __all__ = [
     "sum_dominant_tail",
     "product_mixed_tail",
     "product_power_tail",
+    "sum_tail",
+    "product_tail",
     "density_to_sf",
 ]
 
@@ -238,6 +242,69 @@ def product_power_tail(x_model: DistributionModel, y: PowerTail) -> PowerTail:
             )
     m = moment(x_model, y.alpha)
     return PowerTail(y.C * m, y.alpha)
+
+
+# ---------------------------------------------------------------------------
+# Classification: which theorem applies to a pair of laws
+# ---------------------------------------------------------------------------
+
+def sum_tail(x: DistributionModel, y: DistributionModel) -> tuple[AsymptoticTail, str]:
+    """Tail of X + Y and the claim that gives it.
+
+    A Weibull-type law plus a bounded one is ``sum_mixed``; otherwise the
+    tail that dominates the other under (A), or (B) for a real-valued
+    operand, is kept as ``sum_dominant``.
+    """
+    tx, ty = x.tail, y.tail
+    if isinstance(tx, WeibullType) and isinstance(ty, EdgePower):
+        return sum_mixed_tail(tx, ty), "sum_mixed"
+    if isinstance(tx, EdgePower) and isinstance(ty, WeibullType):
+        return sum_mixed_tail(ty, tx), "sum_mixed"
+    if tx is None or ty is None:
+        raise Unsupported(
+            f"no closed sum rule for families {x.family!r} + {y.family!r}"
+        )
+    try:
+        return sum_dominant_tail(tx, ty, x.support[0] >= 0), "sum_dominant"
+    except ConditionError:
+        pass
+    return sum_dominant_tail(ty, tx, y.support[0] >= 0), "sum_dominant"
+
+
+def product_tail(x: DistributionModel, y: DistributionModel) -> tuple[AsymptoticTail, str]:
+    """Tail of X * Y for positive X, Y and the claim that gives it.
+
+    A Weibull-type law times a bounded one is ``product_mixed``.  With a
+    power-tailed factor the product is ``product_power``: it keeps the
+    heavier power tail, scaled by the other factor's moment of that order.
+    """
+    for m in (x, y):
+        if m.support[0] < 0:
+            raise AssumptionError(
+                f"product rules need positive variables; {m.family} has "
+                f"support {m.support}"
+            )
+    tx, ty = x.tail, y.tail
+    if isinstance(tx, WeibullType) and isinstance(ty, EdgePower):
+        return product_mixed_tail(tx, ty), "product_mixed"
+    if isinstance(tx, EdgePower) and isinstance(ty, WeibullType):
+        return product_mixed_tail(ty, tx), "product_mixed"
+    if isinstance(tx, PowerTail) and isinstance(ty, PowerTail):
+        if tx.alpha == ty.alpha:
+            raise ConditionError(
+                "equal power exponents: neither factor's moment condition "
+                "holds and no closed form applies"
+            )
+        if tx.alpha < ty.alpha:
+            return product_power_tail(y, tx), "product_power"
+        return product_power_tail(x, ty), "product_power"
+    if isinstance(ty, PowerTail):
+        return product_power_tail(x, ty), "product_power"
+    if isinstance(tx, PowerTail):
+        return product_power_tail(y, tx), "product_power"
+    raise Unsupported(
+        f"no closed product rule for families {x.family!r} * {y.family!r}"
+    )
 
 
 # ---------------------------------------------------------------------------

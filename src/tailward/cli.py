@@ -14,15 +14,9 @@ import argparse
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
-from .asymptotic_engine import (
-    product_mixed_tail,
-    product_power_tail,
-    sum_dominant_tail,
-    sum_mixed_tail,
-)
+from .asymptotic_engine import product_tail, sum_tail
 from .errors import (
     AssumptionError,
     BoundaryCase,
@@ -37,14 +31,7 @@ from .errors import (
     TailwardError,
     Unsupported,
 )
-from .tail_model import (
-    DistributionModel,
-    EdgePower,
-    PowerTail,
-    WeibullType,
-    make_model,
-    tail_to_dict,
-)
+from .tail_model import make_model, tail_to_dict
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,64 +79,13 @@ def _parse_grid(text: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# tail subcommand: closed-form dispatch over declared tail families
+# tail subcommand: the engine's closed form for the declared tail families
 # ---------------------------------------------------------------------------
-
-def _dispatch_sum(x: DistributionModel, y: DistributionModel):
-    tx, ty = x.tail, y.tail
-    if isinstance(ty, EdgePower) and isinstance(tx, WeibullType):
-        return sum_mixed_tail(tx, ty), "sum_mixed"
-    if isinstance(tx, EdgePower) and isinstance(ty, WeibullType):
-        return sum_mixed_tail(ty, tx), "sum_mixed"
-    if tx is None or ty is None:
-        raise Unsupported(
-            f"no closed sum rule for families {x.family!r} + {y.family!r}"
-        )
-    x_nonneg = x.support[0] >= 0
-    y_nonneg = y.support[0] >= 0
-    try:
-        return sum_dominant_tail(tx, ty, x_nonneg), "sum_dominant"
-    except ConditionError:
-        pass
-    return sum_dominant_tail(ty, tx, y_nonneg), "sum_dominant"
-
-
-def _dispatch_product(x: DistributionModel, y: DistributionModel):
-    for m in (x, y):
-        if m.support[0] < 0:
-            raise AssumptionError(
-                f"product rules need positive variables; {m.family} has "
-                f"support {m.support}"
-            )
-    tx, ty = x.tail, y.tail
-    if isinstance(ty, EdgePower) and isinstance(tx, WeibullType):
-        return product_mixed_tail(tx, ty), "product_mixed"
-    if isinstance(tx, EdgePower) and isinstance(ty, WeibullType):
-        return product_mixed_tail(ty, tx), "product_mixed"
-    if isinstance(ty, PowerTail) and not isinstance(tx, PowerTail):
-        return product_power_tail(x, ty), "product_power"
-    if isinstance(tx, PowerTail) and not isinstance(ty, PowerTail):
-        return product_power_tail(y, tx), "product_power"
-    if isinstance(tx, PowerTail) and isinstance(ty, PowerTail):
-        if tx.alpha == ty.alpha:
-            raise ConditionError(
-                "equal power exponents: neither factor's moment condition "
-                "holds and no closed form applies"
-            )
-        heavy_model, light_tail = (y, tx) if tx.alpha > ty.alpha else (x, ty)
-        return product_power_tail(heavy_model, light_tail), "product_power"
-    raise Unsupported(
-        f"no closed product rule for families {x.family!r} * {y.family!r}"
-    )
-
 
 def _cmd_tail(args) -> int:
     x = make_model(args.x)
     y = make_model(args.y)
-    if args.op == "sum":
-        tail, claim = _dispatch_sum(x, y)
-    else:
-        tail, claim = _dispatch_product(x, y)
+    tail, claim = (sum_tail if args.op == "sum" else product_tail)(x, y)
     _emit(
         {
             "op": args.op,
@@ -187,30 +123,11 @@ def _cmd_verify(args) -> int:
     elif args.target == "sum" or args.target == "product":
         if not (args.x and args.y and args.grid):
             raise SpecError("ad-hoc verify needs --x, --y and --grid")
-        x = make_model(args.x)
-        y = make_model(args.y)
-        if args.target == "sum":
-            predicted, claim = _dispatch_sum(x, y)
-        else:
-            predicted, claim = _dispatch_product(x, y)
-        from .oracle import ratio_table
-
-        t0 = time.perf_counter()
         grid = _parse_grid(args.grid)
-        table = ratio_table(x, y, args.target, predicted, grid)
-        report = reports.VerifyReport(
-            fixture=f"adhoc-{args.target}",
-            claim=claim,
-            kind="ratio_table",
-            inputs={"x": x.spec(), "y": y.spec(), "op": args.target,
-                    "grid": grid, "predicted": tail_to_dict(predicted)},
-            rule={"type": "ratio_window", "tol": args.tol,
-                  "nonincreasing_last": min(3, len(grid))},
-            rows=[dict(r.__dict__) for r in table.rows],
-            seed=args.seed,
-        )
-        report.passed = reports.recompute_pass(report)
-        report.runtime_seconds = time.perf_counter() - t0
+        rule = {"type": "ratio_window", "tol": args.tol,
+                "nonincreasing_last": min(3, len(grid))}
+        report = reports.ratio_report(f"adhoc-{args.target}", args.x, args.y,
+                                      args.target, grid, rule, seed=args.seed)
     elif args.target == "laplace":
         report = reports.run_fixture("laplace-truncated-kernel", seed=args.seed)
     elif args.target == "watson":
@@ -304,11 +221,11 @@ def _cmd_gp_tail(args) -> int:
             "derived by composing the rescaling with the product rule "
             "(published displays differ; the Brownian oracle confirms this one)"
         )
-    if case == "slope_only" and isinstance(tail, PowerTail):
-        notes.append(
-            "coefficient uses the sup-ratio moment of order beta*mu/H "
-            "(proof-side subscript), verified against the Brownian oracle"
-        )
+        if case == "slope_only":  # the zero-edge slope-only tail is a power
+            notes.append(
+                "coefficient uses the sup-ratio moment of order beta*mu/H "
+                "(proof-side subscript), verified against the Brownian oracle"
+            )
     payload = {
         "case": case,
         "tail": tail_to_dict(tail),

@@ -20,15 +20,9 @@ import numpy as np
 
 from ..errors import DomainError, SpecError
 from ..quadrature import log1mexp, log_quad, logsumexp_pair
-from ..tail_model import DistributionModel
+from ..tail_model import DistributionModel, _scalar_like
 
 __all__ = ["eta_power_low_model", "negate_model", "bm_exact_oracle"]
-
-
-def _scalarize(u, out):
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out)
-    return out
 
 
 def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
@@ -49,7 +43,7 @@ def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
         with np.errstate(divide="ignore"):
             out = np.where(x >= hi, -np.inf, np.log1p(-np.minimum(cdf, 1.0 - 1e-17)))
         out = np.where(x < delta, 0.0, out)
-        return _scalarize(u, out)
+        return _scalar_like(u, out)
 
     def log_density(u):
         x = np.asarray(u, dtype=float)
@@ -59,10 +53,7 @@ def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
                 np.maximum(x - delta, 1e-320)
             )
         out = np.where(inside, body, -np.inf)
-        return _scalarize(u, out)
-
-    def density(u):
-        return np.exp(log_density(u))
+        return _scalar_like(u, out)
 
     def sampler(rng, size=None):
         v = rng.random(size)
@@ -74,7 +65,6 @@ def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
         support=(delta, hi),
         tail=None,
         log_sf=log_sf,
-        density=density,
         log_density=log_density,
         sampler=sampler,
     )
@@ -95,15 +85,12 @@ def negate_model(model: DistributionModel) -> DistributionModel:
                 base == 0.0, -np.inf, np.log(-np.expm1(np.maximum(base, -745.0)))
             )
         out = np.where(base < -745.0, 0.0, out)
-        return _scalarize(u, out)
+        return _scalar_like(u, out)
 
     def log_density(u):
         x = np.asarray(u, dtype=float)
         out = model.log_density(-x)
-        return _scalarize(u, out)
-
-    def density(u):
-        return np.exp(log_density(u))
+        return _scalar_like(u, out)
 
     def sampler(rng, size=None):
         return -model.sampler(rng, size)
@@ -114,7 +101,6 @@ def negate_model(model: DistributionModel) -> DistributionModel:
         support=(-hi, -lo),
         tail=None,
         log_sf=log_sf,
-        density=density,
         log_density=log_density,
         sampler=sampler,
     )

@@ -22,13 +22,14 @@ one-sided tolerances.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import SpecError
-from ..montecarlo import _Z95, block_rng, resolve_workers, wilson_interval, TailEstimate
+from ..montecarlo import (
+    _Z95, TailEstimate, _map_blocks, block_rng, resolve_workers, wilson_interval,
+)
 from ..tail_model import DistributionModel
 from .fbm import fbm_path, two_sided_path
 
@@ -58,19 +59,12 @@ class McEstimate:
 
 def _mean_over_paths(per_path, n_paths: int, workers: int | None, chunk: int = 64):
     """Ordered map of a per-path functional; returns the sample values."""
-    w = resolve_workers(workers)
-    chunks = [(i, min(chunk, n_paths - i)) for i in range(0, n_paths, chunk)]
+    def run(b: int):
+        start = b * chunk
+        return np.array([per_path(i) for i in range(start, min(start + chunk, n_paths))])
 
-    def run(start_count):
-        start, count = start_count
-        return np.array([per_path(start + j) for j in range(count)])
-
-    if w <= 1 or len(chunks) <= 1:
-        parts = [run(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            parts = list(pool.map(run, chunks))
-    return np.concatenate(parts)
+    n_chunks = -(-n_paths // chunk)
+    return np.concatenate(_map_blocks(run, n_chunks, resolve_workers(workers)))
 
 
 def pickands_estimate(

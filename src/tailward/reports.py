@@ -5,6 +5,11 @@ the input specs, the grid, the seed, the tolerance rule and the raw rows.
 ``recompute_pass`` re-derives the verdict from the embedded data alone.
 Wall-clock runtime is carried for operators but is the one field excluded
 from reproducibility comparisons.
+
+A sum/product report's claim and predicted tail come from the engine's
+classifiers (``sum_tail``/``product_tail``), the same code the ``tail``
+command runs; ``ratio_report`` builds every such report, the named ones
+and the CLI's ad-hoc ``verify sum|product`` alike.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from . import oracle
-from .asymptotic_engine import product_mixed_tail, product_power_tail, sum_mixed_tail
+from .asymptotic_engine import product_tail, sum_mixed_tail, sum_tail
 from .errors import SpecError
 from .laplace_kernel import (
     LaplaceProblem,
@@ -25,12 +31,12 @@ from .laplace_kernel import (
     watson_asymptotic,
     watson_numeric,
 )
-from .montecarlo import TailEstimate
-from .tail_model import make_model, sf_eval, tail_to_dict
+from .tail_model import EdgePower, _finite_or_null, make_model, sf_eval, tail_to_dict
 
 __all__ = [
     "VerifyReport",
     "recompute_pass",
+    "ratio_report",
     "run_fixture",
     "FIXTURES",
     "GP_FIXTURES",
@@ -66,16 +72,6 @@ class VerifyReport:
     @staticmethod
     def from_json(text: str) -> "VerifyReport":
         return VerifyReport(**json.loads(text))
-
-
-def _finite_or_null(value):
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(v) for v in value]
-    return value
 
 
 def _csv_cell(v) -> str:
@@ -138,35 +134,65 @@ def _finish(report: VerifyReport, t0: float) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Sum/product fixtures
+# Report builders
 # ---------------------------------------------------------------------------
 
-def _ratio_fixture(name, claim, x_spec, y_spec, op, grid, rule, predicted_fn):
+def ratio_report(name: str, x_spec, y_spec, op: str, grid, rule: dict,
+                 seed: int = 0) -> VerifyReport:
+    """Classify X op Y through the engine and tabulate exact/predicted ratios.
+
+    ``op`` is "sum" or "product"; the report's claim and predicted tail are
+    whatever ``sum_tail``/``product_tail`` return for the two laws.
+    """
+    t0 = time.perf_counter()
+    x = make_model(x_spec)
+    y = make_model(y_spec)
+    predicted, claim = (sum_tail if op == "sum" else product_tail)(x, y)
+    table = oracle.ratio_table(x, y, op, predicted, grid)
+    report = VerifyReport(
+        fixture=name,
+        claim=claim,
+        kind="ratio_table",
+        inputs={
+            "x": x.spec(),
+            "y": y.spec(),
+            "op": op,
+            "grid": list(grid),
+            "predicted": tail_to_dict(predicted),
+        },
+        rule=rule,
+        rows=[dict(r.__dict__) for r in table.rows],
+        seed=seed,
+    )
+    return _finish(report, t0)
+
+
+def _scalar_fixture(name: str, claim: str, rows_fn, **inputs):
+    """A fixture whose rows are ``rows_fn(**inputs)``, each passing on its own."""
     def run(seed: int = 0) -> VerifyReport:
         t0 = time.perf_counter()
-        x = make_model(x_spec)
-        y = make_model(y_spec)
-        predicted = predicted_fn(x, y)
-        table = oracle.ratio_table(x, y, op, predicted, grid)
         report = VerifyReport(
             fixture=name,
             claim=claim,
-            kind="ratio_table",
-            inputs={
-                "x": x.spec(),
-                "y": y.spec(),
-                "op": op,
-                "grid": list(grid),
-                "predicted": tail_to_dict(predicted),
-            },
-            rule=rule,
-            rows=[dict(r.__dict__) for r in table.rows],
+            kind="scalar_checks",
+            inputs=inputs,
+            rule={"type": "all_ok"},
+            rows=rows_fn(**inputs),
             seed=seed,
         )
         return _finish(report, t0)
 
     return run
 
+
+def _check(name: str, value: float, reference: float, tol: float) -> dict:
+    return {"name": name, "value": value, "reference": reference, "tol": tol,
+            "ok": abs(value - reference) <= tol}
+
+
+# ---------------------------------------------------------------------------
+# Sum/product and Laplace fixtures
+# ---------------------------------------------------------------------------
 
 def _gamma_p_half_integer(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) for a = 1/2, 3/2, 5/2, ...
@@ -184,191 +210,96 @@ def _gamma_p_half_integer(a: float, x: float) -> float:
     return p
 
 
-def _watson_fixture(mu: float, u_grid, delta: float = 1.0):
-    def run(seed: int = 0) -> VerifyReport:
-        t0 = time.perf_counter()
-        rows = []
-        for u in u_grid:
-            ratio = math.exp(watson_numeric(u, mu, delta) - watson_asymptotic(u, mu))
-            ref = _gamma_p_half_integer(mu + 1.0, u * delta)
-            rows.append(
-                {
-                    "name": f"u={u}",
-                    "value": ratio,
-                    "reference": ref,
-                    "tol": 1e-4,
-                    "ok": abs(ratio - ref) <= 1e-4,
-                }
-            )
-        report = VerifyReport(
-            fixture="watson-kernel",
-            claim="watson",
-            kind="scalar_checks",
-            inputs={"mu": mu, "delta": delta, "grid": list(u_grid)},
-            rule={"type": "all_ok"},
-            rows=rows,
-            seed=seed,
+def _watson_rows(mu, delta, grid):
+    return [
+        _check(
+            f"u={u}",
+            math.exp(watson_numeric(u, mu, delta) - watson_asymptotic(u, mu)),
+            _gamma_p_half_integer(mu + 1.0, u * delta),
+            1e-4,
         )
-        return _finish(report, t0)
-
-    return run
-
-
-def _laplace_core_fixture():
-    def run(seed: int = 0) -> VerifyReport:
-        t0 = time.perf_counter()
-        alpha, beta, mu, K, u = 2.0, 0.0, 1.0, 1.0, 15.0
-        rows = []
-        ratio = math.exp(
-            tail_integral_numeric(u, alpha, beta, mu, K, 1.0)
-            - tail_integral_asymptotic(u, alpha, beta, mu, K)
-        )
-        rows.append(
-            {
-                "name": "numeric_vs_asymptotic",
-                "value": ratio,
-                "reference": 1.0,
-                "tol": 0.02,
-                "ok": abs(ratio - 1.0) <= 0.02,
-            }
-        )
-        logs = {
-            d: tail_integral_numeric(u, alpha, beta, mu, K, d) for d in (0.5, 1.0, 2.0)
-        }
-        pairs = [(0.5, 1.0), (0.5, 2.0), (1.0, 2.0)]
-        for d1, d2 in pairs:
-            rel = abs(math.exp(logs[d1] - logs[d2]) - 1.0)
-            rows.append(
-                {
-                    "name": f"delta_{d1}_vs_{d2}",
-                    "value": rel,
-                    "reference": 0.0,
-                    "tol": 0.01,
-                    "ok": rel <= 0.01,
-                }
-            )
-        report = VerifyReport(
-            fixture="laplace-truncated-kernel",
-            claim="laplace_core",
-            kind="scalar_checks",
-            inputs={"alpha": alpha, "beta": beta, "mu": mu, "K": K, "u": u},
-            rule={"type": "all_ok"},
-            rows=rows,
-            seed=seed,
-        )
-        return _finish(report, t0)
-
-    return run
+        for u in grid
+    ]
 
 
-def _laplace_general_fixture():
-    def run(seed: int = 0) -> VerifyReport:
-        t0 = time.perf_counter()
-        # Boundary-minimum problem matching the product-tail substitution:
-        # f(z) = (sigma - z)^beta, S(z) = K (sigma - z)^-alpha.
-        sigma, K, alpha, beta, mu = 2.0, 1.0, 2.0, -3.0, 1.0
-        u = 400.0
-        prob = LaplaceProblem(
-            f=lambda z: (sigma - z) ** beta,
-            S=lambda z: K * (sigma - z) ** (-alpha),
-            mu=mu + 1.0,
-            a=1.0,
-        )
-        res = laplace_general(prob, u)
-        ratio = math.exp(res.numeric - res.asymptotic)
-        rows = [
-            {
-                "name": f"u={u}",
-                "value": ratio,
-                "reference": 1.0,
-                "tol": 0.02,
-                "ok": abs(ratio - 1.0) <= 0.02,
-            }
-        ]
-        report = VerifyReport(
-            fixture="laplace-boundary-minimum",
-            claim="laplace_general",
-            kind="scalar_checks",
-            inputs={"sigma": sigma, "K": K, "alpha": alpha, "beta": beta,
-                    "mu": mu, "u": u},
-            rule={"type": "all_ok"},
-            rows=rows,
-            seed=seed,
-        )
-        return _finish(report, t0)
+def _laplace_core_rows(alpha, beta, mu, K, u):
+    ratio = math.exp(
+        tail_integral_numeric(u, alpha, beta, mu, K, 1.0)
+        - tail_integral_asymptotic(u, alpha, beta, mu, K)
+    )
+    rows = [_check("numeric_vs_asymptotic", ratio, 1.0, 0.02)]
+    logs = {
+        d: tail_integral_numeric(u, alpha, beta, mu, K, d) for d in (0.5, 1.0, 2.0)
+    }
+    for d1, d2 in [(0.5, 1.0), (0.5, 2.0), (1.0, 2.0)]:
+        rel = abs(math.exp(logs[d1] - logs[d2]) - 1.0)
+        rows.append(_check(f"delta_{d1}_vs_{d2}", rel, 0.0, 0.01))
+    return rows
 
-    return run
 
+def _laplace_general_rows(sigma, K, alpha, beta, mu, u):
+    # Boundary-minimum problem matching the product-tail substitution:
+    # f(z) = (sigma - z)^beta, S(z) = K (sigma - z)^-alpha.
+    prob = LaplaceProblem(
+        f=lambda z: (sigma - z) ** beta,
+        S=lambda z: K * (sigma - z) ** (-alpha),
+        mu=mu + 1.0,
+        a=1.0,
+    )
+    res = laplace_general(prob, u)
+    return [_check(f"u={u}", math.exp(res.numeric - res.asymptotic), 1.0, 0.02)]
+
+
+_RATIO_WINDOW = {"type": "ratio_window", "tol": 0.05, "nonincreasing_last": 3}
+_RATIO_AT_POINT = {"type": "ratio_at_point", "lo": 0.95, "hi": 1.05}
 
 FIXTURES = {
-    "sum-mixed-weibull-edge": _ratio_fixture(
-        "sum-mixed-weibull-edge",
-        "sum_mixed",
-        "weibull(1,2)",
-        "edge(0,1)",
-        "sum",
-        [4.0, 6.0, 8.0, 10.0],
-        {"type": "ratio_window", "tol": 0.05, "nonincreasing_last": 3},
-        lambda x, y: sum_mixed_tail(x.tail, y.tail),
+    "sum-mixed-weibull-edge": partial(
+        ratio_report, "sum-mixed-weibull-edge", "weibull(1,2)", "edge(0,1)",
+        "sum", [4.0, 6.0, 8.0, 10.0], _RATIO_WINDOW,
     ),
-    "product-mixed-weibull-edge": _ratio_fixture(
-        "product-mixed-weibull-edge",
-        "product_mixed",
-        "weibull(1,2)",
-        "edge(2,1)",
-        "product",
-        [8.0, 12.0, 16.0, 20.0],
-        {"type": "ratio_window", "tol": 0.05, "nonincreasing_last": 3},
-        lambda x, y: product_mixed_tail(x.tail, y.tail),
+    "product-mixed-weibull-edge": partial(
+        ratio_report, "product-mixed-weibull-edge", "weibull(1,2)", "edge(2,1)",
+        "product", [8.0, 12.0, 16.0, 20.0], _RATIO_WINDOW,
     ),
-    "product-power-lognormal-pareto": _ratio_fixture(
-        "product-power-lognormal-pareto",
-        "product_power",
-        "lognormal(0,1)",
-        "pareto(1,2)",
-        "product",
-        [100.0],
-        {"type": "ratio_at_point", "lo": 0.95, "hi": 1.05},
-        lambda x, y: product_power_tail(x, y.tail),
+    "product-power-lognormal-pareto": partial(
+        ratio_report, "product-power-lognormal-pareto", "lognormal(0,1)",
+        "pareto(1,2)", "product", [100.0], _RATIO_AT_POINT,
     ),
-    "sum-dominant-weibull-pareto": _ratio_fixture(
-        "sum-dominant-weibull-pareto",
-        "sum_dominant",
-        "weibull(1,2)",
-        "pareto(1,2)",
-        "sum",
-        [1000.0],
-        {"type": "ratio_at_point", "lo": 0.95, "hi": 1.05},
-        lambda x, y: y.tail,
+    "sum-dominant-weibull-pareto": partial(
+        ratio_report, "sum-dominant-weibull-pareto", "weibull(1,2)", "pareto(1,2)",
+        "sum", [1000.0], _RATIO_AT_POINT,
     ),
-    "laplace-truncated-kernel": _laplace_core_fixture(),
-    "laplace-boundary-minimum": _laplace_general_fixture(),
-    "watson-kernel": _watson_fixture(1.5, [100.0]),
+    "laplace-truncated-kernel": _scalar_fixture(
+        "laplace-truncated-kernel", "laplace_core", _laplace_core_rows,
+        alpha=2.0, beta=0.0, mu=1.0, K=1.0, u=15.0,
+    ),
+    "laplace-boundary-minimum": _scalar_fixture(
+        "laplace-boundary-minimum", "laplace_general", _laplace_general_rows,
+        sigma=2.0, K=1.0, alpha=2.0, beta=-3.0, mu=1.0, u=400.0,
+    ),
+    "watson-kernel": _scalar_fixture(
+        "watson-kernel", "watson", _watson_rows, mu=1.5, delta=1.0, grid=[100.0],
+    ),
 }
 
 
-def run_fixture(name: str, seed: int = 0) -> VerifyReport:
+def _lookup(registry: dict, kind: str, name: str):
     try:
-        fn = FIXTURES[name]
+        return registry[name]
     except KeyError:
         raise SpecError(
-            f"unknown fixture {name!r}; available: {sorted(FIXTURES)}"
+            f"unknown {kind} {name!r}; available: {sorted(registry)}"
         ) from None
-    return fn(seed=seed)
+
+
+def run_fixture(name: str, seed: int = 0) -> VerifyReport:
+    return _lookup(FIXTURES, "fixture", name)(seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # Brownian-preset fixtures
 # ---------------------------------------------------------------------------
-
-def _estimates_rows(estimates: list[TailEstimate], reference_fn) -> list[dict]:
-    rows = []
-    for e in estimates:
-        d = e.to_dict()
-        d["reference"] = reference_fn(e.u)
-        rows.append(d)
-    return rows
-
 
 def _gp_exact_sup_fixture(T=50.0, n_steps=1 << 16, n_paths=10 ** 5):
     def run(seed: int = 0) -> VerifyReport:
@@ -386,7 +317,7 @@ def _gp_exact_sup_fixture(T=50.0, n_steps=1 << 16, n_paths=10 ** 5):
             inputs={"T": T, "n_steps": n_steps, "n_paths": n_paths,
                     "beta": 1.0, "eta": 1.0, "grid": grid},
             rule={"type": "ci_covers_reference", "allowance": 0.05},
-            rows=_estimates_rows(ests, lambda u: math.exp(-2.0 * u)),
+            rows=[dict(e.to_dict(), reference=math.exp(-2.0 * e.u)) for e in ests],
             seed=seed,
         )
         return _finish(report, t0)
@@ -394,128 +325,54 @@ def _gp_exact_sup_fixture(T=50.0, n_steps=1 << 16, n_paths=10 ** 5):
     return run
 
 
-def _gp_random_slope_fixture():
-    def run(seed: int = 0) -> VerifyReport:
-        from .gp_extremes import (
-            EtaSpec,
-            TrendModel,
-            bm_exact_oracle,
-            eta_power_low_model,
-            random_trend_tail,
+def _random_slope_rows(u, eta_zero, eta_pos):
+    from . import gp_extremes as gp
+
+    # Zero lower edge (power tail 0.5 * u^-1) and positive edge, same check.
+    rows = []
+    for name, eta in (("zero-edge-ratio", eta_zero), ("positive-edge-ratio", eta_pos)):
+        tail = gp.random_trend_tail(gp.TrendModel.brownian(eta=gp.EtaSpec(**eta)))
+        log_exact = gp.bm_exact_oracle(gp.eta_power_low_model(**eta), None, u)
+        rows.append(_check(name, math.exp(log_exact - sf_eval(tail, u)), 1.0, 0.02))
+    return rows
+
+
+def _offset_rows(eta, gammas, u):
+    from . import gp_extremes as gp
+
+    eta_law = gp.eta_power_low_model(**eta)
+    rows = []
+    for name, gamma, level in zip(("light-offset", "heavy-offset"), gammas, u):
+        model = gp.TrendModel.brownian(
+            eta=gp.EtaSpec(**eta), zeta=gp.ZetaSpec(-math.inf, 1.0, gamma)
         )
-
-        t0 = time.perf_counter()
-        rows = []
-        # Zero lower edge: power tail 0.5 * u^-1, checked at u = 50.
-        tail0 = random_trend_tail(TrendModel.brownian(eta=EtaSpec(0.0, 1.0, 1.0)))
-        eta0 = eta_power_low_model(0.0, 1.0, 1.0)
-        u = 50.0
-        ratio0 = math.exp(bm_exact_oracle(eta0, None, u) - sf_eval(tail0, u))
-        rows.append({"name": "zero-edge-ratio", "value": ratio0,
-                     "reference": 1.0, "tol": 0.02, "ok": abs(ratio0 - 1) <= 0.02})
-        # Positive lower edge delta = 0.3: same check.
-        tail3 = random_trend_tail(TrendModel.brownian(eta=EtaSpec(0.3, 1.0, 1.0)))
-        eta3 = eta_power_low_model(0.3, 1.0, 1.0)
-        ratio3 = math.exp(bm_exact_oracle(eta3, None, u) - sf_eval(tail3, u))
-        rows.append({"name": "positive-edge-ratio", "value": ratio3,
-                     "reference": 1.0, "tol": 0.02, "ok": abs(ratio3 - 1) <= 0.02})
-        report = VerifyReport(
-            fixture="bm-random-slope",
-            claim="random_trend",
-            kind="scalar_checks",
-            inputs={"u": u, "eta_zero": {"delta": 0.0, "C": 1.0, "mu": 1.0},
-                    "eta_pos": {"delta": 0.3, "C": 1.0, "mu": 1.0}},
-            rule={"type": "all_ok"},
-            rows=rows,
-            seed=seed,
-        )
-        return _finish(report, t0)
-
-    return run
+        tail = gp.shifted_trend_tail(model)
+        zeta = gp.negate_model(make_model({"family": "pareto",
+                                           "params": {"C": 1.0, "alpha": gamma}}))
+        ratio = math.exp(gp.bm_exact_oracle(eta_law, zeta, level) - sf_eval(tail, level))
+        rows.append(_check(name, ratio, 1.0, 0.05))
+    return rows
 
 
-def _gp_offset_fixture():
-    def run(seed: int = 0) -> VerifyReport:
-        from .gp_extremes import (
-            EtaSpec,
-            TrendModel,
-            ZetaSpec,
-            bm_exact_oracle,
-            eta_power_low_model,
-            negate_model,
-            shifted_trend_tail,
-        )
+def _offset_edge_rows(model):
+    from . import gp_extremes as gp
 
-        t0 = time.perf_counter()
-        eta_spec = EtaSpec(0.0, 1.0, 1.0)
-        eta = eta_power_low_model(0.0, 1.0, 1.0)
-        rows = []
-        for name, gamma, u in (("light-offset", 0.5, 400.0), ("heavy-offset", 3.0, 100.0)):
-            model = TrendModel.brownian(
-                eta=eta_spec, zeta=ZetaSpec(-math.inf, 1.0, gamma)
-            )
-            tail = shifted_trend_tail(model)
-            zeta = negate_model(make_model({"family": "pareto",
-                                            "params": {"C": 1.0, "alpha": gamma}}))
-            ratio = math.exp(bm_exact_oracle(eta, zeta, u) - sf_eval(tail, u))
-            rows.append({"name": name, "value": ratio, "reference": 1.0,
-                         "tol": 0.05, "ok": abs(ratio - 1.0) <= 0.05})
-        report = VerifyReport(
-            fixture="bm-random-slope-offset",
-            claim="shifted_trend",
-            kind="scalar_checks",
-            inputs={"eta": {"delta": 0.0, "C": 1.0, "mu": 1.0},
-                    "gammas": [0.5, 3.0], "u": [400.0, 100.0]},
-            rule={"type": "all_ok"},
-            rows=rows,
-            seed=seed,
-        )
-        return _finish(report, t0)
-
-    return run
-
-
-def _gp_offset_edge_fixture():
-    def run(seed: int = 0) -> VerifyReport:
-        from .asymptotic_engine import sum_mixed_tail as compose
-        from .gp_extremes import (
-            EtaSpec,
-            TrendModel,
-            ZetaSpec,
-            random_trend_tail,
-            shifted_trend_tail,
-        )
-        from .tail_model import EdgePower
-
-        t0 = time.perf_counter()
-        model = TrendModel(
-            H=0.5, beta=2.0, alpha_loc=1.0, d_ref=(1.0, 1.0),
-            eta=EtaSpec(0.5, 1.0, 1.0), zeta=ZetaSpec(0.2, 1.0, 1.0),
-        )
-        combined = shifted_trend_tail(model)
-        base = random_trend_tail(model)
-        reference = compose(base, EdgePower(1.0, -0.2, 1.0))
-        rows = []
-        for fld in ("C", "rho", "K", "alpha", "shift"):
-            a = getattr(combined, fld)
-            b = getattr(reference, fld)
-            rel = abs(a - b) / max(abs(b), 1e-300)
-            rows.append({"name": fld, "value": a, "reference": b,
-                         "tol": 1e-12, "ok": rel <= 1e-12})
-        report = VerifyReport(
-            fixture="bm-offset-edge-composition",
-            claim="shifted_trend_edge",
-            kind="scalar_checks",
-            inputs={"model": {"H": 0.5, "beta": 2.0, "alpha_loc": 1.0,
-                              "eta": {"delta": 0.5, "C": 1.0, "mu": 1.0},
-                              "zeta": {"delta0": 0.2, "C": 1.0, "gamma": 1.0}}},
-            rule={"type": "all_ok"},
-            rows=rows,
-            seed=seed,
-        )
-        return _finish(report, t0)
-
-    return run
+    zeta = model["zeta"]
+    trend = gp.TrendModel(
+        H=model["H"], beta=model["beta"], alpha_loc=model["alpha_loc"],
+        d_ref=(1.0, 1.0), eta=gp.EtaSpec(**model["eta"]), zeta=gp.ZetaSpec(**zeta),
+    )
+    combined = gp.shifted_trend_tail(trend)
+    reference = sum_mixed_tail(gp.random_trend_tail(trend),
+                               EdgePower(zeta["C"], -zeta["delta0"], zeta["gamma"]))
+    rows = []
+    for fld in ("C", "rho", "K", "alpha", "shift"):
+        a = getattr(combined, fld)
+        b = getattr(reference, fld)
+        rel = abs(a - b) / max(abs(b), 1e-300)
+        rows.append({"name": fld, "value": a, "reference": b,
+                     "tol": 1e-12, "ok": rel <= 1e-12})
+    return rows
 
 
 GP_FIXTURES = {
@@ -523,17 +380,24 @@ GP_FIXTURES = {
     "bm-unit-slope-exact-law-small": _gp_exact_sup_fixture(
         T=20.0, n_steps=1 << 13, n_paths=4000
     ),
-    "bm-random-slope": _gp_random_slope_fixture(),
-    "bm-random-slope-offset": _gp_offset_fixture(),
-    "bm-offset-edge-composition": _gp_offset_edge_fixture(),
+    "bm-random-slope": _scalar_fixture(
+        "bm-random-slope", "random_trend", _random_slope_rows,
+        u=50.0,
+        eta_zero={"delta": 0.0, "C": 1.0, "mu": 1.0},
+        eta_pos={"delta": 0.3, "C": 1.0, "mu": 1.0},
+    ),
+    "bm-random-slope-offset": _scalar_fixture(
+        "bm-random-slope-offset", "shifted_trend", _offset_rows,
+        eta={"delta": 0.0, "C": 1.0, "mu": 1.0}, gammas=[0.5, 3.0], u=[400.0, 100.0],
+    ),
+    "bm-offset-edge-composition": _scalar_fixture(
+        "bm-offset-edge-composition", "shifted_trend_edge", _offset_edge_rows,
+        model={"H": 0.5, "beta": 2.0, "alpha_loc": 1.0,
+               "eta": {"delta": 0.5, "C": 1.0, "mu": 1.0},
+               "zeta": {"delta0": 0.2, "C": 1.0, "gamma": 1.0}},
+    ),
 }
 
 
 def run_gp_fixture(name: str, seed: int = 0) -> VerifyReport:
-    try:
-        fn = GP_FIXTURES[name]
-    except KeyError:
-        raise SpecError(
-            f"unknown gp fixture {name!r}; available: {sorted(GP_FIXTURES)}"
-        ) from None
-    return fn(seed=seed)
+    return _lookup(GP_FIXTURES, "gp fixture", name)(seed=seed)

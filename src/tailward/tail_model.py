@@ -179,7 +179,7 @@ def tail_from_dict(d: dict) -> AsymptoticTail:
 
 @dataclass(frozen=True)
 class DistributionModel:
-    """An exact law: vectorized survival/density plus sampler and metadata.
+    """An exact law: vectorized log survival and log density, a sampler, metadata.
 
     Values are immutable after construction and safe to share across
     threads; samplers take an explicit numpy Generator so callers own all
@@ -193,7 +193,6 @@ class DistributionModel:
     support: tuple[float, float]
     tail: Optional[AsymptoticTail]
     log_sf: Callable = field(compare=False, repr=False)
-    density: Optional[Callable] = field(compare=False, repr=False)
     log_density: Optional[Callable] = field(compare=False, repr=False)
     sampler: Callable = field(compare=False, repr=False)
 
@@ -212,7 +211,8 @@ def _as_array(u):
 
 
 def _scalar_like(u, out):
-    if np.isscalar(u) or (isinstance(u, np.ndarray) and u.ndim == 0):
+    """``out`` as a Python float when the argument ``u`` was a scalar."""
+    if np.ndim(u) == 0:
         return float(out)
     return out
 
@@ -233,9 +233,6 @@ def _make_weibull(K: float, alpha: float) -> DistributionModel:
         out = np.where(x > 0, body - K * np.maximum(x, 0.0) ** alpha, -np.inf)
         return _scalar_like(u, out)
 
-    def density(u):
-        return np.exp(log_density(u))
-
     def sampler(rng, size=None):
         v = rng.random(size)
         return (-np.log1p(-v) / K) ** (1.0 / alpha)
@@ -246,7 +243,6 @@ def _make_weibull(K: float, alpha: float) -> DistributionModel:
         support=(0.0, math.inf),
         tail=WeibullType(1.0, 0.0, K, alpha, 0.0),
         log_sf=log_sf,
-        density=density,
         log_density=log_density,
         sampler=sampler,
     )
@@ -271,9 +267,6 @@ def _make_pareto(C: float, alpha: float) -> DistributionModel:
         out = np.where(x >= lo, body, -np.inf)
         return _scalar_like(u, out)
 
-    def density(u):
-        return np.exp(log_density(u))
-
     def sampler(rng, size=None):
         v = rng.random(size)
         return lo * (1.0 - v) ** (-1.0 / alpha)
@@ -284,7 +277,6 @@ def _make_pareto(C: float, alpha: float) -> DistributionModel:
         support=(lo, math.inf),
         tail=PowerTail(C, alpha),
         log_sf=log_sf,
-        density=density,
         log_density=log_density,
         sampler=sampler,
     )
@@ -311,9 +303,6 @@ def _make_edge(sigma: float, mu: float) -> DistributionModel:
         out = np.where(inside, body, -np.inf)
         return _scalar_like(u, out)
 
-    def density(u):
-        return np.exp(log_density(u))
-
     def sampler(rng, size=None):
         v = rng.random(size)
         return sigma - v ** (1.0 / mu)
@@ -324,7 +313,6 @@ def _make_edge(sigma: float, mu: float) -> DistributionModel:
         support=(sigma - 1.0, sigma),
         tail=EdgePower(1.0, sigma, mu),
         log_sf=log_sf,
-        density=density,
         log_density=log_density,
         sampler=sampler,
     )
@@ -349,9 +337,6 @@ def _make_lognormal(m: float, s: float) -> DistributionModel:
         out = np.where(x > 0, body, -np.inf)
         return _scalar_like(u, out)
 
-    def density(u):
-        return np.exp(log_density(u))
-
     def sampler(rng, size=None):
         return np.exp(m + s * rng.standard_normal(size))
 
@@ -363,7 +348,6 @@ def _make_lognormal(m: float, s: float) -> DistributionModel:
         support=(0.0, math.inf),
         tail=None,
         log_sf=log_sf,
-        density=density,
         log_density=log_density,
         sampler=sampler,
     )
@@ -380,9 +364,6 @@ def _make_normal() -> DistributionModel:
         out = -0.5 * math.log(2 * math.pi) - x * x / 2.0
         return _scalar_like(u, out)
 
-    def density(u):
-        return np.exp(log_density(u))
-
     def sampler(rng, size=None):
         return rng.standard_normal(size)
 
@@ -393,7 +374,6 @@ def _make_normal() -> DistributionModel:
         support=(-math.inf, math.inf),
         tail=WeibullType((2 * math.pi) ** -0.5, -1.0, 0.5, 2.0, 0.0),
         log_sf=log_sf,
-        density=density,
         log_density=log_density,
         sampler=sampler,
     )
@@ -416,7 +396,6 @@ def _make_constant(c: float) -> DistributionModel:
         support=(c, c),
         tail=None,
         log_sf=log_sf,
-        density=None,
         log_density=None,
         sampler=sampler,
     )
@@ -557,6 +536,17 @@ def moment_by_quadrature(model: DistributionModel, alpha: float, rtol: float = 1
 # Ratio tables (exact vs asymptotic, log-space stored)
 # ---------------------------------------------------------------------------
 
+def _finite_or_null(value):
+    """A JSON-ready copy of ``value`` with every non-finite float set to None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class RatioRow:
     u: float
@@ -575,7 +565,9 @@ class RatioTable:
         return [r.ratio for r in self.rows if r.status == "ok"]
 
     def to_json(self) -> str:
-        return json.dumps([row.__dict__ for row in self.rows], indent=2)
+        """Strict JSON: a failed row's non-finite numbers become null."""
+        rows = [row.__dict__ for row in self.rows]
+        return json.dumps(_finite_or_null(rows), indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

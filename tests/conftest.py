@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tailward
 from tailward import make_model
 
 
@@ -32,3 +36,18 @@ def pareto12():
 @pytest.fixture
 def lognormal01():
     return make_model("lognormal(0,1)")
+
+
+@pytest.fixture(scope="session")
+def validate():
+    """validate(payload, name) checks payload against schemas/<name>.schema.json."""
+    import jsonschema
+
+    base = Path(tailward.__file__).parent / "schemas"
+    schemas = {f.name.split(".")[0]: json.loads(f.read_text())
+               for f in base.glob("*.schema.json")}
+
+    def check(payload, name):
+        jsonschema.validate(payload, schemas[name])
+
+    return check

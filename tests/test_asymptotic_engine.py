@@ -10,6 +10,8 @@ from scipy import special
 
 import tailward as tw
 from tailward.asymptotic_engine import model_condition
+from tailward.oracle import sf_product_exact
+from tailward.reports import FIXTURES, run_fixture
 from tailward.errors import (
     AssumptionError,
     ConditionError,
@@ -234,6 +236,83 @@ def test_product_power_divergent_moment_surfaces():
     m = tw.make_model("pareto(1,2)")
     with pytest.raises((ConditionError, DivergentMoment)):
         tw.product_power_tail(m, P(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# sum_tail / product_tail: which theorem applies to a pair of laws
+# ---------------------------------------------------------------------------
+
+def _classify(op, x_spec, y_spec):
+    x, y = tw.make_model(x_spec), tw.make_model(y_spec)
+    return (tw.sum_tail if op == "sum" else tw.product_tail)(x, y)
+
+
+def _same_tail(got, want):
+    assert type(got) is type(want)
+    for k, v in want.__dict__.items():
+        assert getattr(got, k) == pytest.approx(v, rel=1e-12), k
+
+
+@pytest.mark.parametrize("op,x,y,claim,tail", [
+    # Weibull-type with a bounded law, either order.
+    ("sum", "weibull(1,2)", "edge(0,1)", "sum_mixed", W(0.5, -1.0, 1.0, 2.0, 0.0)),
+    ("sum", "edge(0,1)", "weibull(1,2)", "sum_mixed", W(0.5, -1.0, 1.0, 2.0, 0.0)),
+    ("product", "weibull(1,2)", "edge(2,1)", "product_mixed", W(4.0, -2.0, 0.25, 2.0, 0.0)),
+    ("product", "edge(2,1)", "weibull(1,2)", "product_mixed", W(4.0, -2.0, 0.25, 2.0, 0.0)),
+    # The dominating tail survives: condition (A) for a nonnegative other
+    # operand, (B) for the real-valued normal, in either order.
+    ("sum", "weibull(1,2)", "pareto(1,2)", "sum_dominant", P(1.0, 2.0)),
+    ("sum", "pareto(1,2)", "weibull(1,2)", "sum_dominant", P(1.0, 2.0)),
+    ("sum", "normal", "pareto(1,2)", "sum_dominant", P(1.0, 2.0)),
+    ("sum", "pareto(1,2)", "normal", "sum_dominant", P(1.0, 2.0)),
+    ("sum", "pareto(1,3)", "pareto(1,2)", "sum_dominant", P(1.0, 2.0)),
+    ("sum", "pareto(1,2)", "pareto(1,3)", "sum_dominant", P(1.0, 2.0)),
+    # A power factor against a non-power law: C scaled by E X^alpha = e^2.
+    ("product", "lognormal(0,1)", "pareto(1,2)", "product_power", P(math.exp(2.0), 2.0)),
+    ("product", "pareto(1,2)", "lognormal(0,1)", "product_power", P(math.exp(2.0), 2.0)),
+    # Two powers: the heavier (alpha = 2) survives, scaled by the lighter
+    # factor's second moment E Y^2 = 3 for Pareto(1, 3).
+    ("product", "pareto(1,2)", "pareto(1,3)", "product_power", P(3.0, 2.0)),
+    ("product", "pareto(1,3)", "pareto(1,2)", "product_power", P(3.0, 2.0)),
+])
+def test_classifier_picks_the_theorem(op, x, y, claim, tail):
+    got, got_claim = _classify(op, x, y)
+    assert got_claim == claim
+    _same_tail(got, tail)
+
+
+@pytest.mark.parametrize("op,x,y,error", [
+    ("product", "pareto(1,2)", "pareto(1,2)", ConditionError),
+    ("product", "normal", "pareto(1,2)", AssumptionError),
+    ("product", "pareto(1,2)", "normal", AssumptionError),
+    ("sum", "lognormal(0,1)", "lognormal(0,1)", Unsupported),
+    ("product", "lognormal(0,1)", "lognormal(0,1)", Unsupported),
+])
+def test_classifier_rejects_pairs_outside_the_theorems(op, x, y, error):
+    with pytest.raises(error):
+        _classify(op, x, y)
+
+
+@pytest.mark.parametrize("x,y", [("pareto(1,2)", "pareto(1,3)"), ("pareto(1,3)", "pareto(1,2)")])
+def test_two_power_product_matches_the_exact_oracle(x, y):
+    # For u >= 1, P(XY > u) = 3 u^-2 - 2 u^-3 exactly, so the oracle over the
+    # classified tail 3 u^-2 is 1 - 2 / (3u), which tends to one.
+    tail, _ = _classify("product", x, y)
+    xm, ym = tw.make_model(x), tw.make_model(y)
+    for u in (1e2, 1e4, 1e6):
+        ratio = math.exp(sf_product_exact(xm, ym, u) - tw.sf_eval(tail, u))
+        assert ratio == pytest.approx(1.0 - 2.0 / (3.0 * u), rel=1e-9)
+
+
+def test_ratio_fixtures_take_claim_and_tail_from_the_engine():
+    ratio_reports = [r for r in map(run_fixture, sorted(FIXTURES)) if r.kind == "ratio_table"]
+    assert {r.claim for r in ratio_reports} == {
+        "sum_mixed", "sum_dominant", "product_mixed", "product_power",
+    }
+    for r in ratio_reports:
+        tail, claim = _classify(r.inputs["op"], r.inputs["x"], r.inputs["y"])
+        assert r.claim == claim
+        assert r.inputs["predicted"] == tw.tail_to_dict(tail)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,6 @@ def test_unsupported_conditioning_without_density(weibull12):
         support=(0.0, 1.0),
         tail=None,
         log_sf=lambda u: np.where(np.asarray(u) < 1.0, 0.0, -np.inf),
-        density=None,
         log_density=None,
         sampler=lambda rng, size=None: rng.random(size),
     )

@@ -1,5 +1,6 @@
 """Tail families, the distribution registry and moment computation."""
 
+import json
 import math
 
 import numpy as np
@@ -296,3 +297,13 @@ def test_ratio_table_round_trips_csv_and_json():
     text = table.to_csv()
     assert text.splitlines()[0] == "u,log_sf_exact,log_h,ratio,method,status"
     assert len(text.splitlines()) == 3
+
+
+def test_ratio_table_json_writes_null_for_a_failed_row():
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    row = tw.RatioRow(6.0, math.nan, -36.0, math.nan, "quadrature", "failed: forced")
+    data = json.loads(tw.RatioTable((row,)).to_json(), parse_constant=reject)
+    assert data == [{"u": 6.0, "log_sf_exact": None, "log_h": -36.0, "ratio": None,
+                     "method": "quadrature", "status": "failed: forced"}]
