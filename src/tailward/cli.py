@@ -1,8 +1,9 @@
 """Batch command-line surface for the tail calculus, oracles and simulators.
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 bad
-specification or arguments, 3 a mathematical hypothesis or domination
-condition is violated (the message names it), 4 numerical failure.
+specification or arguments (an --out path that cannot be written among
+them), 3 a mathematical hypothesis or domination condition is violated
+(the message names it), 4 numerical failure.
 
 All randomness enters through --seed (default 0, never time-based); the
 TAILWARD_THREADS environment variable caps --workers.
@@ -48,7 +49,7 @@ _ASSUMPTION_ERRORS = (
     MissingPickands,
     MissingEConstant,
 )
-_SPEC_ERRORS = (SpecError, DomainError)
+_SPEC_ERRORS = (SpecError, DomainError, OSError)  # OSError: an unusable --out or --model path
 _NUMERIC_ERRORS = (QuadratureFailure, EmbeddingFailure)
 
 
@@ -62,20 +63,21 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
-    if len(parts) == 3:
-        a, b, step = (float(p) for p in parts)
-        if step <= 0 or b < a:
-            raise SpecError(f"bad grid {text!r}")
-        grid = []
-        v = a
-        while v <= b + 1e-12:
-            grid.append(round(v, 12))
-            v += step
-        return grid
     try:
-        return [float(p) for p in text.split(",")]
+        values = [float(p) for p in (parts if len(parts) == 3 else text.split(","))]
     except ValueError as exc:
         raise SpecError(f"bad grid {text!r}") from exc
+    if len(parts) != 3:
+        return values
+    a, b, step = values
+    if step <= 0 or b < a:
+        raise SpecError(f"bad grid {text!r}")
+    grid = []
+    v = a
+    while v <= b + 1e-12:
+        grid.append(round(v, 12))
+        v += step
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -145,30 +147,30 @@ def _cmd_verify(args) -> int:
 def _trend_model_from_json(text: str):
     from .gp_extremes import EtaSpec, TrendModel, ZetaSpec
 
-    path = Path(text)
-    raw = path.read_text() if path.is_file() else text
+    # Inline JSON is never probed as a path: a long one is no valid file name.
+    raw = text if text.lstrip().startswith(("{", "[")) else Path(text).read_text()
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SpecError(f"bad trend model JSON: {exc}") from exc
-    eta = obj.get("eta")
-    zeta = obj.get("zeta")
-    d_ref = obj.get("d_ref", {"s": 1.0, "value": 1.0})
-    if obj.get("preset") == "bm":
-        base = dict(H=0.5, beta=obj.get("beta", 1.0), alpha_loc=1.0,
-                    d_ref=(1.0, 1.0))
-    elif obj.get("preset") == "fbm":
-        H = float(obj["H"])
-        base = dict(H=H, beta=float(obj["beta"]), alpha_loc=2.0 * H,
-                    d_ref=(1.0, 1.0))
-    else:
-        base = dict(
-            H=float(obj["H"]),
-            beta=float(obj["beta"]),
-            alpha_loc=float(obj["alpha_loc"]),
-            d_ref=(float(d_ref["s"]), float(d_ref["value"])),
-        )
     try:
+        eta = obj.get("eta")
+        zeta = obj.get("zeta")
+        d_ref = obj.get("d_ref", {"s": 1.0, "value": 1.0})
+        if obj.get("preset") == "bm":
+            base = dict(H=0.5, beta=float(obj.get("beta", 1.0)), alpha_loc=1.0,
+                        d_ref=(1.0, 1.0))
+        elif obj.get("preset") == "fbm":
+            H = float(obj["H"])
+            base = dict(H=H, beta=float(obj["beta"]), alpha_loc=2.0 * H,
+                        d_ref=(1.0, 1.0))
+        else:
+            base = dict(
+                H=float(obj["H"]),
+                beta=float(obj["beta"]),
+                alpha_loc=float(obj["alpha_loc"]),
+                d_ref=(float(d_ref["s"]), float(d_ref["value"])),
+            )
         return TrendModel(
             **base,
             eta=EtaSpec(float(eta["delta"]), float(eta["C"]), float(eta["mu"]))
@@ -181,17 +183,20 @@ def _trend_model_from_json(text: str):
             )
             if zeta
             else None,
-            pickands=obj.get("pickands"),
-            e_const=obj.get("e_const"),
+            pickands=None if obj.get("pickands") is None else float(obj["pickands"]),
+            e_const=None if obj.get("e_const") is None else float(obj["e_const"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad trend model object: {exc}") from exc
 
 
 def _cmd_gp_constants(args) -> int:
     from .gp_extremes import TrendModel, trend_constants
 
-    s_ref, d_val = (float(p) for p in args.d_ref.split(":"))
+    try:
+        s_ref, d_val = (float(p) for p in args.d_ref.split(":"))
+    except ValueError as exc:
+        raise SpecError(f"bad --d-ref {args.d_ref!r}, expected s:value") from exc
     model = TrendModel(
         H=args.H, beta=args.beta, alpha_loc=args.alpha_loc,
         d_ref=(s_ref, d_val), pickands=args.pickands,

@@ -22,14 +22,10 @@ from .trend import (
     TrendTailValue,
     ZetaSpec,
     bm_sup_ratio_moment,
-    log_std_normal_pdf,
-    log_std_normal_tail,
     pickands_exact,
     random_trend_tail,
     shifted_trend_case,
     shifted_trend_tail,
-    std_normal_pdf,
-    std_normal_tail,
     trend_constants,
     trend_tail_asymptotic,
 )
@@ -54,14 +50,10 @@ __all__ = [
     "TrendTailValue",
     "ZetaSpec",
     "bm_sup_ratio_moment",
-    "log_std_normal_pdf",
-    "log_std_normal_tail",
     "pickands_exact",
     "random_trend_tail",
     "shifted_trend_case",
     "shifted_trend_tail",
-    "std_normal_pdf",
-    "std_normal_tail",
     "trend_constants",
     "trend_tail_asymptotic",
 ]

@@ -9,7 +9,9 @@ the slope eta and offset zeta gives an exact survival function for
 
 independent of every closed-form asymptotic in this package.  Offsets with
 zeta <= -u make the kernel saturate at 1; that mass is added analytically
-as P(zeta <= -u) rather than integrated.
+as P(zeta <= -u) rather than integrated.  Both averages are
+:func:`tailward.oracle.log_mixture`, the one mixture integral: the inner
+one over eta is the outer one's kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import math
 import numpy as np
 
 from ..errors import DomainError, SpecError
-from ..quadrature import log1mexp, log_quad, logsumexp_pair
+from ..oracle import log_mixture
+from ..quadrature import log1mexp
 from ..tail_model import DistributionModel, _scalar_like
 
 __all__ = ["eta_power_low_model", "negate_model", "bm_exact_oracle"]
@@ -110,20 +113,11 @@ def _log_mean_kernel(eta: DistributionModel, v: float, rtol: float) -> float:
     """log E_eta P(sup(B - eta*t) > v) for a fixed offset argument v."""
     if v <= 0:
         return 0.0
-    if eta.family == "constant":
-        return min(0.0, -2.0 * eta.params["c"] * v)
-    if eta.log_density is None:
-        raise SpecError(f"oracle needs a density for eta, {eta.family} has none")
-    lo, hi = eta.support
-    if lo < 0:
-        raise DomainError(f"eta must be positive, support {eta.support}")
-
-    def log_f(x):
-        return eta.log_density(x) - 2.0 * x * v
-
     scale = 1.0 / (2.0 * v)
-    breaks = [b for b in (scale, 10 * scale, 100 * scale) if lo < b < hi]
-    return log_quad(log_f, lo, hi, rtol=rtol, breakpoints=breaks)
+    # A slope x <= 0 never lets the supremum stay below v: the kernel is 1.
+    return log_mixture(eta, lambda x: np.minimum(-2.0 * x * v, 0.0),
+                       -math.inf, math.inf, rtol=rtol,
+                       breakpoints=(scale, 10 * scale, 100 * scale))
 
 
 def bm_exact_oracle(
@@ -134,37 +128,20 @@ def bm_exact_oracle(
 ) -> float:
     """log P(sup_t (B(t) - eta*t - zeta) > u), exact up to quadrature.
 
-    eta must be positive almost surely; zeta may be any law with a density
-    (or a constant), defaulting to zero.  Nested adaptive quadrature: outer
-    over zeta, inner over eta.
+    eta must be positive almost surely (a point mass at c <= 0 is the
+    saturated kernel); zeta may be any law with a density (or a constant),
+    defaulting to zero.  Nested adaptive quadrature: outer over zeta, inner
+    over eta at a tenth of the outer rtol.
     """
+    lo, hi = eta.support
+    if lo < min(hi, 0.0):
+        raise DomainError(f"eta must be positive, support {eta.support}")
     if zeta is None:
         return _log_mean_kernel(eta, u, rtol)
-    if zeta.family == "constant":
-        return _log_mean_kernel(eta, u + zeta.params["c"], rtol)
-    if zeta.log_density is None:
-        raise SpecError(f"oracle needs a density for zeta, {zeta.family} has none")
-    lo, hi = zeta.support
-    inner_rtol = rtol / 10.0
+    inner = np.vectorize(lambda z: _log_mean_kernel(eta, u + z, rtol / 10.0),
+                         otypes=[float])
     # Kernel saturates at 1 for zeta <= -u: that mass is P(zeta <= -u).
     saturated = -math.inf
-    lo_eff = lo
-    if lo < -u:
-        lo_eff = max(lo, -u)
+    if zeta.support[0] < -u:
         saturated = log1mexp(min(float(zeta.log_sf(-u)), 0.0))
-    if hi <= lo_eff:
-        return saturated
-
-    def log_f(z):
-        zz = np.atleast_1d(np.asarray(z, dtype=float))
-        dens = np.atleast_1d(zeta.log_density(zz))
-        out = np.empty_like(zz)
-        for i, (zi, di) in enumerate(zip(zz, dens)):
-            if di == -math.inf:
-                out[i] = -math.inf
-            else:
-                out[i] = di + _log_mean_kernel(eta, u + zi, inner_rtol)
-        return out if np.ndim(z) else float(out[0])
-
-    body = log_quad(log_f, lo_eff, hi, rtol=rtol)
-    return logsumexp_pair(body, saturated)
+    return log_mixture(zeta, inner, -u, math.inf, saturated, rtol)

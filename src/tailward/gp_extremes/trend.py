@@ -28,7 +28,7 @@ from ..errors import (
     MissingPickands,
     SpecError,
 )
-from ..specfun import log_norm_sf, norm_sf
+from ..specfun import log_norm_sf
 from ..tail_model import (
     AsymptoticTail,
     EdgePower,
@@ -49,30 +49,10 @@ __all__ = [
     "random_trend_tail",
     "shifted_trend_tail",
     "shifted_trend_case",
-    "std_normal_pdf",
-    "std_normal_tail",
-    "log_std_normal_pdf",
-    "log_std_normal_tail",
     "bm_sup_ratio_moment",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def std_normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def log_std_normal_pdf(x: float) -> float:
-    return -0.5 * _LOG_2PI - 0.5 * x * x
-
-
-def std_normal_tail(x: float) -> float:
-    return norm_sf(x)
-
-
-def log_std_normal_tail(x: float) -> float:
-    return log_norm_sf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +242,7 @@ def trend_tail_asymptotic(model: TrendModel, c: float, u: float) -> TrendTailVal
     one_minus_h = 1.0 - H / beta
     arg = k.A * u ** one_minus_h
     log_g = math.log(k.C) + one_minus_h * (2.0 / a - 2.0) * math.log(u) \
-        + log_std_normal_pdf(arg)
+        + (-0.5 * _LOG_2PI - 0.5 * arg * arg)  # log of the normal density
     d_s0 = model.d_at(k.s0)
     if a < 2.0:
         log_coeff = (
@@ -274,12 +254,12 @@ def trend_tail_asymptotic(model: TrendModel, c: float, u: float) -> TrendTailVal
             + (2.0 / a - 0.5) * math.log(k.A)
         )
         log_f = log_coeff + one_minus_h * (2.0 / a - 1.0) * math.log(u) \
-            + log_std_normal_tail(arg)
+            + log_norm_sf(arg)
     else:
         log_f = (
             math.log(2.0)
             + 0.5 * math.log((k.A * d_s0 + k.B) / k.B)
-            + log_std_normal_tail(arg)
+            + log_norm_sf(arg)
         )
     return TrendTailValue(log_f=log_f, log_g=log_g)
 

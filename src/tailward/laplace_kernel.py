@@ -118,7 +118,7 @@ class LaplaceProblem:
     """F(u) = int_0^a x**(mu-1) * f(x) * exp(-u*S(x)) dx.
 
     S must attain its minimum over [0, a] only at 0 and have a positive
-    one-sided derivative there; f must be continuous with f(0) != 0.
+    one-sided derivative there; f must be continuous with f(0) > 0.
     Function fields must be reentrant: problems are shared freely across
     threads.
     """
@@ -150,8 +150,8 @@ def laplace_general(problem: LaplaceProblem, u: float, rtol: float = 1e-10) -> L
     _check_positive(u=u)
     f, S, mu, a = problem.f, problem.S, problem.mu, problem.a
     f0 = float(f(np.array([0.0]))[0])
-    if f0 == 0.0:
-        raise AssumptionError("laplace_general requires f(0) != 0")
+    if not f0 > 0.0:
+        raise AssumptionError(f"laplace_general needs f(0) > 0, got f(0)={f0}")
     s0 = float(S(np.array([0.0]))[0])
     slope = _derivative_at_zero(S)
     if not slope > 1e-8:
@@ -159,12 +159,10 @@ def laplace_general(problem: LaplaceProblem, u: float, rtol: float = 1e-10) -> L
             f"S must be increasing at 0; finite differences give S'(0)={slope:.3e}"
         )
 
-    sign = 1.0 if f0 > 0 else -1.0
-
     def log_integrand(x):
         xs = np.maximum(x, 1e-320)
         with np.errstate(divide="ignore", invalid="ignore"):
-            fx = sign * np.asarray(f(x), dtype=float)
+            fx = np.asarray(f(x), dtype=float)
             out = (
                 (mu - 1.0) * np.log(xs)
                 + np.where(fx > 0, np.log(np.maximum(fx, 1e-320)), -np.inf)
@@ -176,8 +174,6 @@ def laplace_general(problem: LaplaceProblem, u: float, rtol: float = 1e-10) -> L
     scale = mu / (u * slope)
     breaks = [b for b in (scale, 10 * scale, 100 * scale) if 0 < b < a]
     numeric = -u * s0 + log_quad(log_integrand, 0.0, a, rtol=rtol, breakpoints=breaks)
-    if sign < 0:
-        raise AssumptionError("laplace_general handles positive f near 0 only")
     asymptotic = (
         math.lgamma(mu)
         + math.log(f0)

@@ -84,20 +84,6 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     return lo, hi
 
 
-def _combine(xs, ys, combine: str, combiner):
-    if ys is None:
-        return xs
-    if combine == "sum":
-        return xs + ys
-    if combine == "product":
-        return xs * ys
-    if combine == "custom":
-        if combiner is None:
-            raise SpecError("combine='custom' needs a combiner callable")
-        return combiner(xs, ys)
-    raise SpecError(f"unknown combine {combine!r}")
-
-
 def estimate_sf(
     x: DistributionModel,
     y: DistributionModel | None,
@@ -106,11 +92,12 @@ def estimate_sf(
     n: int,
     seed: int,
     workers: int | None = None,
-    combiner=None,
 ) -> list[TailEstimate]:
     """Direct exceedance frequencies with Wilson intervals over a u-grid."""
     if n < 10 ** 3:
         raise SpecError(f"need n >= 1000 samples, got {n}")
+    if combine not in ("sum", "product"):
+        raise SpecError(f"unknown combine {combine!r}")
     grid = np.asarray(list(grid), dtype=float)
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
 
@@ -118,9 +105,10 @@ def estimate_sf(
         rng = block_rng(seed, b)
         count = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
         xs = x.sample(rng, count)
-        ys = y.sample(rng, count) if y is not None else None
-        combined = _combine(xs, ys, combine, combiner)
-        return (combined[:, None] > grid[None, :]).sum(axis=0)
+        if y is not None:
+            ys = y.sample(rng, count)
+            xs = xs + ys if combine == "sum" else xs * ys
+        return (xs[:, None] > grid[None, :]).sum(axis=0)
 
     counts = np.zeros(len(grid), dtype=np.int64)
     for c in _map_blocks(run_block, n_blocks, resolve_workers(workers)):

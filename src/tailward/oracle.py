@@ -12,6 +12,10 @@ being integrated; that keeps heavy-tailed conditioning laws cheap and
 removes the endpoint singularity the infinite-range transform would
 otherwise create.
 
+``log_mixture`` is the one mixture integral, "a kernel averaged over an
+independent law plus a saturated mass": the sum and product oracles here
+and the exact Brownian oracle are all its callers.
+
 These integrals are the referee for every closed-form tail in
 :mod:`tailward.asymptotic_engine`; they never consult the closed forms.
 """
@@ -32,39 +36,54 @@ from .tail_model import (
     sf_eval,
 )
 
-__all__ = ["sf_sum_exact", "sf_product_exact", "ratio_table"]
+__all__ = ["log_mixture", "sf_sum_exact", "sf_product_exact", "ratio_table"]
 
 _RTOL = 1e-9
+
+
+def log_mixture(law: DistributionModel, log_kernel, lo: float, hi: float,
+                saturated: float = -math.inf, rtol: float = _RTOL,
+                breakpoints=()) -> float:
+    """log(E[kernel(Y); lo < Y < hi] + e**saturated) for Y ~ law.
+
+    ``log_kernel`` maps an array of values of Y to the log of the kernel.
+    The interval is cut to Y's support; ``saturated`` is the log of the
+    mass the caller accounts for outside it.  A constant law is the kernel
+    at its value, which already covers that mass.
+    """
+    if law.family == "constant":
+        with np.errstate(divide="ignore", over="ignore"):  # as at quadrature nodes
+            return float(log_kernel(law.params["c"]))
+    if law.log_density is None:
+        raise Unsupported(
+            f"mixture oracle needs a density for the conditioning law, "
+            f"{law.family!r} has none"
+        )
+    lo, hi = max(lo, law.support[0]), min(hi, law.support[1])
+    if hi <= lo:
+        return saturated
+
+    def log_f(y):
+        return log_kernel(y) + law.log_density(y)
+
+    body = log_quad(log_f, lo, hi, rtol=rtol, breakpoints=breakpoints)
+    return logsumexp_pair(body, saturated)
+
+
+def _upper_mass(y: DistributionModel, edge: float) -> float:
+    # log P(Y > edge), the mass where SF_X has saturated at 1.
+    return float(y.log_sf(edge)) if edge < y.support[1] else -math.inf
 
 
 def sf_sum_exact(x: DistributionModel, y: DistributionModel, u: float,
                  rtol: float = _RTOL) -> float:
     """log P(X + Y > u) = log E SF_X(u - Y) by quadrature over Y's law."""
-    if y.family == "constant":
-        return float(x.log_sf(u - y.params["c"]))
-    if x.family == "constant":
-        return float(y.log_sf(u - x.params["c"]))
-    if y.log_density is None:
-        raise Unsupported(
-            f"sum oracle needs a density for the conditioning law, "
-            f"{y.family!r} has none"
-        )
-    y_lo, y_hi = y.support
-    x_lo, x_hi = x.support
+    if x.support[0] == x.support[1]:  # a point mass is conditioned on
+        x, y = y, x
     # SF_X(u - yy) is 0 for yy <= u - x_hi and 1 for yy >= u - x_lo.
-    lo_eff = max(y_lo, u - x_hi)
-    hi_eff = min(y_hi, u - x_lo)
-    saturated = -math.inf
-    if math.isfinite(x_lo) and u - x_lo < y_hi:
-        saturated = float(y.log_sf(u - x_lo))
-    if hi_eff <= lo_eff:
-        return saturated
-
-    def log_integrand(yy):
-        return x.log_sf(u - yy) + y.log_density(yy)
-
-    body = log_quad(log_integrand, lo_eff, hi_eff, rtol=rtol)
-    return logsumexp_pair(body, saturated)
+    x_lo, x_hi = x.support
+    return log_mixture(y, lambda yy: x.log_sf(u - yy), u - x_hi, u - x_lo,
+                       _upper_mass(y, u - x_lo), rtol)
 
 
 def sf_product_exact(x: DistributionModel, y: DistributionModel, u: float,
@@ -78,33 +97,13 @@ def sf_product_exact(x: DistributionModel, y: DistributionModel, u: float,
                 f"product oracle needs positive supports, {m.family} has "
                 f"{m.support}"
             )
-    if y.family == "constant":
-        return float(x.log_sf(u / y.params["c"]))
-    if x.family == "constant":
-        return float(y.log_sf(u / x.params["c"]))
-    if y.log_density is None:
-        raise Unsupported(
-            f"product oracle needs a density for the conditioning law, "
-            f"{y.family!r} has none"
-        )
-    y_lo, y_hi = y.support
-    x_lo, x_hi = x.support
+    if x.support[0] == x.support[1]:  # a point mass is conditioned on
+        x, y = y, x
     # SF_X(u / yy) is 0 for yy <= u / x_hi and 1 for yy >= u / x_lo (x_lo > 0).
-    lo_eff = max(y_lo, 0.0 if math.isinf(x_hi) else u / x_hi)
-    hi_eff = y_hi
-    saturated = -math.inf
-    if x_lo > 0.0 and u / x_lo < y_hi:
-        hi_eff = min(y_hi, u / x_lo)
-        saturated = float(y.log_sf(u / x_lo))
-    if hi_eff <= lo_eff:
-        return saturated
-
-    def log_integrand(yy):
-        with np.errstate(divide="ignore"):
-            return x.log_sf(u / np.maximum(yy, 1e-320)) + y.log_density(yy)
-
-    body = log_quad(log_integrand, lo_eff, hi_eff, rtol=rtol)
-    return logsumexp_pair(body, saturated)
+    x_lo, x_hi = x.support
+    edge = u / x_lo if x_lo > 0.0 else math.inf
+    return log_mixture(y, lambda yy: x.log_sf(u / np.maximum(yy, 1e-320)),
+                       u / x_hi, edge, _upper_mass(y, edge), rtol)
 
 
 def ratio_table(

@@ -114,14 +114,6 @@ def recompute_pass(report: VerifyReport | dict) -> bool:
             ref = r["reference"]
             ok = ok and r["ci_lo"] <= ref and r["ci_hi"] >= ref * (1.0 - allowance)
         return ok
-    if kind == "value_vs_reference":
-        slack = rule.get("rel_slack", 0.0)
-        ok = True
-        for r in rows:
-            ref = r["reference"]
-            pad = slack * abs(ref)
-            ok = ok and (r["ci_lo"] - pad) <= ref <= (r["ci_hi"] + pad)
-        return ok
     if kind == "all_ok":
         return all(bool(r["ok"]) for r in rows) and bool(rows)
     raise SpecError(f"unknown rule type {kind!r}")

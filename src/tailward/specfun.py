@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["log_norm_sf", "norm_sf"]
+__all__ = ["log_norm_sf"]
 
 _INV_SQRT2 = 0.5 ** 0.5
 _LN2 = math.log(2.0)
@@ -79,8 +79,3 @@ def log_norm_sf(x):
     if a.ndim == 0:
         return values[0]
     return np.fromiter(values, dtype=float, count=a.size).reshape(a.shape)
-
-
-def norm_sf(x: float) -> float:
-    """P(Z > x) for a standard normal Z and a scalar x."""
-    return 0.5 * math.erfc(x * _INV_SQRT2)

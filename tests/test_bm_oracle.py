@@ -21,6 +21,12 @@ def test_negative_level_saturates_at_one():
     assert bm_exact_oracle(c, None, -3.0) == 0.0
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_nonpositive_constant_slope_saturates_at_one(c):
+    # A point mass is the kernel min(0, -2cv) at c, before any support check.
+    assert bm_exact_oracle(tw.make_model(f"constant({c})"), None, 2.0) == 0.0
+
+
 def test_uniform_slope_watson_value():
     eta = eta_power_low_model(0.0, 1.0, 1.0)  # uniform on [0, 1]
     got = math.exp(bm_exact_oracle(eta, None, 50.0))

@@ -74,3 +74,71 @@ def test_adhoc_verify_is_the_fixture_report(capsys, op, x, y):
     fixture = json.loads(tw.reports.run_fixture(f"{op}-mixed-weibull-edge").to_json())
     for key in ("claim", "kind", "inputs", "rule", "rows", "passed", "seed"):
         assert adhoc[key] == fixture[key], key
+
+
+def test_bad_grid_exits_two(capsys):
+    code, out, err = _run(capsys, "verify", "sum", "--x", "weibull(1,2)", "--y", "edge(0,1)",
+                          "--grid", "a:b:1")
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err == "specification error: bad grid 'a:b:1'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("tail", "sum", "--x", "weibull(1,2)", "--y", "edge(0,1)"),
+    ("verify", "sum", "--fixture", "sum-mixed-weibull-edge"),
+])
+def test_unwritable_out_exits_two(capsys, tmp_path, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = _run(capsys, *argv, "--out", str(blocker / "out"))
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err.startswith("specification error: ") and err.count("\n") == 1
+
+
+def test_gp_constants_payload_matches_its_schema(capsys, validate):
+    code, out, _ = _run(capsys, "gp", "constants", "--H", "0.5", "--beta", "1",
+                        "--alpha-loc", "1")
+    assert code == cli.EXIT_OK
+    validate(json.loads(out), "constants")
+
+
+@pytest.mark.parametrize("argv", [
+    ("pickands", "--alpha", "1"),
+    ("econst", "--alpha", "1", "--beta", "1"),
+])
+def test_gp_estimate_payload_matches_its_schema(capsys, validate, argv):
+    code, out, _ = _run(capsys, "gp", *argv, "--paths", "64", "--steps", "1024")
+    assert code == cli.EXIT_OK
+    validate(json.loads(out), "estimate")
+
+
+def test_tail_estimate_matches_its_schema(validate):
+    est = tw.estimate_sf(tw.make_model("weibull(1,2)"), tw.make_model("pareto(1,2)"),
+                         "sum", [3.0], 10 ** 3, seed=0)[0]
+    validate(json.loads(json.dumps(est.to_dict())), "estimate")
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--H", "0.5", "--beta", "1", "--alpha-loc", "1", "--d-ref", "a:b"),
+    ("constants", "--H", "0.5", "--beta", "1", "--alpha-loc", "1", "--d-ref", "1:2:3"),
+    ("tail", "--model", '{"preset": "fbm"}'),
+    ("tail", "--model", '{"H": "x", "beta": 1, "alpha_loc": 1}'),
+    ("tail", "--model", '{"preset": "bm", "beta": "x"}'),
+    ("tail", "--model", '{"preset": "bm", "eta": {"delta": 0, "C": 1, "mu": 1}, "e_const": "x"}'),
+    ("tail", "--model", "[1]"),
+])
+def test_malformed_gp_input_exits_two(capsys, argv):
+    code, out, err = _run(capsys, "gp", *argv)
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err.startswith("specification error: ") and err.count("\n") == 1
+
+
+def test_gp_tail_reads_a_long_inline_model_and_a_model_file(capsys, tmp_path):
+    model = {"preset": "bm", "eta": {"delta": 0.5, "C": 1.0, "mu": 1.0},
+             "zeta": {"C": 1.0, "gamma": 3.0}, "note": "x" * 300}
+    code, inline, _ = _run(capsys, "gp", "tail", "--model", json.dumps(model))
+    assert code == cli.EXIT_OK
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, from_file, _ = _run(capsys, "gp", "tail", "--model", str(path))
+    assert code == cli.EXIT_OK and from_file == inline

@@ -22,8 +22,6 @@ from tailward.gp_extremes import (
     random_trend_tail,
     shifted_trend_case,
     shifted_trend_tail,
-    std_normal_pdf,
-    std_normal_tail,
     trend_constants,
     trend_tail_asymptotic,
 )
@@ -61,11 +59,6 @@ def test_exact_pickands_values():
     assert pickands_exact(1.0) == 1.0
     assert pickands_exact(2.0) == pytest.approx(1 / math.sqrt(math.pi))
     assert pickands_exact(1.5) is None
-
-
-def test_gaussian_helpers():
-    assert std_normal_pdf(0.0) == pytest.approx((2 * math.pi) ** -0.5)
-    assert std_normal_tail(0.0) == pytest.approx(0.5)
 
 
 def test_brownian_density_form_is_exact_exponential():

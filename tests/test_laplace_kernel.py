@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from tailward import laplace_kernel
 from tailward.errors import AssumptionError, SpecError
 from tailward.laplace_kernel import (
     LaplaceProblem,
@@ -174,6 +175,18 @@ def test_vanishing_weight_at_zero_is_rejected():
         f=lambda z: np.asarray(z, float), S=lambda z: np.asarray(z, float), mu=1.0, a=1.0
     )
     with pytest.raises(AssumptionError):
+        laplace_general(prob, 3.0)
+
+
+def test_negative_weight_is_rejected_before_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrated before checking f(0)")
+
+    monkeypatch.setattr(laplace_kernel, "log_quad", no_quadrature)
+    prob = LaplaceProblem(
+        f=lambda z: -np.ones_like(z), S=lambda z: np.asarray(z, float), mu=1.0, a=1.0
+    )
+    with pytest.raises(AssumptionError, match=r"f\(0\) > 0"):
         laplace_general(prob, 3.0)
 
 

@@ -1,5 +1,6 @@
 """Sampling estimators: correctness, intervals, reproducibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,14 +55,14 @@ def test_direct_estimate_is_deterministic_and_worker_independent():
     assert again == runs[0]
 
 
-def test_custom_combiner():
-    x = tw.make_model("constant(3)")
-    y = tw.make_model("constant(4)")
-    est = tw.estimate_sf(
-        x, y, "custom", [4.9, 5.1], 10 ** 3, seed=0,
-        combiner=lambda a, b: np.hypot(a, b),
-    )
-    assert est[0].p_hat == 1.0 and est[1].p_hat == 0.0
+def test_unknown_combine_is_rejected_before_sampling():
+    def no_sampling(rng, size=None):
+        raise AssertionError("sampled before checking combine")
+
+    x = dataclasses.replace(tw.make_model("normal()"), sampler=no_sampling)
+    for y in (None, tw.make_model("pareto(1,2)")):
+        with pytest.raises(SpecError, match="unknown combine 'hypot'"):
+            tw.estimate_sf(x, y, "hypot", [0.0], 10 ** 3, seed=0)
 
 
 def test_estimate_requires_minimum_samples():

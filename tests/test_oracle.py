@@ -7,7 +7,9 @@ import pytest
 from scipy import special
 
 import tailward as tw
+from tailward import oracle
 from tailward.errors import DomainError, Unsupported
+from tailward.gp_extremes import bm_exact_oracle
 from tailward.montecarlo import wilson_interval
 from tailward.oracle import ratio_table, sf_product_exact, sf_sum_exact
 
@@ -110,6 +112,22 @@ def test_unsupported_conditioning_without_density(weibull12):
     )
     with pytest.raises(Unsupported):
         sf_sum_exact(weibull12, bad, 2.0)
+    with pytest.raises(Unsupported):
+        sf_product_exact(weibull12, bad, 2.0)
+    with pytest.raises(Unsupported):
+        bm_exact_oracle(bad, None, 2.0)
+    with pytest.raises(Unsupported):
+        bm_exact_oracle(weibull12, bad, 2.0)
+
+
+def test_empty_interval_returns_the_saturated_mass(edge01, monkeypatch):
+    # X + Y lives on [-2, 0]: nothing is left to integrate at either level.
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrated an empty interval")
+
+    monkeypatch.setattr(oracle, "log_quad", no_quadrature)
+    assert sf_sum_exact(edge01, edge01, 0.5) == -math.inf
+    assert sf_sum_exact(edge01, edge01, -2.5) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,14 @@ import tailward
 import tailward.cli
 import tailward.gp_extremes
 import tailward.reports
-from tailward.gp_extremes import log_std_normal_tail, std_normal_tail
+from tailward.gp_extremes import TrendModel, trend_tail_asymptotic
 
 for spec in ("lognormal(0,1)", "normal"):
     model = tailward.make_model(spec)
     model.log_sf(3.0)
     model.log_sf(np.linspace(0.1, 40.0, 30))
     model.log_sf(np.linspace(0.1, 40.0, 4096))
-log_std_normal_tail(2.5)
-std_normal_tail(2.5)
+trend_tail_asymptotic(TrendModel.fbm(0.3, 1.0, pickands=1.0), 1.0, 2.5)
 for name in ("watson-kernel", "product-power-lognormal-pareto"):
     assert tailward.reports.run_fixture(name).passed, name
 """
