@@ -256,6 +256,8 @@ def _cmd_gp_fbm(args) -> int:
     from .gp_extremes import fbm_path, paths_to_csv, write_paths_binary
     from .montecarlo import block_rng
 
+    if args.paths < 1:
+        raise SpecError(f"need --paths >= 1, got {args.paths}")
     paths = np.array(
         [fbm_path(args.H, args.steps, args.T, block_rng(args.seed, i))
          for i in range(args.paths)]

@@ -28,10 +28,10 @@ import numpy as np
 
 from ..errors import SpecError
 from ..montecarlo import (
-    _Z95, TailEstimate, _map_blocks, block_rng, resolve_workers, wilson_interval,
+    _Z95, TailEstimate, _map_blocks, block_rng, rekey, resolve_workers, wilson_interval,
 )
 from ..tail_model import DistributionModel
-from .fbm import fbm_path, two_sided_path
+from .fbm import _check_grid, _work_size, fbm_path, two_sided_path
 
 __all__ = [
     "McEstimate",
@@ -57,14 +57,39 @@ class McEstimate:
         return dict(self.__dict__)
 
 
-def _mean_over_paths(per_path, n_paths: int, workers: int | None, chunk: int = 64):
-    """Ordered map of a per-path functional; returns the sample values."""
+def _check_paths(n_paths: int, least: int) -> None:
+    if n_paths < least:
+        raise SpecError(f"need n_paths >= {least}, got {n_paths}")
+
+
+def _mean_over_paths(per_path, n_paths: int, seed: int, n_steps: int,
+                     workers: int | None, chunk: int = 64):
+    """Ordered map of a per-path functional; returns the sample values.
+
+    ``per_path(rng, work)`` gets the stream of path i, the generator keyed
+    to (seed, i) as by ``block_rng``, and a float64 workspace of
+    ``_work_size(n_steps)`` entries.  Each chunk of paths owns one generator
+    and one workspace: per_path may overwrite the workspace freely, and
+    nothing in it outlives the call, because the next path of the chunk
+    reuses it.
+    """
     def run(b: int):
         start = b * chunk
-        return np.array([per_path(i) for i in range(start, min(start + chunk, n_paths))])
+        rng = block_rng(seed, start)
+        work = np.empty(_work_size(n_steps))
+        return np.array([per_path(rekey(rng, seed, i), work)
+                         for i in range(start, min(start + chunk, n_paths))])
 
     n_chunks = -(-n_paths // chunk)
     return np.concatenate(_map_blocks(run, n_chunks, resolve_workers(workers)))
+
+
+def _hurst(process: str, H: float) -> float:
+    if process == "bm":
+        return 0.5
+    if process == "fbm":
+        return H
+    raise SpecError(f"process must be 'bm' or 'fbm', got {process!r}")
 
 
 def pickands_estimate(
@@ -84,6 +109,8 @@ def pickands_estimate(
     if not (0 < alpha_loc <= 2):
         raise SpecError(f"alpha_loc must be in (0, 2], got {alpha_loc}")
     H = alpha_loc / 2.0
+    _check_grid(H, n_steps, T)
+    _check_paths(n_paths, 2)
     dt = T / n_steps
     t = np.linspace(-T, T, 2 * n_steps + 1)
     drift = np.abs(t) ** alpha_loc
@@ -92,15 +119,17 @@ def pickands_estimate(
     w_trap = np.full(t.shape, dt)
     w_trap[0] = w_trap[-1] = dt / 2.0
 
-    def per_path(i: int) -> float:
-        rng = block_rng(seed, i)
-        b = two_sided_path(H, n_steps, T, rng)
-        z = sqrt2 * b - drift
-        m = z.max()
-        denom = float(np.sum(w_trap * np.exp(z - m)))
-        return 1.0 / denom
+    def per_path(rng, work) -> float:
+        # z = sqrt2 * b - drift, then sum(w_trap * exp(z - max z)), in place.
+        z = two_sided_path(H, n_steps, T, rng, work)
+        z *= sqrt2
+        z -= drift
+        z -= z.max()
+        np.exp(z, out=z)
+        z *= w_trap
+        return 1.0 / float(np.sum(z))
 
-    ratios = _mean_over_paths(per_path, n_paths, workers)
+    ratios = _mean_over_paths(per_path, n_paths, seed, 2 * n_steps, workers)
     value = float(ratios.mean())
     half = _Z95 * float(ratios.std(ddof=1)) / math.sqrt(n_paths)
     return McEstimate(
@@ -138,12 +167,7 @@ def econst_estimate(
     t**(H-beta), which the returned note quantifies.  The interval is a
     percentile bootstrap over path-level values.
     """
-    if process == "bm":
-        hurst = 0.5
-    elif process == "fbm":
-        hurst = H
-    else:
-        raise SpecError(f"process must be 'bm' or 'fbm', got {process!r}")
+    hurst = _hurst(process, H)
     if alpha <= 0 or beta <= 0:
         raise SpecError(f"alpha and beta must be positive, got {alpha}, {beta}")
     if beta <= hurst:
@@ -151,16 +175,19 @@ def econst_estimate(
             f"beta must exceed the Hurst parameter for the ratio to vanish "
             f"at infinity, got beta={beta}, H={hurst}"
         )
+    _check_grid(hurst, n_steps, T)
+    _check_paths(n_paths, 2)
+    if n_boot < 2:
+        raise SpecError(f"need n_boot >= 2, got {n_boot}")
     t = np.linspace(0.0, T, n_steps + 1)
     denom = 1.0 + t ** beta
 
-    def per_path(i: int) -> float:
-        rng = block_rng(seed, i)
-        path = fbm_path(hurst, n_steps, T, rng)
-        r = float(np.max(path / denom))
+    def per_path(rng, work) -> float:
+        path = fbm_path(hurst, n_steps, T, rng, work)
+        r = float(np.max(np.divide(path, denom, out=path)))
         return max(r, 0.0) ** alpha
 
-    vals = _mean_over_paths(per_path, n_paths, workers)
+    vals = _mean_over_paths(per_path, n_paths, seed, n_steps, workers)
     value = float(vals.mean())
     boot_rng = block_rng(seed, 2 ** 62)
     idx = boot_rng.integers(0, n_paths, size=(n_boot, n_paths))
@@ -204,20 +231,23 @@ def sup_exceedance_mc(
     reproducible for any worker count.  Grid suprema under-sample the
     continuous supremum: the bias is one-sided (empirical <= truth).
     """
-    hurst = 0.5 if process == "bm" else H
+    hurst = _hurst(process, H)
+    _check_grid(hurst, n_steps, T)
+    _check_paths(n_paths, 1)
     u_grid = np.asarray(list(u_grid), dtype=float)
     t = np.linspace(0.0, T, n_steps + 1)
     t_pow = t ** beta
 
-    def per_path(i: int) -> np.ndarray:
-        rng = block_rng(seed, i)
-        path = fbm_path(hurst, n_steps, T, rng)
+    def per_path(rng, work) -> np.ndarray:
+        path = fbm_path(hurst, n_steps, T, rng, work)
         slope = eta if isinstance(eta, (int, float)) else float(eta.sample(rng))
         offset = 0.0 if zeta is None else float(zeta.sample(rng))
-        sup = float(np.max(path - slope * t_pow)) - offset
+        # path - slope * t_pow, with the trend in the workspace past the path.
+        trend = np.multiply(t_pow, slope, out=work[n_steps + 1: 2 * n_steps + 2])
+        sup = float(np.max(np.subtract(path, trend, out=path))) - offset
         return sup > u_grid
 
-    flags = _mean_over_paths(per_path, n_paths, workers)
+    flags = _mean_over_paths(per_path, n_paths, seed, n_steps, workers)
     counts = flags.sum(axis=0).astype(int)
     out = []
     for u, k in zip(u_grid, counts):

@@ -6,6 +6,11 @@ nonnegative for every H in (0, 1) (Craigmile 2003), so the embedding is
 exact: round-off negatives are clipped, and a spectrum below the floor
 raises EmbeddingFailure.  Per-path Philox streams keep batches
 reproducible for any worker partitioning.
+
+A path's transform needs one buffer of 4n+2 floats.  A caller that draws
+many paths passes one such buffer as ``work`` and gets each path back as a
+view of it, valid until the next call with the same buffer; without
+``work`` every path is a fresh array.
 """
 
 from __future__ import annotations
@@ -60,15 +65,34 @@ def _circulant_sqrt_spectrum(H: float, n: int) -> np.ndarray:
     return scale
 
 
-def _fgn_unit(H: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n stationary fractional Gaussian noise values at unit spacing."""
+def _work_size(n_steps: int) -> int:
+    """Floats in a ``work`` buffer for paths of n_steps steps."""
+    return 4 * n_steps + 2
+
+
+def _check_grid(H: float, n_steps: int, T: float) -> None:
+    """SpecError unless fbm_path can draw B_H on n_steps steps over [0, T]."""
+    if not (0 < H <= 1):
+        raise SpecError(f"Hurst parameter must be in (0, 1], got {H}")
+    if not T > 0:
+        raise SpecError(f"horizon must be positive, got {T}")
+    if n_steps < 1 or (H != 1.0 and not _is_pow2(n_steps)):
+        raise SpecError(f"n_steps must be a power of two, got {n_steps}")
+
+
+def _fgn_unit(H: float, n: int, rng: np.random.Generator, buf: np.ndarray | None = None) -> np.ndarray:
+    """n stationary fractional Gaussian noise values at unit spacing.
+
+    Given ``buf`` (``_work_size(n)`` floats), the values are buf[2n+2 : 3n+2].
+    """
     if H == 0.5:
-        return rng.standard_normal(n)
+        return rng.standard_normal(out=np.empty(n) if buf is None else buf[2 * n + 2: 3 * n + 2])
     scale = _circulant_sqrt_spectrum(H, n)
     # One buffer holds the half spectrum w (n+1 complex) and the transform
-    # output (2n real), so a path costs one large allocation.  Draw the two
-    # edge normals, then the (re, im) pairs of entries 1..n-1, into w.
-    buf = np.empty(4 * n + 2)
+    # output (2n real).  Draw the two edge normals, then the (re, im) pairs
+    # of entries 1..n-1, into w.
+    if buf is None:
+        buf = np.empty(_work_size(n))
     w = buf[: 2 * n + 2].view(complex)
     rng.standard_normal(out=buf[: 2 * n])
     w[0], w[n] = buf[0], buf[1]  # the edge entries are real
@@ -76,25 +100,27 @@ def _fgn_unit(H: float, n: int, rng: np.random.Generator) -> np.ndarray:
     # np.fft.hfft(w, 2n), the real FFT of w's Hermitian extension, minus
     # hfft's conjugated copy of w.
     np.conjugate(w, out=w)
-    return np.fft.irfft(w, 2 * n, norm="forward", out=buf[2 * n + 2:])[:n]
+    return np.fft.irfft(w, 2 * n, norm="forward", out=buf[2 * n + 2: 4 * n + 2])[:n]
 
 
-def fbm_path(H: float, n_steps: int, T: float, rng: np.random.Generator) -> np.ndarray:
-    """One path of B_H on the grid {k*T/n_steps}, length n_steps + 1."""
-    if not (0 < H <= 1):
-        raise SpecError(f"Hurst parameter must be in (0, 1], got {H}")
-    if T <= 0:
-        raise SpecError(f"horizon must be positive, got {T}")
+def fbm_path(
+    H: float, n_steps: int, T: float, rng: np.random.Generator, work: np.ndarray | None = None,
+) -> np.ndarray:
+    """One path of B_H on the grid {k*T/n_steps}, length n_steps + 1.
+
+    Given ``work`` (float64, at least 4*n_steps + 2 entries), the path is
+    written to work[:n_steps + 1] and that view is returned.
+    """
+    _check_grid(H, n_steps, T)
+    path = np.empty(n_steps + 1) if work is None else work[: n_steps + 1]
     if H == 1.0:
         # Covariance t*t': the path is a random slope through the origin.
         z = rng.standard_normal()
-        return np.linspace(0.0, T, n_steps + 1) * z
-    if not _is_pow2(n_steps):
-        raise SpecError(f"n_steps must be a power of two, got {n_steps}")
+        return np.multiply(np.linspace(0.0, T, n_steps + 1), z, out=path)
     dt = T / n_steps
-    fgn = _fgn_unit(H, n_steps, rng)
+    # The fGn lies past the path's entries, in the upper half of work.
+    fgn = _fgn_unit(H, n_steps, rng, work)
     fgn *= dt ** H
-    path = np.empty(n_steps + 1)
     path[0] = 0.0
     np.cumsum(fgn, out=path[1:])
     return path
@@ -105,13 +131,17 @@ def fbm_simulate(H: float, n_steps: int, T: float, seed: int) -> np.ndarray:
     return fbm_path(H, n_steps, T, block_rng(seed, 0))
 
 
-def two_sided_path(H: float, half_steps: int, T: float, rng: np.random.Generator) -> np.ndarray:
+def two_sided_path(
+    H: float, half_steps: int, T: float, rng: np.random.Generator, work: np.ndarray | None = None,
+) -> np.ndarray:
     """B_H on {-T, ..., T} pinned to 0 at t=0, via increment stationarity.
 
-    Returns 2*half_steps + 1 values; entry half_steps is exactly 0.
+    Returns 2*half_steps + 1 values; entry half_steps is exactly 0.  ``work``
+    is as in ``fbm_path`` for 2*half_steps steps.
     """
-    base = fbm_path(H, 2 * half_steps, 2 * T, rng)
-    return base - base[half_steps]
+    base = fbm_path(H, 2 * half_steps, 2 * T, rng, work)
+    base -= base[half_steps]
+    return base
 
 
 # ---------------------------------------------------------------------------

@@ -126,11 +126,26 @@ def test_tail_estimate_matches_its_schema(validate):
     ("tail", "--model", '{"preset": "bm", "beta": "x"}'),
     ("tail", "--model", '{"preset": "bm", "eta": {"delta": 0, "C": 1, "mu": 1}, "e_const": "x"}'),
     ("tail", "--model", "[1]"),
+    ("pickands", "--alpha", "1", "--paths", "0"),
+    ("pickands", "--alpha", "1", "--paths", "1"),
+    ("pickands", "--alpha", "1", "--steps", "100"),
+    ("pickands", "--alpha", "1", "--T", "-1"),
+    ("econst", "--alpha", "1", "--beta", "1", "--paths", "0"),
+    ("econst", "--alpha", "1", "--beta", "1", "--paths", "1"),
 ])
 def test_malformed_gp_input_exits_two(capsys, argv):
     code, out, err = _run(capsys, "gp", *argv)
     assert code == cli.EXIT_SPEC and out == ""
     assert err.startswith("specification error: ") and err.count("\n") == 1
+
+
+def test_gp_fbm_without_paths_exits_two_and_writes_nothing(capsys, tmp_path):
+    out = tmp_path / "paths.fbm"
+    code, stdout, err = _run(capsys, "gp", "fbm", "--H", "0.5", "--steps", "8", "--T", "1",
+                             "--paths", "0", "--out", str(out))
+    assert code == cli.EXIT_SPEC and stdout == ""
+    assert err == "specification error: need --paths >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_gp_tail_reads_a_long_inline_model_and_a_model_file(capsys, tmp_path):

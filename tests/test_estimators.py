@@ -1,0 +1,126 @@
+"""Path estimators: bitwise equal to a per-path reference loop, inputs checked first."""
+
+import math
+
+import numpy as np
+import pytest
+
+import tailward as tw
+from tailward.errors import SpecError
+from tailward.gp_extremes import (
+    econst_estimate,
+    eta_power_low_model,
+    fbm_path,
+    negate_model,
+    pickands_estimate,
+    sup_exceedance_mc,
+)
+from tailward.gp_extremes import estimators
+from tailward.montecarlo import _Z95, block_rng, wilson_interval
+
+# Each reference draws path i from a fresh block_rng(seed, i) into a fresh
+# array, exactly as the estimators did before they reused one workspace and
+# one generator per chunk of paths.
+
+
+def _reference_pickands(alpha_loc, T, n_paths, n_steps, seed):
+    H = alpha_loc / 2.0
+    dt = T / n_steps
+    t = np.linspace(-T, T, 2 * n_steps + 1)
+    drift = np.abs(t) ** alpha_loc
+    w_trap = np.full(t.shape, dt)
+    w_trap[0] = w_trap[-1] = dt / 2.0
+    ratios = []
+    for i in range(n_paths):
+        base = fbm_path(H, 2 * n_steps, 2 * T, block_rng(seed, i))
+        z = math.sqrt(2.0) * (base - base[n_steps]) - drift
+        ratios.append(1.0 / float(np.sum(w_trap * np.exp(z - z.max()))))
+    ratios = np.array(ratios)
+    value = float(ratios.mean())
+    half = _Z95 * float(ratios.std(ddof=1)) / math.sqrt(n_paths)
+    return value, value - half, value + half
+
+
+def _reference_econst(hurst, alpha, beta, T, n_paths, n_steps, seed, n_boot):
+    denom = 1.0 + np.linspace(0.0, T, n_steps + 1) ** beta
+    vals = np.array([
+        max(float(np.max(fbm_path(hurst, n_steps, T, block_rng(seed, i)) / denom)), 0.0) ** alpha
+        for i in range(n_paths)
+    ])
+    idx = block_rng(seed, 2 ** 62).integers(0, n_paths, size=(n_boot, n_paths))
+    lo, hi = np.percentile(vals[idx].mean(axis=1), [2.5, 97.5])
+    return float(vals.mean()), float(lo), float(hi)
+
+
+def _reference_sup(u_grid, T, n_steps, n_paths, seed, beta, eta, zeta, hurst):
+    t_pow = np.linspace(0.0, T, n_steps + 1) ** beta
+    counts = np.zeros(len(u_grid), dtype=int)
+    for i in range(n_paths):
+        rng = block_rng(seed, i)
+        path = fbm_path(hurst, n_steps, T, rng)
+        slope = eta if isinstance(eta, (int, float)) else float(eta.sample(rng))
+        offset = 0.0 if zeta is None else float(zeta.sample(rng))
+        counts += float(np.max(path - slope * t_pow)) - offset > np.asarray(u_grid)
+    return [(k / n_paths, *wilson_interval(int(k), n_paths)) for k in counts]
+
+
+SIZES = [(n, w) for n in (2, 65, 130) for w in (1, 2)]
+
+
+@pytest.mark.parametrize("n_paths,workers", SIZES)
+@pytest.mark.parametrize("alpha_loc", [0.6, 1.0, 1.4, 2.0])
+def test_pickands_matches_the_reference_loop(alpha_loc, n_paths, workers):
+    est = pickands_estimate(alpha_loc, T=3.0, n_paths=n_paths, n_steps=64, seed=5,
+                            workers=workers)
+    assert (est.value, est.ci_lo, est.ci_hi) == _reference_pickands(alpha_loc, 3.0, n_paths, 64, 5)
+
+
+@pytest.mark.parametrize("n_paths,workers", SIZES)
+@pytest.mark.parametrize("process,H", [("bm", 0.5), ("fbm", 0.3), ("fbm", 0.7), ("fbm", 1.0)])
+def test_econst_matches_the_reference_loop(process, H, n_paths, workers):
+    est = econst_estimate(process, 1.5, 1.2, T=8.0, n_paths=n_paths, n_steps=128, seed=2 ** 63 + 1,
+                          H=H, workers=workers, n_boot=40)
+    hurst = 0.5 if process == "bm" else H
+    ref = _reference_econst(hurst, 1.5, 1.2, 8.0, n_paths, 128, 2 ** 63 + 1, 40)
+    assert (est.value, est.ci_lo, est.ci_hi) == ref
+
+
+@pytest.mark.parametrize("n_paths,workers", SIZES)
+@pytest.mark.parametrize("process,H,slope", [
+    ("bm", 0.5, 0.0), ("bm", 0.5, "random"), ("fbm", 0.3, "random"), ("fbm", 0.7, 1),
+])
+def test_sup_exceedance_matches_the_reference_loop(process, H, slope, n_paths, workers):
+    # With slope 0 many suprema sit at the path's last point; the fine grid
+    # of levels tells a supremum apart from the one a step earlier.
+    if slope == "random":
+        eta = eta_power_low_model(0.0, 1.0, 1.0)
+        zeta = negate_model(tw.make_model({"family": "pareto", "params": {"C": 1.0, "alpha": 3.0}}))
+    else:
+        eta, zeta = slope, None
+    grid = list(np.arange(0.0, 3.01, 0.0625))
+    ests = sup_exceedance_mc(grid, T=6.0, n_steps=256, n_paths=n_paths, seed=9, beta=1.5,
+                             eta=eta, zeta=zeta, process=process, H=H, workers=workers)
+    ref = _reference_sup(grid, 6.0, 256, n_paths, 9, 1.5, eta, zeta, 0.5 if process == "bm" else H)
+    assert [(e.p_hat, e.ci_lo, e.ci_hi) for e in ests] == ref
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: pickands_estimate(1.0, n_paths=0), "n_paths >= 2, got 0"),
+    (lambda: pickands_estimate(1.0, n_paths=1), "n_paths >= 2, got 1"),
+    (lambda: pickands_estimate(1.0, n_steps=100), "power of two, got 100"),
+    (lambda: pickands_estimate(1.0, T=-1.0), "horizon must be positive, got -1.0"),
+    (lambda: econst_estimate("bm", 1.0, 1.0, n_paths=1), "n_paths >= 2, got 1"),
+    (lambda: econst_estimate("bm", 1.0, 1.0, n_boot=0), "n_boot >= 2, got 0"),
+    (lambda: econst_estimate("fbm", 1.0, 1.0, H=0.3, n_steps=100), "power of two, got 100"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, process="bmm"), "'bmm'"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 0, 0), "n_paths >= 1, got 0"),
+    (lambda: sup_exceedance_mc([1.0], 0.0, 64, 16, 0), "horizon must be positive, got 0.0"),
+])
+def test_inputs_are_checked_before_the_first_path(monkeypatch, call, message):
+    def no_path(*args, **kwargs):
+        raise AssertionError("drew a path before checking the inputs")
+
+    monkeypatch.setattr(estimators, "fbm_path", no_path)
+    monkeypatch.setattr(estimators, "two_sided_path", no_path)
+    with pytest.raises(SpecError, match=message):
+        call()

@@ -77,6 +77,11 @@ def test_power_of_two_required_for_circulant():
         fbm_path(0.7, 100, 1.0, block_rng(0, 0))
     with pytest.raises(SpecError):
         fbm_path(0.7, 0, 1.0, block_rng(0, 0))
+    # H = 1 needs no circulant, but still at least one step.
+    assert len(fbm_path(1.0, 3, 1.0, block_rng(0, 0))) == 4
+    for n_steps in (0, -2):
+        with pytest.raises(SpecError):
+            fbm_path(1.0, n_steps, 1.0, block_rng(0, 0))
 
 
 def test_seeded_wrapper_reproduces():
@@ -95,6 +100,23 @@ def test_two_sided_path_pinned_and_stationary():
     # Marginal variance at t = -1 and t = +1 both equal 1.
     assert many[:, 0].var(ddof=1) == pytest.approx(1.0, rel=0.1)
     assert many[:, -1].var(ddof=1) == pytest.approx(1.0, rel=0.1)
+
+
+def test_reused_workspace_paths_equal_fresh_paths():
+    # One workspace for every call, as an estimator's chunk of paths uses
+    # it; (H, n_steps) change from call to call and leave stale data behind.
+    work = np.full(4 * 256 + 2, np.nan)
+    cases = [(H, n) for n in (256, 16, 128, 2) for H in (0.3, 0.5, 0.7, 1.0)]
+    for k, (H, n) in enumerate(cases):
+        fresh = fbm_path(H, n, 1.5, block_rng(3, k))
+        path = fbm_path(H, n, 1.5, block_rng(3, k), work=work)
+        assert np.shares_memory(path, work) and path.shape == fresh.shape
+        assert np.array_equal(path, fresh)
+        half = n // 2
+        fresh2 = two_sided_path(H, half, 0.75, block_rng(4, k))
+        path2 = two_sided_path(H, half, 0.75, block_rng(4, k), work=work)
+        assert np.shares_memory(path2, work) and path2[half] == 0.0
+        assert np.array_equal(path2, fresh2)
 
 
 def test_binary_dump_round_trip(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import tailward as tw
 from tailward.errors import SpecError
-from tailward.montecarlo import _heavy_first, block_rng, resolve_workers, wilson_interval
+from tailward.montecarlo import _heavy_first, block_rng, rekey, resolve_workers, wilson_interval
 from tailward.oracle import sf_product_exact, sf_sum_exact
 
 
@@ -159,6 +159,23 @@ def test_block_rng_streams_are_stable():
     c = block_rng(1, 1).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed,index", [
+    (0, 0), (7, 1), (2 ** 63, 5), (2 ** 64 - 1, 2 ** 62), (-3, 9),
+])
+def test_rekeyed_generator_draws_the_block_rng_stream(seed, index):
+    rng = block_rng(11, 4)
+    # Leave the generator mid-buffer, with a spare 32-bit half cached.
+    rng.standard_normal(7)
+    rng.integers(0, 2 ** 31, size=3, dtype=np.int32)
+    rng.random(dtype=np.float32)
+    assert rekey(rng, seed, index) is rng
+    fresh = block_rng(seed, index)
+    for draw in (lambda g: g.standard_normal(1001), lambda g: g.random(dtype=np.float32),
+                 lambda g: g.integers(0, 2 ** 31, size=5, dtype=np.int32),
+                 lambda g: g.standard_normal(3)):
+        assert np.array_equal(draw(rng), draw(fresh))
 
 
 def test_resolve_workers_honors_env_cap(monkeypatch):
