@@ -144,6 +144,10 @@ def _cmd_verify(args) -> int:
 # gp subcommands
 # ---------------------------------------------------------------------------
 
+# The fields each preset sets itself; the caller may not give them.
+_PRESET_FIXES = {"bm": ("H", "alpha_loc", "d_ref"), "fbm": ("alpha_loc", "d_ref")}
+
+
 def _trend_model_from_json(text: str):
     from .gp_extremes import EtaSpec, TrendModel, ZetaSpec
 
@@ -154,25 +158,15 @@ def _trend_model_from_json(text: str):
     except json.JSONDecodeError as exc:
         raise SpecError(f"bad trend model JSON: {exc}") from exc
     try:
+        preset = obj.get("preset")
+        if preset is not None and preset not in _PRESET_FIXES:
+            raise SpecError(f"unknown preset {preset!r}; use 'bm' or 'fbm'")
+        clash = [name for name in _PRESET_FIXES.get(preset, ()) if name in obj]
+        if clash:
+            raise SpecError(f"preset {preset!r} fixes {', '.join(clash)}; drop them")
         eta = obj.get("eta")
         zeta = obj.get("zeta")
-        d_ref = obj.get("d_ref", {"s": 1.0, "value": 1.0})
-        if obj.get("preset") == "bm":
-            base = dict(H=0.5, beta=float(obj.get("beta", 1.0)), alpha_loc=1.0,
-                        d_ref=(1.0, 1.0))
-        elif obj.get("preset") == "fbm":
-            H = float(obj["H"])
-            base = dict(H=H, beta=float(obj["beta"]), alpha_loc=2.0 * H,
-                        d_ref=(1.0, 1.0))
-        else:
-            base = dict(
-                H=float(obj["H"]),
-                beta=float(obj["beta"]),
-                alpha_loc=float(obj["alpha_loc"]),
-                d_ref=(float(d_ref["s"]), float(d_ref["value"])),
-            )
-        return TrendModel(
-            **base,
+        parts = dict(
             eta=EtaSpec(float(eta["delta"]), float(eta["C"]), float(eta["mu"]))
             if eta
             else None,
@@ -185,6 +179,18 @@ def _trend_model_from_json(text: str):
             else None,
             pickands=None if obj.get("pickands") is None else float(obj["pickands"]),
             e_const=None if obj.get("e_const") is None else float(obj["e_const"]),
+        )
+        if preset == "bm":
+            return TrendModel.fbm(0.5, float(obj.get("beta", 1.0)), **parts)
+        if preset == "fbm":
+            return TrendModel.fbm(float(obj["H"]), float(obj["beta"]), **parts)
+        d_ref = obj.get("d_ref", {"s": 1.0, "value": 1.0})
+        return TrendModel(
+            H=float(obj["H"]),
+            beta=float(obj["beta"]),
+            alpha_loc=float(obj["alpha_loc"]),
+            d_ref=(float(d_ref["s"]), float(d_ref["value"])),
+            **parts,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad trend model object: {exc}") from exc
@@ -207,20 +213,12 @@ def _cmd_gp_constants(args) -> int:
 
 
 def _cmd_gp_tail(args) -> int:
-    from .gp_extremes import random_trend_tail, shifted_trend_case, shifted_trend_tail
+    from .gp_extremes import trend_tail
 
     model = _trend_model_from_json(args.model)
+    tail, case = trend_tail(model)
     notes = []
-    if model.zeta is None:
-        tail = random_trend_tail(model)
-        case = "slope_only"
-    else:
-        case = shifted_trend_case(model)
-        tail = shifted_trend_tail(model)
-    if model.eta is not None and model.eta.delta == 0.0 and case in (
-        "slope_only",
-        "slope_dominates",
-    ):
+    if model.eta.delta == 0.0 and case in ("slope_only", "slope_dominates"):
         notes.append(
             "zero-edge slope: power exponent is mu*(beta-H)/H, the value "
             "derived by composing the rescaling with the product rule "
@@ -338,7 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--out", default=None)
     p_const.set_defaults(fn=_cmd_gp_constants)
 
-    p_gtail = gp_sub.add_parser("tail", help="random-trend supremum tail")
+    p_gtail = gp_sub.add_parser(
+        "tail",
+        help="random-trend supremum tail and its regime: slope_only, "
+        "offset_dominates, slope_dominates or edge_offset (equal slope and "
+        "offset power orders exit 3)",
+    )
     p_gtail.add_argument("--model", required=True, help="JSON string or file")
     p_gtail.add_argument("--out", default=None)
     p_gtail.set_defaults(fn=_cmd_gp_tail)

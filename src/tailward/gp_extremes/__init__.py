@@ -24,9 +24,8 @@ from .trend import (
     bm_sup_ratio_moment,
     pickands_exact,
     random_trend_tail,
-    shifted_trend_case,
-    shifted_trend_tail,
     trend_constants,
+    trend_tail,
     trend_tail_asymptotic,
 )
 
@@ -52,8 +51,7 @@ __all__ = [
     "bm_sup_ratio_moment",
     "pickands_exact",
     "random_trend_tail",
-    "shifted_trend_case",
-    "shifted_trend_tail",
     "trend_constants",
+    "trend_tail",
     "trend_tail_asymptotic",
 ]

@@ -7,6 +7,19 @@ random-trend and shifted variants (trend slope eta and offset zeta drawn
 independently of X) reduce to the product/sum tail calculus of
 :mod:`tailward.asymptotic_engine` through the self-similarity rescaling
 u -> u**(1 - H/beta).
+
+``trend_tail`` is the one place that decides which regime gives the tail
+of sup_t (X(t) - eta*t**beta - zeta):
+
+* ``slope_only``       -- no offset: the random-slope tail;
+* ``offset_dominates`` -- a power offset heavier than the supremum tail
+  (always so for a positive slope edge): the offset's power tail;
+* ``slope_dominates``  -- a power offset lighter than the zero-edge slope's
+  power tail: the random-slope tail;
+* ``edge_offset``      -- an offset with a finite lower edge: the sum rule
+  shifts the Gaussian-type tail (needs delta > 0 and beta > 2H).
+
+Equal power orders of slope and offset are refused with ``BoundaryCase``.
 """
 
 from __future__ import annotations
@@ -15,15 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..asymptotic_engine import (
-    product_mixed_tail,
-    sum_dominant_tail,
-    sum_mixed_tail,
-)
+from ..asymptotic_engine import product_mixed_tail, sum_mixed_tail
 from ..errors import (
     AssumptionError,
     BoundaryCase,
-    ConditionError,
     MissingEConstant,
     MissingPickands,
     SpecError,
@@ -47,8 +55,7 @@ __all__ = [
     "trend_tail_asymptotic",
     "TrendTailValue",
     "random_trend_tail",
-    "shifted_trend_tail",
-    "shifted_trend_case",
+    "trend_tail",
     "bm_sup_ratio_moment",
 ]
 
@@ -243,24 +250,9 @@ def trend_tail_asymptotic(model: TrendModel, c: float, u: float) -> TrendTailVal
     arg = k.A * u ** one_minus_h
     log_g = math.log(k.C) + one_minus_h * (2.0 / a - 2.0) * math.log(u) \
         + (-0.5 * _LOG_2PI - 0.5 * arg * arg)  # log of the normal density
-    d_s0 = model.d_at(k.s0)
-    if a < 2.0:
-        log_coeff = (
-            math.log(k.pickands)
-            + 0.5 * math.log(math.pi)
-            + math.log(d_s0) / a
-            - 0.5 * math.log(k.B)
-            - (1.0 / a - 0.5) * math.log(2.0)
-            + (2.0 / a - 0.5) * math.log(k.A)
-        )
-        log_f = log_coeff + one_minus_h * (2.0 / a - 1.0) * math.log(u) \
-            + log_norm_sf(arg)
-    else:
-        log_f = (
-            math.log(2.0)
-            + 0.5 * math.log((k.A * d_s0 + k.B) / k.B)
-            + log_norm_sf(arg)
-        )
+    # The exact-tail form is C * A * u**(...) * Q(arg); Q(x) ~ phi(x) / x gives log_g.
+    log_f = math.log(k.C * k.A) + one_minus_h * (2.0 / a - 1.0) * math.log(u) \
+        + log_norm_sf(arg)
     return TrendTailValue(log_f=log_f, log_g=log_g)
 
 
@@ -334,67 +326,36 @@ def random_trend_tail(model: TrendModel) -> AsymptoticTail:
 # Random trend slope plus random offset
 # ---------------------------------------------------------------------------
 
-def _zeta_minus_tail(zeta: ZetaSpec) -> AsymptoticTail:
-    """Upper tail of -zeta from the declared lower tail of zeta."""
-    if math.isinf(zeta.delta0):
-        return PowerTail(zeta.C, zeta.gamma)
-    return EdgePower(zeta.C, -zeta.delta0, zeta.gamma)
+def trend_tail(model: TrendModel) -> tuple[AsymptoticTail, str]:
+    """Tail of sup_t (X(t) - eta*t**beta - zeta) and the regime that gives it.
 
-
-def shifted_trend_case(model: TrendModel) -> str:
-    """Which regime decides the tail of sup(X - eta*t**beta - zeta)."""
-    if model.eta is None or model.zeta is None:
-        raise SpecError("shifted_trend_case needs eta and zeta specs")
-    zeta = model.zeta
-    if math.isinf(zeta.delta0):
-        if model.eta.delta > 0.0:
-            return "offset_dominates"
-        s0_alpha = model.eta.mu * (model.beta - model.H) / model.H
-        if s0_alpha > zeta.gamma:
-            return "offset_dominates"
-        if s0_alpha < zeta.gamma:
-            return "slope_dominates"
-        return "boundary"
-    return "edge_offset"
-
-
-def shifted_trend_tail(model: TrendModel) -> AsymptoticTail:
-    """Tail of sup_t (X(t) - eta*t**beta - zeta), all sources independent.
-
-    The offset only matters through the upper tail of -zeta: a power lower
-    tail of zeta competes with the supremum tail (the heavier power wins;
-    equal exponents are refused), while a finite lower edge shifts the
-    Gaussian-type tail, which requires delta > 0 and beta > 2H so the sum
-    rule's decay-order hypothesis holds.
+    The regime (listed in the module docstring) is decided once, from the
+    tail orders, and only the tail it returns is built.
     """
-    if model.eta is None or model.zeta is None:
-        raise SpecError("shifted_trend_tail needs eta and zeta specs")
-    case = shifted_trend_case(model)
-    if case == "edge_offset":
-        if model.eta.delta <= 0.0:
-            raise AssumptionError(
-                "a finite-edge offset needs a positive slope edge (delta > 0)"
-            )
-        if 2.0 * model.H >= model.beta:
-            raise AssumptionError(
-                f"finite-edge offset case needs beta > 2H, got beta={model.beta}, "
-                f"H={model.H} (the shifted-sum rule needs decay order > 1)"
-            )
-    base = random_trend_tail(model)
-    minus_zeta = _zeta_minus_tail(model.zeta)
-    if case == "boundary":
+    eta, zeta = model.eta, model.zeta
+    if eta is None:
+        raise SpecError("trend_tail needs an eta spec on the model")
+    if zeta is None:
+        return random_trend_tail(model), "slope_only"
+    if math.isinf(zeta.delta0):
+        # A positive slope edge leaves a Gaussian-type tail, lighter than any power.
+        slope_order = eta.mu * (model.beta - model.H) / model.H
+        if eta.delta > 0.0 or slope_order > zeta.gamma:
+            return PowerTail(zeta.C, zeta.gamma), "offset_dominates"
+        if slope_order < zeta.gamma:
+            return random_trend_tail(model), "slope_dominates"
         raise BoundaryCase(
             "the supremum and offset tails decay at the same power order; "
             "neither dominates and no closed form is claimed"
         )
-    if case == "offset_dominates":
-        # sup(X - eta t^beta) is nonnegative: one-sided domination applies.
-        return sum_dominant_tail(base, minus_zeta, x_nonnegative=True)
-    if case == "slope_dominates":
-        try:
-            return sum_dominant_tail(minus_zeta, base, x_nonnegative=False)
-        except ConditionError as exc:  # pragma: no cover - guarded by case
-            raise BoundaryCase(str(exc)) from exc
-    assert isinstance(base, WeibullType)
-    assert isinstance(minus_zeta, EdgePower)
-    return sum_mixed_tail(base, minus_zeta)
+    if eta.delta <= 0.0:
+        raise AssumptionError(
+            "a finite-edge offset needs a positive slope edge (delta > 0)"
+        )
+    if 2.0 * model.H >= model.beta:
+        raise AssumptionError(
+            f"finite-edge offset case needs beta > 2H, got beta={model.beta}, "
+            f"H={model.H} (the shifted-sum rule needs decay order > 1)"
+        )
+    minus_zeta = EdgePower(zeta.C, -zeta.delta0, zeta.gamma)
+    return sum_mixed_tail(random_trend_tail(model), minus_zeta), "edge_offset"

@@ -31,7 +31,7 @@ from .laplace_kernel import (
     watson_asymptotic,
     watson_numeric,
 )
-from .tail_model import EdgePower, _finite_or_null, make_model, sf_eval, tail_to_dict
+from .tail_model import EdgePower, make_model, sf_eval, tail_to_dict
 
 __all__ = [
     "VerifyReport",
@@ -72,6 +72,17 @@ class VerifyReport:
     @staticmethod
     def from_json(text: str) -> "VerifyReport":
         return VerifyReport(**json.loads(text))
+
+
+def _finite_or_null(value):
+    """A JSON-ready copy of ``value`` with every non-finite float set to None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _csv_cell(v) -> str:
@@ -338,7 +349,7 @@ def _offset_rows(eta, gammas, u):
         model = gp.TrendModel.brownian(
             eta=gp.EtaSpec(**eta), zeta=gp.ZetaSpec(-math.inf, 1.0, gamma)
         )
-        tail = gp.shifted_trend_tail(model)
+        tail, _ = gp.trend_tail(model)
         zeta = gp.negate_model(make_model({"family": "pareto",
                                            "params": {"C": 1.0, "alpha": gamma}}))
         ratio = math.exp(gp.bm_exact_oracle(eta_law, zeta, level) - sf_eval(tail, level))
@@ -354,7 +365,7 @@ def _offset_edge_rows(model):
         H=model["H"], beta=model["beta"], alpha_loc=model["alpha_loc"],
         d_ref=(1.0, 1.0), eta=gp.EtaSpec(**model["eta"]), zeta=gp.ZetaSpec(**zeta),
     )
-    combined = gp.shifted_trend_tail(trend)
+    combined, _ = gp.trend_tail(trend)
     reference = sum_mixed_tail(gp.random_trend_tail(trend),
                                EdgePower(zeta["C"], -zeta["delta0"], zeta["gamma"]))
     rows = []

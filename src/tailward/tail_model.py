@@ -14,9 +14,6 @@ push survival probabilities far below 1e-300.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -536,17 +533,6 @@ def moment_by_quadrature(model: DistributionModel, alpha: float, rtol: float = 1
 # Ratio tables (exact vs asymptotic, log-space stored)
 # ---------------------------------------------------------------------------
 
-def _finite_or_null(value):
-    """A JSON-ready copy of ``value`` with every non-finite float set to None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class RatioRow:
     u: float
@@ -563,24 +549,3 @@ class RatioTable:
 
     def ratios(self) -> list[float]:
         return [r.ratio for r in self.rows if r.status == "ok"]
-
-    def to_json(self) -> str:
-        """Strict JSON: a failed row's non-finite numbers become null."""
-        rows = [row.__dict__ for row in self.rows]
-        return json.dumps(_finite_or_null(rows), indent=2, allow_nan=False)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["u", "log_sf_exact", "log_h", "ratio", "method", "status"])
-        for r in self.rows:
-            writer.writerow([
-                repr(r.u), repr(r.log_sf_exact), repr(r.log_h),
-                repr(r.ratio), r.method, r.status,
-            ])
-        return buf.getvalue()
-
-    @staticmethod
-    def from_json(text: str) -> "RatioTable":
-        rows = tuple(RatioRow(**obj) for obj in json.loads(text))
-        return RatioTable(rows)

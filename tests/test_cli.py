@@ -6,6 +6,7 @@ import pytest
 
 import tailward as tw
 from tailward import asymptotic_engine, cli
+from tailward import gp_extremes as gp
 from tailward.errors import QuadratureFailure
 
 
@@ -132,6 +133,12 @@ def test_tail_estimate_matches_its_schema(validate):
     ("pickands", "--alpha", "1", "--T", "-1"),
     ("econst", "--alpha", "1", "--beta", "1", "--paths", "0"),
     ("econst", "--alpha", "1", "--beta", "1", "--paths", "1"),
+    ("tail", "--model", '{"preset": "fBm", "H": 0.3, "beta": 1, "alpha_loc": 0.6, "pickands": 1,'
+                        ' "eta": {"delta": 0.5, "C": 1, "mu": 1}}'),
+    ("tail", "--model", '{"preset": ["bm"]}'),
+    ("tail", "--model", '{"preset": "bm", "H": 0.3, "eta": {"delta": 0, "C": 1, "mu": 1}}'),
+    ("tail", "--model", '{"preset": "bm", "d_ref": {"s": 1, "value": 2}}'),
+    ("tail", "--model", '{"preset": "fbm", "H": 0.3, "beta": 1, "alpha_loc": 1}'),
 ])
 def test_malformed_gp_input_exits_two(capsys, argv):
     code, out, err = _run(capsys, "gp", *argv)
@@ -157,3 +164,35 @@ def test_gp_tail_reads_a_long_inline_model_and_a_model_file(capsys, tmp_path):
     path.write_text(json.dumps(model))
     code, from_file, _ = _run(capsys, "gp", "tail", "--model", str(path))
     assert code == cli.EXIT_OK and from_file == inline
+
+
+_ZERO_EDGE = {"delta": 0.0, "C": 1.0, "mu": 1.0}
+
+
+@pytest.mark.parametrize("model, case", [
+    ({"preset": "bm", "eta": _ZERO_EDGE}, "slope_only"),
+    ({"preset": "fbm", "H": 0.25, "beta": 1.0, "pickands": 0.8, "eta": _ZERO_EDGE,
+      "zeta": {"C": 1.0, "gamma": 0.5}}, "offset_dominates"),
+    ({"preset": "bm", "eta": _ZERO_EDGE, "zeta": {"C": 1.0, "gamma": 3.0}}, "slope_dominates"),
+    ({"preset": "bm", "beta": 2.0, "eta": {"delta": 0.5, "C": 1.0, "mu": 1.0},
+      "zeta": {"delta0": 0.2, "C": 1.0, "gamma": 1.0}}, "edge_offset"),
+])
+def test_gp_tail_payload_per_regime(capsys, validate, model, case):
+    code, out, err = _run(capsys, "gp", "tail", "--model", json.dumps(model))
+    assert code == cli.EXIT_OK and err == ""
+    payload = json.loads(out)
+    validate(payload["tail"], "tail")
+    tail, expected = gp.trend_tail(cli._trend_model_from_json(json.dumps(model)))
+    assert payload["case"] == expected == case
+    assert payload["tail"] == tw.tail_to_dict(tail)
+
+
+def test_gp_tail_refuses_equal_orders_and_needs_eta(capsys):
+    equal = {"preset": "bm", "eta": _ZERO_EDGE, "zeta": {"C": 1.0, "gamma": 1.0}}
+    code, out, err = _run(capsys, "gp", "tail", "--model", json.dumps(equal))
+    assert code == cli.EXIT_ASSUMPTION and out == ""
+    assert err.startswith("hypothesis violated: ")
+    no_eta = {"preset": "bm", "zeta": {"C": 1.0, "gamma": 1.0}}
+    code, out, err = _run(capsys, "gp", "tail", "--model", json.dumps(no_eta))
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err.startswith("specification error: ")

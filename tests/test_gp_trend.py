@@ -20,11 +20,11 @@ from tailward.gp_extremes import (
     bm_sup_ratio_moment,
     pickands_exact,
     random_trend_tail,
-    shifted_trend_case,
-    shifted_trend_tail,
     trend_constants,
+    trend_tail,
     trend_tail_asymptotic,
 )
+from tailward.specfun import log_norm_sf
 
 
 def test_brownian_constants_reference_values():
@@ -80,8 +80,9 @@ def test_tail_forms_converge_to_each_other():
     assert devs[2] < 0.01
 
 
-def test_scaling_identity_ten_random_draws():
+def _random_draws():
     rng = np.random.default_rng(7)
+    draws = []
     for _ in range(10):
         H = rng.uniform(0.15, 0.85)
         beta = H + rng.uniform(0.2, 2.0)
@@ -90,11 +91,48 @@ def test_scaling_identity_ten_random_draws():
             H=H, beta=beta, alpha_loc=a, d_ref=(1.0, rng.uniform(0.5, 2.0)),
             pickands=rng.uniform(0.4, 1.2),
         )
-        c = rng.uniform(0.5, 4.0)
-        u = rng.uniform(1.0, 10.0)
-        g_c = trend_tail_asymptotic(model, c, u).log_g
-        g_1 = trend_tail_asymptotic(model, 1.0, c ** (H / (beta - H)) * u).log_g
-        assert abs(g_c - g_1) < 1e-12
+        draws.append((model, rng.uniform(0.5, 4.0), rng.uniform(1.0, 10.0)))
+    return draws
+
+
+def test_scaling_identity_ten_random_draws():
+    for model, c, u in _random_draws():
+        H, beta = model.H, model.beta
+        v_c = trend_tail_asymptotic(model, c, u)
+        v_1 = trend_tail_asymptotic(model, 1.0, c ** (H / (beta - H)) * u)
+        assert abs(v_c.log_g - v_1.log_g) < 1e-12
+        assert abs(v_c.log_f - v_1.log_f) < 1e-12
+
+
+def _log_f_display(model, c, u):
+    """The exact-tail form as displayed separately for alpha_loc < 2 and = 2."""
+    k = trend_constants(model, c)
+    a = model.alpha_loc
+    one_minus_h = 1.0 - model.H / model.beta
+    arg = k.A * u ** one_minus_h
+    d_s0 = model.d_at(k.s0)
+    if a < 2.0:
+        log_coeff = (
+            math.log(k.pickands) + 0.5 * math.log(math.pi) + math.log(d_s0) / a
+            - 0.5 * math.log(k.B) - (1.0 / a - 0.5) * math.log(2.0)
+            + (2.0 / a - 0.5) * math.log(k.A)
+        )
+        return log_coeff + one_minus_h * (2.0 / a - 1.0) * math.log(u) \
+            + log_norm_sf(arg)
+    return math.log(2.0) + 0.5 * math.log((k.A * d_s0 + k.B) / k.B) \
+        + log_norm_sf(arg)
+
+
+def test_log_f_equals_the_per_alpha_displays():
+    cases = _random_draws()
+    for H, beta, d_val in ((0.4, 1.5, 1.0), (0.7, 1.2, 0.6), (0.2, 2.5, 1.9)):
+        model = TrendModel(H=H, beta=beta, alpha_loc=2.0, d_ref=(1.0, d_val))
+        cases += [(model, c, u) for c, u in ((1.0, 2.0), (3.0, 5.0), (0.5, 40.0))]
+    for model, c, u in cases:
+        reference = _log_f_display(model, c, u)
+        assert trend_tail_asymptotic(model, c, u).log_f == pytest.approx(
+            reference, rel=1e-13, abs=0.0
+        )
 
 
 def test_alpha_loc_two_branch_is_finite_and_scales():
@@ -127,9 +165,15 @@ def test_zero_edge_exponent_general_parameters():
 
 
 def test_zero_edge_requires_sup_ratio_moment():
-    model = TrendModel.fbm(H=0.25, beta=1.0, eta=EtaSpec(0.0, 1.0, 1.0), pickands=0.8)
+    eta = EtaSpec(0.0, 1.0, 1.0)  # slope tail order mu (beta - H) / H = 3
+    slope_only = TrendModel.fbm(H=0.25, beta=1.0, eta=eta, pickands=0.8)
+    slope_dominates = TrendModel.fbm(H=0.25, beta=1.0, eta=eta, pickands=0.8,
+                                     zeta=ZetaSpec(-math.inf, 1.0, 5.0))
     with pytest.raises(MissingEConstant):
-        random_trend_tail(model)
+        random_trend_tail(slope_only)
+    for model in (slope_only, slope_dominates):
+        with pytest.raises(MissingEConstant):
+            trend_tail(model)
 
 
 def test_brownian_sup_ratio_moment_closed_form():
@@ -165,6 +209,9 @@ def test_positive_edge_general_exponents():
 def test_random_trend_requires_eta():
     with pytest.raises(SpecError):
         random_trend_tail(TrendModel.brownian())
+    for zeta in (None, ZetaSpec(-math.inf, 1.0, 0.5), ZetaSpec(0.2, 1.0, 1.0)):
+        with pytest.raises(SpecError):
+            trend_tail(TrendModel.brownian(zeta=zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -175,33 +222,33 @@ def test_offset_dominates_for_heavy_power_offset():
     model = TrendModel.brownian(
         eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 2.0, 0.5)
     )
-    assert shifted_trend_case(model) == "offset_dominates"
-    assert shifted_trend_tail(model) == tw.PowerTail(2.0, 0.5)
+    assert trend_tail(model) == (tw.PowerTail(2.0, 0.5), "offset_dominates")
+    # The answer is the offset's own power tail: no sup-ratio moment is needed.
+    model = TrendModel.fbm(H=0.25, beta=1.0, eta=EtaSpec(0.0, 1.0, 1.0),
+                           zeta=ZetaSpec(-math.inf, 1.0, 0.5), pickands=0.8)
+    assert trend_tail(model) == (tw.PowerTail(1.0, 0.5), "offset_dominates")
 
 
 def test_offset_dominates_any_positive_edge_slope():
     model = TrendModel.brownian(
         eta=EtaSpec(0.4, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 7.0)
     )
-    assert shifted_trend_case(model) == "offset_dominates"
-    assert shifted_trend_tail(model) == tw.PowerTail(1.0, 7.0)
+    assert trend_tail(model) == (tw.PowerTail(1.0, 7.0), "offset_dominates")
 
 
 def test_slope_dominates_for_light_power_offset():
     model = TrendModel.brownian(
         eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 3.0)
     )
-    assert shifted_trend_case(model) == "slope_dominates"
-    assert shifted_trend_tail(model) == tw.PowerTail(0.5, 1.0)
+    assert trend_tail(model) == (tw.PowerTail(0.5, 1.0), "slope_dominates")
 
 
 def test_equal_power_orders_refuse_a_closed_form():
     model = TrendModel.brownian(
         eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 1.0)
     )
-    assert shifted_trend_case(model) == "boundary"
     with pytest.raises(BoundaryCase):
-        shifted_trend_tail(model)
+        trend_tail(model)
 
 
 def test_edge_offset_equals_sum_rule_composition():
@@ -209,7 +256,8 @@ def test_edge_offset_equals_sum_rule_composition():
         H=0.5, beta=2.0, alpha_loc=1.0, d_ref=(1.0, 1.0),
         eta=EtaSpec(0.5, 1.0, 1.0), zeta=ZetaSpec(0.2, 1.0, 1.0),
     )
-    combined = shifted_trend_tail(model)
+    combined, case = trend_tail(model)
+    assert case == "edge_offset"
     reference = tw.sum_mixed_tail(
         random_trend_tail(model), tw.EdgePower(1.0, -0.2, 1.0)
     )
@@ -224,7 +272,7 @@ def test_edge_offset_needs_shallow_hurst():
         eta=EtaSpec(0.5, 1.0, 1.0), zeta=ZetaSpec(0.2, 1.0, 1.0)
     )
     with pytest.raises(AssumptionError):
-        shifted_trend_tail(model)
+        trend_tail(model)
 
 
 def test_edge_offset_needs_positive_slope_edge():
@@ -233,4 +281,4 @@ def test_edge_offset_needs_positive_slope_edge():
         eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(0.2, 1.0, 1.0),
     )
     with pytest.raises(AssumptionError):
-        shifted_trend_tail(model)
+        trend_tail(model)

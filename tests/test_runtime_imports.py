@@ -9,6 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tailward
+import tailward.gp_extremes
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROBE = """
@@ -52,8 +55,22 @@ def test_library_calls_never_import_scipy():
     assert _scipy(modules) == []
 
 
+_GP_MODEL = ('{"preset": "bm", "beta": 2, "eta": {"delta": 0.3, "C": 1, "mu": 1},'
+             ' "zeta": {"delta0": 0.2, "C": 1, "gamma": 1}}')
+
+
 def test_cold_cli_tail_never_imports_scipy():
-    modules = _imported_modules("-m", "tailward.cli", "tail", "sum",
-                                "--x", "weibull(1,2)", "--y", "edge(0,1)")
-    assert "tailward.tail_model" in modules
-    assert _scipy(modules) == []
+    for argv, module in (
+        (("tail", "sum", "--x", "weibull(1,2)", "--y", "edge(0,1)"), "tailward.tail_model"),
+        (("gp", "tail", "--model", _GP_MODEL), "tailward.gp_extremes.trend"),
+    ):
+        modules = _imported_modules("-m", "tailward.cli", *argv)
+        assert module in modules
+        assert _scipy(modules) == []
+
+
+def test_every_exported_name_resolves():
+    for module in (tailward, tailward.gp_extremes):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
+        exec(f"from {module.__name__} import *", {})

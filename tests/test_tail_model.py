@@ -1,6 +1,5 @@
 """Tail families, the distribution registry and moment computation."""
 
-import json
 import math
 
 import numpy as np
@@ -284,26 +283,3 @@ def test_tail_json_round_trip(c, alpha, rho, shift):
         tw.EdgePower(c, shift, alpha),
     ):
         assert tw.tail_from_dict(tw.tail_to_dict(tail)) == tail
-
-
-def test_ratio_table_round_trips_csv_and_json():
-    rows = (
-        tw.RatioRow(4.0, -16.1, -16.0, math.exp(-0.1), "quadrature"),
-        tw.RatioRow(6.0, -36.05, -36.0, math.exp(-0.05), "quadrature"),
-    )
-    table = tw.RatioTable(rows)
-    again = tw.RatioTable.from_json(table.to_json())
-    assert again == table
-    text = table.to_csv()
-    assert text.splitlines()[0] == "u,log_sf_exact,log_h,ratio,method,status"
-    assert len(text.splitlines()) == 3
-
-
-def test_ratio_table_json_writes_null_for_a_failed_row():
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    row = tw.RatioRow(6.0, math.nan, -36.0, math.nan, "quadrature", "failed: forced")
-    data = json.loads(tw.RatioTable((row,)).to_json(), parse_constant=reject)
-    assert data == [{"u": 6.0, "log_sf_exact": None, "log_h": -36.0, "ratio": None,
-                     "method": "quadrature", "status": "failed: forced"}]
