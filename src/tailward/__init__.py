@@ -8,14 +8,10 @@ oracles that verify every closed form it emits.
 
 from . import errors
 from .asymptotic_engine import (
-    ConditionWitness,
-    check_condition,
     density_to_sf,
-    model_condition,
     product_mixed_tail,
     product_power_tail,
     product_tail,
-    sum_dominant_tail,
     sum_mixed_tail,
     sum_tail,
 )
@@ -25,8 +21,6 @@ from .laplace_kernel import (
     laplace_general,
     tail_integral_asymptotic,
     tail_integral_numeric,
-    watson_asymptotic,
-    watson_numeric,
 )
 from .montecarlo import (
     TailEstimate,
@@ -47,6 +41,7 @@ from .tail_model import (
     make_model,
     moment,
     parse_model_spec,
+    power_order,
     power_substitute,
     sf_eval,
     tail_from_dict,
@@ -57,14 +52,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "ConditionWitness",
-    "check_condition",
     "density_to_sf",
-    "model_condition",
     "product_mixed_tail",
     "product_power_tail",
     "product_tail",
-    "sum_dominant_tail",
     "sum_mixed_tail",
     "sum_tail",
     "LaplaceProblem",
@@ -72,8 +63,6 @@ __all__ = [
     "laplace_general",
     "tail_integral_asymptotic",
     "tail_integral_numeric",
-    "watson_asymptotic",
-    "watson_numeric",
     "TailEstimate",
     "conditional_sf",
     "estimate_sf",
@@ -92,6 +81,7 @@ __all__ = [
     "make_model",
     "moment",
     "parse_model_spec",
+    "power_order",
     "power_substitute",
     "sf_eval",
     "tail_from_dict",

@@ -8,13 +8,14 @@ all large u, which no finite sample can certify.
 
 ``sum_tail`` and ``product_tail`` are the classifiers: given two laws they
 decide which theorem applies and return its tail with the theorem's name.
+One rule decides every domination condition, (A)/(B) between two tails and
+(C_alpha)/(D_alpha) for a product's other factor: the law of smaller
+:func:`~tailward.tail_model.power_order` dominates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     AssumptionError,
@@ -29,121 +30,17 @@ from .tail_model import (
     PowerTail,
     WeibullType,
     moment,
+    power_order,
 )
 
 __all__ = [
-    "ConditionWitness",
-    "check_condition",
-    "model_condition",
     "sum_mixed_tail",
-    "sum_dominant_tail",
     "product_mixed_tail",
     "product_power_tail",
     "sum_tail",
     "product_tail",
     "density_to_sf",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Domination conditions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConditionWitness:
-    """Outcome of a domination-condition check.
-
-    ``chi`` records the witness function as a (family, exponent) pair,
-    currently always a power u**e with 0 < e < 1, present only when the
-    condition holds and a witness is part of the certificate.
-    """
-
-    kind: str  # "A" | "B" | "C_alpha" | "D_alpha"
-    holds: bool
-    chi: Optional[tuple[str, float]] = None
-
-
-_KINDS_PAIR = ("A", "B")
-_KINDS_SINGLE = ("C_alpha", "D_alpha")
-
-
-def _require_unbounded(tail: AsymptoticTail, role: str, kind: str) -> None:
-    if isinstance(tail, EdgePower):
-        raise Unsupported(
-            f"condition ({kind}) is about decay at +inf; the {role} tail has a "
-            f"finite endpoint and is outside the classified families"
-        )
-
-
-def check_condition(kind: str, f: AsymptoticTail, g: AsymptoticTail | None = None,
-                    alpha: float | None = None) -> ConditionWitness:
-    """Decide a domination condition symbolically on tail families.
-
-    Pair conditions (A)/(B) ask for chi with chi(u) -> inf, chi(u)/u -> 0,
-    f(chi(u)) = o(g(u)) and g asymptotically flat across a chi-window.
-    Single-tail conditions take a decay order alpha: (C_alpha) is (A)
-    against the power u**-alpha, (D_alpha) additionally integrates
-    f(u) u**(alpha-1) at infinity.
-
-    Note on (C_alpha): its usual statement asks for a witness with
-    chi(u) -> 0, but the product theorem that consumes it needs
-    chi(u) -> inf, which is also what the power-tail witnesses below
-    provide.  This implementation certifies the chi -> inf reading.
-    """
-    if kind in _KINDS_PAIR:
-        if g is None:
-            raise SpecError(f"condition ({kind}) needs two tails")
-        _require_unbounded(f, "first", kind)
-        _require_unbounded(g, "second", kind)
-        if isinstance(f, PowerTail) and isinstance(g, PowerTail):
-            if f.alpha > g.alpha:
-                e = (f.alpha + g.alpha) / (2.0 * f.alpha)
-                return ConditionWitness(kind, True, ("power", e))
-            return ConditionWitness(kind, False)
-        if isinstance(f, WeibullType) and isinstance(g, PowerTail):
-            return ConditionWitness(kind, True, ("power", 0.5))
-        if isinstance(f, PowerTail) and isinstance(g, WeibullType):
-            # f is not even o(g); the condition cannot hold.
-            return ConditionWitness(kind, False)
-        raise Unsupported(
-            f"no classification for ({kind}) with {type(f).__name__} vs "
-            f"{type(g).__name__}"
-        )
-    if kind in _KINDS_SINGLE:
-        if alpha is None or alpha <= 0:
-            raise SpecError(f"condition ({kind}) needs a positive alpha")
-        _require_unbounded(f, "first", kind)
-        if isinstance(f, PowerTail):
-            if f.alpha > alpha:
-                if kind == "C_alpha":
-                    e = (f.alpha + alpha) / (2.0 * f.alpha)
-                    return ConditionWitness(kind, True, ("power", e))
-                return ConditionWitness(kind, True)
-            return ConditionWitness(kind, False)
-        if isinstance(f, WeibullType):
-            chi = ("power", 0.5) if kind == "C_alpha" else None
-            return ConditionWitness(kind, True, chi)
-        raise Unsupported(f"no classification for ({kind}) with {type(f).__name__}")
-    raise SpecError(f"unknown condition kind {kind!r}")
-
-
-def model_condition(model: DistributionModel, kind: str, alpha: float) -> ConditionWitness:
-    """(C_alpha)/(D_alpha) for a model's exact survival function.
-
-    Delegates to the declared tail when one exists.  Bounded-support models
-    and the lognormal carry no in-family declaration but their survival
-    functions are o(u**-b) for every b > 0, hence dominated by a compliant
-    power tail; domination is inherited downward, so both conditions hold
-    for every alpha.
-    """
-    if kind not in _KINDS_SINGLE:
-        raise SpecError(f"model_condition decides C_alpha/D_alpha, not {kind!r}")
-    if model.tail is not None and not isinstance(model.tail, EdgePower):
-        return check_condition(kind, model.tail, alpha=alpha)
-    if model.support[1] < math.inf or model.family == "lognormal":
-        chi = ("power", 0.5) if kind == "C_alpha" else None
-        return ConditionWitness(kind, True, chi)
-    raise Unsupported(f"cannot certify ({kind}) for model {model.family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +64,6 @@ def sum_mixed_tail(x: WeibullType, y: EdgePower) -> WeibullType:
     c = x.C * y.C * (x.K * x.alpha) ** (-y.mu) * math.gamma(y.mu + 1.0)
     rho = y.mu + x.rho - x.alpha * y.mu
     return WeibullType(c, rho, x.K, x.alpha, y.sigma)
-
-
-def sum_dominant_tail(
-    x: AsymptoticTail, y: AsymptoticTail, x_nonnegative: bool
-) -> AsymptoticTail:
-    """Tail of X + Y when Y's tail dominates X's.
-
-    For nonnegative X the one-sided condition (A) on (x, y) is enough; a
-    real-valued X needs the two-sided condition (B), with ``x`` standing
-    for the heavier of X's two tails (domination is monotone, so the
-    heavier side decides).
-    """
-    kind = "A" if x_nonnegative else "B"
-    witness = check_condition(kind, x, y)
-    if not witness.holds:
-        raise ConditionError(
-            f"condition ({kind}) fails for {x} against {y}: the first tail "
-            f"does not vanish relative to the second"
-        )
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -222,89 +99,103 @@ def product_mixed_tail(x: WeibullType, y: EdgePower) -> WeibullType:
 def product_power_tail(x_model: DistributionModel, y: PowerTail) -> PowerTail:
     """Tail of X * Y for positive X, Y with Y of power type.
 
-    Requires E X**alpha < inf plus the moment-domination certificate for
-    X's survival function; the product inherits Y's exponent with the
-    coefficient scaled by the alpha-th moment of X.
+    Conditions (C_alpha) and (D_alpha) on X, with alpha = y.alpha, hold
+    exactly when X's power order exceeds alpha (see ``_heavier_first``);
+    the product then inherits Y's exponent with the coefficient scaled by
+    E X**alpha.
     """
     if not isinstance(y, PowerTail):
         raise SpecError("product_power_tail takes (DistributionModel, PowerTail)")
-    if x_model.support[0] < 0:
-        raise AssumptionError(
-            f"product_power_tail requires X supported on (0, inf), "
-            f"support {x_model.support}"
+    _require_positive(x_model)
+    if not power_order(x_model) > y.alpha:
+        raise ConditionError(
+            f"conditions (C_alpha) and (D_alpha) with alpha={y.alpha} fail for "
+            f"{x_model.family} tail {x_model.tail}"
         )
-    for kind in ("C_alpha", "D_alpha"):
-        witness = model_condition(x_model, kind, y.alpha)
-        if not witness.holds:
-            raise ConditionError(
-                f"condition ({kind}) with alpha={y.alpha} fails for "
-                f"{x_model.family} tail {x_model.tail}"
-            )
-    m = moment(x_model, y.alpha)
-    return PowerTail(y.C * m, y.alpha)
+    return PowerTail(y.C * moment(x_model, y.alpha), y.alpha)
 
 
 # ---------------------------------------------------------------------------
 # Classification: which theorem applies to a pair of laws
 # ---------------------------------------------------------------------------
 
+def _require_positive(model: DistributionModel) -> None:
+    if model.support[0] < 0 or model.support[1] <= 0:
+        raise AssumptionError(
+            f"product rules need positive variables; {model.family} has "
+            f"support {model.support}"
+        )
+
+
+def _heavier_first(
+    x: DistributionModel, y: DistributionModel, op: str
+) -> tuple[DistributionModel, DistributionModel]:
+    """(heavy, light): the law of smaller power order first."""
+    # One comparison decides (A), (B), (C_alpha) and (D_alpha) on these
+    # families.  Let f be the lighter tail, of power order b, and g the
+    # heavier, of order a < b (a power, since a is finite).  The witness
+    # chi(u) = u**e with a/b < e < 1 (any e in (0, 1) when b = inf) tends to
+    # inf, is o(u), keeps the power g flat across a chi-window and gives
+    # f(chi(u)) = o(u**-a) = o(g(u)): that is (A).  With a = b < inf no
+    # witness exists (chi = o(u) makes f(chi(u)) / g(u) unbounded), and two
+    # tails lighter than every power (a = b = inf) are outside the families.
+    # (C_alpha) is (A) against u**-alpha and (D_alpha) adds
+    # int f(u) u**(alpha-1) du < inf; both hold exactly when b > alpha.  (B)
+    # asks (A) of the heavier of a real-valued law's two tails.  The
+    # registry's only law with a declared tail that is unbounded below is
+    # the normal, which is symmetric, so its right tail is that heavier tail
+    # and (B) needs nothing more.
+    ox, oy = power_order(x), power_order(y)
+    if ox == oy == math.inf:
+        raise Unsupported(
+            f"no closed {op} rule for families {x.family!r} and {y.family!r}: "
+            f"both tails are lighter than every power"
+        )
+    if ox == oy:
+        raise ConditionError(
+            f"equal power exponents {ox}: neither tail dominates the other "
+            f"and no closed form applies"
+        )
+    return (x, y) if ox < oy else (y, x)
+
+
 def sum_tail(x: DistributionModel, y: DistributionModel) -> tuple[AsymptoticTail, str]:
     """Tail of X + Y and the claim that gives it.
 
     A Weibull-type law plus a bounded one is ``sum_mixed``; otherwise the
-    tail that dominates the other under (A), or (B) for a real-valued
-    operand, is kept as ``sum_dominant``.
+    declared tail of smaller power order dominates the other and is kept as
+    ``sum_dominant``.
     """
     tx, ty = x.tail, y.tail
     if isinstance(tx, WeibullType) and isinstance(ty, EdgePower):
         return sum_mixed_tail(tx, ty), "sum_mixed"
     if isinstance(tx, EdgePower) and isinstance(ty, WeibullType):
         return sum_mixed_tail(ty, tx), "sum_mixed"
-    if tx is None or ty is None:
+    if any(t is None or isinstance(t, EdgePower) for t in (tx, ty)):
         raise Unsupported(
             f"no closed sum rule for families {x.family!r} + {y.family!r}"
         )
-    try:
-        return sum_dominant_tail(tx, ty, x.support[0] >= 0), "sum_dominant"
-    except ConditionError:
-        pass
-    return sum_dominant_tail(ty, tx, y.support[0] >= 0), "sum_dominant"
+    heavy, _ = _heavier_first(x, y, "sum")
+    return heavy.tail, "sum_dominant"
 
 
 def product_tail(x: DistributionModel, y: DistributionModel) -> tuple[AsymptoticTail, str]:
     """Tail of X * Y for positive X, Y and the claim that gives it.
 
-    A Weibull-type law times a bounded one is ``product_mixed``.  With a
-    power-tailed factor the product is ``product_power``: it keeps the
-    heavier power tail, scaled by the other factor's moment of that order.
+    A Weibull-type law times a bounded one is ``product_mixed``.  Otherwise
+    the factor of smaller power order carries a power tail, and the product
+    is ``product_power``: that tail scaled by the other factor's moment of
+    its order.
     """
     for m in (x, y):
-        if m.support[0] < 0:
-            raise AssumptionError(
-                f"product rules need positive variables; {m.family} has "
-                f"support {m.support}"
-            )
+        _require_positive(m)
     tx, ty = x.tail, y.tail
     if isinstance(tx, WeibullType) and isinstance(ty, EdgePower):
         return product_mixed_tail(tx, ty), "product_mixed"
     if isinstance(tx, EdgePower) and isinstance(ty, WeibullType):
         return product_mixed_tail(ty, tx), "product_mixed"
-    if isinstance(tx, PowerTail) and isinstance(ty, PowerTail):
-        if tx.alpha == ty.alpha:
-            raise ConditionError(
-                "equal power exponents: neither factor's moment condition "
-                "holds and no closed form applies"
-            )
-        if tx.alpha < ty.alpha:
-            return product_power_tail(y, tx), "product_power"
-        return product_power_tail(x, ty), "product_power"
-    if isinstance(ty, PowerTail):
-        return product_power_tail(x, ty), "product_power"
-    if isinstance(tx, PowerTail):
-        return product_power_tail(y, tx), "product_power"
-    raise Unsupported(
-        f"no closed product rule for families {x.family!r} * {y.family!r}"
-    )
+    heavy, light = _heavier_first(x, y, "product")
+    return product_power_tail(light, heavy.tail), "product_power"
 
 
 # ---------------------------------------------------------------------------

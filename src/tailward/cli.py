@@ -241,8 +241,6 @@ def _cmd_gp_tail(args) -> int:
 def _cmd_gp_verify(args) -> int:
     from . import reports
 
-    if args.preset != "bm":
-        raise SpecError(f"unknown preset {args.preset!r}; only 'bm' is exact")
     report = reports.run_gp_fixture(args.fixture, seed=args.seed)
     _write_report(report, args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -347,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gtail.set_defaults(fn=_cmd_gp_tail)
 
     p_gver = gp_sub.add_parser("verify", help="verify against the Brownian oracle")
-    p_gver.add_argument("--preset", default="bm")
     p_gver.add_argument("--fixture", required=True)
     p_gver.add_argument("--seed", type=int, default=0)
     p_gver.add_argument("--out", default=None)

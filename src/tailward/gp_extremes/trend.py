@@ -79,7 +79,8 @@ class EtaSpec:
     mu: float
 
     def __post_init__(self):
-        if self.delta < 0 or self.C <= 0 or self.mu <= 0:
+        if not (0 <= self.delta < math.inf and 0 < self.C < math.inf
+                and 0 < self.mu < math.inf):
             raise SpecError(f"bad eta spec {self}")
 
 
@@ -97,7 +98,9 @@ class ZetaSpec:
     gamma: float
 
     def __post_init__(self):
-        if self.C <= 0 or self.gamma <= 0 or math.isnan(self.delta0):
+        # delta0 = -inf is the power lower tail; +inf and NaN are no law.
+        if not (-math.inf <= self.delta0 < math.inf and 0 < self.C < math.inf
+                and 0 < self.gamma < math.inf):
             raise SpecError(f"bad zeta spec {self}")
 
 

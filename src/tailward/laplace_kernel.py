@@ -23,8 +23,6 @@ from .quadrature import log_quad
 __all__ = [
     "tail_integral_numeric",
     "tail_integral_asymptotic",
-    "watson_numeric",
-    "watson_asymptotic",
     "LaplaceProblem",
     "LaplaceResult",
     "laplace_general",
@@ -80,33 +78,6 @@ def tail_integral_asymptotic(
         + (beta - (alpha - 1.0) * (mu + 1.0)) * math.log(u)
         - K * u ** alpha
     )
-
-
-def watson_numeric(u: float, mu: float, delta: float, rtol: float = 1e-11) -> float:
-    """log int_0^delta v**mu * exp(-u*v) dv by quadrature."""
-    _check_positive(u=u)
-    if mu < 0:
-        raise SpecError(f"mu must be nonnegative, got {mu}")
-    if delta < 0:
-        raise SpecError(f"delta must be nonnegative, got {delta}")
-    if delta == 0:
-        return -math.inf
-
-    def log_f(v):
-        with np.errstate(divide="ignore"):
-            return mu * np.log(np.maximum(v, 1e-320)) - u * v
-
-    # Seed the panel split around the scale 1/u of the kernel.
-    breaks = [b for b in ((mu + 1.0) / u, 10.0 * (mu + 1.0) / u) if 0 < b < delta]
-    return log_quad(log_f, 0.0, delta, rtol=rtol, breakpoints=breaks)
-
-
-def watson_asymptotic(u: float, mu: float) -> float:
-    """log of Gamma(mu+1) * u**-(mu+1), the large-u limit of the integral."""
-    _check_positive(u=u)
-    if mu < 0:
-        raise SpecError(f"mu must be nonnegative, got {mu}")
-    return math.lgamma(mu + 1.0) - (mu + 1.0) * math.log(u)
 
 
 # ---------------------------------------------------------------------------

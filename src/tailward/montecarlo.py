@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .tail_model import DistributionModel, PowerTail
+from .tail_model import DistributionModel, power_order
 
 __all__ = [
     "TailEstimate",
@@ -144,10 +144,8 @@ def estimate_sf(
 
 
 def _heavy_first(x: DistributionModel, y: DistributionModel):
-    """(exact, sampled): the operand with the heavier declared power tail first."""
-    ax = x.tail.alpha if isinstance(x.tail, PowerTail) else math.inf
-    ay = y.tail.alpha if isinstance(y.tail, PowerTail) else math.inf
-    return (y, x) if ay < ax else (x, y)
+    """(exact, sampled): the operand of smaller power order first, X on a tie."""
+    return (y, x) if power_order(y) < power_order(x) else (x, y)
 
 
 def conditional_sf(
@@ -164,10 +162,10 @@ def conditional_sf(
     Averages SF_H(u - L) (or SF_H(u / L) for products of positive
     variables) over draws of L; the exact inner expectation can only shrink
     the variance relative to the direct indicator estimator.  H is the heavy
-    operand, the one whose declared tail is a ``PowerTail`` (the smaller
-    alpha if both are, X if neither is), and L the other one (Asmussen &
-    Kroese 2006, Adv. Appl. Probab. 38).  When no draw carries mass, the
-    interval is the Wilson interval for zero successes in n, never [0, 0].
+    operand, the one of smaller ``power_order`` (X on a tie), and L the
+    other one (Asmussen & Kroese 2006, Adv. Appl. Probab. 38).  When no
+    draw carries mass, the interval is the Wilson interval for zero
+    successes in n, never [0, 0].
     """
     if n < 10 ** 3:
         raise SpecError(f"need n >= 1000 samples, got {n}")

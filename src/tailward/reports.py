@@ -20,6 +20,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
+import numpy as np
+
 from . import oracle
 from .asymptotic_engine import product_tail, sum_mixed_tail, sum_tail
 from .errors import SpecError
@@ -28,8 +30,6 @@ from .laplace_kernel import (
     laplace_general,
     tail_integral_asymptotic,
     tail_integral_numeric,
-    watson_asymptotic,
-    watson_numeric,
 )
 from .tail_model import EdgePower, make_model, sf_eval, tail_to_dict
 
@@ -214,15 +214,15 @@ def _gamma_p_half_integer(a: float, x: float) -> float:
 
 
 def _watson_rows(mu, delta, grid):
-    return [
-        _check(
-            f"u={u}",
-            math.exp(watson_numeric(u, mu, delta) - watson_asymptotic(u, mu)),
-            _gamma_p_half_integer(mu + 1.0, u * delta),
-            1e-4,
-        )
-        for u in grid
-    ]
+    # Watson's lemma: int_0^delta v**mu e**(-u v) dv over Gamma(mu+1) u**-(mu+1)
+    # is P(mu + 1, u delta).
+    prob = LaplaceProblem(f=np.ones_like, S=lambda v: v, mu=mu + 1.0, a=delta)
+    rows = []
+    for u in grid:
+        res = laplace_general(prob, u, rtol=1e-11)
+        rows.append(_check(f"u={u}", math.exp(res.numeric - res.asymptotic),
+                           _gamma_p_half_integer(mu + 1.0, u * delta), 1e-4))
+    return rows
 
 
 def _laplace_core_rows(alpha, beta, mu, K, u):

@@ -36,6 +36,7 @@ __all__ = [
     "DistributionModel",
     "make_model",
     "parse_model_spec",
+    "power_order",
     "moment",
     "RatioRow",
     "RatioTable",
@@ -464,40 +465,33 @@ def make_model(spec) -> DistributionModel:
 # Moments
 # ---------------------------------------------------------------------------
 
-def _moment_exists(model: DistributionModel, alpha: float) -> bool:
-    """Decide E X**alpha < inf from the declared tail or support.
+def power_order(model: DistributionModel) -> float:
+    """Sup of the b with SF(u) = o(u**-b): the law's power order at +inf.
 
-    Power tails need decay exponent > alpha; weibull-type declarations and
-    bounded supports dominate every power; the lognormal dominates every
-    power as well (its survival function is o(u**-b) for all b).
+    A power tail has its exponent; bounded supports, weibull-type
+    declarations and the lognormal (SF = o(u**-b) for every b) are lighter
+    than every power.  E X**b < inf exactly when b < power_order.
     """
-    if model.support[1] < math.inf:
-        return True
     tail = model.tail
     if isinstance(tail, PowerTail):
-        return tail.alpha > alpha
-    if isinstance(tail, WeibullType):
-        return True
-    if model.family == "lognormal":
-        return True
-    raise SpecError(f"no moment rule for model {model.family!r}")
+        return tail.alpha
+    if isinstance(tail, WeibullType) or model.support[1] < math.inf or model.family == "lognormal":
+        return math.inf
+    raise SpecError(f"no power order for model {model.family!r}")
 
 
 def moment(model: DistributionModel, alpha: float) -> float:
     """E X**alpha for a model supported on [0, inf).
 
     Uses the closed form where one exists, otherwise the survival-function
-    identity E X**alpha = alpha * int_0^inf SF(u) u**(alpha-1) du.
+    identity E X**alpha = alpha * int_0^inf SF(u) u**(alpha-1) du, which
+    raises DivergentMoment unless alpha < power_order(model).
     """
     if alpha <= 0:
         raise SpecError(f"moment order must be positive, got {alpha}")
     if model.support[0] < 0:
         raise DomainError(
             f"moment is defined for nonnegative models, support {model.support}"
-        )
-    if not _moment_exists(model, alpha):
-        raise DivergentMoment(
-            f"E X^{alpha} diverges for {model.family} with tail {model.tail}"
         )
     if model.family == "lognormal":
         m, s = model.params["m"], model.params["s"]
@@ -517,8 +511,10 @@ def moment_by_quadrature(model: DistributionModel, alpha: float, rtol: float = 1
     lo, hi = model.support
     if lo < 0:
         raise DomainError("quadrature moment needs support within [0, inf)")
-    if not _moment_exists(model, alpha):
-        raise DivergentMoment(f"E X^{alpha} diverges for {model.family}")
+    if not power_order(model) > alpha:
+        raise DivergentMoment(
+            f"E X^{alpha} diverges for {model.family} with tail {model.tail}"
+        )
 
     def log_integrand(u):
         with np.errstate(divide="ignore"):

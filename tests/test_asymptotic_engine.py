@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import tailward as tw
-from tailward.asymptotic_engine import model_condition
+from tailward import gp_extremes as gp
 from tailward.oracle import sf_product_exact
 from tailward.reports import FIXTURES, run_fixture
 from tailward.errors import (
@@ -27,53 +27,75 @@ E = tw.EdgePower
 
 
 # ---------------------------------------------------------------------------
-# check_condition
+# power_order: the one domination rule
 # ---------------------------------------------------------------------------
 
-def test_power_vs_power_holds_with_witness_exponent():
-    w = tw.check_condition("A", P(1, 3), P(1, 1))
-    assert w.holds and w.chi == ("power", pytest.approx(2.0 / 3.0))
+def _hand_built_unbounded_law():
+    m = tw.make_model("normal")
+    return tw.DistributionModel("hand_built", {}, m.support, None, m.log_sf,
+                                m.log_density, m.sampler)
+
+
+@pytest.mark.parametrize("model,order", [
+    ("pareto(1,2)", 2.0),
+    ("pareto(2,0.5)", 0.5),
+    ("weibull(1,2)", math.inf),
+    ("normal", math.inf),
+    ("edge(0,1)", math.inf),
+    ("lognormal(0,1)", math.inf),
+    ("constant(2)", math.inf),
+    ("eta_power_low", math.inf),
+    ("negate_pareto", math.inf),
+    ("hand_built", SpecError),
+])
+def test_power_order(model, order):
+    built = {
+        "eta_power_low": lambda: gp.eta_power_low_model(0.5, 1.0, 1.0),
+        "negate_pareto": lambda: gp.negate_model(tw.make_model("pareto(1,2)")),
+        "hand_built": _hand_built_unbounded_law,
+    }
+    law = built[model]() if model in built else tw.make_model(model)
+    if order is SpecError:
+        with pytest.raises(SpecError):
+            tw.power_order(law)
+    else:
+        assert tw.power_order(law) == order
 
 
 def test_power_vs_power_fails_for_equal_or_heavier_first():
-    assert not tw.check_condition("B", P(1, 1), P(1, 2)).holds
-    assert not tw.check_condition("A", P(1, 1), P(1, 1)).holds
-    assert not tw.check_condition("A", P(5, 1), P(1, 1)).holds
+    # (C_alpha)/(D_alpha) fail when the other factor is as heavy as the power or heavier.
+    for alpha in (1.0, 2.0):
+        with pytest.raises(ConditionError):
+            tw.product_power_tail(tw.make_model("pareto(1,1)"), P(1, alpha))
 
 
 def test_weibull_type_vs_power_holds():
-    w = tw.check_condition("B", W(1, 0, 1, 2, 0), P(1, 2))
-    assert w.holds and w.chi == ("power", 0.5)
+    weibull = tw.make_model("weibull(1,2)")
+    for alpha in (0.5, 2.0, 10.0):
+        out = tw.product_power_tail(weibull, P(1, alpha))
+        assert out == P(tw.moment(weibull, alpha), alpha)
 
 
 def test_power_vs_weibull_type_fails():
-    assert not tw.check_condition("A", P(1, 3), W(1, 0, 1, 2, 0)).holds
+    # A power tail is never o(Weibull-type): the sum keeps the power in either order.
+    for x, y in (("pareto(1,3)", "weibull(1,2)"), ("weibull(1,2)", "pareto(1,3)")):
+        assert _classify("sum", x, y) == (P(1, 3), "sum_dominant")
 
 
 def test_unclassified_combinations_raise_unsupported():
-    with pytest.raises(Unsupported):
-        tw.check_condition("A", E(1, 0, 1), P(1, 1))
-    with pytest.raises(Unsupported):
-        tw.check_condition("A", W(1, 0, 1, 2, 0), W(1, 0, 2, 2, 0))
-    with pytest.raises(Unsupported):
-        tw.check_condition("C_alpha", E(1, 0, 1), alpha=1.0)
+    for op, x, y in (("sum", "edge(0,1)", "pareto(1,1)"), ("sum", "weibull(1,2)", "weibull(2,2)"),
+                     ("product", "edge(2,1)", "lognormal(0,1)")):
+        with pytest.raises(Unsupported):
+            _classify(op, x, y)
 
 
 def test_moment_conditions_on_single_tails():
-    assert tw.check_condition("D_alpha", P(1, 3), alpha=2.0).holds
-    assert not tw.check_condition("D_alpha", P(1, 2), alpha=2.0).holds
-    assert tw.check_condition("D_alpha", W(1, 5, 1, 0.5, 0), alpha=10.0).holds
-    w = tw.check_condition("C_alpha", P(1, 4), alpha=2.0)
-    assert w.holds and w.chi == ("power", pytest.approx(0.75))
-
-
-@given(a1=st.floats(0.2, 10), a2=st.floats(0.2, 10))
-@settings(max_examples=100, deadline=None)
-def test_pair_witness_exponent_strictly_inside_unit_interval(a1, a2):
-    w = tw.check_condition("A", P(1, a1), P(1, a2))
-    if w.holds:
-        assert a1 > a2
-        assert 0.0 < w.chi[1] < 1.0
+    assert tw.product_power_tail(tw.make_model("pareto(1,3)"), P(1, 2)).alpha == 2.0
+    with pytest.raises(ConditionError):
+        tw.product_power_tail(tw.make_model("pareto(1,2)"), P(1, 2))
+    assert tw.product_power_tail(tw.make_model("weibull(1,0.5)"), P(1, 10)).alpha == 10.0
+    with pytest.raises(DivergentMoment):
+        tw.moment(tw.make_model("pareto(1,2)"), 2.0)
 
 
 def _log_gap(f, g, u):
@@ -88,26 +110,22 @@ def test_condition_implies_vanishing_log_tail_gap():
     # gap ln f(u) - ln g(u) must diverge to -inf. In closed form:
     #   power vs power:   ln(C_f/C_g) - (alpha_f - alpha_g) * ln u
     #   weibull vs power: ln(C_f/C_g) - K * u**alpha + (rho + alpha_g) * ln u
-    # P(2,5) vs P(3,4.5) is certified with witness exponent 0.95 but its gap
-    # diverges only like -0.5 * ln u: -7.31 at u = 1e6, so no fixed bound fits
+    # P(2,5) vs P(3,4.5) is a dominated pair, but its gap diverges only
+    # like -0.5 * ln u: -7.31 at u = 1e6, so no fixed bound fits
     # all pairs; each level's gap is held to its pair's own closed form.
-    pairs = [(P(1, 3), P(1, 1)), (W(1, 0, 1, 2, 0), P(1, 2)), (P(2, 5), P(3, 4.5))]
+    pairs = [("pareto(1,3)", "pareto(1,1)"), ("weibull(1,2)", "pareto(1,2)"),
+             ("pareto(2,5)", "pareto(3,4.5)")]
     levels = (1e2, 1e4, 1e6)
-    for f, g in pairs:
-        assert tw.check_condition("A", f, g).holds
+    for fx, gx in pairs:
+        f, g = tw.make_model(fx).tail, tw.make_model(gx).tail
+        # (A) holds on (f, g): the sum keeps the second law's tail.
+        assert _classify("sum", fx, gx) == (g, "sum_dominant")
         gaps = [tw.sf_eval(f, u) - tw.sf_eval(g, u) for u in levels]
         bounds = [_log_gap(f, g, u) for u in levels]
         assert gaps[0] > gaps[1] > gaps[2]
         assert bounds[0] > bounds[1] > bounds[2]
         for gap, bound in zip(gaps, bounds):
             assert gap == pytest.approx(bound, rel=0, abs=1e-9)
-
-
-def test_model_condition_certificates():
-    assert model_condition(tw.make_model("lognormal(0,1)"), "C_alpha", 7.0).holds
-    assert model_condition(tw.make_model("constant(2)"), "D_alpha", 3.0).holds
-    assert model_condition(tw.make_model("edge(2,1)"), "D_alpha", 1.0).holds
-    assert not model_condition(tw.make_model("pareto(1,2)"), "D_alpha", 2.0).holds
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +179,26 @@ def test_sum_mixed_shift_reduction_property(c1, rho, k, alpha, c2, mu, sigma):
 
 
 # ---------------------------------------------------------------------------
-# sum_dominant_tail
+# sum_dominant: the tail of smaller power order survives
 # ---------------------------------------------------------------------------
 
 def test_sum_dominant_returns_heavier_tail():
-    y = P(1, 1)
-    assert tw.sum_dominant_tail(P(1, 3), y, True) is y
-    assert tw.sum_dominant_tail(W(1, 0, 1, 2, 0), P(1, 2), True) == P(1, 2)
+    assert _classify("sum", "pareto(1,3)", "pareto(1,1)") == (P(1, 1), "sum_dominant")
+    assert _classify("sum", "weibull(1,2)", "pareto(1,2)") == (P(1, 2), "sum_dominant")
 
 
 def test_sum_dominant_rejects_equal_power_orders():
-    with pytest.raises(ConditionError):
-        tw.sum_dominant_tail(P(1, 1), P(1, 1), True)
+    # Equal orders: neither tail dominates, whatever the coefficients.
+    for x, y in (("pareto(1,1)", "pareto(1,1)"), ("pareto(5,1)", "pareto(1,1)")):
+        with pytest.raises(ConditionError, match="equal power exponents"):
+            _classify("sum", x, y)
 
 
 def test_sum_dominant_two_sided_uses_condition_b():
-    assert tw.sum_dominant_tail(P(1, 3), P(1, 1), False) == P(1, 1)
+    # The normal is real-valued, so (B) applies; it is symmetric, so its
+    # right tail's order decides, in either order of the operands.
+    for x, y in (("normal", "pareto(1,1)"), ("pareto(1,1)", "normal")):
+        assert _classify("sum", x, y) == (P(1, 1), "sum_dominant")
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +309,10 @@ def test_classifier_picks_the_theorem(op, x, y, claim, tail):
     ("product", "pareto(1,2)", "normal", AssumptionError),
     ("sum", "lognormal(0,1)", "lognormal(0,1)", Unsupported),
     ("product", "lognormal(0,1)", "lognormal(0,1)", Unsupported),
+    ("sum", "pareto(1,2)", "pareto(1,2)", ConditionError),
+    ("sum", "weibull(1,2)", "normal", Unsupported),
+    ("sum", "edge(0,1)", "pareto(1,2)", Unsupported),
+    ("product", "constant(0)", "pareto(1,2)", AssumptionError),
 ])
 def test_classifier_rejects_pairs_outside_the_theorems(op, x, y, error):
     with pytest.raises(error):

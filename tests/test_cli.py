@@ -52,6 +52,23 @@ def test_equal_power_product_exits_three(capsys):
     assert "equal power exponents" in err
 
 
+_LAWS = ("weibull(1,2)", "weibull(1,0.5)", "pareto(1,2)", "pareto(1,3)", "edge(0,1)",
+         "edge(2,1)", "lognormal(0,1)", "normal", "constant(1)", "constant(0)")
+
+
+@pytest.mark.parametrize("op", ["sum", "product"])
+@pytest.mark.parametrize("x", _LAWS)
+def test_tail_over_registry_pairs_exits_zero_or_three(capsys, validate, op, x):
+    # A valid pair either has a closed form or names the failed hypothesis.
+    for y in _LAWS:
+        code, out, err = _run(capsys, "tail", op, "--x", x, "--y", y)
+        assert code in (cli.EXIT_OK, cli.EXIT_ASSUMPTION), (x, y, err)
+        if code == cli.EXIT_OK:
+            validate(json.loads(out)["tail"], "tail")
+        else:
+            assert out == "" and err.startswith("hypothesis violated: "), (x, y, err)
+
+
 def test_quadrature_failure_exits_four(capsys, monkeypatch):
     def failing_moment(model, alpha):
         raise QuadratureFailure("forced failure")
@@ -139,6 +156,12 @@ def test_tail_estimate_matches_its_schema(validate):
     ("tail", "--model", '{"preset": "bm", "H": 0.3, "eta": {"delta": 0, "C": 1, "mu": 1}}'),
     ("tail", "--model", '{"preset": "bm", "d_ref": {"s": 1, "value": 2}}'),
     ("tail", "--model", '{"preset": "fbm", "H": 0.3, "beta": 1, "alpha_loc": 1}'),
+    ("tail", "--model", '{"preset": "bm", "eta": {"delta": NaN, "C": 1, "mu": 1}}'),
+    ("tail", "--model", '{"preset": "bm", "eta": {"delta": Infinity, "C": 1, "mu": 1}}'),
+    ("tail", "--model", '{"preset": "bm", "eta": {"delta": 0, "C": 1, "mu": 1},'
+                        ' "zeta": {"delta0": Infinity, "C": 1, "gamma": 0.5}}'),
+    ("tail", "--model", '{"preset": "bm", "eta": {"delta": 0, "C": 1, "mu": 1},'
+                        ' "zeta": {"C": 1, "gamma": NaN}}'),
 ])
 def test_malformed_gp_input_exits_two(capsys, argv):
     code, out, err = _run(capsys, "gp", *argv)
@@ -196,3 +219,14 @@ def test_gp_tail_refuses_equal_orders_and_needs_eta(capsys):
     code, out, err = _run(capsys, "gp", "tail", "--model", json.dumps(no_eta))
     assert code == cli.EXIT_SPEC and out == ""
     assert err.startswith("specification error: ")
+
+
+def test_gp_verify_fixture_report_and_unknown_name(capsys, validate):
+    code, out, err = _run(capsys, "gp", "verify", "--fixture", "bm-random-slope")
+    assert code == cli.EXIT_OK and err == ""
+    report = json.loads(out)
+    validate(report, "report")
+    assert report["fixture"] == "bm-random-slope" and report["passed"] is True
+    code, out, err = _run(capsys, "gp", "verify", "--fixture", "no-such-fixture")
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err.startswith("specification error: unknown gp fixture 'no-such-fixture'")

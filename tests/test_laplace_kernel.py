@@ -13,8 +13,6 @@ from tailward.laplace_kernel import (
     laplace_general,
     tail_integral_asymptotic,
     tail_integral_numeric,
-    watson_asymptotic,
-    watson_numeric,
 )
 
 
@@ -91,30 +89,49 @@ def test_truncation_level_does_not_matter_at_depth():
 # Watson kernel
 # ---------------------------------------------------------------------------
 
+def _watson(u, mu, delta):
+    """int_0^delta v**mu e**(-u v) dv as a boundary-minimum problem."""
+    prob = LaplaceProblem(f=np.ones_like, S=lambda v: v, mu=mu + 1.0, a=delta)
+    return laplace_general(prob, u, rtol=1e-11)
+
+
 def test_watson_ratio_equals_incomplete_gamma():
     for u, mu, delta in ((100.0, 1.0, 1.0), (100.0, 1.5, 1.0), (7.0, 2.5, 3.0)):
-        ratio = math.exp(watson_numeric(u, mu, delta) - watson_asymptotic(u, mu))
+        res = _watson(u, mu, delta)
+        ratio = math.exp(res.numeric - res.asymptotic)
         assert ratio == pytest.approx(float(special.gammainc(mu + 1.0, u * delta)), abs=1e-6)
 
 
 def test_watson_flat_case_is_exact():
-    assert math.exp(watson_numeric(5.0, 0.0, math.inf)) == pytest.approx(0.2, rel=1e-10)
-    assert math.exp(watson_asymptotic(5.0, 0.0)) == pytest.approx(0.2, rel=1e-12)
+    res = _watson(5.0, 0.0, math.inf)
+    assert math.exp(res.numeric) == pytest.approx(0.2, rel=1e-10)
+    assert math.exp(res.asymptotic) == pytest.approx(0.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1.0, 2.0, math.inf])
+def test_watson_deep_kernel_keeps_its_shoulder(delta):
+    # At u*delta >~ 3000 a panel split only at (mu+1)/u and 10(mu+1)/u puts no
+    # node on the e**-10 shoulder and drops 4.5e-5 of the mass at u = 1e4.
+    u = 1e4
+    exact = -math.expm1(-u * delta) / u
+    assert math.exp(_watson(u, 0.0, delta).numeric) == pytest.approx(exact, rel=1e-12)
 
 
 def test_watson_ratio_improves_with_depth():
-    devs = [
-        abs(math.exp(watson_numeric(u, 1.5, 1.0) - watson_asymptotic(u, 1.5)) - 1.0)
-        for u in (10.0, 100.0)
-    ]
+    devs = []
+    for u in (10.0, 100.0):
+        res = _watson(u, 1.5, 1.0)
+        devs.append(abs(math.exp(res.numeric - res.asymptotic) - 1.0))
     assert devs[0] > devs[1]
 
 
 def test_watson_rejects_bad_parameters():
     with pytest.raises(SpecError):
-        watson_numeric(0.0, 1.0, 1.0)
+        _watson(0.0, 1.0, 1.0)
     with pytest.raises(SpecError):
-        watson_asymptotic(10.0, -0.5)
+        _watson(10.0, -1.5, 1.0)
+    with pytest.raises(SpecError):
+        _watson(10.0, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
