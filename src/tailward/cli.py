@@ -121,6 +121,9 @@ def _cmd_verify(args) -> int:
     from . import reports
 
     if args.fixture:
+        # Fixture names carry their target as a prefix: sum-, product-, ...
+        if not args.fixture.startswith(f"{args.target}-"):
+            raise SpecError(f"fixture {args.fixture!r} is not a {args.target} fixture")
         report = reports.run_fixture(args.fixture, seed=args.seed)
     elif args.target == "sum" or args.target == "product":
         if not (args.x and args.y and args.grid):
@@ -312,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run an oracle-backed verification")
     p_ver.add_argument("target", choices=["sum", "product", "laplace", "watson"])
-    p_ver.add_argument("--fixture", default=None, help="named fixture")
+    p_ver.add_argument("--fixture", default=None,
+                       help="named fixture; its name starts with the target")
     p_ver.add_argument("--x", default=None)
     p_ver.add_argument("--y", default=None)
     p_ver.add_argument("--grid", default=None, help="a:b:step or comma list")

@@ -53,14 +53,20 @@ def tail_integral_numeric(
     peak = K * u ** alpha  # integrand maximum sits at z = 0
 
     def log_rest(z):
+        # K((u+z)^alpha - u^alpha) = K (u+z)^alpha (1 - (1 + z/u)^-alpha),
+        # without the cancellation of two numbers near K u^alpha (the
+        # difference is O(1) where the mass sits) and without overflow.
         with np.errstate(divide="ignore"):
             return (
                 mu * np.log(np.maximum(z, 1e-320))
                 + beta * np.log(u + z)
-                - K * ((u + z) ** alpha - u ** alpha)
+                + K * (u + z) ** alpha * np.expm1(-alpha * np.log1p(z / u))
             )
 
-    return -peak + log_quad(log_rest, 0.0, delta, rtol=rtol)
+    # Panels seeded at 1, 10 and 100 kernel scales 1/slope, where the mass sits.
+    slope = K * alpha * u ** (alpha - 1.0)
+    breaks = [b / slope for b in (1.0, 10.0, 100.0) if b < delta * slope]
+    return -peak + log_quad(log_rest, 0.0, delta, rtol=rtol, breakpoints=breaks)
 
 
 def tail_integral_asymptotic(

@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 14
+# Per-level temporaries of half a block (64 KiB) stay below glibc's default
+# 128 KiB mmap threshold, so they are reused from the heap, not faulted in.
+_PART_SIZE = BLOCK_SIZE // 2
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -130,7 +133,7 @@ def estimate_sf(
         if y is not None:
             ys = y.sample(rng, count)
             xs = xs + ys if combine == "sum" else xs * ys
-        return (xs[:, None] > grid[None, :]).sum(axis=0)
+        return np.array([np.count_nonzero(xs > u) for u in grid], dtype=np.int64)
 
     counts = np.zeros(len(grid), dtype=np.int64)
     for c in _map_blocks(run_block, n_blocks, resolve_workers(workers)):
@@ -181,12 +184,19 @@ def conditional_sf(
         rng = block_rng(seed, b)
         count = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
         draws = np.asarray(sampled.sample(rng, count), dtype=float)
-        if op == "sum":
-            args = grid[None, :] - draws[:, None]
-        else:
-            args = grid[None, :] / np.maximum(draws[:, None], 1e-320)
-        w = np.exp(exact.log_sf(args))
-        return w.sum(axis=0), (w * w).sum(axis=0)
+        if op == "product":
+            draws = np.maximum(draws, 1e-320)
+        # One level at a time over each half of the draws: the temporaries
+        # never grow with the grid.
+        s1 = np.zeros(len(grid))
+        s2 = np.zeros(len(grid))
+        for start in range(0, count, _PART_SIZE):
+            part = draws[start:start + _PART_SIZE]
+            for j, u in enumerate(grid):
+                w = np.exp(exact.log_sf(u - part if op == "sum" else u / part))
+                s1[j] += w.sum()
+                s2[j] += np.dot(w, w)
+        return s1, s2
 
     s1 = np.zeros(len(grid))
     s2 = np.zeros(len(grid))

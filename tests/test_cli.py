@@ -8,6 +8,7 @@ import tailward as tw
 from tailward import asymptotic_engine, cli
 from tailward import gp_extremes as gp
 from tailward.errors import QuadratureFailure
+from tailward.reports import FIXTURES
 
 
 def _run(capsys, *argv):
@@ -99,6 +100,30 @@ def test_bad_grid_exits_two(capsys):
                           "--grid", "a:b:1")
     assert code == cli.EXIT_SPEC and out == ""
     assert err == "specification error: bad grid 'a:b:1'\n"
+
+
+@pytest.mark.parametrize("fixture", list(FIXTURES))
+def test_verify_runs_each_fixture_under_its_own_target(capsys, tmp_path, fixture):
+    target = fixture.split("-")[0]
+    code, out, err = _run(capsys, "verify", target, "--fixture", fixture,
+                          "--out", str(tmp_path))
+    assert code == cli.EXIT_OK and err == ""
+    report = json.loads((tmp_path / f"{fixture}.json").read_text())
+    assert report["fixture"] == fixture and report["passed"] is True
+
+
+@pytest.mark.parametrize("target,fixture", [
+    ("watson", "sum-mixed-weibull-edge"),
+    ("sum", "product-mixed-weibull-edge"),
+    ("product", "laplace-truncated-kernel"),
+    ("laplace", "watson-kernel"),
+])
+def test_verify_fixture_of_another_target_exits_two(capsys, tmp_path, target, fixture):
+    dest = tmp_path / "out"
+    code, out, err = _run(capsys, "verify", target, "--fixture", fixture, "--out", str(dest))
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err == f"specification error: fixture {fixture!r} is not a {target} fixture\n"
+    assert not dest.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -32,6 +33,13 @@ def test_small_u_limit_matches_direct_integral():
     # At u ~ 0 the integral approaches int_0^1 z e^(-z^2) dz = (1 - e^-1)/2.
     got = tail_integral_numeric(1e-12, 2.0, 0.0, 1.0, 1.0, 1.0)
     assert math.exp(got) == pytest.approx((1 - math.exp(-1)) / 2.0, rel=1e-6)
+
+
+def test_underflowing_peak_keeps_the_direct_integral():
+    # K u^alpha underflows at u = 1e-200, alpha = 2; the integrand must not
+    # turn into 0 * inf there.
+    got = tail_integral_numeric(1e-200, 2.0, 0.0, 1.0, 1.0, 1.0)
+    assert got == pytest.approx(math.log((1 - math.exp(-1)) / 2.0), rel=1e-12)
 
 
 def test_zero_length_interval_is_log_zero():
@@ -76,6 +84,32 @@ def test_ratio_window_once_exponent_deep(alpha, beta, mu):
         devs.append(abs(ratio - 1.0))
     assert max(devs) < 0.05
     assert devs[0] >= devs[1] >= devs[2]
+
+
+def _mp_reduced_log_tail_integral(u, alpha, beta, mu, K, delta):
+    """log I(u) + K u^alpha by 50-digit quadrature, panels at the kernel scale."""
+    with mpmath.workdps(50):
+        u = mpmath.mpf(u)
+        scale = 1 / (K * alpha * u ** (alpha - 1))
+        points = [0] + [b * scale for b in (1, 10, 100) if b * scale < delta] + [delta]
+        return mpmath.log(mpmath.quad(
+            lambda z: z ** mu * (u + z) ** beta * mpmath.exp(-K * ((u + z) ** alpha - u ** alpha)),
+            points,
+        ))
+
+
+@pytest.mark.parametrize("alpha,beta,mu", [(2.0, 0.0, 1.0), (1.5, -1.0, 0.5), (3.0, 2.0, 2.0)])
+@pytest.mark.parametrize("u", [15.0, 1e3, 1e4, 1e5])
+def test_deep_levels_match_mpmath(u, alpha, beta, mu):
+    # Far out the peak K u^alpha swamps log I(u), so the remainder
+    # log I(u) + K u^alpha is what is compared: exactly, from the float
+    # result, against the reference, within the requested rtol 1e-10 plus
+    # the rounding of log I(u) itself.
+    got = tail_integral_numeric(u, alpha, beta, mu, 1.0, 1.0)
+    with mpmath.workdps(50):
+        reduced = mpmath.mpf(got) + mpmath.mpf(u) ** alpha
+        err = float(abs(reduced - _mp_reduced_log_tail_integral(u, alpha, beta, mu, 1.0, 1.0)))
+    assert err <= 1e-10 + np.spacing(abs(got))
 
 
 def test_truncation_level_does_not_matter_at_depth():

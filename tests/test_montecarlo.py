@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,16 @@ from hypothesis import strategies as st
 
 import tailward as tw
 from tailward.errors import SpecError
-from tailward.montecarlo import _heavy_first, block_rng, rekey, resolve_workers, wilson_interval
+from tailward.montecarlo import (
+    _Z95,
+    BLOCK_SIZE,
+    TailEstimate,
+    _heavy_first,
+    block_rng,
+    rekey,
+    resolve_workers,
+    wilson_interval,
+)
 from tailward.oracle import sf_product_exact, sf_sum_exact
 
 
@@ -151,6 +161,108 @@ def test_conditional_without_mass_reports_wilson_upper_bound(weibull12, edge01):
     assert est.p_hat == 0.0
     assert (est.ci_lo, est.ci_hi) == wilson_interval(0, n)
     assert est.ci_hi > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Level-major blocks against the (draws x levels) broadcast they replaced
+# ---------------------------------------------------------------------------
+
+def _blocks(n):
+    """(block index, draw count) of the n draws, in block order."""
+    return [(b, min(BLOCK_SIZE, n - b * BLOCK_SIZE)) for b in range(-(-n // BLOCK_SIZE))]
+
+
+def _broadcast_estimate_sf(x, y, combine, grid, n, seed):
+    """Reference: every block compared against the whole grid at once."""
+    grid = np.asarray(grid, dtype=float)
+    counts = np.zeros(len(grid), dtype=np.int64)
+    for b, count in _blocks(n):
+        rng = block_rng(seed, b)
+        xs = x.sample(rng, count)
+        if y is not None:
+            ys = y.sample(rng, count)
+            xs = xs + ys if combine == "sum" else xs * ys
+        counts += (xs[:, None] > grid[None, :]).sum(axis=0)
+    return [TailEstimate(float(u), k / n, *wilson_interval(int(k), n), n, "direct")
+            for u, k in zip(grid, counts)]
+
+
+def _broadcast_conditional_sf(x, y, op, grid, n, seed):
+    """Reference: one (draws x levels) array of exact SF values per block."""
+    exact, sampled = _heavy_first(x, y)
+    grid = np.asarray(grid, dtype=float)
+    s1 = np.zeros(len(grid))
+    s2 = np.zeros(len(grid))
+    for b, count in _blocks(n):
+        draws = np.asarray(sampled.sample(block_rng(seed, b), count), dtype=float)
+        if op == "sum":
+            args = grid[None, :] - draws[:, None]
+        else:
+            args = grid[None, :] / np.maximum(draws[:, None], 1e-320)
+        w = np.exp(exact.log_sf(args))
+        s1 += w.sum(axis=0)
+        s2 += (w * w).sum(axis=0)
+    out = []
+    for u, t1, t2 in zip(grid, s1, s2):
+        p = t1 / n
+        if t1 > 0.0:
+            half = _Z95 * math.sqrt(max(t2 / n - p * p, 0.0) / n)
+            lo, hi = max(0.0, p - half), min(1.0, p + half)
+        else:
+            lo, hi = wilson_interval(0, n)
+        out.append(TailEstimate(float(u), p, lo, hi, n, "conditional"))
+    return out
+
+
+_OPERANDS = {"sum": ("weibull(1,2)", "pareto(1,2)"), "product": ("lognormal(0,1)", "pareto(1,2)")}
+_GRIDS = {"sum": [[30.0], [2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0]],
+          "product": [[100.0], [1.0, 3.0, 10.0, 100.0, 300.0, 1000.0, 2700.0]]}
+_SIZES = (1000, BLOCK_SIZE, BLOCK_SIZE + 1, 50_000)
+
+
+@pytest.mark.parametrize("n", _SIZES)
+@pytest.mark.parametrize("op", ["sum", "product"])
+@pytest.mark.parametrize("with_y", [False, True])
+def test_direct_estimate_equals_the_broadcast_counts(n, op, with_y):
+    x, y = (tw.make_model(s) for s in _OPERANDS[op])
+    y = y if with_y else None
+    for grid in _GRIDS[op]:
+        expected = _broadcast_estimate_sf(x, y, op, grid, n, seed=17)
+        for workers in (1, 2):
+            assert tw.estimate_sf(x, y, op, grid, n, seed=17, workers=workers) == expected
+
+
+@pytest.mark.parametrize("n", _SIZES)
+@pytest.mark.parametrize("op", ["sum", "product"])
+def test_conditional_estimate_matches_the_broadcast_sums(n, op):
+    # Only the order of each block's sums changed (pairwise/BLAS against
+    # sequential along the draws), so the values agree to round-off.
+    x, y = (tw.make_model(s) for s in _OPERANDS[op])
+    for grid in _GRIDS[op]:
+        expected = _broadcast_conditional_sf(x, y, op, grid, n, seed=17)
+        runs = [tw.conditional_sf(x, y, op, grid, n, seed=17, workers=w) for w in (1, 2, 8)]
+        assert runs[0] == runs[1] == runs[2]
+        for got, ref in zip(runs[0], expected):
+            assert (got.u, got.n, got.method) == (ref.u, ref.n, ref.method)
+            for field in ("p_hat", "ci_lo", "ci_hi"):
+                assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12)
+
+
+@pytest.mark.parametrize("estimator", [tw.estimate_sf, tw.conditional_sf])
+def test_estimator_memory_does_not_grow_with_the_grid(estimator):
+    x, y = tw.make_model("weibull(1,2)"), tw.make_model("pareto(1,2)")
+
+    def peak(levels):
+        grid = list(np.geomspace(10.0, 1000.0, levels))
+        estimator(x, y, "sum", grid, 50_000, seed=3, workers=1)  # warm caches
+        tracemalloc.start()
+        try:
+            estimator(x, y, "sum", grid, 50_000, seed=3, workers=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) <= 1.25 * peak(1)
 
 
 def test_block_rng_streams_are_stable():
