@@ -9,7 +9,6 @@ from .estimators import (
 )
 from .fbm import (
     fbm_path,
-    fbm_simulate,
     paths_to_csv,
     read_paths_binary,
     two_sided_path,
@@ -38,7 +37,6 @@ __all__ = [
     "pickands_estimate",
     "sup_exceedance_mc",
     "fbm_path",
-    "fbm_simulate",
     "paths_to_csv",
     "read_paths_binary",
     "two_sided_path",

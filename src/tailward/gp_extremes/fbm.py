@@ -22,10 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import EmbeddingFailure, SpecError
-from ..montecarlo import block_rng
 
 __all__ = [
-    "fbm_simulate",
     "fbm_path",
     "two_sided_path",
     "write_paths_binary",
@@ -124,11 +122,6 @@ def fbm_path(
     path[0] = 0.0
     np.cumsum(fgn, out=path[1:])
     return path
-
-
-def fbm_simulate(H: float, n_steps: int, T: float, seed: int) -> np.ndarray:
-    """Single seeded path; stream key (seed, 0)."""
-    return fbm_path(H, n_steps, T, block_rng(seed, 0))
 
 
 def two_sided_path(

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionError, SpecError
+from .errors import AssumptionError, DomainError, SpecError
 from .quadrature import log_quad
 
 __all__ = [
@@ -35,6 +35,17 @@ def _check_positive(**kv):
             raise SpecError(f"{name} must be positive, got {val}")
 
 
+def _log_peak(u: float, alpha: float, K: float) -> float:
+    """K u**alpha, the log-peak both forms factor out, if it is a double."""
+    try:
+        peak = K * u ** alpha
+    except OverflowError:
+        peak = math.inf
+    if not math.isfinite(peak):
+        raise DomainError(f"K*u**alpha overflows a double at u={u} (alpha={alpha}, K={K})")
+    return peak
+
+
 def tail_integral_numeric(
     u: float,
     alpha: float,
@@ -50,7 +61,7 @@ def tail_integral_numeric(
         raise SpecError(f"delta must be nonnegative, got {delta}")
     if delta == 0:
         return -math.inf
-    peak = K * u ** alpha  # integrand maximum sits at z = 0
+    peak = _log_peak(u, alpha, K)  # integrand maximum sits at z = 0
 
     def log_rest(z):
         # K((u+z)^alpha - u^alpha) = K (u+z)^alpha (1 - (1 + z/u)^-alpha),
@@ -82,7 +93,7 @@ def tail_integral_asymptotic(
         -(mu + 1.0) * math.log(K * alpha)
         + math.lgamma(mu + 1.0)
         + (beta - (alpha - 1.0) * (mu + 1.0)) * math.log(u)
-        - K * u ** alpha
+        - _log_peak(u, alpha, K)
     )
 
 

@@ -5,8 +5,15 @@ magnitude: the integrand is supplied as its logarithm and every
 accumulation is a log-sum-exp, so panels contributing below the global
 maximum minus ~745 nats cost nothing instead of underflowing the result.
 
-Refinement is round-based with a fixed subdivision order, which makes the
-result independent of scheduling and bitwise reproducible.
+Panels are the rows of one (panels x 7) float64 table with the columns
+t_lo, t_hi, sign, anchor, log K, log error and final.  A panel covers
+[t_lo, t_hi] in transformed coordinates: sign 0 is the identity map and
+sign +-1 the map x = anchor +- t/(1-t) onto a half-line; final marks a
+panel at floating-point resolution, which is never split again.  Each
+round evaluates its new rows with one integrand call and row-wise
+log-sum-exps, then splits the selected rows by masks into a fixed order:
+kept rows, rows at resolution, then each split row's (lo, hi) halves.  So
+the result does not depend on scheduling and is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -73,75 +80,48 @@ def log1mexp(x: float) -> float:
     return math.log1p(-math.exp(x))
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = np.max(values) if values.size else -math.inf
-    if not np.isfinite(m):
-        return -math.inf if m == -math.inf else float(m)
-    return float(m + np.log(np.sum(np.exp(values - m))))
+# Columns of the panel table (see the module docstring).
+_T_LO, _T_HI, _SIGN, _ANCHOR, _LOG_K, _LOG_ERR, _FINAL = range(7)
 
 
-@dataclass
-class _Panel:
-    # Panel over [t_lo, t_hi] in transformed coordinates; kind selects the
-    # map to the original variable.  ``final`` marks panels at floating
-    # point resolution that must not be selected for splitting again.
-    t_lo: float
-    t_hi: float
-    kind: str  # "ident" | "posinf" | "neginf"
-    anchor: float
-    log_k: float = -math.inf
-    log_g: float = -math.inf
-    log_err: float = -math.inf
-    final: bool = False
+def _row_logsumexp(v: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row of a C-contiguous 2-D array."""
+    m = np.maximum.reduce(v, axis=1)
+    ok = np.isfinite(m)
+    s = np.add.reduce(np.exp(v - np.where(ok, m, 0.0)[:, None]), axis=1)
+    # A row without a finite maximum returns it: -inf when every term is 0.
+    return m + np.log(s, out=np.zeros(len(s)), where=ok)
 
 
-def _map_nodes(panel: _Panel, t: np.ndarray):
-    """Original-variable nodes and log-Jacobian for transformed panels."""
-    if panel.kind == "ident":
-        return t, np.zeros_like(t)
-    if panel.kind == "posinf":
-        # x = anchor + t/(1-t), t in (0, 1)
+def _row_log_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log |exp(a) - exp(b)| elementwise, computed stably."""
+    hi = np.maximum(a, b)
+    # Where both are -inf, lo - 0 keeps d at -inf instead of NaN.
+    d = np.minimum(np.minimum(a, b) - np.where(hi > -np.inf, hi, 0.0), -1e-300)
+    return np.where(a == b, -np.inf, hi + np.log(-np.expm1(d)))
+
+
+def _eval_panels(log_f, pan: np.ndarray) -> None:
+    """Fill the log K and log error columns with one integrand call."""
+    half = (pan[:, _T_HI] - pan[:, _T_LO]) / 2.0
+    xs = ((pan[:, _T_HI] + pan[:, _T_LO]) / 2.0)[:, None] + half[:, None] * _XK
+    sign = pan[:, _SIGN, None]
+    log_jac = 0.0
+    if sign.any():
+        # Identity rows go through the map at t = 0 and keep their own nodes.
+        t = np.where(sign != 0.0, xs, 0.0)
         one_minus = 1.0 - t
-        return panel.anchor + t / one_minus, -2.0 * np.log(one_minus)
-    if panel.kind == "neginf":
-        one_minus = 1.0 - t
-        return panel.anchor - t / one_minus, -2.0 * np.log(one_minus)
-    raise ValueError(panel.kind)
-
-
-def _eval_panels(log_f, panels: list[_Panel]) -> None:
-    """Evaluate all panels with a single vectorized integrand call."""
-    if not panels:
-        return
-    half = np.array([(p.t_hi - p.t_lo) / 2.0 for p in panels])
-    mid = np.array([(p.t_hi + p.t_lo) / 2.0 for p in panels])
-    t_nodes = mid[:, None] + half[:, None] * _XK[None, :]
-    xs = np.empty_like(t_nodes)
-    log_jac = np.empty_like(t_nodes)
-    for i, p in enumerate(panels):
-        xs[i], log_jac[i] = _map_nodes(p, t_nodes[i])
+        log_jac = -2.0 * np.log(one_minus)
+        xs = np.where(sign != 0.0, pan[:, _ANCHOR, None] + sign * (t / one_minus), xs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = np.asarray(log_f(xs.ravel()), dtype=float).reshape(xs.shape)
-        vals = np.where(np.isnan(vals), -np.inf, vals) + log_jac
-    # Non-finite combinations (endpoint overflow in the map, 0 * inf) are
-    # measure-zero artifacts of the transform; drop them.
+        vals = np.asarray(log_f(xs.ravel()), dtype=float).reshape(xs.shape) + log_jac
+    # NaN and non-finite combinations (endpoint overflow in the map, 0 * inf)
+    # are measure-zero artifacts of the transform; drop them.
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     log_half = np.log(half)
-    for i, p in enumerate(panels):
-        row = vals[i]
-        p.log_k = _logsumexp(row + _LOG_WK) + log_half[i]
-        p.log_g = _logsumexp(row[_GAUSS_IDX] + _LOG_WG) + log_half[i]
-        p.log_err = _log_abs_diff(p.log_k, p.log_g)
-
-
-def _log_abs_diff(a: float, b: float) -> float:
-    """log |exp(a) - exp(b)| computed stably."""
-    if a == b:
-        return -math.inf
-    hi, lo = (a, b) if a > b else (b, a)
-    if hi == -math.inf:
-        return -math.inf
-    return hi + math.log(-math.expm1(min(lo - hi, -1e-300)))
+    pan[:, _LOG_K] = _row_logsumexp(vals + _LOG_WK) + log_half
+    log_g = _row_logsumexp(vals[:, _GAUSS_IDX] + _LOG_WG) + log_half
+    pan[:, _LOG_ERR] = _row_log_abs_diff(pan[:, _LOG_K], log_g)
 
 
 @dataclass
@@ -181,50 +161,50 @@ def log_quad_result(
         raise QuadratureFailure(f"reversed integration limits ({a}, {b})")
 
     cuts = sorted({float(c) for c in breakpoints if a < c < b})
-    panels: list[_Panel] = []
-
     finite_lo = a if math.isfinite(a) else (cuts[0] if cuts else (min(b, 0.0) if math.isfinite(b) else 0.0))
     finite_hi = b if math.isfinite(b) else (cuts[-1] if cuts else (max(a, 0.0) if math.isfinite(a) else 0.0))
+    rows = []
     if not math.isfinite(a):
-        panels.append(_Panel(0.0, 1.0, "neginf", finite_lo))
+        rows.append((0.0, 1.0, -1.0, finite_lo))
     if not math.isfinite(b):
-        panels.append(_Panel(0.0, 1.0, "posinf", finite_hi))
+        rows.append((0.0, 1.0, 1.0, finite_hi))
     edges = [finite_lo] + [c for c in cuts if finite_lo < c < finite_hi] + [finite_hi]
-    for lo, hi in zip(edges, edges[1:]):
-        if hi > lo:
-            panels.append(_Panel(lo, hi, "ident", 0.0))
-
-    _eval_panels(log_f, panels)
-    n_nodes = 15 * len(panels)
+    rows.extend((lo, hi, 0.0, 0.0) for lo, hi in zip(edges, edges[1:]) if hi > lo)
+    pan = np.zeros((len(rows), 7))
+    pan[:, :4] = rows
+    _eval_panels(log_f, pan)
+    n_nodes = 15 * len(pan)
     log_rtol = math.log(rtol)
 
     while True:
-        total = _logsumexp(np.array([p.log_k for p in panels]))
-        err = _logsumexp(np.array([p.log_err for p in panels]))
+        # The reductions sum each row in numpy's pairwise order, which holds
+        # only for C-contiguous rows: a strided view such as pan[:, 4:6].T
+        # is summed in another order and changes the last digit.
+        total, err = _row_logsumexp(np.ascontiguousarray(pan[:, _LOG_K:_FINAL].T)).tolist()
         if total == -math.inf:
             return QuadResult(-math.inf, -math.inf, n_nodes, True)
-        if err <= total + log_rtol:
+        # Both tests compare differences: at |total| >~ 1e17, total + log_rtol
+        # rounds back to total and any error would pass.
+        if err - total <= log_rtol:
             return QuadResult(total, err, n_nodes, True)
         # Refine every panel whose error is within a factor ~e^3 of an even
         # share of the error budget; fixed order keeps this deterministic.
-        threshold = total + log_rtol - math.log(len(panels)) - 3.0
-        split, keep = [], []
-        for p in panels:
-            (split if p.log_err > threshold and not p.final else keep).append(p)
-        if not split or n_nodes + 30 * len(split) > max_nodes:
+        threshold = log_rtol - math.log(len(pan)) - 3.0
+        split = (pan[:, _LOG_ERR] - total > threshold) & (pan[:, _FINAL] == 0.0)
+        n_split = np.count_nonzero(split)
+        if not n_split or n_nodes + 30 * n_split > max_nodes:
             return QuadResult(total, err, n_nodes, False)
-        children: list[_Panel] = []
-        for p in split:
-            mid = (p.t_lo + p.t_hi) / 2.0
-            if mid <= p.t_lo or mid >= p.t_hi:
-                p.final = True  # interval at floating-point resolution
-                keep.append(p)
-                continue
-            children.append(_Panel(p.t_lo, mid, p.kind, p.anchor))
-            children.append(_Panel(mid, p.t_hi, p.kind, p.anchor))
-        _eval_panels(log_f, children)
+        parents = pan[split]
+        mid = (parents[:, _T_LO] + parents[:, _T_HI]) / 2.0
+        # An interval at floating-point resolution cannot be halved.
+        final = (mid <= parents[:, _T_LO]) | (mid >= parents[:, _T_HI])
+        parents[final, _FINAL] = 1.0
+        children = np.repeat(parents[~final], 2, axis=0)
+        children[0::2, _T_HI] = children[1::2, _T_LO] = mid[~final]
+        if len(children):
+            _eval_panels(log_f, children)
         n_nodes += 15 * len(children)
-        panels = keep + children
+        pan = np.concatenate([pan[~split], parents[final], children])
 
 
 def log_quad(

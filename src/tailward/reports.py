@@ -69,10 +69,6 @@ class VerifyReport:
             lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "VerifyReport":
-        return VerifyReport(**json.loads(text))
-
 
 def _finite_or_null(value):
     """A JSON-ready copy of ``value`` with every non-finite float set to None."""

@@ -194,9 +194,6 @@ class DistributionModel:
     log_density: Optional[Callable] = field(compare=False, repr=False)
     sampler: Callable = field(compare=False, repr=False)
 
-    def sf(self, u):
-        return np.exp(self.log_sf(u))
-
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return self.sampler(rng, size)
 

@@ -10,7 +10,6 @@ from tailward.errors import EmbeddingFailure, SpecError
 from tailward.gp_extremes import fbm as fbm_module
 from tailward.gp_extremes import (
     fbm_path,
-    fbm_simulate,
     paths_to_csv,
     read_paths_binary,
     two_sided_path,
@@ -84,10 +83,10 @@ def test_power_of_two_required_for_circulant():
             fbm_path(1.0, n_steps, 1.0, block_rng(0, 0))
 
 
-def test_seeded_wrapper_reproduces():
-    a = fbm_simulate(0.6, 64, 1.0, seed=9)
-    b = fbm_simulate(0.6, 64, 1.0, seed=9)
-    c = fbm_simulate(0.6, 64, 1.0, seed=10)
+def test_seeded_path_reproduces():
+    a = fbm_path(0.6, 64, 1.0, block_rng(9, 0))
+    b = fbm_path(0.6, 64, 1.0, block_rng(9, 0))
+    c = fbm_path(0.6, 64, 1.0, block_rng(10, 0))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

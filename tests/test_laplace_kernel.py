@@ -8,7 +8,7 @@ import pytest
 from scipy import special
 
 from tailward import laplace_kernel
-from tailward.errors import AssumptionError, SpecError
+from tailward.errors import AssumptionError, DomainError, SpecError
 from tailward.laplace_kernel import (
     LaplaceProblem,
     laplace_general,
@@ -265,3 +265,14 @@ def test_cross_module_consistency_with_tail_integral():
 
     again = log_quad(log_integrand, 0.0, 1.0, rtol=1e-10)
     assert direct == pytest.approx(again, abs=1e-8)
+
+
+def test_overflowing_peak_is_a_domain_error():
+    # K u^alpha = 1e400 is not a double: both forms name the level instead
+    # of a bare OverflowError from the float power.
+    with pytest.raises(DomainError, match="u=1e\\+200"):
+        tail_integral_numeric(1e200, 2.0, 0.0, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="u=1e\\+200"):
+        tail_integral_asymptotic(1e200, 2.0, 0.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        tail_integral_asymptotic(1e150, 2.0, 0.0, 1.0, 1e20)

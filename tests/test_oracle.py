@@ -179,3 +179,13 @@ def test_extra_product_pair_ratio_window():
     devs = [abs(r - 1) for r in table.ratios()]
     assert devs[-1] < 0.05
     assert devs[-3] >= devs[-2] >= devs[-1]
+
+
+def test_product_power_level_beyond_1e8_is_not_absorbed(weibull12, pareto12):
+    # At u = 1e12 the log value is ~ -1.8e19 on the first panels, where a
+    # stopping test of the form err <= total + log(rtol) passed at once with
+    # a value wrong by that much; the level must match the power tail.
+    tail, claim = tw.product_tail(weibull12, pareto12)
+    assert claim == "product_power"
+    got = sf_product_exact(weibull12, pareto12, 1e12)
+    assert got == pytest.approx(tw.sf_eval(tail, 1e12), abs=1e-6)

@@ -81,3 +81,39 @@ def test_log1mexp_stability():
     assert log1mexp(-1e-18) == pytest.approx(math.log(1e-18), rel=1e-6)
     assert log1mexp(-50.0) == pytest.approx(-math.exp(-50.0), rel=1e-6)
     assert log1mexp(0.0) == -math.inf
+
+
+def test_stopping_test_holds_at_huge_log_values():
+    # At |log value| ~ 1e19, total + log(rtol) rounds back to total, so a
+    # sum-form test would accept any error; the integral is e^-1e19 * ~1e-19.
+    res = log_quad_result(lambda x: -1e19 * (1.0 + x), 0.0, 1.0, rtol=1e-9)
+    assert res.converged
+    assert res.log_value == -1e19
+    assert res.rel_error <= 1e-9
+
+
+# (log_value, log_error, n_nodes, converged) for one integral of each panel
+# mix: both half-line maps, each alone, a one-split-per-round chain and a
+# bounded integral seeded with breakpoints.  Compared with ==: a reduction
+# that sums in another order moves the last digit and fails here.
+PINNED = {
+    "exp-half-line": (lambda x: -x, 0.0, math.inf, {},
+                      (-2.6645352591003757e-15, -25.828064440396826, 225, True)),
+    "normal-full-line": (lambda x: -0.5 * np.log(2 * np.pi) - x * x / 2.0,
+                         -math.inf, math.inf, {},
+                         (-2.6645352591003757e-15, -28.35606242635742, 510, True)),
+    "exp-negative-half-line": (lambda x: x, -math.inf, 0.0, {},
+                               (-2.6645352591003757e-15, -25.828064440396826, 225, True)),
+    "power-2.5-chain": (lambda x: -2.5 * np.log(x), 1.0, math.inf, {"rtol": 1e-9},
+                        (-0.4054651080809392, -21.880683476582035, 405, True)),
+    "sqrt-kink-breakpoints": (lambda x: 0.5 * np.log(np.abs(x - 1.0)) - x, 0.0, 4.0,
+                              {"breakpoints": [1.0, 2.5]},
+                              (-0.28560759525775803, -23.914871951097435, 975, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_results_are_pinned_to_the_bit(name):
+    log_f, a, b, kwargs, expected = PINNED[name]
+    res = log_quad_result(log_f, a, b, **kwargs)
+    assert (res.log_value, res.log_error, res.n_nodes, res.converged) == expected

