@@ -29,6 +29,7 @@ from .tail_model import (
     EdgePower,
     PowerTail,
     WeibullType,
+    _heavy_first,
     moment,
     power_order,
 )
@@ -130,7 +131,7 @@ def _require_positive(model: DistributionModel) -> None:
 def _heavier_first(
     x: DistributionModel, y: DistributionModel, op: str
 ) -> tuple[DistributionModel, DistributionModel]:
-    """(heavy, light): the law of smaller power order first."""
+    """(heavy, light) by ``tail_model._heavy_first``; a tie has no closed form."""
     # One comparison decides (A), (B), (C_alpha) and (D_alpha) on these
     # families.  Let f be the lighter tail, of power order b, and g the
     # heavier, of order a < b (a power, since a is finite).  The witness
@@ -156,7 +157,7 @@ def _heavier_first(
             f"equal power exponents {ox}: neither tail dominates the other "
             f"and no closed form applies"
         )
-    return (x, y) if ox < oy else (y, x)
+    return _heavy_first(x, y)
 
 
 def sum_tail(x: DistributionModel, y: DistributionModel) -> tuple[AsymptoticTail, str]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .tail_model import DistributionModel, power_order
+from .tail_model import DistributionModel, _heavy_first
 
 __all__ = [
     "TailEstimate",
@@ -144,11 +144,6 @@ def estimate_sf(
         lo, hi = wilson_interval(int(k), n)
         out.append(TailEstimate(float(u), k / n, lo, hi, n, "direct"))
     return out
-
-
-def _heavy_first(x: DistributionModel, y: DistributionModel):
-    """(exact, sampled): the operand of smaller power order first, X on a tie."""
-    return (y, x) if power_order(y) < power_order(x) else (x, y)
 
 
 def conditional_sf(

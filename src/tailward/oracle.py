@@ -1,14 +1,15 @@
 """Ground-truth survival functions for X+Y and X*Y via conditioning.
 
 For independent X, Y the survival function of the sum is E SF_X(u - Y) and
-that of the product (for positive variables) is E SF_X(u / Y); both are
-computed by adaptive log-space quadrature against Y's density, so the
-result stays accurate even when SF_X underflows by thousands of orders of
-magnitude across the integration range.
+that of the product (for positive variables) is E SF_X(u / Y), with X the
+heavier law by ``tail_model._heavy_first``: SF_X is exact at any level,
+while a heavy Y would put its mass near u, beyond the panels' reach at
+u ~ 1e300.  Adaptive log-space quadrature against Y's density, with panel
+edges at every decade where SF_Y moves, sees Y's mass at any level and
+stays accurate while SF_X underflows by thousands of orders of magnitude.
 
 Where SF_X saturates at 1 (arguments below X's support) the remaining mass
-is exactly Y's own survival function and is added analytically instead of
-being integrated; that keeps heavy-tailed conditioning laws cheap and
+is exactly Y's own survival function and is added analytically; that
 removes the endpoint singularity the infinite-range transform would
 otherwise create.
 
@@ -33,12 +34,14 @@ from .tail_model import (
     DistributionModel,
     RatioRow,
     RatioTable,
+    _heavy_first,
     sf_eval,
 )
 
 __all__ = ["log_mixture", "sf_sum_exact", "sf_product_exact", "ratio_table"]
 
 _RTOL = 1e-9
+_DECADES = np.outer((-1.0, 1.0), 10.0 ** np.arange(-300, 301)).ravel()
 
 
 def log_mixture(law: DistributionModel, log_kernel, lo: float, hi: float,
@@ -75,15 +78,21 @@ def _upper_mass(y: DistributionModel, edge: float) -> float:
     return float(y.log_sf(edge)) if edge < y.support[1] else -math.inf
 
 
+def _mass_decades(y: DistributionModel) -> np.ndarray:
+    # Panel edges at every decade +-10**k where log SF_Y lies in (-745, -1e-3).
+    with np.errstate(all="ignore"):
+        log_sf = np.asarray(y.log_sf(_DECADES))
+    return _DECADES[(log_sf > -745.0) & (log_sf < -1e-3)]
+
+
 def sf_sum_exact(x: DistributionModel, y: DistributionModel, u: float,
                  rtol: float = _RTOL) -> float:
-    """log P(X + Y > u) = log E SF_X(u - Y) by quadrature over Y's law."""
-    if x.support[0] == x.support[1]:  # a point mass is conditioned on
-        x, y = y, x
+    """log P(X + Y > u) = log E SF_X(u - Y), Y the lighter law."""
+    x, y = _heavy_first(x, y)
     # SF_X(u - yy) is 0 for yy <= u - x_hi and 1 for yy >= u - x_lo.
     x_lo, x_hi = x.support
     return log_mixture(y, lambda yy: x.log_sf(u - yy), u - x_hi, u - x_lo,
-                       _upper_mass(y, u - x_lo), rtol)
+                       _upper_mass(y, u - x_lo), rtol, _mass_decades(y))
 
 
 def sf_product_exact(x: DistributionModel, y: DistributionModel, u: float,
@@ -97,13 +106,13 @@ def sf_product_exact(x: DistributionModel, y: DistributionModel, u: float,
                 f"product oracle needs positive supports, {m.family} has "
                 f"{m.support}"
             )
-    if x.support[0] == x.support[1]:  # a point mass is conditioned on
-        x, y = y, x
+    x, y = _heavy_first(x, y)
     # SF_X(u / yy) is 0 for yy <= u / x_hi and 1 for yy >= u / x_lo (x_lo > 0).
     x_lo, x_hi = x.support
     edge = u / x_lo if x_lo > 0.0 else math.inf
     return log_mixture(y, lambda yy: x.log_sf(u / np.maximum(yy, 1e-320)),
-                       u / x_hi, edge, _upper_mass(y, edge), rtol)
+                       u / x_hi if x_hi > 0.0 else math.inf, edge,
+                       _upper_mass(y, edge), rtol, _mass_decades(y))
 
 
 def ratio_table(
@@ -119,38 +128,22 @@ def ratio_table(
     Rows where the oracle fails are marked and kept; a verification report
     never loses its remaining rows to one bad level.
     """
-    if op == "sum":
-        oracle = sf_sum_exact
-    elif op == "product":
-        oracle = sf_product_exact
-    else:
+    oracle = {"sum": sf_sum_exact, "product": sf_product_exact}.get(op)
+    if oracle is None:
         raise DomainError(f"unknown oracle op {op!r}")
     grid = [float(g) for g in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
     rows = []
     for u in grid:
-        log_h = sf_eval(predicted, u)
+        log_h = log_sf = math.nan
+        status = "ok"
         try:
+            log_h = sf_eval(predicted, u)
             log_sf = oracle(x, y, u, rtol=rtol)
-            rows.append(
-                RatioRow(
-                    u=u,
-                    log_sf_exact=log_sf,
-                    log_h=log_h,
-                    ratio=math.exp(log_sf - log_h),
-                    method="quadrature",
-                )
-            )
         except TailwardError as exc:
-            rows.append(
-                RatioRow(
-                    u=u,
-                    log_sf_exact=math.nan,
-                    log_h=log_h,
-                    ratio=math.nan,
-                    method="quadrature",
-                    status=f"failed: {exc}",
-                )
-            )
+            status = f"failed: {exc}"
+        rows.append(RatioRow(u=u, log_sf_exact=log_sf, log_h=log_h,
+                             ratio=math.exp(log_sf - log_h), method="quadrature",
+                             status=status))
     return RatioTable(tuple(rows))

@@ -96,10 +96,12 @@ def recompute_pass(report: VerifyReport | dict) -> bool:
     rule = data["rule"]
     rows = data["rows"]
     kind = rule["type"]
-    if kind == "ratio_window":
+    if kind in ("ratio_window", "ratio_at_point"):
         ratios = [r["ratio"] for r in rows if r.get("status", "ok") == "ok"]
         if len(ratios) < len(rows) or not ratios:
             return False
+        if kind == "ratio_at_point":
+            return all(rule["lo"] <= r <= rule["hi"] for r in ratios)
         devs = [abs(r - 1.0) for r in ratios]
         last = rule.get("nonincreasing_last", 0)
         ok = devs[-1] < rule["tol"]
@@ -107,11 +109,6 @@ def recompute_pass(report: VerifyReport | dict) -> bool:
             window = devs[-last:]
             ok = ok and all(a >= b - 1e-15 for a, b in zip(window, window[1:]))
         return ok
-    if kind == "ratio_at_point":
-        ratios = [r["ratio"] for r in rows if r.get("status", "ok") == "ok"]
-        if len(ratios) < len(rows) or not ratios:
-            return False
-        return all(rule["lo"] <= r <= rule["hi"] for r in ratios)
     if kind == "ci_covers_reference":
         # CI must reach the reference shrunk by a one-sided allowance for
         # grid bias, without the estimate exceeding reference + CI width.

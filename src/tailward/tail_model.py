@@ -98,31 +98,35 @@ AsymptoticTail = PowerTail | WeibullType | EdgePower
 def sf_eval(tail: AsymptoticTail, u: float) -> float:
     """Log of the asymptotic tail form at u, exact in log-space.
 
-    Raises DomainError outside the variant's valid region instead of
-    silently returning 0 or -inf.
+    Raises DomainError outside the variant's valid region, or where the
+    log tail is not a finite double, instead of returning 0, -inf or inf.
     """
     if isinstance(tail, PowerTail):
         if u <= 0:
             raise DomainError(f"power tail defined for u > 0, got u={u}")
-        return math.log(tail.C) - tail.alpha * math.log(u)
-    if isinstance(tail, WeibullType):
+        value = math.log(tail.C) - tail.alpha * math.log(u)
+    elif isinstance(tail, WeibullType):
         if u <= tail.shift or u <= 0:
             raise DomainError(
                 f"weibull-type tail defined for u > max(shift, 0) = "
                 f"{max(tail.shift, 0.0)}, got u={u}"
             )
-        return (
-            math.log(tail.C)
-            + tail.rho * math.log(u)
-            - tail.K * (u - tail.shift) ** tail.alpha
-        )
-    if isinstance(tail, EdgePower):
+        try:
+            decay = tail.K * (u - tail.shift) ** tail.alpha
+        except OverflowError:
+            decay = math.inf
+        value = math.log(tail.C) + tail.rho * math.log(u) - decay
+    elif isinstance(tail, EdgePower):
         if u >= tail.sigma:
             raise DomainError(
                 f"edge tail defined for u < sigma={tail.sigma}, got u={u}"
             )
-        return math.log(tail.C) + tail.mu * math.log(tail.sigma - u)
-    raise SpecError(f"not an asymptotic tail: {tail!r}")
+        value = math.log(tail.C) + tail.mu * math.log(tail.sigma - u)
+    else:
+        raise SpecError(f"not an asymptotic tail: {tail!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"log tail at u={u} is not a finite double")
+    return value
 
 
 def power_substitute(tail: AsymptoticTail, p: float) -> AsymptoticTail:
@@ -218,7 +222,8 @@ def _make_weibull(K: float, alpha: float) -> DistributionModel:
 
     def log_sf(u):
         x = _as_array(u)
-        out = np.where(x > 0, -K * np.maximum(x, 0.0) ** alpha, 0.0)
+        with np.errstate(over="ignore"):  # -inf far out
+            out = np.where(x > 0, -K * np.maximum(x, 0.0) ** alpha, 0.0)
         return _scalar_like(u, out)
 
     def log_density(u):
@@ -475,6 +480,14 @@ def power_order(model: DistributionModel) -> float:
     if isinstance(tail, WeibullType) or model.support[1] < math.inf or model.family == "lognormal":
         return math.inf
     raise SpecError(f"no power order for model {model.family!r}")
+
+
+def _heavy_first(x: DistributionModel, y: DistributionModel):
+    """(heavy, light): the smaller power order first, X on a tie; the one operand rule."""
+    try:
+        return (y, x) if power_order(y) < power_order(x) else (x, y)
+    except SpecError:  # a law without a power order keeps the caller's order
+        return x, y
 
 
 def moment(model: DistributionModel, alpha: float) -> float:

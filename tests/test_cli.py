@@ -95,6 +95,33 @@ def test_adhoc_verify_is_the_fixture_report(capsys, op, x, y):
         assert adhoc[key] == fixture[key], key
 
 
+@pytest.mark.parametrize("op,x,level", [
+    ("product", "lognormal(0,1)", "1e300"),
+    ("product", "weibull(1,2)", "1e16"),
+    ("sum", "weibull(1,0.5)", "1e12"),
+])
+def test_adhoc_verify_far_out_power_levels_pass(capsys, validate, op, x, level):
+    # The referee once returned a converged 0 (ratio 0.0), a converged 7% of
+    # the tail, or a failed row at these levels, and the check exited 1.
+    code, out, err = _run(capsys, "verify", op, "--x", x, "--y", "pareto(1,2)", "--grid", level)
+    assert code == cli.EXIT_OK, err
+    data = json.loads(out)
+    validate(data, "report")
+    assert data["rows"][0]["ratio"] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("op,y,level", [
+    ("sum", "edge(0,1)", "1e200"),
+    ("product", "edge(2,1)", "1e308"),
+])
+def test_adhoc_verify_tail_beyond_the_doubles_is_a_failed_row(capsys, validate, op, y, level):
+    code, out, err = _run(capsys, "verify", op, "--x", "weibull(1,2)", "--y", y, "--grid", level)
+    assert code == cli.EXIT_CHECK_FAILED and "Traceback" not in err
+    data = json.loads(out)
+    validate(data, "report")
+    assert data["rows"][0]["status"].startswith("failed:")
+
+
 def test_bad_grid_exits_two(capsys):
     code, out, err = _run(capsys, "verify", "sum", "--x", "weibull(1,2)", "--y", "edge(0,1)",
                           "--grid", "a:b:1")

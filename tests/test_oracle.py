@@ -8,8 +8,8 @@ from scipy import special
 
 import tailward as tw
 from tailward import oracle
-from tailward.errors import DomainError, Unsupported
-from tailward.gp_extremes import bm_exact_oracle
+from tailward.errors import DomainError, QuadratureFailure, Unsupported
+from tailward.gp_extremes import bm_exact_oracle, negate_model
 from tailward.montecarlo import wilson_interval
 from tailward.oracle import ratio_table, sf_product_exact, sf_sum_exact
 
@@ -46,6 +46,29 @@ def test_product_with_constant_is_a_scaling(weibull12):
 def test_product_constant_times_power(pareto12):
     one = tw.make_model("constant(1)")
     assert sf_product_exact(one, pareto12, 10.0) == pytest.approx(math.log(1e-2), rel=1e-12)
+
+
+@pytest.mark.parametrize("op,a,b,u,expected", [
+    ("product", "constant(0)", "weibull(1,2)", 1.0, -math.inf),
+    ("product", "constant(3)", "weibull(1,2)", 10.0, -11.111111111111112),
+    ("sum", "constant(3)", "weibull(1,2)", 10.0, -49.0),
+    ("product", "constant(2)", "pareto(1,2)", 100.0, -7.824046010856292),
+    ("sum", "constant(2)", "constant(3)", 4.0, 0.0),
+    ("product", "constant(2)", "constant(3)", 4.0, 0.0),
+])
+def test_point_masses_are_exact_in_both_orders(op, a, b, u, expected):
+    # The values of the point-mass swap the one operand rule replaced.
+    f = sf_sum_exact if op == "sum" else sf_product_exact
+    x, y = tw.make_model(a), tw.make_model(b)
+    assert f(x, y, u) == expected
+    assert f(y, x, u) == expected
+
+
+def test_laws_without_a_power_order_keep_the_callers_order(weibull12):
+    # The negated normal has no declared tail and an unbounded support.
+    low = negate_model(tw.make_model("normal()"))
+    assert sf_sum_exact(weibull12, low, 3.0) == pytest.approx(-3.5439907218769977, rel=1e-9)
+    assert sf_sum_exact(low, weibull12, 3.0) == pytest.approx(-3.5439907218769977, rel=1e-9)
 
 
 def test_product_needs_positive_supports(edge01, weibull12):
@@ -152,6 +175,15 @@ def test_ratio_table_requires_increasing_grid(weibull12, edge01):
         ratio_table(weibull12, edge01, "sum", weibull12.tail, [4.0, 4.0])
 
 
+def test_ratio_table_marks_a_tail_that_overflows_as_a_failed_row(weibull12, edge01):
+    pred = tw.sum_tail(weibull12, edge01)[0]
+    table = ratio_table(weibull12, edge01, "sum", pred, [4.0, 1e200])
+    ok, failed = table.rows
+    assert ok.status == "ok"
+    assert failed.status.startswith("failed: ") and "u=1e+200" in failed.status
+    assert math.isnan(failed.ratio) and math.isnan(failed.log_h)
+
+
 def test_ratio_table_marks_failed_rows_and_keeps_going(lognormal01, edge01):
     # Product with a negative-support factor fails per-row, not wholesale.
     pred = tw.PowerTail(1, 2)
@@ -189,3 +221,46 @@ def test_product_power_level_beyond_1e8_is_not_absorbed(weibull12, pareto12):
     assert claim == "product_power"
     got = sf_product_exact(weibull12, pareto12, 1e12)
     assert got == pytest.approx(tw.sf_eval(tail, 1e12), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Exact identities at every scale, in both operand orders
+# ---------------------------------------------------------------------------
+
+_IDENTITY_X = ("weibull(1,2)", "weibull(1,0.5)", "weibull(3,1)", "lognormal(0,1)",
+               "lognormal(1,2)", "edge(2,1)", "edge(2,0.5)", "constant(3)")
+
+
+@pytest.mark.parametrize("ys", ["pareto(1,2)", "pareto(1,0.5)", "pareto(4,3)"])
+def test_product_with_a_pareto_factor_meets_its_identity(ys):
+    # For Y ~ pareto(C, alpha) and X <= u * C**(-1/alpha), P(XY > u) is
+    # exactly C * E[X**alpha] * u**(-alpha); an unbounded X only adds its
+    # mass above that bound, negligible here except for lognormal(1,2) at
+    # u = 1e4, where it moves the identity by up to 3.6 nats.  A level may
+    # refuse, never return a wrong converged value.
+    y = tw.make_model(ys)
+    c, alpha = y.params["C"], y.params["alpha"]
+    for xs in _IDENTITY_X:
+        x = tw.make_model(xs)
+        log_coef = math.log(c) + math.log(tw.moment(x, alpha))
+        for u in (1e4, 1e12, 1e50, 1e300):
+            if xs == "lognormal(1,2)" and u == 1e4:
+                continue
+            for a, b in ((x, y), (y, x)):
+                try:
+                    got = sf_product_exact(a, b, u)
+                except QuadratureFailure:
+                    continue
+                assert got == pytest.approx(log_coef - alpha * math.log(u), abs=1e-7), (
+                    a.family, b.family, u)
+
+
+@pytest.mark.parametrize("xs", ["weibull(1,2)", "weibull(1,0.5)"])
+def test_sum_with_a_pareto_term_meets_the_dominant_tail(xs, pareto12):
+    x = tw.make_model(xs)
+    tail, claim = tw.sum_tail(x, pareto12)
+    assert claim == "sum_dominant"
+    for u in (1e12, 1e50, 1e300):
+        for a, b in ((x, pareto12), (pareto12, x)):
+            got = sf_sum_exact(a, b, u)
+            assert got == pytest.approx(tw.sf_eval(tail, u), abs=1e-8), (a.family, u)

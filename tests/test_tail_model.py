@@ -52,6 +52,7 @@ def test_sf_eval_edge():
         (tw.WeibullType(1, 0, 1, 2, 1.0), 0.5),
         (tw.EdgePower(1, 2, 1), 2.0),
         (tw.EdgePower(1, 2, 1), 5.0),
+        (tw.WeibullType(1, 0, 1, 2, 0), 1e200),  # (1e200)**2 overflows a float
     ],
 )
 def test_sf_eval_domain_errors(tail, u):
