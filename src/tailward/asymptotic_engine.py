@@ -20,6 +20,7 @@ import math
 from .errors import (
     AssumptionError,
     ConditionError,
+    DomainError,
     SpecError,
     Unsupported,
 )
@@ -44,6 +45,22 @@ __all__ = [
 ]
 
 
+def _positive_double(name: str, compute) -> float:
+    """compute(), a constant of a combined tail, if it is a positive finite double.
+
+    Inputs that fit in doubles can combine to a constant that does not: a
+    power overflows (raising) or underflows to 0, and 0 * inf gives NaN.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} of the combined tail is not a positive finite "
+                          f"double (got {value!r})")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Sum
 # ---------------------------------------------------------------------------
@@ -62,7 +79,8 @@ def sum_mixed_tail(x: WeibullType, y: EdgePower) -> WeibullType:
         )
     if x.shift != 0.0:
         raise AssumptionError("sum_mixed_tail requires an unshifted first tail")
-    c = x.C * y.C * (x.K * x.alpha) ** (-y.mu) * math.gamma(y.mu + 1.0)
+    c = _positive_double("sum_mixed_tail: constant C", lambda: (
+        x.C * y.C * (x.K * x.alpha) ** (-y.mu) * math.gamma(y.mu + 1.0)))
     rho = y.mu + x.rho - x.alpha * y.mu
     return WeibullType(c, rho, x.K, x.alpha, y.sigma)
 
@@ -85,15 +103,16 @@ def product_mixed_tail(x: WeibullType, y: EdgePower) -> WeibullType:
         )
     if x.shift != 0.0:
         raise AssumptionError("product_mixed_tail requires an unshifted first tail")
-    c = (
+    c = _positive_double("product_mixed_tail: constant C", lambda: (
         x.C
         * y.C
         * math.gamma(y.mu + 1.0)
         * y.sigma ** (x.alpha * y.mu + y.mu - x.rho)
         * (x.K * x.alpha) ** (-y.mu)
-    )
+    ))
     rho = x.rho - x.alpha * y.mu
-    k = x.K * y.sigma ** (-x.alpha)
+    k = _positive_double("product_mixed_tail: rate K",
+                         lambda: x.K * y.sigma ** (-x.alpha))
     return WeibullType(c, rho, k, x.alpha, 0.0)
 
 

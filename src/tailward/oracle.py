@@ -7,6 +7,8 @@ while a heavy Y would put its mass near u, beyond the panels' reach at
 u ~ 1e300.  Adaptive log-space quadrature against Y's density, with panel
 edges at every decade where SF_Y moves, sees Y's mass at any level and
 stays accurate while SF_X underflows by thousands of orders of magnitude.
+The decades are seeded only inside the integration interval: SF_Y is
+evaluated at no decade the quadrature would drop.
 
 Where SF_X saturates at 1 (arguments below X's support) the remaining mass
 is exactly Y's own survival function and is added analytically; that
@@ -78,11 +80,15 @@ def _upper_mass(y: DistributionModel, edge: float) -> float:
     return float(y.log_sf(edge)) if edge < y.support[1] else -math.inf
 
 
-def _mass_decades(y: DistributionModel) -> np.ndarray:
-    # Panel edges at every decade +-10**k where log SF_Y lies in (-745, -1e-3).
+def _mass_decades(y: DistributionModel, lo: float, hi: float) -> np.ndarray:
+    # Panel edges at every decade +-10**k inside (lo, hi) and Y's support
+    # where log SF_Y lies in (-745, -1e-3); cuts outside (lo, hi) would be
+    # dropped by the quadrature, so SF_Y is not evaluated there.
+    lo, hi = max(lo, y.support[0]), min(hi, y.support[1])
+    decades = _DECADES[(_DECADES > lo) & (_DECADES < hi)]
     with np.errstate(all="ignore"):
-        log_sf = np.asarray(y.log_sf(_DECADES))
-    return _DECADES[(log_sf > -745.0) & (log_sf < -1e-3)]
+        log_sf = np.asarray(y.log_sf(decades))
+    return decades[(log_sf > -745.0) & (log_sf < -1e-3)]
 
 
 def sf_sum_exact(x: DistributionModel, y: DistributionModel, u: float,
@@ -91,8 +97,9 @@ def sf_sum_exact(x: DistributionModel, y: DistributionModel, u: float,
     x, y = _heavy_first(x, y)
     # SF_X(u - yy) is 0 for yy <= u - x_hi and 1 for yy >= u - x_lo.
     x_lo, x_hi = x.support
-    return log_mixture(y, lambda yy: x.log_sf(u - yy), u - x_hi, u - x_lo,
-                       _upper_mass(y, u - x_lo), rtol, _mass_decades(y))
+    lo, hi = u - x_hi, u - x_lo
+    return log_mixture(y, lambda yy: x.log_sf(u - yy), lo, hi,
+                       _upper_mass(y, hi), rtol, _mass_decades(y, lo, hi))
 
 
 def sf_product_exact(x: DistributionModel, y: DistributionModel, u: float,
@@ -109,10 +116,10 @@ def sf_product_exact(x: DistributionModel, y: DistributionModel, u: float,
     x, y = _heavy_first(x, y)
     # SF_X(u / yy) is 0 for yy <= u / x_hi and 1 for yy >= u / x_lo (x_lo > 0).
     x_lo, x_hi = x.support
-    edge = u / x_lo if x_lo > 0.0 else math.inf
-    return log_mixture(y, lambda yy: x.log_sf(u / np.maximum(yy, 1e-320)),
-                       u / x_hi if x_hi > 0.0 else math.inf, edge,
-                       _upper_mass(y, edge), rtol, _mass_decades(y))
+    lo = u / x_hi if x_hi > 0.0 else math.inf
+    hi = u / x_lo if x_lo > 0.0 else math.inf
+    return log_mixture(y, lambda yy: x.log_sf(u / np.maximum(yy, 1e-320)), lo, hi,
+                       _upper_mass(y, hi), rtol, _mass_decades(y, lo, hi))
 
 
 def ratio_table(

@@ -152,26 +152,32 @@ def log_quad_result(
     ``log_f`` must accept a numpy array and return elementwise logs (-inf
     where the integrand vanishes).  Infinite endpoints are mapped onto
     (0, 1) with the rational substitution x = anchor +- t/(1-t).
-    ``breakpoints`` are interior locations (support edges, kinks) used to
-    seed the initial panel set.
+    ``breakpoints`` (any iterable or array of numbers) are interior
+    locations (support edges, kinks) that seed the initial panel set;
+    points outside the open interval (a, b) and repeats are dropped.
     """
     if a == b:
         return QuadResult(-math.inf, -math.inf, 0, True)
     if a > b:
         raise QuadratureFailure(f"reversed integration limits ({a}, {b})")
 
-    cuts = sorted({float(c) for c in breakpoints if a < c < b})
-    finite_lo = a if math.isfinite(a) else (cuts[0] if cuts else (min(b, 0.0) if math.isfinite(b) else 0.0))
-    finite_hi = b if math.isfinite(b) else (cuts[-1] if cuts else (max(a, 0.0) if math.isfinite(a) else 0.0))
+    cuts = np.asarray(breakpoints if isinstance(breakpoints, np.ndarray)
+                      else list(breakpoints), dtype=float)
+    cuts = np.sort(cuts[(cuts > a) & (cuts < b)])
+    finite_lo = a if math.isfinite(a) else (float(cuts[0]) if len(cuts) else (min(b, 0.0) if math.isfinite(b) else 0.0))
+    finite_hi = b if math.isfinite(b) else (float(cuts[-1]) if len(cuts) else (max(a, 0.0) if math.isfinite(a) else 0.0))
     rows = []
     if not math.isfinite(a):
         rows.append((0.0, 1.0, -1.0, finite_lo))
     if not math.isfinite(b):
         rows.append((0.0, 1.0, 1.0, finite_hi))
-    edges = [finite_lo] + [c for c in cuts if finite_lo < c < finite_hi] + [finite_hi]
-    rows.extend((lo, hi, 0.0, 0.0) for lo, hi in zip(edges, edges[1:]) if hi > lo)
-    pan = np.zeros((len(rows), 7))
-    pan[:, :4] = rows
+    edges = np.concatenate(([finite_lo], cuts, [finite_hi]))
+    keep = edges[1:] > edges[:-1]  # drops repeated cuts and empty panels
+    pan = np.zeros((len(rows) + np.count_nonzero(keep), 7))
+    if rows:
+        pan[:len(rows), :4] = rows
+    pan[len(rows):, _T_LO] = edges[:-1][keep]
+    pan[len(rows):, _T_HI] = edges[1:][keep]
     _eval_panels(log_f, pan)
     n_nodes = 15 * len(pan)
     log_rtol = math.log(rtol)

@@ -122,6 +122,20 @@ def test_adhoc_verify_tail_beyond_the_doubles_is_a_failed_row(capsys, validate, 
     assert data["rows"][0]["status"].startswith("failed:")
 
 
+@pytest.mark.parametrize("op,x,y,constant", [
+    ("product", "weibull(1,1e300)", "edge(2,1)", "constant C"),
+    ("product", "weibull(1e-300,2)", "edge(1e300,1)", "constant C"),
+    ("product", "weibull(1e-300,2)", "edge(1e100,0.001)", "rate K"),
+    ("sum", "weibull(1e300,2)", "edge(1e300,3)", "constant C"),
+])
+def test_mixed_tail_constant_beyond_the_doubles_exits_two(capsys, op, x, y, constant):
+    # The inputs fit in doubles, the combined tail's constant does not: it
+    # once ended in an OverflowError traceback or blamed the user's C=0.0.
+    code, out, err = _run(capsys, "tail", op, "--x", x, "--y", y)
+    assert code == cli.EXIT_SPEC and out == "" and "Traceback" not in err
+    assert f"{op}_mixed_tail: {constant} of the combined tail" in err
+
+
 def test_bad_grid_exits_two(capsys):
     code, out, err = _run(capsys, "verify", "sum", "--x", "weibull(1,2)", "--y", "edge(0,1)",
                           "--grid", "a:b:1")

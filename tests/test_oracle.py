@@ -153,6 +153,29 @@ def test_empty_interval_returns_the_saturated_mass(edge01, monkeypatch):
     assert sf_sum_exact(edge01, edge01, -2.5) == 0.0
 
 
+_LAWS = ("weibull(1,2)", "weibull(1,0.5)", "pareto(1,2)", "pareto(1,3)", "edge(0,1)",
+         "edge(2,1)", "lognormal(0,1)", "normal", "constant(1)", "constant(0)")
+
+
+@pytest.mark.parametrize("spec", _LAWS)
+def test_mass_decades_are_the_full_grid_rule_cut_to_the_interval(spec):
+    # The decades that seed the panels: every +-10**k where log SF_Y lies in
+    # (-745, -1e-3), kept inside the open interval cut to Y's support.
+    y = tw.make_model(spec)
+    with np.errstate(all="ignore"):
+        log_sf = np.asarray(y.log_sf(oracle._DECADES))
+    full = oracle._DECADES[(log_sf > -745.0) & (log_sf < -1e-3)]
+    intervals = [(0.5, 1e4), (-3.0, 2.0), (1e-3, 1e300),           # finite
+                 (-math.inf, 10.0), (2.0, math.inf), (-math.inf, math.inf),  # lines
+                 (5.0, 5.0), (7.0, 3.0),                            # empty
+                 (-1e10, -2.0), (3.0, 1e10)]                        # out of support
+    for lo, hi in intervals:
+        cut_lo, cut_hi = max(lo, y.support[0]), min(hi, y.support[1])
+        expected = full[(full > cut_lo) & (full < cut_hi)]
+        got = oracle._mass_decades(y, lo, hi)
+        assert got.tolist() == expected.tolist(), (lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # ratio_table
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Log-space adaptive quadrature against closed-form integrals."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from tailward import make_model
 from tailward.errors import QuadratureFailure
+from tailward.oracle import sf_product_exact, sf_sum_exact
 from tailward.quadrature import log1mexp, log_quad, log_quad_result, logsumexp_pair
 
 
@@ -92,28 +95,82 @@ def test_stopping_test_holds_at_huge_log_values():
     assert res.rel_error <= 1e-9
 
 
+def _quad(log_f, a, b, **kwargs):
+    res = log_quad_result(log_f, a, b, **kwargs)
+    return res.log_value, res.log_error, res.n_nodes, res.converged
+
+
+def _sqrt_kink(x):
+    return 0.5 * np.log(np.abs(x - 1.0)) - x
+
+
+def _normal(x):
+    return -0.5 * np.log(2 * np.pi) - x * x / 2.0
+
+
+_LOGNORMAL, _PARETO = make_model("lognormal(0,1)"), make_model("pareto(1,2)")
+_WEIBULL = make_model("weibull(1,2)")
+
 # (log_value, log_error, n_nodes, converged) for one integral of each panel
-# mix: both half-line maps, each alone, a one-split-per-round chain and a
-# bounded integral seeded with breakpoints.  Compared with ==: a reduction
-# that sums in another order moves the last digit and fails here.
+# mix: both half-line maps, each alone, a one-split-per-round chain, bounded
+# integrals seeded with breakpoints (repeated, outside the interval, at its
+# ends, none at all) and both lines with cuts; then one oracle level of each
+# flat benchmark pair, whose seeding cuts its decades to the interval.
+# Compared with ==: a reduction that sums in another order, or a seeding
+# that keeps another set of cuts, moves the last digit and fails here.
 PINNED = {
-    "exp-half-line": (lambda x: -x, 0.0, math.inf, {},
+    "exp-half-line": (partial(_quad, lambda x: -x, 0.0, math.inf),
                       (-2.6645352591003757e-15, -25.828064440396826, 225, True)),
-    "normal-full-line": (lambda x: -0.5 * np.log(2 * np.pi) - x * x / 2.0,
-                         -math.inf, math.inf, {},
+    "normal-full-line": (partial(_quad, _normal, -math.inf, math.inf),
                          (-2.6645352591003757e-15, -28.35606242635742, 510, True)),
-    "exp-negative-half-line": (lambda x: x, -math.inf, 0.0, {},
+    "exp-negative-half-line": (partial(_quad, lambda x: x, -math.inf, 0.0),
                                (-2.6645352591003757e-15, -25.828064440396826, 225, True)),
-    "power-2.5-chain": (lambda x: -2.5 * np.log(x), 1.0, math.inf, {"rtol": 1e-9},
+    "power-2.5-chain": (partial(_quad, lambda x: -2.5 * np.log(x), 1.0, math.inf, rtol=1e-9),
                         (-0.4054651080809392, -21.880683476582035, 405, True)),
-    "sqrt-kink-breakpoints": (lambda x: 0.5 * np.log(np.abs(x - 1.0)) - x, 0.0, 4.0,
-                              {"breakpoints": [1.0, 2.5]},
+    "sqrt-kink-breakpoints": (partial(_quad, _sqrt_kink, 0.0, 4.0, breakpoints=[1.0, 2.5]),
                               (-0.28560759525775803, -23.914871951097435, 975, True)),
+    "duplicate-breakpoints": (
+        partial(_quad, _sqrt_kink, 0.0, 4.0, breakpoints=[2.5, 1.0, 2.5, 1.0, 1.0]),
+        (-0.28560759525775803, -23.914871951097435, 975, True)),
+    "breakpoints-outside-and-at-ends": (
+        partial(_quad, _sqrt_kink, 0.0, 4.0,
+                breakpoints=[-3.0, 0.0, 1.0, 4.0, 9.0, math.inf, -math.inf]),
+        (-0.2856075952584757, -24.172628688411717, 1020, True)),
+    "all-breakpoints-outside": (
+        partial(_quad, lambda x: -x, 0.0, 4.0, breakpoints=(-1.0, 5.0)),
+        (-0.018485446825889595, -25.324916414542436, 15, True)),
+    "empty-breakpoint-array": (
+        partial(_quad, _sqrt_kink, 0.0, 4.0, breakpoints=np.zeros(0)),
+        (-0.2856075952586873, -24.261754853799022, 1005, True)),
+    "half-line-with-cuts": (
+        partial(_quad, lambda x: -2.5 * np.log(x), 1.0, math.inf, rtol=1e-9,
+                breakpoints=np.array([10.0, 1e3, 1.0, 0.5, 1e5])),
+        (-0.40546510777551714, -23.551345608364315, 1020, True)),
+    "negative-half-line-with-cuts": (
+        partial(_quad, lambda x: x, -math.inf, 0.0, breakpoints=(-30.0, -1.0, -5.0, 2.0)),
+        (-2.7200464103316335e-15, -24.655702424227652, 150, True)),
+    "full-line-with-cuts": (
+        partial(_quad, _normal, -math.inf, math.inf, breakpoints=[3.0, -2.0, 0.0]),
+        (-2.6645352591003757e-15, -28.322054983288712, 390, True)),
+    "full-line-empty-cut-array": (
+        partial(_quad, _normal, -math.inf, math.inf, breakpoints=np.array([])),
+        (-2.6645352591003757e-15, -28.35606242635742, 510, True)),
+    "level-sum-weibull-edge-u4": (
+        partial(sf_sum_exact, _WEIBULL, make_model("edge(0,1)"), 4.0), -18.108660278008337),
+    "level-product-weibull-edge-u12": (
+        partial(sf_product_exact, _WEIBULL, make_model("edge(2,1)"), 12.0), -39.62332464191253),
+    "level-product-lognormal-pareto-u1e3": (
+        partial(sf_product_exact, _LOGNORMAL, _PARETO, 1e3), -11.815510685404245),
+    "level-product-lognormal-pareto-u1e12": (
+        partial(sf_product_exact, _LOGNORMAL, _PARETO, 1e12), -53.2620422318571),
+    "level-product-lognormal-pareto-u1e300": (
+        partial(sf_product_exact, _LOGNORMAL, _PARETO, 1e300), -1379.5510557964274),
+    "level-sum-weibull-pareto-u1e3": (
+        partial(sf_sum_exact, _WEIBULL, _PARETO, 1e3), -13.81373667305055),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_results_are_pinned_to_the_bit(name):
-    log_f, a, b, kwargs, expected = PINNED[name]
-    res = log_quad_result(log_f, a, b, **kwargs)
-    assert (res.log_value, res.log_error, res.n_nodes, res.converged) == expected
+    call, expected = PINNED[name]
+    assert call() == expected
