@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import DomainError, SpecError
 from ..oracle import log_mixture
 from ..quadrature import log1mexp
-from ..tail_model import DistributionModel, _scalar_like
+from ..tail_model import DistributionModel, law
 
 __all__ = ["eta_power_low_model", "negate_model", "bm_exact_oracle"]
 
@@ -37,40 +37,20 @@ def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
     if delta < 0 or C <= 0 or mu <= 0:
         raise SpecError(f"bad eta parameters delta={delta}, C={C}, mu={mu}")
     width = C ** (-1.0 / mu)
-    hi = delta + width
 
-    def log_sf(u):
-        x = np.asarray(u, dtype=float)
-        inside = np.clip(x - delta, 0.0, width)
-        cdf = np.minimum(C * inside ** mu, 1.0)
-        with np.errstate(divide="ignore"):
-            out = np.where(x >= hi, -np.inf, np.log1p(-np.minimum(cdf, 1.0 - 1e-17)))
-        out = np.where(x < delta, 0.0, out)
-        return _scalar_like(u, out)
+    def log_sf(x):
+        cdf = np.minimum(C * np.minimum(x - delta, width) ** mu, 1.0)
+        return np.log1p(-np.minimum(cdf, 1.0 - 1e-17))
 
-    def log_density(u):
-        x = np.asarray(u, dtype=float)
-        inside = (x > delta) & (x < hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = math.log(C * mu) + (mu - 1.0) * np.log(
-                np.maximum(x - delta, 1e-320)
-            )
-        out = np.where(inside, body, -np.inf)
-        return _scalar_like(u, out)
+    def log_density(x):
+        return math.log(C * mu) + (mu - 1.0) * np.log(np.maximum(x - delta, 1e-320))
 
     def sampler(rng, size=None):
         v = rng.random(size)
         return delta + (v / C) ** (1.0 / mu)
 
-    return DistributionModel(
-        family="eta_power_low",
-        params={"delta": delta, "C": C, "mu": mu},
-        support=(delta, hi),
-        tail=None,
-        log_sf=log_sf,
-        log_density=log_density,
-        sampler=sampler,
-    )
+    return law("eta_power_low", {"delta": delta, "C": C, "mu": mu},
+               (delta, delta + width), None, sampler, log_sf, log_density)
 
 
 def negate_model(model: DistributionModel) -> DistributionModel:
@@ -79,34 +59,18 @@ def negate_model(model: DistributionModel) -> DistributionModel:
         raise SpecError(f"negate_model needs a density; {model.family} has none")
     lo, hi = model.support
 
-    def log_sf(u):
+    def log_sf(x):
         # P(-X > u) = P(X < -u) = 1 - SF_X(-u) for a continuous law.
-        x = np.asarray(u, dtype=float)
-        base = np.minimum(model.log_sf(-x), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                base == 0.0, -np.inf, np.log(-np.expm1(np.maximum(base, -745.0)))
-            )
-        out = np.where(base < -745.0, 0.0, out)
-        return _scalar_like(u, out)
+        return np.log(-np.expm1(np.minimum(model.log_sf(-x), 0.0)))
 
-    def log_density(u):
-        x = np.asarray(u, dtype=float)
-        out = model.log_density(-x)
-        return _scalar_like(u, out)
+    def log_density(x):
+        return model.log_density(-x)
 
     def sampler(rng, size=None):
         return -model.sampler(rng, size)
 
-    return DistributionModel(
-        family=f"neg_{model.family}",
-        params=dict(model.params),
-        support=(-hi, -lo),
-        tail=None,
-        log_sf=log_sf,
-        log_density=log_density,
-        sampler=sampler,
-    )
+    return law(f"neg_{model.family}", dict(model.params), (-hi, -lo), None,
+               sampler, log_sf, log_density)
 
 
 def _log_mean_kernel(eta: DistributionModel, v: float, rtol: float) -> float:

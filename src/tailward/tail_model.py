@@ -10,6 +10,11 @@ Three tail families are closed under the sum/product calculus implemented in
 
 All survival evaluation is done and stored in log-space: the interesting u
 push survival probabilities far below 1e-300.
+
+Every exact law is built by :func:`law` and obeys one support rule: with
+support (lo, hi), log SF is 0 at or below lo and -inf at or above hi, log
+density is -inf outside the open interval (lo, hi), and a scalar argument
+gives a float.  Constructors give only the formulas valid inside (lo, hi).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "tail_to_dict",
     "tail_from_dict",
     "DistributionModel",
+    "law",
     "make_model",
     "parse_model_spec",
     "power_order",
@@ -187,7 +193,10 @@ class DistributionModel:
     threads; samplers take an explicit numpy Generator so callers own all
     mutation.  ``tail`` is the exact asymptotic declaration where one exists
     inside the three families (lognormal and the degenerate constant have
-    none).
+    none).  Laws built by :func:`law` share one support rule: with
+    ``support = (lo, hi)``, log SF is 0 at or below lo and -inf at or above
+    hi, log density is -inf outside the open interval (lo, hi), and a
+    scalar argument gives a float.
     """
 
     family: str
@@ -205,47 +214,59 @@ class DistributionModel:
         return {"family": self.family, "params": dict(self.params)}
 
 
-def _as_array(u):
-    return np.asarray(u, dtype=float)
+def law(family: str, params: dict, support: tuple[float, float],
+        tail: Optional[AsymptoticTail], sampler: Callable, log_sf: Callable,
+        log_density: Optional[Callable] = None) -> DistributionModel:
+    """A DistributionModel from formulas valid strictly inside the support.
 
+    ``log_sf`` and ``log_density`` take a float array and need only be right
+    on the open interval (lo, hi); what they give elsewhere, and any
+    floating-point error they raise there, is discarded.  The support rule
+    of :class:`DistributionModel` is applied here, with one mask per finite
+    end, so a law with an infinite end pays no mask for it.
+    """
+    lo, hi = support
 
-def _scalar_like(u, out):
-    """``out`` as a Python float when the argument ``u`` was a scalar."""
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
+    def confine(formula, below, above):
+        def evaluate(u):
+            x = np.asarray(u, dtype=float)
+            with np.errstate(all="ignore"):
+                out = formula(x)
+            if lo > -math.inf:
+                out = np.where(x <= lo, below, out)
+            if hi < math.inf:
+                out = np.where(x >= hi, above, out)
+            return float(out) if x.ndim == 0 else out
+        return evaluate
+
+    return DistributionModel(
+        family=family,
+        params=params,
+        support=support,
+        tail=tail,
+        log_sf=confine(log_sf, 0.0, -np.inf),
+        log_density=None if log_density is None else confine(log_density, -np.inf, -np.inf),
+        sampler=sampler,
+    )
 
 
 def _make_weibull(K: float, alpha: float) -> DistributionModel:
     if not (K > 0 and alpha > 0):
         raise SpecError(f"weibull needs K > 0 and alpha > 0, got K={K}, alpha={alpha}")
 
-    def log_sf(u):
-        x = _as_array(u)
-        with np.errstate(over="ignore"):  # -inf far out
-            out = np.where(x > 0, -K * np.maximum(x, 0.0) ** alpha, 0.0)
-        return _scalar_like(u, out)
+    def log_sf(x):
+        return -K * np.maximum(x, 0.0) ** alpha
 
-    def log_density(u):
-        x = _as_array(u)
-        with np.errstate(divide="ignore"):
-            body = math.log(K * alpha) + (alpha - 1) * np.log(np.maximum(x, 1e-320))
-        out = np.where(x > 0, body - K * np.maximum(x, 0.0) ** alpha, -np.inf)
-        return _scalar_like(u, out)
+    def log_density(x):
+        body = math.log(K * alpha) + (alpha - 1) * np.log(np.maximum(x, 1e-320))
+        return body - K * np.maximum(x, 0.0) ** alpha
 
     def sampler(rng, size=None):
         v = rng.random(size)
         return (-np.log1p(-v) / K) ** (1.0 / alpha)
 
-    return DistributionModel(
-        family="weibull",
-        params={"K": K, "alpha": alpha},
-        support=(0.0, math.inf),
-        tail=WeibullType(1.0, 0.0, K, alpha, 0.0),
-        log_sf=log_sf,
-        log_density=log_density,
-        sampler=sampler,
-    )
+    return law("weibull", {"K": K, "alpha": alpha}, (0.0, math.inf),
+               WeibullType(1.0, 0.0, K, alpha, 0.0), sampler, log_sf, log_density)
 
 
 def _make_pareto(C: float, alpha: float) -> DistributionModel:
@@ -253,33 +274,18 @@ def _make_pareto(C: float, alpha: float) -> DistributionModel:
         raise SpecError(f"pareto needs C > 0 and alpha > 0, got C={C}, alpha={alpha}")
     lo = C ** (1.0 / alpha)
 
-    def log_sf(u):
-        x = _as_array(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = math.log(C) - alpha * np.log(np.maximum(x, 1e-320))
-        out = np.where(x > lo, body, 0.0)
-        return _scalar_like(u, out)
+    def log_sf(x):
+        return math.log(C) - alpha * np.log(np.maximum(x, 1e-320))
 
-    def log_density(u):
-        x = _as_array(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = math.log(C * alpha) - (alpha + 1) * np.log(np.maximum(x, 1e-320))
-        out = np.where(x >= lo, body, -np.inf)
-        return _scalar_like(u, out)
+    def log_density(x):
+        return math.log(C * alpha) - (alpha + 1) * np.log(np.maximum(x, 1e-320))
 
     def sampler(rng, size=None):
         v = rng.random(size)
         return lo * (1.0 - v) ** (-1.0 / alpha)
 
-    return DistributionModel(
-        family="pareto",
-        params={"C": C, "alpha": alpha},
-        support=(lo, math.inf),
-        tail=PowerTail(C, alpha),
-        log_sf=log_sf,
-        log_density=log_density,
-        sampler=sampler,
-    )
+    return law("pareto", {"C": C, "alpha": alpha}, (lo, math.inf),
+               PowerTail(C, alpha), sampler, log_sf, log_density)
 
 
 def _make_edge(sigma: float, mu: float) -> DistributionModel:
@@ -288,117 +294,61 @@ def _make_edge(sigma: float, mu: float) -> DistributionModel:
     if not mu > 0:
         raise SpecError(f"edge needs mu > 0, got mu={mu}")
 
-    def log_sf(u):
-        x = _as_array(u)
-        d = np.clip(sigma - x, 0.0, 1.0)
-        with np.errstate(divide="ignore"):
-            out = mu * np.log(d)
-        return _scalar_like(u, out)
+    def log_sf(x):
+        return mu * np.log(np.minimum(sigma - x, 1.0))
 
-    def log_density(u):
-        x = _as_array(u)
-        inside = (x > sigma - 1.0) & (x < sigma)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = math.log(mu) + (mu - 1) * np.log(np.maximum(sigma - x, 1e-320))
-        out = np.where(inside, body, -np.inf)
-        return _scalar_like(u, out)
+    def log_density(x):
+        return math.log(mu) + (mu - 1) * np.log(np.maximum(sigma - x, 1e-320))
 
     def sampler(rng, size=None):
         v = rng.random(size)
         return sigma - v ** (1.0 / mu)
 
-    return DistributionModel(
-        family="edge",
-        params={"sigma": sigma, "mu": mu},
-        support=(sigma - 1.0, sigma),
-        tail=EdgePower(1.0, sigma, mu),
-        log_sf=log_sf,
-        log_density=log_density,
-        sampler=sampler,
-    )
+    return law("edge", {"sigma": sigma, "mu": mu}, (sigma - 1.0, sigma),
+               EdgePower(1.0, sigma, mu), sampler, log_sf, log_density)
 
 
 def _make_lognormal(m: float, s: float) -> DistributionModel:
     if not s > 0:
         raise SpecError(f"lognormal needs s > 0, got s={s}")
 
-    def log_sf(u):
-        x = _as_array(u)
-        with np.errstate(divide="ignore"):
-            z = (np.log(np.maximum(x, 1e-320)) - m) / s
-        out = np.where(x > 0, log_norm_sf(z), 0.0)
-        return _scalar_like(u, out)
+    def log_sf(x):
+        return log_norm_sf((np.log(np.maximum(x, 1e-320)) - m) / s)
 
-    def log_density(u):
-        x = _as_array(u)
-        with np.errstate(divide="ignore"):
-            lx = np.log(np.maximum(x, 1e-320))
-        body = -lx - math.log(s) - 0.5 * math.log(2 * math.pi) - (lx - m) ** 2 / (2 * s * s)
-        out = np.where(x > 0, body, -np.inf)
-        return _scalar_like(u, out)
+    def log_density(x):
+        lx = np.log(np.maximum(x, 1e-320))
+        return -lx - math.log(s) - 0.5 * math.log(2 * math.pi) - (lx - m) ** 2 / (2 * s * s)
 
     def sampler(rng, size=None):
         return np.exp(m + s * rng.standard_normal(size))
 
     # No declaration: the lognormal survival function is not asymptotic to
     # any member of the three families (it decays in powers of log u).
-    return DistributionModel(
-        family="lognormal",
-        params={"m": m, "s": s},
-        support=(0.0, math.inf),
-        tail=None,
-        log_sf=log_sf,
-        log_density=log_density,
-        sampler=sampler,
-    )
+    return law("lognormal", {"m": m, "s": s}, (0.0, math.inf), None,
+               sampler, log_sf, log_density)
 
 
 def _make_normal() -> DistributionModel:
-    def log_sf(u):
-        x = _as_array(u)
-        out = log_norm_sf(x)
-        return _scalar_like(u, out)
-
-    def log_density(u):
-        x = _as_array(u)
-        out = -0.5 * math.log(2 * math.pi) - x * x / 2.0
-        return _scalar_like(u, out)
+    def log_density(x):
+        return -0.5 * math.log(2 * math.pi) - x * x / 2.0
 
     def sampler(rng, size=None):
         return rng.standard_normal(size)
 
     # Mills ratio: SF(u) ~ phi(u)/u.
-    return DistributionModel(
-        family="normal",
-        params={},
-        support=(-math.inf, math.inf),
-        tail=WeibullType((2 * math.pi) ** -0.5, -1.0, 0.5, 2.0, 0.0),
-        log_sf=log_sf,
-        log_density=log_density,
-        sampler=sampler,
-    )
+    return law("normal", {}, (-math.inf, math.inf),
+               WeibullType((2 * math.pi) ** -0.5, -1.0, 0.5, 2.0, 0.0),
+               sampler, log_norm_sf, log_density)
 
 
 def _make_constant(c: float) -> DistributionModel:
-    def log_sf(u):
-        x = _as_array(u)
-        out = np.where(x < c, 0.0, -np.inf)
-        return _scalar_like(u, out)
-
     def sampler(rng, size=None):
         if size is None:
             return float(c)
         return np.full(size, float(c))
 
-    return DistributionModel(
-        family="constant",
-        params={"c": c},
-        support=(c, c),
-        tail=None,
-        log_sf=log_sf,
-        log_density=None,
-        sampler=sampler,
-    )
+    # The support (c, c) is empty inside: the two end masks give every value.
+    return law("constant", {"c": c}, (c, c), None, sampler, np.zeros_like)
 
 
 _FAMILIES = {
@@ -494,8 +444,10 @@ def moment(model: DistributionModel, alpha: float) -> float:
     """E X**alpha for a model supported on [0, inf).
 
     Uses the closed form where one exists, otherwise the survival-function
-    identity E X**alpha = alpha * int_0^inf SF(u) u**(alpha-1) du, which
-    raises DivergentMoment unless alpha < power_order(model).
+    identity E X**alpha = alpha * int_0^inf SF(u) u**(alpha-1) du.  Raises
+    DivergentMoment unless alpha < power_order(model).  The Pareto form
+    matters: the identity's half-line map places no node beyond ~1e16, so
+    a slowly decaying power tail would come out low yet "converged".
     """
     if alpha <= 0:
         raise SpecError(f"moment order must be positive, got {alpha}")
@@ -511,6 +463,11 @@ def moment(model: DistributionModel, alpha: float) -> float:
         return K ** (-alpha / a) * math.gamma(alpha / a + 1.0)
     if model.family == "constant":
         return model.params["c"] ** alpha
+    if model.family == "pareto":
+        C, a = model.params["C"], model.params["alpha"]
+        if not alpha < a:
+            raise DivergentMoment(f"E X^{alpha} diverges for pareto with tail {model.tail}")
+        return C ** (alpha / a) * a / (a - alpha)
     return moment_by_quadrature(model, alpha)
 
 

@@ -53,6 +53,14 @@ def test_equal_power_product_exits_three(capsys):
     assert "equal power exponents" in err
 
 
+def test_power_product_constant_is_the_closed_form_moment(capsys):
+    # C = E X^1.9 for X ~ pareto(1,2), which is 2 / (2 - 1.9) = 20.
+    code, out, err = _run(capsys, "tail", "product", "--x", "pareto(1,2)", "--y", "pareto(1,1.9)")
+    assert code == cli.EXIT_OK and err == ""
+    assert json.loads(out)["tail"] == {"variant": "power", "C": pytest.approx(20.0, rel=1e-12),
+                                       "alpha": 1.9}
+
+
 _LAWS = ("weibull(1,2)", "weibull(1,0.5)", "pareto(1,2)", "pareto(1,3)", "edge(0,1)",
          "edge(2,1)", "lognormal(0,1)", "normal", "constant(1)", "constant(0)")
 

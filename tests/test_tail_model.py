@@ -1,6 +1,7 @@
 """Tail families, the distribution registry and moment computation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 import tailward as tw
+from tailward import gp_extremes as gp
 from tailward.errors import DivergentMoment, DomainError, SpecError
 from tailward.tail_model import moment_by_quadrature
 
@@ -153,6 +155,47 @@ def test_support_endpoints(spec):
         assert np.exp(m.log_sf(1e12)) == pytest.approx(0.0, abs=1e-12)
 
 
+SUPPORT_RULE_LAWS = {spec: tw.make_model(spec) for spec in ALL_SPECS}
+SUPPORT_RULE_LAWS.update({
+    "eta_power_low(0.3,2,1.5)": gp.eta_power_low_model(0.3, 2.0, 1.5),
+    "neg pareto(1,2)": gp.negate_model(tw.make_model("pareto(1,2)")),
+    "neg normal": gp.negate_model(tw.make_model("normal")),
+})
+
+
+@pytest.mark.parametrize("name", list(SUPPORT_RULE_LAWS))
+def test_every_law_follows_the_support_rule(name):
+    # log SF is 0 at or below lo and -inf at or above hi; log density is
+    # -inf outside (lo, hi); scalars give floats, arrays keep their shape,
+    # and nothing warns, not even at +-1e300.
+    m = SUPPORT_RULE_LAWS[name]
+    lo, hi = m.support
+    points = [-1e300, 1e300]
+    for end in (e for e in (lo, hi) if math.isfinite(e)):
+        points += [end - 0.25, np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf), end + 0.25]
+    points = np.array(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sf = [m.log_sf(float(x)) for x in points]
+        dens = [m.log_density(float(x)) for x in points] if m.log_density else []
+        assert m.log_sf(points[:, None]).shape == (len(points), 1)
+        if m.log_density:
+            assert m.log_density(points[:, None]).shape == (len(points), 1)
+    assert all(type(v) is float for v in sf + dens), name
+    for x, v in zip(points, sf):
+        if x >= hi:
+            assert v == -math.inf, (name, x, v)
+        elif x <= lo:
+            assert v == 0.0, (name, x, v)
+        else:
+            assert v <= 0.0, (name, x, v)
+    for x, v in zip(points, dens):
+        if x <= lo or x >= hi:
+            assert v == -math.inf, (name, x, v)
+        else:
+            assert not math.isnan(v), (name, x, v)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_sf_nonincreasing_and_log_consistent(spec):
     m = tw.make_model(spec)
@@ -258,6 +301,23 @@ def test_pareto_moment_quadrature_against_hand_formula():
     a = 1.5
     expected = 2.0 ** (a / 3.0) * 3.0 / (3.0 - a)
     assert tw.moment(m, a) == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("C,b", [(1.0, 2.0), (2.0, 3.0), (0.5, 1.5), (10.0, 0.8)])
+@pytest.mark.parametrize("frac", [0.25, 0.9, 0.99, 0.999, 1.0 - 1e-9])
+def test_pareto_moment_closed_form(C, b, frac):
+    # E X^a for SF = min(1, C x^-b): C^(a/b) * b / (b - a), also as a -> b,
+    # where the tail-integral quadrature cannot reach the mass.
+    a = frac * b
+    m = tw.make_model(f"pareto({C!r},{b!r})")
+    assert tw.moment(m, a) == pytest.approx(C ** (a / b) * b / (b - a), rel=1e-12)
+
+
+@pytest.mark.parametrize("a,expected", [(1.8, 10.0), (1.9, 20.0), (1.99, 200.0)])
+def test_pareto_moment_near_the_tail_index(pareto12, a, expected):
+    assert tw.moment(pareto12, a) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(DivergentMoment):
+        tw.moment(pareto12, np.nextafter(2.0, 3.0))
 
 
 def test_edge_model_moment_by_quadrature():
