@@ -35,8 +35,6 @@ from .tail_model import (
     DistributionModel,
     EdgePower,
     PowerTail,
-    RatioRow,
-    RatioTable,
     WeibullType,
     make_model,
     moment,
@@ -75,8 +73,6 @@ __all__ = [
     "DistributionModel",
     "EdgePower",
     "PowerTail",
-    "RatioRow",
-    "RatioTable",
     "WeibullType",
     "make_model",
     "moment",

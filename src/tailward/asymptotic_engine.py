@@ -49,11 +49,12 @@ def _positive_double(name: str, compute) -> float:
     """compute(), a constant of a combined tail, if it is a positive finite double.
 
     Inputs that fit in doubles can combine to a constant that does not: a
-    power overflows (raising) or underflows to 0, and 0 * inf gives NaN.
+    power overflows (raising), underflows to 0 or raises 0 to a negative
+    power (raising), and 0 * inf gives NaN.
     """
     try:
         value = compute()
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} of the combined tail is not a positive finite "
@@ -132,7 +133,9 @@ def product_power_tail(x_model: DistributionModel, y: PowerTail) -> PowerTail:
             f"conditions (C_alpha) and (D_alpha) with alpha={y.alpha} fail for "
             f"{x_model.family} tail {x_model.tail}"
         )
-    return PowerTail(y.C * moment(x_model, y.alpha), y.alpha)
+    c = _positive_double("product_power_tail: constant C",
+                         lambda: y.C * moment(x_model, y.alpha))
+    return PowerTail(c, y.alpha)
 
 
 # ---------------------------------------------------------------------------

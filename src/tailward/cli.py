@@ -117,15 +117,20 @@ def _write_report(report, out_dir: str | None) -> None:
         print(report.to_json())
 
 
+# The fixture each target without ad-hoc inputs runs when --fixture is not given.
+_DEFAULT_FIXTURES = {"laplace": "laplace-truncated-kernel", "watson": "watson-kernel"}
+
+
 def _cmd_verify(args) -> int:
     from . import reports
 
-    if args.fixture:
+    fixture = args.fixture or _DEFAULT_FIXTURES.get(args.target)
+    if fixture:
         # Fixture names carry their target as a prefix: sum-, product-, ...
-        if not args.fixture.startswith(f"{args.target}-"):
-            raise SpecError(f"fixture {args.fixture!r} is not a {args.target} fixture")
-        report = reports.run_fixture(args.fixture, seed=args.seed)
-    elif args.target == "sum" or args.target == "product":
+        if not fixture.startswith(f"{args.target}-"):
+            raise SpecError(f"fixture {fixture!r} is not a {args.target} fixture")
+        report = reports.run_fixture(fixture, seed=args.seed)
+    else:  # sum or product: argparse restricts the targets
         if not (args.x and args.y and args.grid):
             raise SpecError("ad-hoc verify needs --x, --y and --grid")
         grid = _parse_grid(args.grid)
@@ -133,12 +138,6 @@ def _cmd_verify(args) -> int:
                 "nonincreasing_last": min(3, len(grid))}
         report = reports.ratio_report(f"adhoc-{args.target}", args.x, args.y,
                                       args.target, grid, rule, seed=args.seed)
-    elif args.target == "laplace":
-        report = reports.run_fixture("laplace-truncated-kernel", seed=args.seed)
-    elif args.target == "watson":
-        report = reports.run_fixture("watson-kernel", seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SpecError(f"unknown verify target {args.target!r}")
     _write_report(report, args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -31,14 +31,7 @@ import numpy as np
 
 from .errors import DomainError, TailwardError, Unsupported
 from .quadrature import log_quad, logsumexp_pair
-from .tail_model import (
-    AsymptoticTail,
-    DistributionModel,
-    RatioRow,
-    RatioTable,
-    _heavy_first,
-    sf_eval,
-)
+from .tail_model import AsymptoticTail, DistributionModel, _heavy_first, sf_eval
 
 __all__ = ["log_mixture", "sf_sum_exact", "sf_product_exact", "ratio_table"]
 
@@ -129,9 +122,11 @@ def ratio_table(
     predicted: AsymptoticTail,
     grid,
     rtol: float = _RTOL,
-) -> RatioTable:
+) -> list[dict]:
     """Exact-vs-asymptotic survival ratios over a grid of levels.
 
+    One row per level, the dict a verification report stores: ``u``,
+    ``log_sf_exact``, ``log_h``, ``ratio``, ``method`` and ``status``.
     Rows where the oracle fails are marked and kept; a verification report
     never loses its remaining rows to one bad level.
     """
@@ -150,7 +145,7 @@ def ratio_table(
             log_sf = oracle(x, y, u, rtol=rtol)
         except TailwardError as exc:
             status = f"failed: {exc}"
-        rows.append(RatioRow(u=u, log_sf_exact=log_sf, log_h=log_h,
-                             ratio=math.exp(log_sf - log_h), method="quadrature",
-                             status=status))
-    return RatioTable(tuple(rows))
+        rows.append({"u": u, "log_sf_exact": log_sf, "log_h": log_h,
+                     "ratio": math.exp(log_sf - log_h), "method": "quadrature",
+                     "status": status})
+    return rows

@@ -6,10 +6,15 @@ the input specs, the grid, the seed, the tolerance rule and the raw rows.
 Wall-clock runtime is carried for operators but is the one field excluded
 from reproducibility comparisons.
 
+``_report`` builds, judges and times every report.  A fixture's name is
+written once, as its registry key, which ``run_fixture``/``run_gp_fixture``
+pass to its builder; a ratio fixture's op is the prefix of its name.
+
 A sum/product report's claim and predicted tail come from the engine's
 classifiers (``sum_tail``/``product_tail``), the same code the ``tail``
 command runs; ``ratio_report`` builds every such report, the named ones
-and the CLI's ad-hoc ``verify sum|product`` alike.
+and the CLI's ad-hoc ``verify sum|product`` alike, and stores
+``oracle.ratio_table``'s row dicts as they are.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -123,14 +127,14 @@ def recompute_pass(report: VerifyReport | dict) -> bool:
     raise SpecError(f"unknown rule type {kind!r}")
 
 
-def _finish(report: VerifyReport, t0: float) -> VerifyReport:
-    report.passed = recompute_pass(report)
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+def _report(t0: float, **fields) -> VerifyReport:
+    """The one VerifyReport construction: judged by its own rule, timed from t0."""
+    return VerifyReport(**fields, passed=recompute_pass(fields),
+                        runtime_seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
-# Report builders
+# Report builders: a registry value is called with its own key as the name
 # ---------------------------------------------------------------------------
 
 def ratio_report(name: str, x_spec, y_spec, op: str, grid, rule: dict,
@@ -138,45 +142,32 @@ def ratio_report(name: str, x_spec, y_spec, op: str, grid, rule: dict,
     """Classify X op Y through the engine and tabulate exact/predicted ratios.
 
     ``op`` is "sum" or "product"; the report's claim and predicted tail are
-    whatever ``sum_tail``/``product_tail`` return for the two laws.
+    whatever ``sum_tail``/``product_tail`` return for the two laws, and its
+    rows are ``oracle.ratio_table``'s dicts as they are.
     """
     t0 = time.perf_counter()
     x = make_model(x_spec)
     y = make_model(y_spec)
     predicted, claim = (sum_tail if op == "sum" else product_tail)(x, y)
-    table = oracle.ratio_table(x, y, op, predicted, grid)
-    report = VerifyReport(
-        fixture=name,
-        claim=claim,
-        kind="ratio_table",
-        inputs={
-            "x": x.spec(),
-            "y": y.spec(),
-            "op": op,
-            "grid": list(grid),
-            "predicted": tail_to_dict(predicted),
-        },
-        rule=rule,
-        rows=[dict(r.__dict__) for r in table.rows],
-        seed=seed,
-    )
-    return _finish(report, t0)
+    inputs = {"x": x.spec(), "y": y.spec(), "op": op, "grid": list(grid),
+              "predicted": tail_to_dict(predicted)}
+    return _report(t0, fixture=name, claim=claim, kind="ratio_table", inputs=inputs,
+                   rule=rule, rows=oracle.ratio_table(x, y, op, predicted, grid),
+                   seed=seed)
 
 
-def _scalar_fixture(name: str, claim: str, rows_fn, **inputs):
+def _ratio_fixture(x_spec, y_spec, grid, rule: dict):
+    """A ratio fixture; its op is the prefix of its name (sum-..., product-...)."""
+    return lambda name, seed=0: ratio_report(name, x_spec, y_spec, name.split("-")[0],
+                                             grid, rule, seed)
+
+
+def _scalar_fixture(claim: str, rows_fn, **inputs):
     """A fixture whose rows are ``rows_fn(**inputs)``, each passing on its own."""
-    def run(seed: int = 0) -> VerifyReport:
+    def run(name: str, seed: int = 0) -> VerifyReport:
         t0 = time.perf_counter()
-        report = VerifyReport(
-            fixture=name,
-            claim=claim,
-            kind="scalar_checks",
-            inputs=inputs,
-            rule={"type": "all_ok"},
-            rows=rows_fn(**inputs),
-            seed=seed,
-        )
-        return _finish(report, t0)
+        return _report(t0, fixture=name, claim=claim, kind="scalar_checks", inputs=inputs,
+                       rule={"type": "all_ok"}, rows=rows_fn(**inputs), seed=seed)
 
     return run
 
@@ -250,47 +241,39 @@ _RATIO_WINDOW = {"type": "ratio_window", "tol": 0.05, "nonincreasing_last": 3}
 _RATIO_AT_POINT = {"type": "ratio_at_point", "lo": 0.95, "hi": 1.05}
 
 FIXTURES = {
-    "sum-mixed-weibull-edge": partial(
-        ratio_report, "sum-mixed-weibull-edge", "weibull(1,2)", "edge(0,1)",
-        "sum", [4.0, 6.0, 8.0, 10.0], _RATIO_WINDOW,
+    "sum-mixed-weibull-edge": _ratio_fixture(
+        "weibull(1,2)", "edge(0,1)", [4.0, 6.0, 8.0, 10.0], _RATIO_WINDOW,
     ),
-    "product-mixed-weibull-edge": partial(
-        ratio_report, "product-mixed-weibull-edge", "weibull(1,2)", "edge(2,1)",
-        "product", [8.0, 12.0, 16.0, 20.0], _RATIO_WINDOW,
+    "product-mixed-weibull-edge": _ratio_fixture(
+        "weibull(1,2)", "edge(2,1)", [8.0, 12.0, 16.0, 20.0], _RATIO_WINDOW,
     ),
-    "product-power-lognormal-pareto": partial(
-        ratio_report, "product-power-lognormal-pareto", "lognormal(0,1)",
-        "pareto(1,2)", "product", [100.0], _RATIO_AT_POINT,
+    "product-power-lognormal-pareto": _ratio_fixture(
+        "lognormal(0,1)", "pareto(1,2)", [100.0], _RATIO_AT_POINT,
     ),
-    "sum-dominant-weibull-pareto": partial(
-        ratio_report, "sum-dominant-weibull-pareto", "weibull(1,2)", "pareto(1,2)",
-        "sum", [1000.0], _RATIO_AT_POINT,
+    "sum-dominant-weibull-pareto": _ratio_fixture(
+        "weibull(1,2)", "pareto(1,2)", [1000.0], _RATIO_AT_POINT,
     ),
     "laplace-truncated-kernel": _scalar_fixture(
-        "laplace-truncated-kernel", "laplace_core", _laplace_core_rows,
-        alpha=2.0, beta=0.0, mu=1.0, K=1.0, u=15.0,
+        "laplace_core", _laplace_core_rows, alpha=2.0, beta=0.0, mu=1.0, K=1.0, u=15.0,
     ),
     "laplace-boundary-minimum": _scalar_fixture(
-        "laplace-boundary-minimum", "laplace_general", _laplace_general_rows,
+        "laplace_general", _laplace_general_rows,
         sigma=2.0, K=1.0, alpha=2.0, beta=-3.0, mu=1.0, u=400.0,
     ),
     "watson-kernel": _scalar_fixture(
-        "watson-kernel", "watson", _watson_rows, mu=1.5, delta=1.0, grid=[100.0],
+        "watson", _watson_rows, mu=1.5, delta=1.0, grid=[100.0],
     ),
 }
 
 
-def _lookup(registry: dict, kind: str, name: str):
-    try:
-        return registry[name]
-    except KeyError:
-        raise SpecError(
-            f"unknown {kind} {name!r}; available: {sorted(registry)}"
-        ) from None
+def _run(registry: dict, kind: str, name: str, seed: int) -> VerifyReport:
+    if name not in registry:
+        raise SpecError(f"unknown {kind} {name!r}; available: {sorted(registry)}")
+    return registry[name](name, seed=seed)
 
 
 def run_fixture(name: str, seed: int = 0) -> VerifyReport:
-    return _lookup(FIXTURES, "fixture", name)(seed=seed)
+    return _run(FIXTURES, "fixture", name, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +281,7 @@ def run_fixture(name: str, seed: int = 0) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 def _gp_exact_sup_fixture(T=50.0, n_steps=1 << 16, n_paths=10 ** 5):
-    def run(seed: int = 0) -> VerifyReport:
+    def run(name: str, seed: int = 0) -> VerifyReport:
         from .gp_extremes import sup_exceedance_mc
 
         t0 = time.perf_counter()
@@ -306,17 +289,12 @@ def _gp_exact_sup_fixture(T=50.0, n_steps=1 << 16, n_paths=10 ** 5):
         ests = sup_exceedance_mc(
             grid, T=T, n_steps=n_steps, n_paths=n_paths, seed=seed, beta=1.0, eta=1.0
         )
-        report = VerifyReport(
-            fixture="bm-unit-slope-exact-law",
-            claim="bm_exact_law",
-            kind="tail_estimates",
-            inputs={"T": T, "n_steps": n_steps, "n_paths": n_paths,
-                    "beta": 1.0, "eta": 1.0, "grid": grid},
-            rule={"type": "ci_covers_reference", "allowance": 0.05},
-            rows=[dict(e.to_dict(), reference=math.exp(-2.0 * e.u)) for e in ests],
-            seed=seed,
-        )
-        return _finish(report, t0)
+        inputs = {"T": T, "n_steps": n_steps, "n_paths": n_paths,
+                  "beta": 1.0, "eta": 1.0, "grid": grid}
+        return _report(t0, fixture=name, claim="bm_exact_law", kind="tail_estimates",
+                       inputs=inputs, rule={"type": "ci_covers_reference", "allowance": 0.05},
+                       rows=[dict(e.to_dict(), reference=math.exp(-2.0 * e.u)) for e in ests],
+                       seed=seed)
 
     return run
 
@@ -377,17 +355,17 @@ GP_FIXTURES = {
         T=20.0, n_steps=1 << 13, n_paths=4000
     ),
     "bm-random-slope": _scalar_fixture(
-        "bm-random-slope", "random_trend", _random_slope_rows,
+        "random_trend", _random_slope_rows,
         u=50.0,
         eta_zero={"delta": 0.0, "C": 1.0, "mu": 1.0},
         eta_pos={"delta": 0.3, "C": 1.0, "mu": 1.0},
     ),
     "bm-random-slope-offset": _scalar_fixture(
-        "bm-random-slope-offset", "shifted_trend", _offset_rows,
+        "shifted_trend", _offset_rows,
         eta={"delta": 0.0, "C": 1.0, "mu": 1.0}, gammas=[0.5, 3.0], u=[400.0, 100.0],
     ),
     "bm-offset-edge-composition": _scalar_fixture(
-        "bm-offset-edge-composition", "shifted_trend_edge", _offset_edge_rows,
+        "shifted_trend_edge", _offset_edge_rows,
         model={"H": 0.5, "beta": 2.0, "alpha_loc": 1.0,
                "eta": {"delta": 0.5, "C": 1.0, "mu": 1.0},
                "zeta": {"delta0": 0.2, "C": 1.0, "gamma": 1.0}},
@@ -396,4 +374,4 @@ GP_FIXTURES = {
 
 
 def run_gp_fixture(name: str, seed: int = 0) -> VerifyReport:
-    return _lookup(GP_FIXTURES, "gp fixture", name)(seed=seed)
+    return _run(GP_FIXTURES, "gp fixture", name, seed)

@@ -44,8 +44,6 @@ __all__ = [
     "parse_model_spec",
     "power_order",
     "moment",
-    "RatioRow",
-    "RatioTable",
 ]
 
 
@@ -61,8 +59,7 @@ class PowerTail:
     alpha: float
 
     def __post_init__(self):
-        if not (self.C > 0 and self.alpha > 0):
-            raise SpecError(f"power tail needs C > 0 and alpha > 0, got {self}")
+        _check_fields(self, "C", "alpha")
 
 
 @dataclass(frozen=True)
@@ -79,10 +76,7 @@ class WeibullType:
     shift: float = 0.0
 
     def __post_init__(self):
-        if not (self.C > 0 and self.K > 0 and self.alpha > 0):
-            raise SpecError(
-                f"weibull-type tail needs C, K, alpha > 0, got {self}"
-            )
+        _check_fields(self, "C", "K", "alpha")
 
 
 @dataclass(frozen=True)
@@ -94,11 +88,19 @@ class EdgePower:
     mu: float
 
     def __post_init__(self):
-        if not (self.C > 0 and self.mu > 0):
-            raise SpecError(f"edge tail needs C > 0 and mu > 0, got {self}")
+        _check_fields(self, "C", "mu")
 
 
 AsymptoticTail = PowerTail | WeibullType | EdgePower
+
+
+def _check_fields(tail: AsymptoticTail, *positive: str) -> None:
+    """Every field of a tail is a finite double, and the ``positive`` ones are > 0."""
+    bad = ", ".join(f"{k}={v!r}" for k, v in tail.__dict__.items()
+                    if not (math.isfinite(v) and (v > 0 or k not in positive)))
+    if bad:
+        raise SpecError(f"{_VARIANT_NAMES[type(tail)]} tail needs finite fields with "
+                        f"{', '.join(positive)} > 0, got {bad}")
 
 
 def sf_eval(tail: AsymptoticTail, u: float) -> float:
@@ -230,13 +232,16 @@ def law(family: str, params: dict, support: tuple[float, float],
     def confine(formula, below, above):
         def evaluate(u):
             x = np.asarray(u, dtype=float)
+            scalar = x.ndim == 0
+            if scalar:  # a one-element array: the same numpy path, the same bits
+                x = x.reshape(1)
             with np.errstate(all="ignore"):
                 out = formula(x)
             if lo > -math.inf:
                 out = np.where(x <= lo, below, out)
             if hi < math.inf:
                 out = np.where(x >= hi, above, out)
-            return float(out) if x.ndim == 0 else out
+            return float(out[0]) if scalar else out
         return evaluate
 
     return DistributionModel(
@@ -255,11 +260,11 @@ def _make_weibull(K: float, alpha: float) -> DistributionModel:
         raise SpecError(f"weibull needs K > 0 and alpha > 0, got K={K}, alpha={alpha}")
 
     def log_sf(x):
-        return -K * np.maximum(x, 0.0) ** alpha
+        return -K * x ** alpha
 
     def log_density(x):
         body = math.log(K * alpha) + (alpha - 1) * np.log(np.maximum(x, 1e-320))
-        return body - K * np.maximum(x, 0.0) ** alpha
+        return body - K * x ** alpha
 
     def sampler(rng, size=None):
         v = rng.random(size)
@@ -272,7 +277,11 @@ def _make_weibull(K: float, alpha: float) -> DistributionModel:
 def _make_pareto(C: float, alpha: float) -> DistributionModel:
     if not (C > 0 and alpha > 0):
         raise SpecError(f"pareto needs C > 0 and alpha > 0, got C={C}, alpha={alpha}")
-    lo = C ** (1.0 / alpha)
+    try:
+        lo = C ** (1.0 / alpha)
+    except OverflowError:
+        raise SpecError(f"pareto support edge C**(1/alpha) is beyond the doubles, "
+                        f"got C={C}, alpha={alpha}") from None
 
     def log_sf(x):
         return math.log(C) - alpha * np.log(np.maximum(x, 1e-320))
@@ -490,25 +499,3 @@ def moment_by_quadrature(model: DistributionModel, alpha: float, rtol: float = 1
     breaks = [b for b in (lo, hi) if 0.0 < b < math.inf]
     log_val = log_quad(log_integrand, 0.0, math.inf, rtol=rtol, breakpoints=breaks)
     return alpha * math.exp(log_val)
-
-
-# ---------------------------------------------------------------------------
-# Ratio tables (exact vs asymptotic, log-space stored)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RatioRow:
-    u: float
-    log_sf_exact: float
-    log_h: float
-    ratio: float
-    method: str
-    status: str = "ok"
-
-
-@dataclass(frozen=True)
-class RatioTable:
-    rows: tuple[RatioRow, ...]
-
-    def ratios(self) -> list[float]:
-        return [r.ratio for r in self.rows if r.status == "ok"]

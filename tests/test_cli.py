@@ -1,6 +1,7 @@
 """Command-line contract: one case per exit code, payloads checked against the schemas."""
 
 import json
+import re
 
 import pytest
 
@@ -134,14 +135,37 @@ def test_adhoc_verify_tail_beyond_the_doubles_is_a_failed_row(capsys, validate, 
     ("product", "weibull(1,1e300)", "edge(2,1)", "constant C"),
     ("product", "weibull(1e-300,2)", "edge(1e300,1)", "constant C"),
     ("product", "weibull(1e-300,2)", "edge(1e100,0.001)", "rate K"),
+    ("product", "weibull(1e-300,1e-300)", "edge(2,1)", "constant C"),
     ("sum", "weibull(1e300,2)", "edge(1e300,3)", "constant C"),
+    ("product", "lognormal(0,1e300)", "pareto(1,2)", "constant C"),
+    ("product", "lognormal(1e300,1)", "pareto(1,2)", "constant C"),
+    ("product", "weibull(1e-300,1e-300)", "pareto(1,2)", "constant C"),
+    ("product", "edge(1e300,1e-8)", "pareto(1,2)", "constant C"),
+    ("product", "pareto(1e300,1e300)", "weibull(1,2)", "constant C"),
+    ("product", "weibull(1,2)", "pareto(1e300,1e300)", "constant C"),
 ])
 def test_mixed_tail_constant_beyond_the_doubles_exits_two(capsys, op, x, y, constant):
     # The inputs fit in doubles, the combined tail's constant does not: it
-    # once ended in an OverflowError traceback or blamed the user's C=0.0.
+    # once ended in an OverflowError traceback, printed "C": Infinity (not
+    # JSON) or blamed the user's C=0.0.  Mixed and power products alike.
     code, out, err = _run(capsys, "tail", op, "--x", x, "--y", y)
     assert code == cli.EXIT_SPEC and out == "" and "Traceback" not in err
-    assert f"{op}_mixed_tail: {constant} of the combined tail" in err
+    assert re.search(rf"{op}_(mixed|power)_tail: {constant} of the combined tail", err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("tail", "product", "--x", "pareto(1e300,1e-8)", "--y", "pareto(1,2)"),
+     "pareto support edge C**(1/alpha) is beyond the doubles, got C=1e+300, alpha=1e-08"),
+    (("gp", "tail", "--model",
+      '{"preset":"bm","eta":{"delta":0,"C":1e300,"mu":1},"e_const":1e300}'),
+     "power tail needs finite fields with C, alpha > 0, got C=inf"),
+])
+def test_law_or_tail_field_beyond_the_doubles_exits_two(capsys, argv, message):
+    # A Pareto support edge C**(1/alpha) that overflows, and a random-trend
+    # tail constant of inf, once ended in a traceback or printed "C": Infinity.
+    code, out, err = _run(capsys, *argv)
+    assert code == cli.EXIT_SPEC and out == "" and "Traceback" not in err
+    assert err == f"specification error: {message}\n"
 
 
 def test_bad_grid_exits_two(capsys):
@@ -293,6 +317,14 @@ def test_gp_tail_refuses_equal_orders_and_needs_eta(capsys):
     code, out, err = _run(capsys, "gp", "tail", "--model", json.dumps(no_eta))
     assert code == cli.EXIT_SPEC and out == ""
     assert err.startswith("specification error: ")
+
+
+def test_gp_verify_writes_each_report_under_its_fixture_name(capsys, tmp_path):
+    fixture = "bm-unit-slope-exact-law-small"
+    code, out, err = _run(capsys, "gp", "verify", "--fixture", fixture, "--out", str(tmp_path))
+    assert code == cli.EXIT_OK and out == "" and err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{fixture}.csv", f"{fixture}.json"]
+    assert json.loads((tmp_path / f"{fixture}.json").read_text())["fixture"] == fixture
 
 
 def test_gp_verify_fixture_report_and_unknown_name(capsys, validate):

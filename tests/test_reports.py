@@ -1,14 +1,18 @@
-"""Verification reports: strict JSON and a monotonic runtime clock."""
+"""Verification reports: strict JSON, pinned rows and a monotonic runtime clock."""
 
 import json
+import math
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from scipy import special
 
 from tailward import cli, oracle, reports
+from tailward import gp_extremes as gp
 from tailward.errors import QuadratureFailure
+from tailward.montecarlo import TailEstimate
 from tailward.reports import (
     FIXTURES,
     GP_FIXTURES,
@@ -21,6 +25,9 @@ from tailward.reports import (
 # 1e5 paths x 2^16 steps, several minutes on one core: checked by the slow
 # test below, which runs under `pytest -m slow`.
 SLOW_GP_FIXTURE = "bm-unit-slope-exact-law"
+# Every other fixture's report at seed 201 with runtime_seconds zeroed, as
+# JSON: a change to any row, input, claim or verdict shows as a diff here.
+PINNED = json.loads((Path(__file__).parent / "fixture_reports.json").read_text())
 
 
 def _reject_constant(name):
@@ -51,7 +58,25 @@ def _check_report(report: VerifyReport, validate) -> dict:
     + [("gp", n) for n in sorted(set(GP_FIXTURES) - {SLOW_GP_FIXTURE})],
 )
 def test_fixture_report_is_strict_json(kind, name, validate):
-    _check_report(run_fixture(name) if kind == "plain" else run_gp_fixture(name), validate)
+    report = (run_fixture if kind == "plain" else run_gp_fixture)(name, seed=201)
+    data = _check_report(report, validate)
+    assert data["fixture"] == name
+    data["runtime_seconds"] = 0.0
+    # sort_keys and the text form tell -0.0 from 0.0: bitwise, not approximate.
+    assert json.dumps(data, sort_keys=True) == json.dumps(PINNED[name], sort_keys=True)
+
+
+def test_pinned_reports_cover_every_fixture():
+    assert set(PINNED) == set(FIXTURES) | (set(GP_FIXTURES) - {SLOW_GP_FIXTURE})
+
+
+def test_slow_fixture_reports_its_own_name(monkeypatch, validate):
+    def exact_estimates(grid, n_paths, **kwargs):
+        return [TailEstimate(u, math.exp(-2.0 * u), 0.0, 1.0, n_paths, "direct") for u in grid]
+
+    monkeypatch.setattr(gp, "sup_exceedance_mc", exact_estimates)
+    data = _check_report(run_gp_fixture(SLOW_GP_FIXTURE), validate)
+    assert data["fixture"] == SLOW_GP_FIXTURE and data["passed"] is True
 
 
 @pytest.mark.slow

@@ -140,6 +140,24 @@ def test_make_model_rejects_bad_specs(spec):
         tw.make_model(spec)
 
 
+def test_pareto_support_edge_beyond_the_doubles_is_a_spec_error():
+    # C**(1/alpha) = 1e300**1e8 once ended in an OverflowError.
+    with pytest.raises(SpecError, match=r"C=1e\+300, alpha=1e-08"):
+        tw.make_model("pareto(1e300,1e-8)")
+
+
+@pytest.mark.parametrize("cls,fields,bad", [
+    (tw.PowerTail, (math.inf, 2.0), "C=inf"),
+    (tw.PowerTail, (1.0, math.nan), "alpha=nan"),
+    (tw.WeibullType, (1.0, math.nan, 1.0, 2.0), "rho=nan"),
+    (tw.WeibullType, (1.0, 0.0, 1.0, 2.0, -math.inf), "shift=-inf"),
+    (tw.EdgePower, (1.0, math.inf, 1.0), "sigma=inf"),
+])
+def test_tail_refuses_a_non_finite_field(cls, fields, bad):
+    with pytest.raises(SpecError, match=f"needs finite fields with .* > 0, got {bad}$"):
+        cls(*fields)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_support_endpoints(spec):
     m = tw.make_model(spec)
@@ -160,17 +178,26 @@ SUPPORT_RULE_LAWS.update({
     "eta_power_low(0.3,2,1.5)": gp.eta_power_low_model(0.3, 2.0, 1.5),
     "neg pareto(1,2)": gp.negate_model(tw.make_model("pareto(1,2)")),
     "neg normal": gp.negate_model(tw.make_model("normal")),
+    "weibull(2,0.5)": tw.make_model("weibull(2,0.5)"),
 })
+
+
+# A scalar must give the bits of the same point inside an array: numpy's
+# scalar and array x**alpha (pow against sqrt or square) once differed, for
+# example for weibull(2,0.5) at 1 - 2**-53.
+BITWISE_POINTS = np.concatenate([np.linspace(-3.0, 5.0, 161), np.geomspace(1e-9, 1e9, 181),
+                                 [1.0 - 2.0 ** -53]]).tolist()
 
 
 @pytest.mark.parametrize("name", list(SUPPORT_RULE_LAWS))
 def test_every_law_follows_the_support_rule(name):
     # log SF is 0 at or below lo and -inf at or above hi; log density is
-    # -inf outside (lo, hi); scalars give floats, arrays keep their shape,
-    # and nothing warns, not even at +-1e300.
+    # -inf outside (lo, hi); scalars give floats with the bits of the same
+    # point inside an array, arrays keep their shape, and nothing warns,
+    # not even at +-1e300.
     m = SUPPORT_RULE_LAWS[name]
     lo, hi = m.support
-    points = [-1e300, 1e300]
+    points = [-1e300, 1e300] + BITWISE_POINTS
     for end in (e for e in (lo, hi) if math.isfinite(e)):
         points += [end - 0.25, np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf), end + 0.25]
     points = np.array(points)
@@ -182,6 +209,9 @@ def test_every_law_follows_the_support_rule(name):
         if m.log_density:
             assert m.log_density(points[:, None]).shape == (len(points), 1)
     assert all(type(v) is float for v in sf + dens), name
+    assert m.log_sf(points).tobytes() == np.array(sf).tobytes(), name
+    if m.log_density:
+        assert m.log_density(points).tobytes() == np.array(dens).tobytes(), name
     for x, v in zip(points, sf):
         if x >= hi:
             assert v == -math.inf, (name, x, v)
