@@ -20,9 +20,9 @@ import math
 from .errors import (
     AssumptionError,
     ConditionError,
-    DomainError,
     SpecError,
     Unsupported,
+    as_double,
 )
 from .tail_model import (
     AsymptoticTail,
@@ -45,23 +45,6 @@ __all__ = [
 ]
 
 
-def _positive_double(name: str, compute) -> float:
-    """compute(), a constant of a combined tail, if it is a positive finite double.
-
-    Inputs that fit in doubles can combine to a constant that does not: a
-    power overflows (raising), underflows to 0 or raises 0 to a negative
-    power (raising), and 0 * inf gives NaN.
-    """
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} of the combined tail is not a positive finite "
-                          f"double (got {value!r})")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Sum
 # ---------------------------------------------------------------------------
@@ -80,7 +63,7 @@ def sum_mixed_tail(x: WeibullType, y: EdgePower) -> WeibullType:
         )
     if x.shift != 0.0:
         raise AssumptionError("sum_mixed_tail requires an unshifted first tail")
-    c = _positive_double("sum_mixed_tail: constant C", lambda: (
+    c = as_double("sum_mixed_tail: constant C of the combined tail", lambda: (
         x.C * y.C * (x.K * x.alpha) ** (-y.mu) * math.gamma(y.mu + 1.0)))
     rho = y.mu + x.rho - x.alpha * y.mu
     return WeibullType(c, rho, x.K, x.alpha, y.sigma)
@@ -104,7 +87,7 @@ def product_mixed_tail(x: WeibullType, y: EdgePower) -> WeibullType:
         )
     if x.shift != 0.0:
         raise AssumptionError("product_mixed_tail requires an unshifted first tail")
-    c = _positive_double("product_mixed_tail: constant C", lambda: (
+    c = as_double("product_mixed_tail: constant C of the combined tail", lambda: (
         x.C
         * y.C
         * math.gamma(y.mu + 1.0)
@@ -112,8 +95,8 @@ def product_mixed_tail(x: WeibullType, y: EdgePower) -> WeibullType:
         * (x.K * x.alpha) ** (-y.mu)
     ))
     rho = x.rho - x.alpha * y.mu
-    k = _positive_double("product_mixed_tail: rate K",
-                         lambda: x.K * y.sigma ** (-x.alpha))
+    k = as_double("product_mixed_tail: rate K of the combined tail",
+                  lambda: x.K * y.sigma ** (-x.alpha))
     return WeibullType(c, rho, k, x.alpha, 0.0)
 
 
@@ -133,8 +116,8 @@ def product_power_tail(x_model: DistributionModel, y: PowerTail) -> PowerTail:
             f"conditions (C_alpha) and (D_alpha) with alpha={y.alpha} fail for "
             f"{x_model.family} tail {x_model.tail}"
         )
-    c = _positive_double("product_power_tail: constant C",
-                         lambda: y.C * moment(x_model, y.alpha))
+    c = as_double("product_power_tail: constant C of the combined tail",
+                  lambda: y.C * moment(x_model, y.alpha))
     return PowerTail(c, y.alpha)
 
 

@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 bad
 specification or arguments (an --out path that cannot be written among
 them), 3 a mathematical hypothesis or domination condition is violated
-(the message names it), 4 numerical failure.
+(the message names it), 4 numerical failure.  Each error class carries
+its exit code as ``exit_code`` (see :mod:`tailward.errors`).
 
 All randomness enters through --seed (default 0, never time-based); the
 TAILWARD_THREADS environment variable caps --workers.
@@ -18,20 +19,7 @@ import sys
 from pathlib import Path
 
 from .asymptotic_engine import product_tail, sum_tail
-from .errors import (
-    AssumptionError,
-    BoundaryCase,
-    ConditionError,
-    DivergentMoment,
-    DomainError,
-    EmbeddingFailure,
-    MissingEConstant,
-    MissingPickands,
-    QuadratureFailure,
-    SpecError,
-    TailwardError,
-    Unsupported,
-)
+from .errors import SpecError, TailwardError
 from .tail_model import make_model, tail_to_dict
 
 EXIT_OK = 0
@@ -40,17 +28,11 @@ EXIT_SPEC = 2
 EXIT_ASSUMPTION = 3
 EXIT_NUMERIC = 4
 
-_ASSUMPTION_ERRORS = (
-    AssumptionError,
-    ConditionError,
-    Unsupported,
-    DivergentMoment,
-    BoundaryCase,
-    MissingPickands,
-    MissingEConstant,
-)
-_SPEC_ERRORS = (SpecError, DomainError, OSError)  # OSError: an unusable --out or --model path
-_NUMERIC_ERRORS = (QuadratureFailure, EmbeddingFailure)
+_LABELS = {
+    EXIT_SPEC: "specification error",
+    EXIT_ASSUMPTION: "hypothesis violated",
+    EXIT_NUMERIC: "numerical failure",
+}
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -397,18 +379,11 @@ def main(argv=None) -> int:
         return EXIT_SPEC if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except _SPEC_ERRORS as exc:
-        print(f"specification error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except _ASSUMPTION_ERRORS as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except TailwardError as exc:  # catch-all for library errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (TailwardError, OSError) as exc:
+        # OSError: an unusable --out or --model path is a specification error.
+        code = getattr(exc, "exit_code", EXIT_SPEC)
+        print(f"{_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,36 +1,46 @@
-"""Exception taxonomy shared by all tailward modules.
+"""Exception taxonomy shared by all tailward modules, and the one refusal rule.
 
-The split matters for the CLI exit codes: user-input problems, violated
-mathematical hypotheses, and numerical failures are reported differently.
+The split matters for the CLI exit codes, which each class carries as
+``exit_code``: user-input problems (2), violated mathematical hypotheses
+(3) and numerical failures (4) are reported differently.
 """
+
+import math
 
 
 class TailwardError(Exception):
     """Base class for all tailward errors."""
+    exit_code = 4
 
 
 class SpecError(TailwardError):
     """Malformed distribution/tail/model specification."""
+    exit_code = 2
 
 
 class DomainError(TailwardError):
     """Evaluation requested outside a tail's or oracle's valid region."""
+    exit_code = 2
 
 
 class AssumptionError(TailwardError):
     """A hypothesis of the closed-form result does not hold."""
+    exit_code = 3
 
 
 class ConditionError(TailwardError):
     """Neither domination condition could be certified for the pair."""
+    exit_code = 3
 
 
 class Unsupported(TailwardError):
     """Tail-family combination outside the implemented classification."""
+    exit_code = 3
 
 
 class DivergentMoment(TailwardError):
     """The requested moment does not exist for the declared tail."""
+    exit_code = 3
 
 
 class QuadratureFailure(TailwardError):
@@ -43,15 +53,37 @@ class QuadratureFailure(TailwardError):
 
 class MissingPickands(TailwardError):
     """No Pickands constant known or supplied for this stationarity index."""
+    exit_code = 3
 
 
 class MissingEConstant(TailwardError):
     """No sup-ratio moment constant available for the zero-lower-edge case."""
+    exit_code = 3
 
 
 class BoundaryCase(TailwardError):
     """The two competing tails have equal decay; no asymptotic is claimed."""
+    exit_code = 3
 
 
 class EmbeddingFailure(TailwardError):
     """Circulant spectrum went negative beyond round-off."""
+
+
+def as_double(name: str, compute, positive: bool = True) -> float:
+    """compute() if it is a finite double, and > 0 when ``positive``.
+
+    Inputs that fit in doubles can combine to a value that does not: a
+    power overflows (raising), underflows to 0 or raises 0 to a negative
+    power (raising), and 0 * inf gives NaN.  Each is a DomainError naming
+    the value.  This is the one place a computed value's OverflowError or
+    ZeroDivisionError is caught; log values and ratios pass positive=False.
+    """
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not (0.0 < value < math.inf if positive else math.isfinite(value)):
+        kind = "positive finite" if positive else "finite"
+        raise DomainError(f"{name} is not a {kind} double (got {value!r})")
+    return value

@@ -35,6 +35,7 @@ from ..errors import (
     MissingEConstant,
     MissingPickands,
     SpecError,
+    as_double,
 )
 from ..specfun import log_norm_sf
 from ..tail_model import (
@@ -204,26 +205,28 @@ def trend_constants(model: TrendModel, c: float) -> TrendConstants:
             f"no exact Pickands constant for alpha_loc={a}; supply one or "
             f"estimate it first"
         )
+    # Each constant is refused, by name, once it leaves the positive doubles.
+    name = "trend_constants: constant {}".format
     base = H / (beta - H)
-    k_s = base ** (1.0 / beta)
-    k_a = base ** (-H / beta) * beta / (beta - H)
-    k_b = base ** (-(H + 2.0) / beta) * H * beta
-    k_d = model.d_at(k_s)
+    k_s = as_double(name("K_s"), lambda: base ** (1.0 / beta))
+    k_a = as_double(name("K_A"), lambda: base ** (-H / beta) * beta / (beta - H))
+    k_b = as_double(name("K_B"), lambda: base ** (-(H + 2.0) / beta) * H * beta)
+    k_d = as_double(name("K_D"), lambda: model.d_at(k_s))
     if a < 2.0:
-        k = (
+        k = as_double(name("K"), lambda: (
             pickands
             * math.sqrt(math.pi)
             * k_d ** (1.0 / a)
             / (math.sqrt(k_b) * 2.0 ** (1.0 / a - 0.5))
             * k_a ** (2.0 / a - 1.5)
-        )
+        ))
     else:
-        k = 2.0 / k_a * math.sqrt((k_a * k_d + k_b) / k_b)
+        k = as_double(name("K"), lambda: 2.0 / k_a * math.sqrt((k_a * k_d + k_b) / k_b))
     return TrendConstants(
-        s0=k_s * c ** (-1.0 / beta),
-        A=k_a * c ** (H / beta),
-        B=k_b * c ** ((H + 2.0) / beta),
-        C=k * c ** ((H / beta) * (2.0 / a - 2.0)),
+        s0=as_double(name("s0"), lambda: k_s * c ** (-1.0 / beta)),
+        A=as_double(name("A"), lambda: k_a * c ** (H / beta)),
+        B=as_double(name("B"), lambda: k_b * c ** ((H + 2.0) / beta)),
+        C=as_double(name("C"), lambda: k * c ** ((H / beta) * (2.0 / a - 2.0))),
         K_s=k_s,
         K_A=k_a,
         K_B=k_b,
@@ -284,7 +287,8 @@ def bm_sup_ratio_moment(alpha: float) -> float:
     """
     if alpha <= 0:
         raise SpecError(f"moment order must be positive, got {alpha}")
-    return 2.0 ** (-alpha / 2.0) * math.gamma(alpha / 2.0 + 1.0)
+    return as_double(f"bm_sup_ratio_moment: moment of order {alpha}",
+                     lambda: 2.0 ** (-alpha / 2.0) * math.gamma(alpha / 2.0 + 1.0))
 
 
 def _sup_ratio_moment(model: TrendModel, alpha: float) -> float:
@@ -314,7 +318,8 @@ def random_trend_tail(model: TrendModel) -> AsymptoticTail:
     h = H / beta
     if eta.delta > 0.0:
         edge = EdgePower(
-            C=eta.C * (beta / H) ** eta.mu * eta.delta ** ((1.0 + h) * eta.mu),
+            C=as_double("random_trend_tail: edge constant C", lambda: (
+                eta.C * (beta / H) ** eta.mu * eta.delta ** ((1.0 + h) * eta.mu))),
             sigma=eta.delta ** (-h),
             mu=eta.mu,
         )

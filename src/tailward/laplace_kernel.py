@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, SpecError
+from .errors import AssumptionError, SpecError, as_double
 from .quadrature import log_quad
 
 __all__ = [
@@ -37,13 +37,8 @@ def _check_positive(**kv):
 
 def _log_peak(u: float, alpha: float, K: float) -> float:
     """K u**alpha, the log-peak both forms factor out, if it is a double."""
-    try:
-        peak = K * u ** alpha
-    except OverflowError:
-        peak = math.inf
-    if not math.isfinite(peak):
-        raise DomainError(f"K*u**alpha overflows a double at u={u} (alpha={alpha}, K={K})")
-    return peak
+    return as_double(f"K*u**alpha at u={u} (alpha={alpha}, K={K})", lambda: K * u ** alpha,
+                     positive=False)
 
 
 def tail_integral_numeric(

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, TailwardError, Unsupported
+from .errors import DomainError, TailwardError, Unsupported, as_double
 from .quadrature import log_quad, logsumexp_pair
 from .tail_model import AsymptoticTail, DistributionModel, _heavy_first, sf_eval
 
@@ -138,14 +138,15 @@ def ratio_table(
         raise DomainError("grid must be strictly increasing")
     rows = []
     for u in grid:
-        log_h = log_sf = math.nan
+        log_h = log_sf = ratio = math.nan
         status = "ok"
         try:
             log_h = sf_eval(predicted, u)
             log_sf = oracle(x, y, u, rtol=rtol)
+            ratio = as_double("exact-to-asymptotic ratio", lambda: math.exp(log_sf - log_h),
+                              positive=False)
         except TailwardError as exc:
             status = f"failed: {exc}"
         rows.append({"u": u, "log_sf_exact": log_sf, "log_h": log_h,
-                     "ratio": math.exp(log_sf - log_h), "method": "quadrature",
-                     "status": status})
+                     "ratio": ratio, "method": "quadrature", "status": status})
     return rows

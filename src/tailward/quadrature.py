@@ -103,22 +103,22 @@ def _row_log_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _eval_panels(log_f, pan: np.ndarray) -> None:
     """Fill the log K and log error columns with one integrand call."""
-    half = (pan[:, _T_HI] - pan[:, _T_LO]) / 2.0
-    xs = ((pan[:, _T_HI] + pan[:, _T_LO]) / 2.0)[:, None] + half[:, None] * _XK
-    sign = pan[:, _SIGN, None]
-    log_jac = 0.0
-    if sign.any():
-        # Identity rows go through the map at t = 0 and keep their own nodes.
-        t = np.where(sign != 0.0, xs, 0.0)
-        one_minus = 1.0 - t
-        log_jac = -2.0 * np.log(one_minus)
-        xs = np.where(sign != 0.0, pan[:, _ANCHOR, None] + sign * (t / one_minus), xs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        half = (pan[:, _T_HI] - pan[:, _T_LO]) / 2.0
+        xs = ((pan[:, _T_HI] + pan[:, _T_LO]) / 2.0)[:, None] + half[:, None] * _XK
+        sign = pan[:, _SIGN, None]
+        log_jac = 0.0
+        if sign.any():
+            # Identity rows go through the map at t = 0 and keep their own nodes.
+            t = np.where(sign != 0.0, xs, 0.0)
+            one_minus = 1.0 - t
+            log_jac = -2.0 * np.log(one_minus)
+            xs = np.where(sign != 0.0, pan[:, _ANCHOR, None] + sign * (t / one_minus), xs)
         vals = np.asarray(log_f(xs.ravel()), dtype=float).reshape(xs.shape) + log_jac
+        log_half = np.log(half)
     # NaN and non-finite combinations (endpoint overflow in the map, 0 * inf)
     # are measure-zero artifacts of the transform; drop them.
     vals = np.where(np.isfinite(vals), vals, -np.inf)
-    log_half = np.log(half)
     pan[:, _LOG_K] = _row_logsumexp(vals + _LOG_WK) + log_half
     log_g = _row_logsumexp(vals[:, _GAUSS_IDX] + _LOG_WG) + log_half
     pan[:, _LOG_ERR] = _row_log_abs_diff(pan[:, _LOG_K], log_g)

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergentMoment, DomainError, SpecError
+from .errors import DivergentMoment, DomainError, SpecError, as_double
 from .specfun import log_norm_sf
 
 __all__ = [
@@ -112,29 +112,24 @@ def sf_eval(tail: AsymptoticTail, u: float) -> float:
     if isinstance(tail, PowerTail):
         if u <= 0:
             raise DomainError(f"power tail defined for u > 0, got u={u}")
-        value = math.log(tail.C) - tail.alpha * math.log(u)
+        log_tail = lambda: math.log(tail.C) - tail.alpha * math.log(u)
     elif isinstance(tail, WeibullType):
         if u <= tail.shift or u <= 0:
             raise DomainError(
                 f"weibull-type tail defined for u > max(shift, 0) = "
                 f"{max(tail.shift, 0.0)}, got u={u}"
             )
-        try:
-            decay = tail.K * (u - tail.shift) ** tail.alpha
-        except OverflowError:
-            decay = math.inf
-        value = math.log(tail.C) + tail.rho * math.log(u) - decay
+        log_tail = lambda: (math.log(tail.C) + tail.rho * math.log(u)
+                            - tail.K * (u - tail.shift) ** tail.alpha)
     elif isinstance(tail, EdgePower):
         if u >= tail.sigma:
             raise DomainError(
                 f"edge tail defined for u < sigma={tail.sigma}, got u={u}"
             )
-        value = math.log(tail.C) + tail.mu * math.log(tail.sigma - u)
+        log_tail = lambda: math.log(tail.C) + tail.mu * math.log(tail.sigma - u)
     else:
         raise SpecError(f"not an asymptotic tail: {tail!r}")
-    if not math.isfinite(value):
-        raise DomainError(f"log tail at u={u} is not a finite double")
-    return value
+    return as_double(f"log tail at u={u}", log_tail, positive=False)
 
 
 def power_substitute(tail: AsymptoticTail, p: float) -> AsymptoticTail:
@@ -259,11 +254,14 @@ def _make_weibull(K: float, alpha: float) -> DistributionModel:
     if not (K > 0 and alpha > 0):
         raise SpecError(f"weibull needs K > 0 and alpha > 0, got K={K}, alpha={alpha}")
 
+    # K * alpha can underflow to 0 where neither factor does.
+    log_k_alpha = math.log(K * alpha) if K * alpha > 0 else math.log(K) + math.log(alpha)
+
     def log_sf(x):
         return -K * x ** alpha
 
     def log_density(x):
-        body = math.log(K * alpha) + (alpha - 1) * np.log(np.maximum(x, 1e-320))
+        body = log_k_alpha + (alpha - 1) * np.log(np.maximum(x, 1e-320))
         return body - K * x ** alpha
 
     def sampler(rng, size=None):

@@ -1,12 +1,15 @@
 """Command-line contract: one case per exit code, payloads checked against the schemas."""
 
+import itertools
 import json
+import random
 import re
+import warnings
 
 import pytest
 
 import tailward as tw
-from tailward import asymptotic_engine, cli
+from tailward import asymptotic_engine, cli, errors
 from tailward import gp_extremes as gp
 from tailward.errors import QuadratureFailure
 from tailward.reports import FIXTURES
@@ -336,3 +339,163 @@ def test_gp_verify_fixture_report_and_unknown_name(capsys, validate):
     code, out, err = _run(capsys, "gp", "verify", "--fixture", "no-such-fixture")
     assert code == cli.EXIT_SPEC and out == ""
     assert err.startswith("specification error: unknown gp fixture 'no-such-fixture'")
+
+
+def test_each_error_class_carries_its_exit_code_and_label(capsys, monkeypatch):
+    # Every error class, with the exit code and stderr label the CLI gives it.
+    table = {
+        (cli.EXIT_SPEC, "specification error"): (errors.SpecError, errors.DomainError),
+        (cli.EXIT_ASSUMPTION, "hypothesis violated"): (
+            errors.AssumptionError, errors.ConditionError, errors.Unsupported,
+            errors.DivergentMoment, errors.BoundaryCase, errors.MissingPickands,
+            errors.MissingEConstant),
+        (cli.EXIT_NUMERIC, "numerical failure"): (
+            errors.QuadratureFailure, errors.EmbeddingFailure, errors.TailwardError),
+    }
+    classes = {cls for group in table.values() for cls in group}
+    assert classes == {cls for cls in vars(errors).values()
+                       if isinstance(cls, type) and issubclass(cls, errors.TailwardError)}
+    for (code, label), group in table.items():
+        for cls in group:
+            def raising(args, cls=cls):
+                raise cls("forced")
+
+            monkeypatch.setattr(cli, "_cmd_tail", raising)
+            assert cls.exit_code == code
+            assert _run(capsys, "tail", "sum", "--x", "normal", "--y", "normal") == (
+                code, "", f"{label}: forced\n")
+
+
+# ---------------------------------------------------------------------------
+# The numeric range: every input answers or refuses with its exit code
+# ---------------------------------------------------------------------------
+
+_EXTREMES = ("1e-300", "1e-8", "1", "1e8", "1e300")
+_EXTREME_LAWS = tuple(
+    [f"{family}({a},{b})" for family in ("weibull", "pareto", "edge", "lognormal")
+     for a in _EXTREMES for b in _EXTREMES]
+    + ["normal"] + [f"constant({a})" for a in _EXTREMES])
+_PARTNERS = ("pareto(1,2)", "weibull(1,2)", "weibull(1,0.5)", "edge(2,1)", "edge(0,1)",
+             "lognormal(0,1)")
+_EXTREME_LEVELS = "1e-300,1,1e16,1e50,1e200,1e308"
+
+
+def _both_orders(cmd, partners, *tail):
+    return [(cmd, op, "--x", x, "--y", y, *tail)
+            for op, law, partner in itertools.product(("sum", "product"), _EXTREME_LAWS, partners)
+            for x, y in ((law, partner), (partner, law))]
+
+
+def _gp_tail_models():
+    for delta, c, mu, beta in itertools.product(("0", "1e-300", "1e-8", "1", "1e8", "1e300"),
+                                                _EXTREMES, _EXTREMES, ("1", "2", "1e300")):
+        yield f'{{"preset":"bm","beta":{beta},"eta":{{"delta":{delta},"C":{c},"mu":{mu}}}}}'
+    for delta, mu, zc, gamma, delta0 in itertools.product(
+            ("0", "1e-300", "1", "1e300"), ("1e-300", "1", "1e300"), ("1e-300", "1e300"),
+            ("1e-300", "1", "1e300"), ("-1e300", "0", "1e300")):
+        yield (f'{{"preset":"bm","beta":2,"eta":{{"delta":{delta},"C":1,"mu":{mu}}},'
+               f'"zeta":{{"delta0":{delta0},"C":{zc},"gamma":{gamma}}}}}')
+    for h, beta, delta, mu in itertools.product(("1e-300", "1e-8", "0.3", "0.999"),
+                                                ("1e-8", "1", "2", "1e8", "1e300"),
+                                                ("0", "1e-300", "1", "1e300"),
+                                                ("1e-300", "1", "1e300")):
+        yield (f'{{"preset":"fbm","H":{h},"beta":{beta},"pickands":1,"e_const":1,'
+               f'"eta":{{"delta":{delta},"C":1,"mu":{mu}}},"zeta":{{"C":1,"gamma":1}}}}')
+
+
+# Each command's grid, and how many of its calls one tier-1 run samples.
+_SWEEPS = {
+    "tail": (lambda: _both_orders("tail", _PARTNERS), 200),
+    "verify": (lambda: _both_orders("verify", _PARTNERS[:4], "--grid", _EXTREME_LEVELS), 50),
+    "gp tail": (lambda: [("gp", "tail", "--model", m) for m in _gp_tail_models()], 150),
+    "gp constants": (lambda: [
+        ("gp", "constants", "--H", h, "--beta", beta, "--alpha-loc", a, "--c", c,
+         "--pickands", "1")
+        for h, beta, c, a in itertools.product(("1e-300", "1e-8", "0.3", "0.5", "0.999"),
+                                               _EXTREMES, _EXTREMES,
+                                               ("1e-300", "0.5", "1", "2"))], 100),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _contract_breach(capsys, validate, argv):
+    """What is wrong with one CLI call, or None when it answers or refuses."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(list(argv))
+        except Exception as exc:  # a traceback, or a numeric warning
+            capsys.readouterr()
+            return f"{type(exc).__name__}: {exc}"
+    out, err = capsys.readouterr()
+    if code in (cli.EXIT_SPEC, cli.EXIT_ASSUMPTION, cli.EXIT_NUMERIC):
+        return None if out == "" and err.count("\n") == 1 else f"exit {code}: {out}{err}"
+    if code not in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED):
+        return f"exit {code}"
+    try:
+        payload = json.loads(out, parse_constant=_reject_constant)
+        if argv[0] == "verify":
+            validate(payload, "report")
+        elif argv[1] == "constants":
+            validate(payload, "constants")
+        else:
+            validate(payload["tail"], "tail")
+    except Exception as exc:  # invalid JSON, or a schema violation
+        return f"exit {code}, bad payload: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("command", _SWEEPS)
+def test_extreme_inputs_answer_or_refuse(capsys, validate, command):
+    # A fixed sample of each grid: all 5,646 calls take about 48 s.
+    grid, n = _SWEEPS[command]
+    calls = random.Random(16).sample(grid(), n)
+    breaches = [(argv, why) for argv in calls
+                if (why := _contract_breach(capsys, validate, argv))]
+    assert not breaches, breaches[:5]
+
+
+_RATIO_ROW = "^failed: exact-to-asymptotic ratio is not a finite double"
+
+
+@pytest.mark.parametrize("argv,code,note", [
+    # A ratio exp(log_sf - log_h) beyond the doubles is a failed row.
+    (("verify", "product", "--x", "weibull(1,0.5)", "--y", "edge(2,1)", "--grid", "1e50"), 1,
+     _RATIO_ROW),
+    (("verify", "sum", "--x", "pareto(1,1e300)", "--y", "weibull(1,0.5)", "--grid", "1e16"), 1,
+     _RATIO_ROW),
+    (("verify", "sum", "--x", "weibull(1,1e-8)", "--y", "pareto(1,2)", "--grid", "1e200"), 1,
+     _RATIO_ROW),
+    # Quadrature nodes whose arithmetic leaves the doubles no longer warn.
+    (("verify", "sum", "--x", "weibull(1e8,1e-8)", "--y", "pareto(1,2)", "--grid", "1e16"), 1, ""),
+    (("verify", "sum", "--x", "weibull(1e8,1e-8)", "--y", "pareto(1,2)", "--grid", "1e308"), 1,
+     ""),
+    # K * alpha underflows to 0 in the Weibull density.
+    (("verify", "sum", "--x", "weibull(1e-300,1e-300)", "--y", "pareto(1,2)", "--grid", "1e16"),
+     1, ""),
+    # Trend constants beyond the positive doubles: 0 ** negative, an underflow to 0.
+    (("gp", "constants", "--H", "1e-300", "--beta", "1e300", "--alpha-loc", "1", "--c", "1"), 2,
+     "trend_constants: constant K_s is not a positive finite double"),
+    (("gp", "constants", "--H", "0.5", "--beta", "1", "--alpha-loc", "1", "--c", "1e-300"), 2,
+     r"trend_constants: constant B is not a positive finite double \(got 0.0\)"),
+    # The random-slope edge constant and the sup-ratio moment overflow.
+    (("gp", "tail", "--model", '{"preset":"bm","eta":{"delta":1e300,"C":1,"mu":1}}'), 2,
+     "random_trend_tail: edge constant C is not a positive finite double"),
+    (("gp", "tail", "--model", '{"preset":"bm","eta":{"delta":0,"C":1,"mu":1e8}}'), 2,
+     "bm_sup_ratio_moment: moment of order 200000000.0 is not a positive finite double"),
+])
+def test_inputs_beyond_the_doubles_answer_or_refuse(capsys, validate, argv, code, note):
+    # Each once ended in a traceback, a RuntimeWarning or "B": 0.0.
+    got, out, err = _run(capsys, *argv)
+    assert got == code and "Traceback" not in err, err
+    if argv[0] == "verify":
+        report = json.loads(out, parse_constant=_reject_constant)
+        validate(report, "report")
+        text = report["rows"][0]["status"]
+    else:
+        assert out == "" and err.startswith("specification error: ")
+        text = err
+    assert re.search(note, text), text

@@ -75,6 +75,13 @@ def test_heavy_tail_with_infinite_limit():
     assert val == pytest.approx(math.log(2.0 / 3.0), rel=1e-9)
 
 
+def test_nodes_beyond_the_doubles_do_not_warn():
+    # int_0^inf (1+x)^-1.01 dx = 100.  The half-line map sends nodes to 1/0
+    # and halves panels to width 0; that once raised a RuntimeWarning.
+    res = log_quad_result(lambda x: -1.01 * np.log1p(x), 0.0, math.inf)
+    assert not res.converged or res.log_value == pytest.approx(math.log(100.0), rel=1e-9)
+
+
 def test_logsumexp_pair_basics():
     assert logsumexp_pair(-math.inf, -3.0) == -3.0
     assert logsumexp_pair(0.0, 0.0) == pytest.approx(math.log(2.0))
