@@ -64,7 +64,9 @@ def sum_mixed_tail(x: WeibullType, y: EdgePower) -> WeibullType:
     if x.shift != 0.0:
         raise AssumptionError("sum_mixed_tail requires an unshifted first tail")
     c = as_double("sum_mixed_tail: constant C of the combined tail", lambda: (
-        x.C * y.C * (x.K * x.alpha) ** (-y.mu) * math.gamma(y.mu + 1.0)))
+        x.C * y.C * (x.K * x.alpha) ** (-y.mu) * math.gamma(y.mu + 1.0)), log_compute=lambda: (
+        math.log(x.C) + math.log(y.C) - y.mu * (math.log(x.K) + math.log(x.alpha))
+        + math.lgamma(y.mu + 1.0)))
     rho = y.mu + x.rho - x.alpha * y.mu
     return WeibullType(c, rho, x.K, x.alpha, y.sigma)
 
@@ -93,6 +95,12 @@ def product_mixed_tail(x: WeibullType, y: EdgePower) -> WeibullType:
         * math.gamma(y.mu + 1.0)
         * y.sigma ** (x.alpha * y.mu + y.mu - x.rho)
         * (x.K * x.alpha) ** (-y.mu)
+    ), log_compute=lambda: (
+        math.log(x.C)
+        + math.log(y.C)
+        + math.lgamma(y.mu + 1.0)
+        + (x.alpha * y.mu + y.mu - x.rho) * math.log(y.sigma)
+        - y.mu * (math.log(x.K) + math.log(x.alpha))
     ))
     rho = x.rho - x.alpha * y.mu
     k = as_double("product_mixed_tail: rate K of the combined tail",

@@ -70,7 +70,7 @@ class EmbeddingFailure(TailwardError):
     """Circulant spectrum went negative beyond round-off."""
 
 
-def as_double(name: str, compute, positive: bool = True) -> float:
+def as_double(name: str, compute, positive: bool = True, log_compute=None) -> float:
     """compute() if it is a finite double, and > 0 when ``positive``.
 
     Inputs that fit in doubles can combine to a value that does not: a
@@ -78,11 +78,21 @@ def as_double(name: str, compute, positive: bool = True) -> float:
     power (raising), and 0 * inf gives NaN.  Each is a DomainError naming
     the value.  This is the one place a computed value's OverflowError or
     ZeroDivisionError is caught; log values and ratios pass positive=False.
+
+    A product whose factor overflows (Gamma(176), say) can still fit:
+    ``log_compute``, the value's log assembled term by term (math.lgamma
+    for a Gamma function), is consulted only when compute() gives no
+    positive finite double, so every value compute() gives keeps its bits.
     """
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
         value = math.inf
+    if log_compute is not None and not 0.0 < value < math.inf:
+        try:
+            value = math.exp(log_compute())
+        except OverflowError:
+            value = math.inf
     if not (0.0 < value < math.inf if positive else math.isfinite(value)):
         kind = "positive finite" if positive else "finite"
         raise DomainError(f"{name} is not a {kind} double (got {value!r})")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SpecError
+from ..errors import SpecError, as_double
 from ..montecarlo import (
     _Z95, TailEstimate, _map_blocks, block_rng, rekey, resolve_workers, wilson_interval,
 )
@@ -52,6 +52,13 @@ class McEstimate:
     seed: int
     method: str
     truncation_note: str = ""
+
+    def __post_init__(self):
+        # A sample whose values, mean or spread leave the doubles is refused,
+        # never reported as inf or NaN.
+        for name in ("value", "ci_lo", "ci_hi"):
+            as_double(f"{self.method} estimate: {name}", lambda: getattr(self, name),
+                      positive=False)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -84,6 +91,14 @@ def _mean_over_paths(per_path, n_paths: int, seed: int, n_steps: int,
     return np.concatenate(_map_blocks(run, n_chunks, resolve_workers(workers)))
 
 
+def _pow(x: float, y: float) -> float:
+    """x ** y for a note or a sample value, inf where it overflows."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 def _hurst(process: str, H: float) -> float:
     if process == "bm":
         return 0.5
@@ -113,7 +128,8 @@ def pickands_estimate(
     _check_paths(n_paths, 2)
     dt = T / n_steps
     t = np.linspace(-T, T, 2 * n_steps + 1)
-    drift = np.abs(t) ** alpha_loc
+    with np.errstate(over="ignore"):  # an infinite drift weighs exp(-inf) = 0
+        drift = np.abs(t) ** alpha_loc
     sqrt2 = math.sqrt(2.0)
     # Trapezoid weights for the denominator integral.
     w_trap = np.full(t.shape, dt)
@@ -127,11 +143,13 @@ def pickands_estimate(
         z -= z.max()
         np.exp(z, out=z)
         z *= w_trap
-        return 1.0 / float(np.sum(z))
+        total = float(np.sum(z))
+        return 1.0 / total if total > 0.0 else math.inf
 
     ratios = _mean_over_paths(per_path, n_paths, seed, 2 * n_steps, workers)
-    value = float(ratios.mean())
-    half = _Z95 * float(ratios.std(ddof=1)) / math.sqrt(n_paths)
+    with np.errstate(over="ignore", invalid="ignore"):  # McEstimate refuses inf
+        value = float(ratios.mean())
+        half = _Z95 * float(ratios.std(ddof=1)) / math.sqrt(n_paths)
     return McEstimate(
         value=value,
         ci_lo=value - half,
@@ -143,7 +161,7 @@ def pickands_estimate(
         method="sup_integral_ratio",
         truncation_note=(
             f"paths truncated to [-T, T]; omitted mass decays like "
-            f"exp(-T**alpha) ~ {math.exp(-T ** alpha_loc):.2e}"
+            f"exp(-T**alpha) ~ {math.exp(-_pow(T, alpha_loc)):.2e}"
         ),
     )
 
@@ -168,8 +186,8 @@ def econst_estimate(
     percentile bootstrap over path-level values.
     """
     hurst = _hurst(process, H)
-    if alpha <= 0 or beta <= 0:
-        raise SpecError(f"alpha and beta must be positive, got {alpha}, {beta}")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise SpecError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
     if beta <= hurst:
         raise SpecError(
             f"beta must exceed the Hurst parameter for the ratio to vanish "
@@ -180,20 +198,22 @@ def econst_estimate(
     if n_boot < 2:
         raise SpecError(f"need n_boot >= 2, got {n_boot}")
     t = np.linspace(0.0, T, n_steps + 1)
-    denom = 1.0 + t ** beta
+    with np.errstate(over="ignore"):  # an infinite denominator gives ratio 0
+        denom = 1.0 + t ** beta
 
     def per_path(rng, work) -> float:
         path = fbm_path(hurst, n_steps, T, rng, work)
         r = float(np.max(np.divide(path, denom, out=path)))
-        return max(r, 0.0) ** alpha
+        return _pow(max(r, 0.0), alpha)
 
     vals = _mean_over_paths(per_path, n_paths, seed, n_steps, workers)
-    value = float(vals.mean())
     boot_rng = block_rng(seed, 2 ** 62)
     idx = boot_rng.integers(0, n_paths, size=(n_boot, n_paths))
-    boot_means = vals[idx].mean(axis=1)
-    lo, hi = np.percentile(boot_means, [2.5, 97.5])
-    scale = T ** (hurst - beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # McEstimate refuses inf
+        value = float(vals.mean())
+        boot_means = vals[idx].mean(axis=1)
+        lo, hi = np.percentile(boot_means, [2.5, 97.5])
+    scale = _pow(T, hurst - beta)
     return McEstimate(
         value=value,
         ci_lo=float(lo),

@@ -74,6 +74,8 @@ def _check_grid(H: float, n_steps: int, T: float) -> None:
         raise SpecError(f"Hurst parameter must be in (0, 1], got {H}")
     if not T > 0:
         raise SpecError(f"horizon must be positive, got {T}")
+    if T == math.inf:
+        raise SpecError(f"horizon must be finite, got {T}")
     if n_steps < 1 or (H != 1.0 and not _is_pow2(n_steps)):
         raise SpecError(f"n_steps must be a power of two, got {n_steps}")
 

@@ -288,7 +288,9 @@ def bm_sup_ratio_moment(alpha: float) -> float:
     if alpha <= 0:
         raise SpecError(f"moment order must be positive, got {alpha}")
     return as_double(f"bm_sup_ratio_moment: moment of order {alpha}",
-                     lambda: 2.0 ** (-alpha / 2.0) * math.gamma(alpha / 2.0 + 1.0))
+                     lambda: 2.0 ** (-alpha / 2.0) * math.gamma(alpha / 2.0 + 1.0),
+                     log_compute=lambda: -alpha / 2.0 * math.log(2.0)
+                     + math.lgamma(alpha / 2.0 + 1.0))
 
 
 def _sup_ratio_moment(model: TrendModel, alpha: float) -> float:

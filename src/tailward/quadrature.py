@@ -14,6 +14,16 @@ round evaluates its new rows with one integrand call and row-wise
 log-sum-exps, then splits the selected rows by masks into a fixed order:
 kept rows, rows at resolution, then each split row's (lo, hi) halves.  So
 the result does not depend on scheduling and is bitwise reproducible.
+
+A round's masks are needed only by unusual rows, and the common case skips
+them: a row whose maximum is -inf (a panel where the integrand vanishes),
+NaN or +inf takes the masked log-sum-exp; a node value that is NaN or +inf
+(the half-line map at t = 1, log of a negative number) is replaced by
+-inf; a split round with a panel at floating-point resolution marks it
+final.  Where a mask is skipped it is the identity, so every operation
+that reaches a result keeps its operands, their order and the layout
+numpy sums them in, and the bits cannot move; tests/test_quadrature.py
+pins one integral per masked branch and compares both paths bitwise.
 """
 
 from __future__ import annotations
@@ -51,7 +61,6 @@ _WK = np.array([
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
 ])
-_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.array([
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469, 0.381830050505119, 0.279705391489277,
@@ -85,19 +94,38 @@ _T_LO, _T_HI, _SIGN, _ANCHOR, _LOG_K, _LOG_ERR, _FINAL = range(7)
 
 
 def _row_logsumexp(v: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each row of a C-contiguous 2-D array."""
+    """Log-sum-exp of each row of a 2-D array.
+
+    numpy sums a row in an order set by the layout: pairwise along a
+    C-contiguous row, left to right down the columns of a Fortran-ordered
+    array.  So every caller fixes the layout it passes, and the bits with it.
+
+    When every row maximum is finite (the common case) the masks of the
+    other branch are the identity and are skipped: the same subtraction,
+    exp, row sum and log run on the same operands in the same order, so the
+    bits cannot move.  Otherwise every row takes the masked branch: a row of
+    -inf gives -inf, and a row with a NaN or +inf maximum gives that maximum.
+    """
     m = np.maximum.reduce(v, axis=1)
     ok = np.isfinite(m)
+    if np.count_nonzero(ok) == len(ok):
+        return m + np.log(np.add.reduce(np.exp(v - m[:, None]), axis=1))
     s = np.add.reduce(np.exp(v - np.where(ok, m, 0.0)[:, None]), axis=1)
-    # A row without a finite maximum returns it: -inf when every term is 0.
     return m + np.log(s, out=np.zeros(len(s)), where=ok)
 
 
 def _row_log_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log |exp(a) - exp(b)| elementwise, computed stably."""
+    """log |exp(a) - exp(b)| elementwise, computed stably.
+
+    When every max(a, b) is finite its mask is the identity and is skipped,
+    with the same bits.  Otherwise every element takes the masked branch,
+    where a and b both -inf keep d at -inf instead of NaN.
+    """
     hi = np.maximum(a, b)
-    # Where both are -inf, lo - 0 keeps d at -inf instead of NaN.
-    d = np.minimum(np.minimum(a, b) - np.where(hi > -np.inf, hi, 0.0), -1e-300)
+    if np.count_nonzero(np.isfinite(hi)) == len(hi):
+        d = np.minimum(np.minimum(a, b) - hi, -1e-300)
+    else:
+        d = np.minimum(np.minimum(a, b) - np.where(hi > -np.inf, hi, 0.0), -1e-300)
     return np.where(a == b, -np.inf, hi + np.log(-np.expm1(d)))
 
 
@@ -106,22 +134,30 @@ def _eval_panels(log_f, pan: np.ndarray) -> None:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         half = (pan[:, _T_HI] - pan[:, _T_LO]) / 2.0
         xs = ((pan[:, _T_HI] + pan[:, _T_LO]) / 2.0)[:, None] + half[:, None] * _XK
-        sign = pan[:, _SIGN, None]
-        log_jac = 0.0
-        if sign.any():
+        mapped = np.count_nonzero(pan[:, _SIGN])
+        if mapped:
             # Identity rows go through the map at t = 0 and keep their own nodes.
+            sign = pan[:, _SIGN, None]
             t = np.where(sign != 0.0, xs, 0.0)
             one_minus = 1.0 - t
             log_jac = -2.0 * np.log(one_minus)
             xs = np.where(sign != 0.0, pan[:, _ANCHOR, None] + sign * (t / one_minus), xs)
-        vals = np.asarray(log_f(xs.ravel()), dtype=float).reshape(xs.shape) + log_jac
+        vals = np.asarray(log_f(xs.ravel()), dtype=float).reshape(xs.shape)
+        if mapped:
+            vals = vals + log_jac
         log_half = np.log(half)
     # NaN and non-finite combinations (endpoint overflow in the map, 0 * inf)
-    # are measure-zero artifacts of the transform; drop them.
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    pan[:, _LOG_K] = _row_logsumexp(vals + _LOG_WK) + log_half
-    log_g = _row_logsumexp(vals[:, _GAUSS_IDX] + _LOG_WG) + log_half
-    pan[:, _LOG_ERR] = _row_log_abs_diff(pan[:, _LOG_K], log_g)
+    # are measure-zero artifacts of the transform; drop them.  The maximum
+    # is NaN or +inf exactly when some value is; -inf values stay as they are.
+    if not vals.max() < np.inf:
+        vals = np.where(np.isfinite(vals), vals, -np.inf)
+    # Kronrod rows are C-contiguous (summed pairwise); the Gauss nodes, every
+    # other Kronrod node, go into a Fortran-ordered array (summed left to
+    # right), the layout the rule has always summed them in.
+    log_k = _row_logsumexp(vals + _LOG_WK) + log_half
+    log_g = _row_logsumexp(np.add(vals[:, 1::2], _LOG_WG, order="F")) + log_half
+    pan[:, _LOG_K] = log_k
+    pan[:, _LOG_ERR] = _row_log_abs_diff(log_k, log_g)
 
 
 @dataclass
@@ -181,6 +217,7 @@ def log_quad_result(
     _eval_panels(log_f, pan)
     n_nodes = 15 * len(pan)
     log_rtol = math.log(rtol)
+    has_final = False  # no row is final until a split round finds one
 
     while True:
         # The reductions sum each row in numpy's pairwise order, which holds
@@ -196,7 +233,9 @@ def log_quad_result(
         # Refine every panel whose error is within a factor ~e^3 of an even
         # share of the error budget; fixed order keeps this deterministic.
         threshold = log_rtol - math.log(len(pan)) - 3.0
-        split = (pan[:, _LOG_ERR] - total > threshold) & (pan[:, _FINAL] == 0.0)
+        split = pan[:, _LOG_ERR] - total > threshold
+        if has_final:
+            split &= pan[:, _FINAL] == 0.0
         n_split = np.count_nonzero(split)
         if not n_split or n_nodes + 30 * n_split > max_nodes:
             return QuadResult(total, err, n_nodes, False)
@@ -204,13 +243,18 @@ def log_quad_result(
         mid = (parents[:, _T_LO] + parents[:, _T_HI]) / 2.0
         # An interval at floating-point resolution cannot be halved.
         final = (mid <= parents[:, _T_LO]) | (mid >= parents[:, _T_HI])
-        parents[final, _FINAL] = 1.0
-        children = np.repeat(parents[~final], 2, axis=0)
-        children[0::2, _T_HI] = children[1::2, _T_LO] = mid[~final]
+        pieces = [pan[~split]]
+        if np.count_nonzero(final):
+            parents[final, _FINAL] = 1.0
+            pieces.append(parents[final])
+            parents, mid = parents[~final], mid[~final]
+            has_final = True  # a final row is kept in every later round
+        children = parents.repeat(2, axis=0)
+        children[0::2, _T_HI] = children[1::2, _T_LO] = mid
         if len(children):
             _eval_panels(log_f, children)
         n_nodes += 15 * len(children)
-        pan = np.concatenate([pan[~split], parents[final], children])
+        pan = np.concatenate(pieces + [children])
 
 
 def log_quad(

@@ -2,9 +2,11 @@
 
 import itertools
 import json
+import math
 import random
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +148,8 @@ def test_adhoc_verify_tail_beyond_the_doubles_is_a_failed_row(capsys, validate, 
     ("product", "edge(1e300,1e-8)", "pareto(1,2)", "constant C"),
     ("product", "pareto(1e300,1e300)", "weibull(1,2)", "constant C"),
     ("product", "weibull(1,2)", "pareto(1e300,1e300)", "constant C"),
+    # C ~ 10**423.4, even assembled in log space.
+    ("product", "weibull(1,2)", "edge(2,175)", "constant C"),
 ])
 def test_mixed_tail_constant_beyond_the_doubles_exits_two(capsys, op, x, y, constant):
     # The inputs fit in doubles, the combined tail's constant does not: it
@@ -378,6 +382,7 @@ _EXTREME_LAWS = tuple(
 _PARTNERS = ("pareto(1,2)", "weibull(1,2)", "weibull(1,0.5)", "edge(2,1)", "edge(0,1)",
              "lognormal(0,1)")
 _EXTREME_LEVELS = "1e-300,1,1e16,1e50,1e200,1e308"
+_ESTIMATOR_VALUES = _EXTREMES + ("inf", "nan")
 
 
 def _both_orders(cmd, partners, *tail):
@@ -414,6 +419,21 @@ _SWEEPS = {
         for h, beta, c, a in itertools.product(("1e-300", "1e-8", "0.3", "0.5", "0.999"),
                                                _EXTREMES, _EXTREMES,
                                                ("1e-300", "0.5", "1", "2"))], 100),
+    # The estimators at 2 paths of 4 steps; OUT is the paths file.
+    "gp econst": (lambda: [
+        ("gp", "econst", "--process", process, "--H", h, "--alpha", a, "--beta", b, "--T", t,
+         "--paths", "2", "--steps", "4")
+        for process, h, a, b, t in itertools.product(
+            ("bm", "fbm"), ("0.3", "0.999", "nan"), _ESTIMATOR_VALUES,
+            ("1", "1e300", "inf", "nan"), _ESTIMATOR_VALUES)], 60),
+    "gp fbm": (lambda: [
+        ("gp", "fbm", "--H", h, "--steps", "4", "--T", t, "--paths", p, "--out", "OUT")
+        for h, t, p in itertools.product(("1e-300", "1e-8", "0.3", "0.5", "0.999", "1", "nan"),
+                                         _ESTIMATOR_VALUES, ("1", "2"))], 30),
+    "gp pickands": (lambda: [
+        ("gp", "pickands", "--alpha", a, "--T", t, "--paths", "2", "--steps", "4")
+        for a, t in itertools.product(("1e-300", "1e-8", "0.6", "1", "2", "inf", "nan"),
+                                      _ESTIMATOR_VALUES + ("5e-324",))], 30),
 }
 
 
@@ -435,12 +455,17 @@ def _contract_breach(capsys, validate, argv):
         return None if out == "" and err.count("\n") == 1 else f"exit {code}: {out}{err}"
     if code not in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED):
         return f"exit {code}"
+    if argv[:2] == ("gp", "fbm"):
+        paths = Path(argv[argv.index("--out") + 1]).read_text()
+        return f"exit {code}, non-finite paths written" if re.search("nan|inf", paths) else None
     try:
         payload = json.loads(out, parse_constant=_reject_constant)
         if argv[0] == "verify":
             validate(payload, "report")
         elif argv[1] == "constants":
             validate(payload, "constants")
+        elif argv[1] in ("econst", "pickands"):
+            validate(payload, "estimate")
         else:
             validate(payload["tail"], "tail")
     except Exception as exc:  # invalid JSON, or a schema violation
@@ -449,13 +474,60 @@ def _contract_breach(capsys, validate, argv):
 
 
 @pytest.mark.parametrize("command", _SWEEPS)
-def test_extreme_inputs_answer_or_refuse(capsys, validate, command):
-    # A fixed sample of each grid: all 5,646 calls take about 48 s.
+def test_extreme_inputs_answer_or_refuse(capsys, validate, tmp_path, command):
+    # A fixed sample of each grid: all 6,976 calls take about 54 s.
     grid, n = _SWEEPS[command]
-    calls = random.Random(16).sample(grid(), n)
+    out = str(tmp_path / "paths.csv")
+    calls = [tuple(out if a == "OUT" else a for a in argv)
+             for argv in random.Random(16).sample(grid(), n)]
     breaches = [(argv, why) for argv in calls
                 if (why := _contract_breach(capsys, validate, argv))]
     assert not breaches, breaches[:5]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("econst", "--process", "fbm", "--H", "0.3", "--alpha", "1", "--beta", "1e300",
+      "--T", "1e-8"), None),
+    (("econst", "--process", "fbm", "--H", "0.3", "--alpha", "1", "--beta", "1e300",
+      "--T", "1e300"), None),
+    (("econst", "--alpha", "nan", "--beta", "1"),
+     "alpha and beta must be positive and finite, got nan, 1.0"),
+    (("fbm", "--H", "0.3", "--steps", "4", "--T", "inf", "--paths", "1", "--out", "OUT"),
+     "horizon must be finite, got inf"),
+    (("pickands", "--alpha", "1e-8", "--T", "1e-300"),
+     "sup_integral_ratio estimate: ci_lo is not a finite double (got -inf)"),
+])
+def test_gp_estimator_sweep_findings_answer_or_refuse(capsys, validate, tmp_path, argv, message):
+    # A traceback, an overflow warning, "value": NaN with exit 0, a nan/inf
+    # path file with exit 0 and an overflow warning, in that order.
+    out = tmp_path / "p.csv"
+    argv = ("gp",) + tuple(str(out) if a == "OUT" else a for a in argv)
+    if argv[1] != "fbm":
+        argv += ("--paths", "2", "--steps", "4")
+    assert _contract_breach(capsys, validate, argv) is None  # checks the payload too
+    code, stdout, err = _run(capsys, *argv)
+    if message is None:
+        assert code == cli.EXIT_OK
+    else:
+        assert (code, stdout, err) == (cli.EXIT_SPEC, "", f"specification error: {message}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("tail", "sum", "--x", "weibull(1,2)", "--y", "edge(0,175)"),
+    ("tail", "product", "--x", "weibull(1,2)", "--y", "edge(1,175)"),
+    ("tail", "product", "--x", "edge(1,175)", "--y", "weibull(1,2)"),
+    ("gp", "tail", "--model", '{"preset":"bm","eta":{"delta":0,"C":1,"mu":175}}'),
+])
+def test_gamma_constant_that_fits_answers(capsys, validate, argv):
+    # Gamma(176) overflows a double, yet C = 2**-175 * Gamma(176) ~ 2.348e265
+    # fits; these once exited 2 with "not a positive finite double (got inf)".
+    code, out, err = _run(capsys, *argv)
+    assert code == cli.EXIT_OK, err
+    tail = json.loads(out, parse_constant=_reject_constant)["tail"]
+    validate(tail, "tail")
+    assert tail["C"] == pytest.approx(
+        math.exp(math.lgamma(176.0) - 175.0 * math.log(2.0)), rel=1e-12)
 
 
 _RATIO_ROW = "^failed: exact-to-asymptotic ratio is not a finite double"

@@ -9,7 +9,14 @@ import pytest
 from tailward import make_model
 from tailward.errors import QuadratureFailure
 from tailward.oracle import sf_product_exact, sf_sum_exact
-from tailward.quadrature import log1mexp, log_quad, log_quad_result, logsumexp_pair
+from tailward.quadrature import (
+    _row_log_abs_diff,
+    _row_logsumexp,
+    log1mexp,
+    log_quad,
+    log_quad_result,
+    logsumexp_pair,
+)
 
 
 def test_exponential_on_half_line():
@@ -117,6 +124,7 @@ def _normal(x):
 
 _LOGNORMAL, _PARETO = make_model("lognormal(0,1)"), make_model("pareto(1,2)")
 _WEIBULL = make_model("weibull(1,2)")
+_ULP = 2.0 ** -52
 
 # (log_value, log_error, n_nodes, converged) for one integral of each panel
 # mix: both half-line maps, each alone, a one-split-per-round chain, bounded
@@ -174,6 +182,28 @@ PINNED = {
         partial(sf_product_exact, _LOGNORMAL, _PARETO, 1e300), -1379.5510557964274),
     "level-sum-weibull-pareto-u1e3": (
         partial(sf_sum_exact, _WEIBULL, _PARETO, 1e3), -13.81373667305055),
+    # One integral per masked branch of a round, pinned before the common
+    # case lost its masks.  Panels right of the step hold only -inf, so
+    # their row maxima are -inf.
+    "step-without-breakpoint": (
+        partial(_quad, lambda x: np.where(x < 1.3, 0.0, -np.inf), 0.0, 5.0),
+        (0.26236426440951244, -22.83230970147526, 945, True)),
+    # A 1-ulp panel is final at once; the other panel halves down to 1 ulp.
+    "panels-at-resolution": (
+        partial(_quad, lambda x: -x, 1.0, 1.0 + 8 * _ULP, rtol=1e-17,
+                breakpoints=[1.0 + _ULP]),
+        (-34.964211847437326, -67.54212933375474, 210, False)),
+    # Half-line panels that reach t = 1 put nodes at x = inf (+inf values).
+    "half-line-nodes-beyond-doubles": (
+        partial(_quad, lambda x: x, 0.0, math.inf),
+        (9007199254741028.0, 281474976710683.9, 1455, True)),
+    "half-line-flat-nodes-beyond-doubles": (
+        partial(_quad, lambda x: np.zeros_like(x), 0.0, math.inf),
+        (36.54135369157065, 10.299857355018084, 174075, True)),
+    # log of a negative number left of 1: NaN values, dropped as -inf.
+    "nan-integrand": (
+        partial(_quad, lambda x: 0.5 * np.log(x - 1.0), 0.0, 4.0),
+        (1.242453324899237, -21.880058181864985, 495, True)),
 }
 
 
@@ -181,3 +211,59 @@ PINNED = {
 def test_results_are_pinned_to_the_bit(name):
     call, expected = PINNED[name]
     assert call() == expected
+
+
+
+def _reference_row_logsumexp(v):
+    # The round's reductions as they were with every row masked.
+    m = np.maximum.reduce(v, axis=1)
+    ok = np.isfinite(m)
+    s = np.add.reduce(np.exp(v - np.where(ok, m, 0.0)[:, None]), axis=1)
+    return m + np.log(s, out=np.zeros(len(s)), where=ok)
+
+
+def _reference_row_log_abs_diff(a, b):
+    hi = np.maximum(a, b)
+    d = np.minimum(np.minimum(a, b) - np.where(hi > -np.inf, hi, 0.0), -1e-300)
+    return np.where(a == b, -np.inf, hi + np.log(-np.expm1(d)))
+
+
+def _mixed_rows(rng, shape, special_frac):
+    # Finite values over a wide range, with +-inf and NaN scattered in.
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    pick = rng.random(shape)
+    v[pick < special_frac] = -np.inf
+    v[(pick >= special_frac) & (pick < 1.5 * special_frac)] = np.inf
+    v[(pick >= 1.5 * special_frac) & (pick < 2.0 * special_frac)] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_reductions_match_the_masked_reference_bitwise(seed):
+    # Each draw goes in twice: as drawn, and cleaned the way the kernel
+    # cleans node values (NaN and +inf become -inf), which keeps most row
+    # maxima finite.  A whole row of -inf is the zero panel.
+    rng = np.random.default_rng(seed)
+    for shape in ((1, 15), (40, 15), (33, 7), (2, 57)):
+        for frac in (0.0, 0.02, 0.2):
+            v = _mixed_rows(rng, shape, frac)
+            a, b = _mixed_rows(rng, shape[0], frac), _mixed_rows(rng, shape[0], frac)
+            b[::3] = a[::3]  # equal pairs, finite and infinite
+            clean = [np.where(np.isfinite(arr), arr, -np.inf) for arr in (v, a, b)]
+            cases = [(v, a, b), tuple(clean)]
+            if shape[0] > 1:
+                zero = [arr.copy() for arr in clean]
+                for arr in zero:
+                    arr[0] = -np.inf
+                cases.append(tuple(zero))
+            for v, a, b in cases:
+                # Rows without a finite maximum may overflow in exp; the
+                # masked path discards those terms, as it always has.
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = _reference_row_logsumexp(v)
+                    got = _row_logsumexp(v)
+                assert got.tobytes() == want.tobytes()
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = _reference_row_log_abs_diff(a, b)
+                    got = _row_log_abs_diff(a, b)
+                assert got.tobytes() == want.tobytes()
