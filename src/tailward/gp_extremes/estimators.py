@@ -91,14 +91,6 @@ def _mean_over_paths(per_path, n_paths: int, seed: int, n_steps: int,
     return np.concatenate(_map_blocks(run, n_chunks, resolve_workers(workers)))
 
 
-def _pow(x: float, y: float) -> float:
-    """x ** y for a note or a sample value, inf where it overflows."""
-    try:
-        return x ** y
-    except OverflowError:
-        return math.inf
-
-
 def _hurst(process: str, H: float) -> float:
     if process == "bm":
         return 0.5
@@ -130,6 +122,7 @@ def pickands_estimate(
     t = np.linspace(-T, T, 2 * n_steps + 1)
     with np.errstate(over="ignore"):  # an infinite drift weighs exp(-inf) = 0
         drift = np.abs(t) ** alpha_loc
+        omitted = math.exp(-(np.float64(T) ** alpha_loc))
     sqrt2 = math.sqrt(2.0)
     # Trapezoid weights for the denominator integral.
     w_trap = np.full(t.shape, dt)
@@ -161,7 +154,7 @@ def pickands_estimate(
         method="sup_integral_ratio",
         truncation_note=(
             f"paths truncated to [-T, T]; omitted mass decays like "
-            f"exp(-T**alpha) ~ {math.exp(-_pow(T, alpha_loc)):.2e}"
+            f"exp(-T**alpha) ~ {omitted:.2e}"
         ),
     )
 
@@ -203,17 +196,19 @@ def econst_estimate(
 
     def per_path(rng, work) -> float:
         path = fbm_path(hurst, n_steps, T, rng, work)
-        r = float(np.max(np.divide(path, denom, out=path)))
-        return _pow(max(r, 0.0), alpha)
+        return max(float(np.max(np.divide(path, denom, out=path))), 0.0)
 
-    vals = _mean_over_paths(per_path, n_paths, seed, n_steps, workers)
+    sups = _mean_over_paths(per_path, n_paths, seed, n_steps, workers)
     boot_rng = block_rng(seed, 2 ** 62)
     idx = boot_rng.integers(0, n_paths, size=(n_boot, n_paths))
     with np.errstate(over="ignore", invalid="ignore"):  # McEstimate refuses inf
+        # One numpy scalar power per path: the bits of r ** alpha, and inf
+        # where it overflows.
+        vals = np.array([r ** alpha for r in sups])
         value = float(vals.mean())
         boot_means = vals[idx].mean(axis=1)
         lo, hi = np.percentile(boot_means, [2.5, 97.5])
-    scale = _pow(T, hurst - beta)
+        scale = float(np.float64(T) ** (hurst - beta))  # the note prints inf
     return McEstimate(
         value=value,
         ci_lo=float(lo),

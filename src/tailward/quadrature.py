@@ -19,11 +19,12 @@ A round's masks are needed only by unusual rows, and the common case skips
 them: a row whose maximum is -inf (a panel where the integrand vanishes),
 NaN or +inf takes the masked log-sum-exp; a node value that is NaN or +inf
 (the half-line map at t = 1, log of a negative number) is replaced by
--inf; a split round with a panel at floating-point resolution marks it
-final.  Where a mask is skipped it is the identity, so every operation
-that reaches a result keeps its operands, their order and the layout
-numpy sums them in, and the bits cannot move; tests/test_quadrature.py
-pins one integral per masked branch and compares both paths bitwise.
+-inf; the half-line map runs only for mapped rows; a split round with a
+panel at floating-point resolution marks it final.  Where a mask is
+skipped it is the identity, so every operation that reaches a result
+keeps its operands, their order and the layout numpy sums them in, and
+the bits cannot move; tests/test_quadrature.py pins one integral per
+masked branch and compares the row reductions bitwise.
 """
 
 from __future__ import annotations
@@ -117,15 +118,12 @@ def _row_logsumexp(v: np.ndarray) -> np.ndarray:
 def _row_log_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """log |exp(a) - exp(b)| elementwise, computed stably.
 
-    When every max(a, b) is finite its mask is the identity and is skipped,
-    with the same bits.  Otherwise every element takes the masked branch,
-    where a and b both -inf keep d at -inf instead of NaN.
+    Every element takes the one masked expression: an unmasked branch would
+    make as many array passes, so there is nothing to skip.
     """
     hi = np.maximum(a, b)
-    if np.count_nonzero(np.isfinite(hi)) == len(hi):
-        d = np.minimum(np.minimum(a, b) - hi, -1e-300)
-    else:
-        d = np.minimum(np.minimum(a, b) - np.where(hi > -np.inf, hi, 0.0), -1e-300)
+    # Where both are -inf, lo - 0 keeps d at -inf instead of NaN.
+    d = np.minimum(np.minimum(a, b) - np.where(hi > -np.inf, hi, 0.0), -1e-300)
     return np.where(a == b, -np.inf, hi + np.log(-np.expm1(d)))
 
 
@@ -217,7 +215,6 @@ def log_quad_result(
     _eval_panels(log_f, pan)
     n_nodes = 15 * len(pan)
     log_rtol = math.log(rtol)
-    has_final = False  # no row is final until a split round finds one
 
     while True:
         # The reductions sum each row in numpy's pairwise order, which holds
@@ -233,9 +230,7 @@ def log_quad_result(
         # Refine every panel whose error is within a factor ~e^3 of an even
         # share of the error budget; fixed order keeps this deterministic.
         threshold = log_rtol - math.log(len(pan)) - 3.0
-        split = pan[:, _LOG_ERR] - total > threshold
-        if has_final:
-            split &= pan[:, _FINAL] == 0.0
+        split = (pan[:, _LOG_ERR] - total > threshold) & (pan[:, _FINAL] == 0.0)
         n_split = np.count_nonzero(split)
         if not n_split or n_nodes + 30 * n_split > max_nodes:
             return QuadResult(total, err, n_nodes, False)
@@ -248,7 +243,6 @@ def log_quad_result(
             parents[final, _FINAL] = 1.0
             pieces.append(parents[final])
             parents, mid = parents[~final], mid[~final]
-            has_final = True  # a final row is kept in every later round
         children = parents.repeat(2, axis=0)
         children[0::2, _T_HI] = children[1::2, _T_LO] = mid
         if len(children):

@@ -513,21 +513,29 @@ def test_gp_estimator_sweep_findings_answer_or_refuse(capsys, validate, tmp_path
         assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("tail", "sum", "--x", "weibull(1,2)", "--y", "edge(0,175)"),
-    ("tail", "product", "--x", "weibull(1,2)", "--y", "edge(1,175)"),
-    ("tail", "product", "--x", "edge(1,175)", "--y", "weibull(1,2)"),
-    ("gp", "tail", "--model", '{"preset":"bm","eta":{"delta":0,"C":1,"mu":175}}'),
+_LOG_C_175 = math.lgamma(176.0) - 175.0 * math.log(2.0)
+
+
+@pytest.mark.parametrize("argv,log_c", [
+    (("tail", "sum", "--x", "weibull(1,2)", "--y", "edge(0,175)"), _LOG_C_175),
+    (("tail", "product", "--x", "weibull(1,2)", "--y", "edge(1,175)"), _LOG_C_175),
+    (("tail", "product", "--x", "edge(1,175)", "--y", "weibull(1,2)"), _LOG_C_175),
+    (("gp", "tail", "--model", '{"preset":"bm","eta":{"delta":0,"C":1,"mu":175}}'), _LOG_C_175),
+    # Gamma(201) overflows; C = 10**-200 * Gamma(201) ~ 7.887e174.
+    (("tail", "sum", "--x", "weibull(5,2)", "--y", "edge(0,200)"),
+     math.lgamma(201.0) - 200.0 * math.log(10.0)),
+    # 100**-170 underflows to 0; C = 100**-170 * Gamma(171) ~ 7.257e-34.
+    (("tail", "product", "--x", "weibull(100,1)", "--y", "edge(1,170)"),
+     math.lgamma(171.0) - 170.0 * math.log(100.0)),
 ])
-def test_gamma_constant_that_fits_answers(capsys, validate, argv):
-    # Gamma(176) overflows a double, yet C = 2**-175 * Gamma(176) ~ 2.348e265
-    # fits; these once exited 2 with "not a positive finite double (got inf)".
+def test_gamma_constant_that_fits_answers(capsys, validate, argv, log_c):
+    # Each factor of C once left the doubles and the command exited 2 with
+    # "not a positive finite double (got inf)" (or "got 0.0"); C itself fits.
     code, out, err = _run(capsys, *argv)
     assert code == cli.EXIT_OK, err
     tail = json.loads(out, parse_constant=_reject_constant)["tail"]
     validate(tail, "tail")
-    assert tail["C"] == pytest.approx(
-        math.exp(math.lgamma(176.0) - 175.0 * math.log(2.0)), rel=1e-12)
+    assert tail["C"] == pytest.approx(math.exp(log_c), rel=1e-12)
 
 
 _RATIO_ROW = "^failed: exact-to-asymptotic ratio is not a finite double"
