@@ -79,18 +79,21 @@ def as_double(name: str, compute, positive: bool = True, log_compute=None) -> fl
     the value.  This is the one place a computed value's OverflowError or
     ZeroDivisionError is caught; log values and ratios pass positive=False.
 
-    A product whose factor overflows (Gamma(176), say) can still fit:
+    A product whose factor overflows (Gamma(176), say) can still fit, and
+    one whose factor is subnormal (76**-170) keeps only a few digits:
     ``log_compute``, the value's log assembled term by term (math.lgamma
-    for a Gamma function), is consulted only when compute() gives no
-    positive finite double, so every value compute() gives keeps its bits.
+    for a Gamma function), gives the value unless compute()'s log agrees
+    with it to 1e-9; a direct value that agrees keeps its bits.
     """
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
         value = math.inf
-    if log_compute is not None and not 0.0 < value < math.inf:
+    if log_compute is not None:
         try:
-            value = math.exp(log_compute())
+            log_value = log_compute()
+            if not 0.0 < value < math.inf or abs(math.log(value) - log_value) > 1e-9:
+                value = math.exp(log_value)
         except OverflowError:
             value = math.inf
     if not (0.0 < value < math.inf if positive else math.isfinite(value)):

@@ -14,9 +14,11 @@ own bias is acceptable.  The truncation to [-T, T] here costs
 O(exp(-T**alpha)) and the grid bias is a one-sided fraction of a percent.
 
 The sup-ratio moment E (sup_t X(t)/(1+t**beta))**alpha is estimated by a
-plain path-maximum plug-in with a bootstrap interval; grid suprema
-under-estimate continuous ones, so comparisons against closed forms use
-one-sided tolerances.
+plain path-maximum plug-in; grid suprema under-estimate continuous ones, so
+comparisons against closed forms use one-sided tolerances.  Both are path
+means with one interval, mean +- z * sd / sqrt(n) (to first order the
+percentile bootstrap interval; Efron & Tibshirani 1993, ch. 13); a sample
+with no spread backs none and is refused.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SpecError, as_double
+from ..errors import DomainError, SpecError, as_double
 from ..montecarlo import (
-    _Z95, TailEstimate, _map_blocks, block_rng, rekey, resolve_workers, wilson_interval,
+    _Z95, TailEstimate, _map_blocks, _wilson_table, block_rng, rekey, resolve_workers,
 )
 from ..tail_model import DistributionModel
 from .fbm import _check_grid, _work_size, fbm_path, two_sided_path
@@ -69,8 +71,8 @@ def _check_paths(n_paths: int, least: int) -> None:
         raise SpecError(f"need n_paths >= {least}, got {n_paths}")
 
 
-def _mean_over_paths(per_path, n_paths: int, seed: int, n_steps: int,
-                     workers: int | None, chunk: int = 64):
+def _path_values(per_path, n_paths: int, seed: int, n_steps: int,
+                 workers: int | None, chunk: int = 64):
     """Ordered map of a per-path functional; returns the sample values.
 
     ``per_path(rng, work)`` gets the stream of path i, the generator keyed
@@ -89,6 +91,25 @@ def _mean_over_paths(per_path, n_paths: int, seed: int, n_steps: int,
 
     n_chunks = -(-n_paths // chunk)
     return np.concatenate(_map_blocks(run, n_chunks, resolve_workers(workers)))
+
+
+def _mean_estimate(values: np.ndarray, method: str, **fields) -> McEstimate:
+    """The mean of the path values with its normal 95% interval.
+
+    A zero-width interval (every path gave the same value, or their squared
+    deviations underflow) backs nothing and is a DomainError, raised after
+    McEstimate's refusal of a mean or an interval end beyond the doubles.
+    """
+    n = len(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # McEstimate refuses inf
+        value = float(values.mean())
+        half = _Z95 * float(values.std(ddof=1)) / math.sqrt(n)
+    est = McEstimate(value, value - half, value + half, n, method=method, **fields)
+    if not est.ci_lo < est.ci_hi:
+        what = (f"all {n} paths gave {value!r}" if values.min() == values.max() else
+                f"the spread of {n} paths around {value!r} underflows")
+        raise DomainError(f"{method} estimate: {what}; no interval backs it")
+    return est
 
 
 def _hurst(process: str, H: float) -> float:
@@ -139,18 +160,9 @@ def pickands_estimate(
         total = float(np.sum(z))
         return 1.0 / total if total > 0.0 else math.inf
 
-    ratios = _mean_over_paths(per_path, n_paths, seed, 2 * n_steps, workers)
-    with np.errstate(over="ignore", invalid="ignore"):  # McEstimate refuses inf
-        value = float(ratios.mean())
-        half = _Z95 * float(ratios.std(ddof=1)) / math.sqrt(n_paths)
-    return McEstimate(
-        value=value,
-        ci_lo=value - half,
-        ci_hi=value + half,
-        n_paths=n_paths,
-        T=T,
-        n_steps=n_steps,
-        seed=seed,
+    ratios = _path_values(per_path, n_paths, seed, 2 * n_steps, workers)
+    return _mean_estimate(
+        ratios, T=T, n_steps=n_steps, seed=seed,
         method="sup_integral_ratio",
         truncation_note=(
             f"paths truncated to [-T, T]; omitted mass decays like "
@@ -169,14 +181,13 @@ def econst_estimate(
     seed: int = 0,
     H: float = 0.5,
     workers: int | None = None,
-    n_boot: int = 200,
 ) -> McEstimate:
     """E (sup_{t>=0} X(t)/(1+t**beta))**alpha by path simulation.
 
     ``process`` is "bm" or "fbm" (the latter with Hurst parameter H).
     The supremum is truncated at horizon T; beyond it the ratio decays like
-    t**(H-beta), which the returned note quantifies.  The interval is a
-    percentile bootstrap over path-level values.
+    t**(H-beta), which the returned note quantifies.  The interval is the
+    normal interval of the mean of the per-path values, as for Pickands.
     """
     hurst = _hurst(process, H)
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
@@ -188,8 +199,6 @@ def econst_estimate(
         )
     _check_grid(hurst, n_steps, T)
     _check_paths(n_paths, 2)
-    if n_boot < 2:
-        raise SpecError(f"need n_boot >= 2, got {n_boot}")
     t = np.linspace(0.0, T, n_steps + 1)
     with np.errstate(over="ignore"):  # an infinite denominator gives ratio 0
         denom = 1.0 + t ** beta
@@ -198,25 +207,14 @@ def econst_estimate(
         path = fbm_path(hurst, n_steps, T, rng, work)
         return max(float(np.max(np.divide(path, denom, out=path))), 0.0)
 
-    sups = _mean_over_paths(per_path, n_paths, seed, n_steps, workers)
-    boot_rng = block_rng(seed, 2 ** 62)
-    idx = boot_rng.integers(0, n_paths, size=(n_boot, n_paths))
-    with np.errstate(over="ignore", invalid="ignore"):  # McEstimate refuses inf
+    sups = _path_values(per_path, n_paths, seed, n_steps, workers)
+    with np.errstate(over="ignore"):  # McEstimate refuses inf
         # One numpy scalar power per path: the bits of r ** alpha, and inf
         # where it overflows.
         vals = np.array([r ** alpha for r in sups])
-        value = float(vals.mean())
-        boot_means = vals[idx].mean(axis=1)
-        lo, hi = np.percentile(boot_means, [2.5, 97.5])
         scale = float(np.float64(T) ** (hurst - beta))  # the note prints inf
-    return McEstimate(
-        value=value,
-        ci_lo=float(lo),
-        ci_hi=float(hi),
-        n_paths=n_paths,
-        T=T,
-        n_steps=n_steps,
-        seed=seed,
+    return _mean_estimate(
+        vals, T=T, n_steps=n_steps, seed=seed,
         method="path_supremum",
         truncation_note=(
             f"supremum truncated at T={T}; the ratio decays like "
@@ -262,10 +260,5 @@ def sup_exceedance_mc(
         sup = float(np.max(np.subtract(path, trend, out=path))) - offset
         return sup > u_grid
 
-    flags = _mean_over_paths(per_path, n_paths, seed, n_steps, workers)
-    counts = flags.sum(axis=0).astype(int)
-    out = []
-    for u, k in zip(u_grid, counts):
-        lo, hi = wilson_interval(int(k), n_paths)
-        out.append(TailEstimate(float(u), k / n_paths, lo, hi, n_paths, "direct"))
-    return out
+    flags = _path_values(per_path, n_paths, seed, n_steps, workers)
+    return _wilson_table(u_grid, flags.sum(axis=0).astype(int), n_paths)

@@ -109,6 +109,12 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     return lo, hi
 
 
+def _wilson_table(grid, counts, n: int) -> list[TailEstimate]:
+    """Direct estimates k / n with Wilson intervals, one per level of grid."""
+    return [TailEstimate(float(u), k / n, *wilson_interval(int(k), n), n, "direct")
+            for u, k in zip(grid, counts)]
+
+
 def estimate_sf(
     x: DistributionModel,
     y: DistributionModel | None,
@@ -138,12 +144,7 @@ def estimate_sf(
     counts = np.zeros(len(grid), dtype=np.int64)
     for c in _map_blocks(run_block, n_blocks, resolve_workers(workers)):
         counts += c
-
-    out = []
-    for u, k in zip(grid, counts):
-        lo, hi = wilson_interval(int(k), n)
-        out.append(TailEstimate(float(u), k / n, lo, hi, n, "direct"))
-    return out
+    return _wilson_table(grid, counts, n)
 
 
 def conditional_sf(
@@ -161,9 +162,11 @@ def conditional_sf(
     variables) over draws of L; the exact inner expectation can only shrink
     the variance relative to the direct indicator estimator.  H is the heavy
     operand, the one of smaller ``power_order`` (X on a tie), and L the
-    other one (Asmussen & Kroese 2006, Adv. Appl. Probab. 38).  When no
-    draw carries mass, the interval is the Wilson interval for zero
-    successes in n, never [0, 0].
+    other one (Asmussen & Kroese 2006, Adv. Appl. Probab. 38).  The weights
+    in [0, 1] are not indicators, and the blocks stream only the sums of w
+    and w**2, so the interval is its own: the normal one from those sums.
+    When no draw carries mass, it is the Wilson interval for zero successes
+    in n, never [0, 0].
     """
     if n < 10 ** 3:
         raise SpecError(f"need n >= 1000 samples, got {n}")

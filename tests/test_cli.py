@@ -466,6 +466,8 @@ def _contract_breach(capsys, validate, argv):
             validate(payload, "constants")
         elif argv[1] in ("econst", "pickands"):
             validate(payload, "estimate")
+            if not payload["ci_lo"] < payload["ci_hi"]:
+                return f"exit {code}, zero-width interval: {payload}"
         else:
             validate(payload["tail"], "tail")
     except Exception as exc:  # invalid JSON, or a schema violation
@@ -473,33 +475,50 @@ def _contract_breach(capsys, validate, argv):
     return None
 
 
+def _sweep_breaches(capsys, validate, tmp_path, calls):
+    out = str(tmp_path / "paths.csv")
+    calls = [tuple(out if a == "OUT" else a for a in argv) for argv in calls]
+    return [(argv, why) for argv in calls if (why := _contract_breach(capsys, validate, argv))]
+
+
 @pytest.mark.parametrize("command", _SWEEPS)
 def test_extreme_inputs_answer_or_refuse(capsys, validate, tmp_path, command):
-    # A fixed sample of each grid: all 6,976 calls take about 54 s.
+    # A fixed sample of each grid; the slow test below runs all of it.
     grid, n = _SWEEPS[command]
-    out = str(tmp_path / "paths.csv")
-    calls = [tuple(out if a == "OUT" else a for a in argv)
-             for argv in random.Random(16).sample(grid(), n)]
-    breaches = [(argv, why) for argv in calls
-                if (why := _contract_breach(capsys, validate, argv))]
+    breaches = _sweep_breaches(capsys, validate, tmp_path, random.Random(16).sample(grid(), n))
     assert not breaches, breaches[:5]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", _SWEEPS)
+def test_every_extreme_input_answers_or_refuses(capsys, validate, tmp_path, command):
+    # All 6,976 calls of the grids take about a minute.
+    breaches = _sweep_breaches(capsys, validate, tmp_path, _SWEEPS[command][0]())
+    assert not breaches, (len(breaches), breaches[:5])
 
 
 @pytest.mark.parametrize("argv,message", [
     (("econst", "--process", "fbm", "--H", "0.3", "--alpha", "1", "--beta", "1e300",
       "--T", "1e-8"), None),
+    # Every path's ratio, or its power, is 0: a zero-width interval at 0.
     (("econst", "--process", "fbm", "--H", "0.3", "--alpha", "1", "--beta", "1e300",
-      "--T", "1e300"), None),
+      "--T", "1e300"), "path_supremum estimate: all 2 paths gave 0.0; no interval backs it"),
     (("econst", "--alpha", "nan", "--beta", "1"),
      "alpha and beta must be positive and finite, got nan, 1.0"),
     (("fbm", "--H", "0.3", "--steps", "4", "--T", "inf", "--paths", "1", "--out", "OUT"),
      "horizon must be finite, got inf"),
     (("pickands", "--alpha", "1e-8", "--T", "1e-300"),
      "sup_integral_ratio estimate: ci_lo is not a finite double (got -inf)"),
+    (("econst", "--process", "fbm", "--H", "0.3", "--alpha", "1e300", "--beta", "1"),
+     "path_supremum estimate: all 2 paths gave 0.0; no interval backs it"),
+    # Every path's weight sits at t = 0: 1 / dt = 4e-08 for H_1 = 1, zero width.
+    (("pickands", "--alpha", "1", "--T", "1e8"),
+     "sup_integral_ratio estimate: all 2 paths gave 4e-08; no interval backs it"),
 ])
 def test_gp_estimator_sweep_findings_answer_or_refuse(capsys, validate, tmp_path, argv, message):
-    # A traceback, an overflow warning, "value": NaN with exit 0, a nan/inf
-    # path file with exit 0 and an overflow warning, in that order.
+    # Each once gave, in order: a traceback; an overflow warning, later a
+    # zero-width interval at 0; "value": NaN with exit 0; a nan/inf path
+    # file with exit 0; an overflow warning; two more zero-width intervals.
     out = tmp_path / "p.csv"
     argv = ("gp",) + tuple(str(out) if a == "OUT" else a for a in argv)
     if argv[1] != "fbm":
@@ -527,6 +546,9 @@ _LOG_C_175 = math.lgamma(176.0) - 175.0 * math.log(2.0)
     # 100**-170 underflows to 0; C = 100**-170 * Gamma(171) ~ 7.257e-34.
     (("tail", "product", "--x", "weibull(100,1)", "--y", "edge(1,170)"),
      math.lgamma(171.0) - 170.0 * math.log(100.0)),
+    # 76**-170 is subnormal, so the direct product keeps 4 digits; C ~ 1.3258e-13.
+    (("tail", "product", "--x", "weibull(76,1)", "--y", "edge(1,170)"),
+     math.lgamma(171.0) - 170.0 * math.log(76.0)),
 ])
 def test_gamma_constant_that_fits_answers(capsys, validate, argv, log_c):
     # Each factor of C once left the doubles and the command exited 2 with
@@ -535,7 +557,7 @@ def test_gamma_constant_that_fits_answers(capsys, validate, argv, log_c):
     assert code == cli.EXIT_OK, err
     tail = json.loads(out, parse_constant=_reject_constant)["tail"]
     validate(tail, "tail")
-    assert tail["C"] == pytest.approx(math.exp(log_c), rel=1e-12)
+    assert tail["C"] == pytest.approx(math.exp(log_c), rel=1e-12, abs=0.0)
 
 
 _RATIO_ROW = "^failed: exact-to-asymptotic ratio is not a finite double"

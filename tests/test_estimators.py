@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tailward as tw
-from tailward.errors import SpecError
+from tailward.errors import DomainError, SpecError
 from tailward.gp_extremes import (
     econst_estimate,
     eta_power_low_model,
@@ -41,15 +41,15 @@ def _reference_pickands(alpha_loc, T, n_paths, n_steps, seed):
     return value, value - half, value + half
 
 
-def _reference_econst(hurst, alpha, beta, T, n_paths, n_steps, seed, n_boot):
+def _reference_econst(hurst, alpha, beta, T, n_paths, n_steps, seed):
     denom = 1.0 + np.linspace(0.0, T, n_steps + 1) ** beta
     vals = np.array([
         max(float(np.max(fbm_path(hurst, n_steps, T, block_rng(seed, i)) / denom)), 0.0) ** alpha
         for i in range(n_paths)
     ])
-    idx = block_rng(seed, 2 ** 62).integers(0, n_paths, size=(n_boot, n_paths))
-    lo, hi = np.percentile(vals[idx].mean(axis=1), [2.5, 97.5])
-    return float(vals.mean()), float(lo), float(hi)
+    value = float(vals.mean())
+    half = _Z95 * float(vals.std(ddof=1)) / math.sqrt(n_paths)
+    return value, value - half, value + half
 
 
 def _reference_sup(u_grid, T, n_steps, n_paths, seed, beta, eta, zeta, hurst):
@@ -78,10 +78,15 @@ def test_pickands_matches_the_reference_loop(alpha_loc, n_paths, workers):
 @pytest.mark.parametrize("n_paths,workers", SIZES)
 @pytest.mark.parametrize("process,H", [("bm", 0.5), ("fbm", 0.3), ("fbm", 0.7), ("fbm", 1.0)])
 def test_econst_matches_the_reference_loop(process, H, n_paths, workers):
-    est = econst_estimate(process, 1.5, 1.2, T=8.0, n_paths=n_paths, n_steps=128, seed=2 ** 63 + 1,
-                          H=H, workers=workers, n_boot=40)
     hurst = 0.5 if process == "bm" else H
-    ref = _reference_econst(hurst, 1.5, 1.2, 8.0, n_paths, 128, 2 ** 63 + 1, 40)
+    ref = _reference_econst(hurst, 1.5, 1.2, 8.0, n_paths, 128, 2 ** 63 + 1)
+    kwargs = dict(T=8.0, n_paths=n_paths, n_steps=128, seed=2 ** 63 + 1, H=H, workers=workers)
+    if ref[1] == ref[2]:
+        # At H = 1 a path is t * Z: both paths of 2 may have Z < 0 and ratio 0.
+        with pytest.raises(DomainError, match=f"all {n_paths} paths gave 0.0; no interval"):
+            econst_estimate(process, 1.5, 1.2, **kwargs)
+        return
+    est = econst_estimate(process, 1.5, 1.2, **kwargs)
     assert (est.value, est.ci_lo, est.ci_hi) == ref
 
 
@@ -110,7 +115,6 @@ def test_sup_exceedance_matches_the_reference_loop(process, H, slope, n_paths, w
     (lambda: pickands_estimate(1.0, n_steps=100), "power of two, got 100"),
     (lambda: pickands_estimate(1.0, T=-1.0), "horizon must be positive, got -1.0"),
     (lambda: econst_estimate("bm", 1.0, 1.0, n_paths=1), "n_paths >= 2, got 1"),
-    (lambda: econst_estimate("bm", 1.0, 1.0, n_boot=0), "n_boot >= 2, got 0"),
     (lambda: econst_estimate("fbm", 1.0, 1.0, H=0.3, n_steps=100), "power of two, got 100"),
     (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, process="bmm"), "'bmm'"),
     (lambda: sup_exceedance_mc([1.0], 5.0, 64, 0, 0), "n_paths >= 1, got 0"),
