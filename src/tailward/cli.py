@@ -49,10 +49,12 @@ def _parse_grid(text: str) -> list[float]:
         values = [float(p) for p in (parts if len(parts) == 3 else text.split(","))]
     except ValueError as exc:
         raise SpecError(f"bad grid {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise SpecError(f"bad grid {text!r}: every part must be finite")
     if len(parts) != 3:
         return values
     a, b, step = values
-    if step <= 0 or b < a:
+    if step <= 0 or b < a or a + step == a:  # a step too small to move a never ends
         raise SpecError(f"bad grid {text!r}")
     grid = []
     v = a
@@ -115,6 +117,8 @@ def _cmd_verify(args) -> int:
     else:  # sum or product: argparse restricts the targets
         if not (args.x and args.y and args.grid):
             raise SpecError("ad-hoc verify needs --x, --y and --grid")
+        if not 0.0 < args.tol < math.inf:
+            raise SpecError(f"--tol must be positive and finite, got {args.tol!r}")
         grid = _parse_grid(args.grid)
         rule = {"type": "ratio_window", "tol": args.tol,
                 "nonincreasing_last": min(3, len(grid))}
@@ -238,10 +242,9 @@ def _cmd_gp_fbm(args) -> int:
 
     if args.paths < 1:
         raise SpecError(f"need --paths >= 1, got {args.paths}")
-    paths = np.array(
-        [fbm_path(args.H, args.steps, args.T, block_rng(args.seed, i))
-         for i in range(args.paths)]
-    )
+    # Each path is copied out of its 4n+2 workspace, which is then freed.
+    paths = np.array([fbm_path(args.H, args.steps, args.T, block_rng(args.seed, i)).copy()
+                      for i in range(args.paths)])
     fmt = args.format
     if fmt == "auto":
         fmt = "csv" if args.out.endswith(".csv") else "bin"

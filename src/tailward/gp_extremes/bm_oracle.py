@@ -20,10 +20,11 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError, SpecError
+from ..errors import DomainError, SpecError, as_double
 from ..oracle import log_mixture
 from ..quadrature import log1mexp
 from ..tail_model import DistributionModel, law
+from .trend import EtaSpec
 
 __all__ = ["eta_power_low_model", "negate_model", "bm_exact_oracle"]
 
@@ -32,11 +33,11 @@ def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
     """Law with CDF C*(x-delta)**mu on [delta, delta + C**(-1/mu)].
 
     Realizes an exact slope law whose lower-edge behaviour is the declared
-    (delta, C, mu); the width is whatever makes the CDF reach one.
+    (delta, C, mu), checked by ``EtaSpec``; the width is whatever makes the
+    CDF reach one.
     """
-    if delta < 0 or C <= 0 or mu <= 0:
-        raise SpecError(f"bad eta parameters delta={delta}, C={C}, mu={mu}")
-    width = C ** (-1.0 / mu)
+    EtaSpec(delta, C, mu)
+    width = as_double(f"eta width C**(-1/mu) for C={C}, mu={mu}", lambda: C ** (-1.0 / mu))
 
     def log_sf(x):
         cdf = np.minimum(C * np.minimum(x - delta, width) ** mu, 1.0)

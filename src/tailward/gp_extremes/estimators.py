@@ -29,9 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, SpecError, as_double
-from ..montecarlo import (
-    _Z95, TailEstimate, _map_blocks, _wilson_table, block_rng, rekey, resolve_workers,
-)
+from ..montecarlo import _Z95, TailEstimate, _map_blocks, _wilson_table, rekey
 from ..tail_model import DistributionModel
 from .fbm import _check_grid, _work_size, fbm_path, two_sided_path
 
@@ -71,26 +69,25 @@ def _check_paths(n_paths: int, least: int) -> None:
         raise SpecError(f"need n_paths >= {least}, got {n_paths}")
 
 
-def _path_values(per_path, n_paths: int, seed: int, n_steps: int,
-                 workers: int | None, chunk: int = 64):
+_CHUNK = 64  # paths per generator and workspace
+
+
+def _path_values(per_path, n_paths: int, seed: int, n_steps: int, workers: int | None):
     """Ordered map of a per-path functional; returns the sample values.
 
-    ``per_path(rng, work)`` gets the stream of path i, the generator keyed
-    to (seed, i) as by ``block_rng``, and a float64 workspace of
-    ``_work_size(n_steps)`` entries.  Each chunk of paths owns one generator
-    and one workspace: per_path may overwrite the workspace freely, and
-    nothing in it outlives the call, because the next path of the chunk
-    reuses it.
+    ``per_path(rng, work)`` gets the stream of path i, its chunk's generator
+    re-keyed to (seed, i) by the stream rule of :mod:`tailward.montecarlo`,
+    and a float64 workspace of ``_work_size(n_steps)`` entries.  Each chunk
+    of paths owns one generator and one workspace: per_path may overwrite
+    the workspace freely, and nothing in it outlives the call, because the
+    next path of the chunk reuses it.
     """
-    def run(b: int):
-        start = b * chunk
-        rng = block_rng(seed, start)
+    def run(rng, start: int, count: int) -> np.ndarray:
         work = np.empty(_work_size(n_steps))
         return np.array([per_path(rekey(rng, seed, i), work)
-                         for i in range(start, min(start + chunk, n_paths))])
+                         for i in range(start, start + count)])
 
-    n_chunks = -(-n_paths // chunk)
-    return np.concatenate(_map_blocks(run, n_chunks, resolve_workers(workers)))
+    return np.concatenate(_map_blocks(run, n_paths, _CHUNK, seed, workers))
 
 
 def _mean_estimate(values: np.ndarray, method: str, **fields) -> McEstimate:
@@ -239,9 +236,8 @@ def sup_exceedance_mc(
 ) -> list[TailEstimate]:
     """Empirical P(sup_t (X(t) - eta*t**beta - zeta) > u) on a u-grid.
 
-    The trend slope eta may be a constant or a distribution; draws come
-    after the path draw on the same per-path stream, so results are
-    reproducible for any worker count.  Grid suprema under-sample the
+    The trend slope eta may be a constant or a distribution, drawn after
+    the path from the path's stream.  Grid suprema under-sample the
     continuous supremum: the bias is one-sided (empirical <= truth).
     """
     hurst = _hurst(process, H)

@@ -4,13 +4,12 @@ Paths are generated by circulant embedding of the increment covariance,
 one half-spectrum real FFT per path.  The circulant spectrum of fGn is
 nonnegative for every H in (0, 1) (Craigmile 2003), so the embedding is
 exact: round-off negatives are clipped, and a spectrum below the floor
-raises EmbeddingFailure.  Per-path Philox streams keep batches
-reproducible for any worker partitioning.
+raises EmbeddingFailure.  Path streams follow :mod:`tailward.montecarlo`.
 
 A path's transform needs one buffer of 4n+2 floats.  A caller that draws
 many paths passes one such buffer as ``work`` and gets each path back as a
 view of it, valid until the next call with the same buffer; without
-``work`` every path is a fresh array.
+``work`` each path is a view of a buffer of its own.
 """
 
 from __future__ import annotations
@@ -80,19 +79,17 @@ def _check_grid(H: float, n_steps: int, T: float) -> None:
         raise SpecError(f"n_steps must be a power of two, got {n_steps}")
 
 
-def _fgn_unit(H: float, n: int, rng: np.random.Generator, buf: np.ndarray | None = None) -> np.ndarray:
+def _fgn_unit(H: float, n: int, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
     """n stationary fractional Gaussian noise values at unit spacing.
 
-    Given ``buf`` (``_work_size(n)`` floats), the values are buf[2n+2 : 3n+2].
+    ``buf`` has ``_work_size(n)`` floats; the values are buf[2n+2 : 3n+2].
     """
     if H == 0.5:
-        return rng.standard_normal(out=np.empty(n) if buf is None else buf[2 * n + 2: 3 * n + 2])
+        return rng.standard_normal(out=buf[2 * n + 2: 3 * n + 2])
     scale = _circulant_sqrt_spectrum(H, n)
     # One buffer holds the half spectrum w (n+1 complex) and the transform
     # output (2n real).  Draw the two edge normals, then the (re, im) pairs
     # of entries 1..n-1, into w.
-    if buf is None:
-        buf = np.empty(_work_size(n))
     w = buf[: 2 * n + 2].view(complex)
     rng.standard_normal(out=buf[: 2 * n])
     w[0], w[n] = buf[0], buf[1]  # the edge entries are real
@@ -108,11 +105,12 @@ def fbm_path(
 ) -> np.ndarray:
     """One path of B_H on the grid {k*T/n_steps}, length n_steps + 1.
 
-    Given ``work`` (float64, at least 4*n_steps + 2 entries), the path is
-    written to work[:n_steps + 1] and that view is returned.
+    The path is written to ``work`` (float64, at least 4*n_steps + 2 entries;
+    allocated when not given) as work[:n_steps + 1], and that view is returned.
     """
     _check_grid(H, n_steps, T)
-    path = np.empty(n_steps + 1) if work is None else work[: n_steps + 1]
+    work = np.empty(_work_size(n_steps)) if work is None else work
+    path = work[: n_steps + 1]
     if H == 1.0:
         # Covariance t*t': the path is a random slope through the origin.
         z = rng.standard_normal()

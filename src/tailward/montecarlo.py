@@ -1,9 +1,10 @@
 """Sampling-based tail estimation with reproducible parallel streams.
 
-Randomness is organized in fixed-size blocks, each driven by its own
-counter-based Philox stream keyed by (seed, block index).  Workers are
-assigned whole blocks and results are reduced in block order, so output is
-bitwise identical for any worker count.
+The one stream rule: ``_map_blocks`` cuts the draws or paths into blocks,
+block b draws from the counter-based Philox stream keyed (seed, b) (Salmon
+et al. 2011), and a path estimator re-keys it to (seed, i) before path i.
+Results come back in block order, so output is bitwise identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -35,10 +36,13 @@ _PART_SIZE = BLOCK_SIZE // 2
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
+def _philox_key(seed: int, index: int) -> np.ndarray:
+    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
+
+
 def block_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one block/path; key = (seed, index)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, index)))
 
 
 _PHILOX_ZERO = np.zeros(4, dtype=np.uint64)
@@ -50,10 +54,9 @@ def rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generato
     The generator then draws exactly what ``block_rng(seed, index)`` draws;
     a re-key costs a few microseconds, a new Philox generator about 20.
     """
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _PHILOX_ZERO, "key": key},
+        "state": {"counter": _PHILOX_ZERO, "key": _philox_key(seed, index)},
         "buffer": _PHILOX_ZERO,
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -74,12 +77,22 @@ def resolve_workers(requested: int | None) -> int:
     return workers
 
 
-def _map_blocks(fn, n_blocks: int, workers: int) -> list:
-    """Apply fn to block indices; ordered reduction regardless of workers."""
+def _map_blocks(fn, n: int, size: int, seed: int, workers: int | None) -> list:
+    """[fn(rng, start, count) for each block of n units], in block order.
+
+    Block b holds count = min(size, n - start) units from start = b * size
+    and draws from block_rng(seed, b); resolve_workers(workers) threads run.
+    """
+    def run(b: int):
+        start = b * size
+        return fn(block_rng(seed, b), start, min(size, n - start))
+
+    n_blocks = -(-n // size)
+    workers = resolve_workers(workers)
     if workers <= 1 or n_blocks <= 1:
-        return [fn(b) for b in range(n_blocks)]
+        return [run(b) for b in range(n_blocks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_blocks)))
+        return list(pool.map(run, range(n_blocks)))
 
 
 @dataclass(frozen=True)
@@ -117,7 +130,7 @@ def _wilson_table(grid, counts, n: int) -> list[TailEstimate]:
 
 def estimate_sf(
     x: DistributionModel,
-    y: DistributionModel | None,
+    y: DistributionModel,
     combine: str,
     grid,
     n: int,
@@ -130,20 +143,14 @@ def estimate_sf(
     if combine not in ("sum", "product"):
         raise SpecError(f"unknown combine {combine!r}")
     grid = np.asarray(list(grid), dtype=float)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def run_block(b: int) -> np.ndarray:
-        rng = block_rng(seed, b)
-        count = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
+    def run_block(rng, start: int, count: int) -> np.ndarray:
         xs = x.sample(rng, count)
-        if y is not None:
-            ys = y.sample(rng, count)
-            xs = xs + ys if combine == "sum" else xs * ys
+        ys = y.sample(rng, count)
+        xs = xs + ys if combine == "sum" else xs * ys
         return np.array([np.count_nonzero(xs > u) for u in grid], dtype=np.int64)
 
-    counts = np.zeros(len(grid), dtype=np.int64)
-    for c in _map_blocks(run_block, n_blocks, resolve_workers(workers)):
-        counts += c
+    counts = sum(_map_blocks(run_block, n, BLOCK_SIZE, seed, workers))
     return _wilson_table(grid, counts, n)
 
 
@@ -176,31 +183,23 @@ def conditional_sf(
         raise DomainError("conditional product estimator needs positive supports")
     exact, sampled = _heavy_first(x, y)
     grid = np.asarray(list(grid), dtype=float)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def run_block(b: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = block_rng(seed, b)
-        count = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
+    def run_block(rng, start: int, count: int) -> np.ndarray:
         draws = np.asarray(sampled.sample(rng, count), dtype=float)
         if op == "product":
             draws = np.maximum(draws, 1e-320)
         # One level at a time over each half of the draws: the temporaries
-        # never grow with the grid.
-        s1 = np.zeros(len(grid))
-        s2 = np.zeros(len(grid))
-        for start in range(0, count, _PART_SIZE):
-            part = draws[start:start + _PART_SIZE]
+        # never grow with the grid.  Rows: the sums of w and of w**2.
+        sums = np.zeros((2, len(grid)))
+        for lo in range(0, count, _PART_SIZE):
+            part = draws[lo:lo + _PART_SIZE]
             for j, u in enumerate(grid):
                 w = np.exp(exact.log_sf(u - part if op == "sum" else u / part))
-                s1[j] += w.sum()
-                s2[j] += np.dot(w, w)
-        return s1, s2
+                sums[0, j] += w.sum()
+                sums[1, j] += np.dot(w, w)
+        return sums
 
-    s1 = np.zeros(len(grid))
-    s2 = np.zeros(len(grid))
-    for a, b in _map_blocks(run_block, n_blocks, resolve_workers(workers)):
-        s1 += a
-        s2 += b
+    s1, s2 = sum(_map_blocks(run_block, n, BLOCK_SIZE, seed, workers))
 
     out = []
     for u, t1, t2 in zip(grid, s1, s2):

@@ -416,6 +416,9 @@ def _parse_float(text: str, spec) -> float:
 def make_model(spec) -> DistributionModel:
     """Build a registry distribution from a spec string or dict."""
     family, params = parse_model_spec(spec)
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise SpecError(f"{family} parameter {name} must be finite, got {value}")
     ctor = _FAMILIES[family][0]
     return ctor(**params)
 

@@ -7,7 +7,7 @@ import pytest
 from scipy import special
 
 import tailward as tw
-from tailward.errors import DomainError
+from tailward.errors import DomainError, SpecError
 from tailward.gp_extremes import bm_exact_oracle, eta_power_low_model, negate_model
 
 
@@ -70,6 +70,22 @@ def test_eta_power_low_model_law(rng):
     xs = np.asarray(m.sample(rng, 20000))
     assert np.all((xs >= 0.3) & (xs <= 0.3 + width))
     assert np.mean(xs > mid) == pytest.approx(float(np.exp(m.log_sf(mid))), abs=0.02)
+
+
+@pytest.mark.parametrize("delta,C,mu,error,message", [
+    (math.nan, 1.0, 1.0, SpecError, "bad eta spec"),
+    (0.0, math.inf, 1.0, SpecError, "bad eta spec"),
+    (0.0, 1.0, math.nan, SpecError, "bad eta spec"),
+    (0.0, 1.0, math.inf, SpecError, "bad eta spec"),
+    (math.inf, 1.0, 1.0, SpecError, "bad eta spec"),
+    # Width 1e300**-1000 = 0: a point mass at 0, whose exceedance is certain.
+    (0.0, 1e300, 1e-3, DomainError, r"eta width C\*\*\(-1/mu\) for C=1e\+300, mu=0.001 "
+                                     r"is not a positive finite double \(got 0.0\)"),
+])
+def test_eta_power_low_model_refuses_what_no_slope_law_has(delta, C, mu, error, message):
+    # Each once built a law whose oracle gave log P = -inf.
+    with pytest.raises(error, match=message):
+        eta_power_low_model(delta, C, mu)
 
 
 def test_negate_model_flips_law(rng):

@@ -3,8 +3,11 @@
 import itertools
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -180,6 +183,65 @@ def test_bad_grid_exits_two(capsys):
                           "--grid", "a:b:1")
     assert code == cli.EXIT_SPEC and out == ""
     assert err == "specification error: bad grid 'a:b:1'\n"
+
+
+@pytest.mark.parametrize("option,value,message", [
+    # Each once exited 1: an empty grid, a non-finite level, a tolerance
+    # that is not positive and finite.
+    ("--grid", "nan:1:1", "bad grid 'nan:1:1': every part must be finite"),
+    ("--grid", "nan", "bad grid 'nan': every part must be finite"),
+    ("--grid", "inf", "bad grid 'inf': every part must be finite"),
+    ("--grid", "4,-inf", "bad grid '4,-inf': every part must be finite"),
+    ("--tol", "nan", "--tol must be positive and finite, got nan"),
+    ("--tol", "0", "--tol must be positive and finite, got 0.0"),
+    ("--tol", "-1", "--tol must be positive and finite, got -1.0"),
+    ("--tol", "inf", "--tol must be positive and finite, got inf"),
+])
+def test_non_finite_grid_or_bad_tolerance_exits_two(capsys, option, value, message):
+    argv = {"--grid": "4,6,8,10", "--tol": "0.05", option: value}
+    code, out, err = _run(capsys, "verify", "sum", "--x", "weibull(1,2)", "--y", "edge(0,1)",
+                          *(f"{k}={v}" for k, v in argv.items()))
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err == f"specification error: {message}\n"
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("1:inf:1", "bad grid '1:inf:1': every part must be finite"),
+    ("1:2:1e-300", "bad grid '1:2:1e-300'"),
+])
+def test_grid_that_never_ends_exits_two(grid, message):
+    # Both once looped forever; a subprocess with a timeout fails instead.
+    done = subprocess.run(
+        [sys.executable, "-m", "tailward.cli", "verify", "sum", "--x", "weibull(1,2)",
+         "--y", "edge(0,1)", "--grid", grid],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == cli.EXIT_SPEC and done.stdout == ""
+    assert done.stderr == f"specification error: {message}\n"
+
+
+# Each family with parameters: their names and a valid value for each.
+_LAW_ARGS = {"weibull": (("K", "alpha"), ("1", "2")), "pareto": (("C", "alpha"), ("1", "2")),
+             "edge": (("sigma", "mu"), ("0", "1")), "lognormal": (("m", "s"), ("0", "1")),
+             "constant": (("c",), ("0",))}
+_LAW_SLOTS = [(family, slot) for family, (names, _) in _LAW_ARGS.items()
+              for slot in range(len(names))]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family,slot", _LAW_SLOTS)
+def test_non_finite_law_parameter_exits_two(capsys, family, slot, value):
+    # lognormal(nan,1) once built a law that estimated P(X + Y > 10) as 0.
+    names, args = _LAW_ARGS[family]
+    spec = f"{family}({','.join(value if i == slot else a for i, a in enumerate(args))})"
+    message = f"{family} parameter {names[slot]} must be finite, got {float(value)}"
+    with pytest.raises(errors.SpecError, match=re.escape(message)):
+        tw.make_model(spec)
+    for argv in (("tail", "sum"), ("verify", "sum", "--grid", "10")):
+        code, out, err = _run(capsys, *argv, "--x", spec, "--y", "pareto(1,2)")
+        assert code == cli.EXIT_SPEC and out == ""
+        assert err == f"specification error: {message}\n"
 
 
 @pytest.mark.parametrize("fixture", list(FIXTURES))

@@ -1,8 +1,10 @@
 """Sampling estimators: correctness, intervals, reproducibility."""
 
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from tailward.montecarlo import (
     BLOCK_SIZE,
     TailEstimate,
     _heavy_first,
+    _map_blocks,
     block_rng,
     rekey,
     resolve_workers,
@@ -42,14 +45,14 @@ def test_wilson_interval_degenerate_counts():
 
 def test_direct_estimate_exponential_tail():
     m = tw.make_model("weibull(1,1)")
-    est = tw.estimate_sf(m, None, "sum", [1.0], 10 ** 6, seed=0)[0]
+    est = tw.estimate_sf(m, tw.make_model("constant(0)"), "sum", [1.0], 10 ** 6, seed=0)[0]
     assert est.ci_lo <= math.exp(-1) <= est.ci_hi
     assert est.p_hat == pytest.approx(math.exp(-1), abs=3e-3)
 
 
 def test_direct_estimate_below_support_is_one():
     m = tw.make_model("weibull(1,1)")
-    est = tw.estimate_sf(m, None, "sum", [-0.5], 10 ** 3, seed=0)[0]
+    est = tw.estimate_sf(m, tw.make_model("constant(0)"), "sum", [-0.5], 10 ** 3, seed=0)[0]
     assert est.p_hat == 1.0 and est.ci_hi == 1.0
 
 
@@ -70,14 +73,15 @@ def test_unknown_combine_is_rejected_before_sampling():
         raise AssertionError("sampled before checking combine")
 
     x = dataclasses.replace(tw.make_model("normal()"), sampler=no_sampling)
-    for y in (None, tw.make_model("pareto(1,2)")):
+    for y in (tw.make_model("constant(0)"), tw.make_model("pareto(1,2)")):
         with pytest.raises(SpecError, match="unknown combine 'hypot'"):
             tw.estimate_sf(x, y, "hypot", [0.0], 10 ** 3, seed=0)
 
 
 def test_estimate_requires_minimum_samples():
     with pytest.raises(SpecError):
-        tw.estimate_sf(tw.make_model("normal()"), None, "sum", [0.0], 10, seed=0)
+        tw.estimate_sf(tw.make_model("normal()"), tw.make_model("constant(0)"), "sum", [0.0],
+                       10, seed=0)
 
 
 def test_conditional_constant_summand_gives_point_mass():
@@ -215,6 +219,8 @@ def _broadcast_conditional_sf(x, y, op, grid, n, seed):
 
 
 _OPERANDS = {"sum": ("weibull(1,2)", "pareto(1,2)"), "product": ("lognormal(0,1)", "pareto(1,2)")}
+# A constant law draws nothing from the stream: X + 0 and X * 1 count as X alone.
+_NEUTRAL = {"sum": "constant(0)", "product": "constant(1)"}
 _GRIDS = {"sum": [[30.0], [2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0]],
           "product": [[100.0], [1.0, 3.0, 10.0, 100.0, 300.0, 1000.0, 2700.0]]}
 _SIZES = (1000, BLOCK_SIZE, BLOCK_SIZE + 1, 50_000)
@@ -225,11 +231,11 @@ _SIZES = (1000, BLOCK_SIZE, BLOCK_SIZE + 1, 50_000)
 @pytest.mark.parametrize("with_y", [False, True])
 def test_direct_estimate_equals_the_broadcast_counts(n, op, with_y):
     x, y = (tw.make_model(s) for s in _OPERANDS[op])
-    y = y if with_y else None
+    partner = y if with_y else tw.make_model(_NEUTRAL[op])
     for grid in _GRIDS[op]:
-        expected = _broadcast_estimate_sf(x, y, op, grid, n, seed=17)
+        expected = _broadcast_estimate_sf(x, y if with_y else None, op, grid, n, seed=17)
         for workers in (1, 2):
-            assert tw.estimate_sf(x, y, op, grid, n, seed=17, workers=workers) == expected
+            assert tw.estimate_sf(x, partner, op, grid, n, seed=17, workers=workers) == expected
 
 
 @pytest.mark.parametrize("n", _SIZES)
@@ -288,6 +294,38 @@ def test_rekeyed_generator_draws_the_block_rng_stream(seed, index):
                  lambda g: g.integers(0, 2 ** 31, size=5, dtype=np.int32),
                  lambda g: g.standard_normal(3)):
         assert np.array_equal(draw(rng), draw(fresh))
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 29])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_map_blocks_keys_each_block_and_keeps_block_order(n, workers):
+    # Blocks of 8 units: n = 1, size, size + 1 and 3 * size + 5.
+    def first_draws(rng, start, count):
+        return start, count, rng.standard_normal(3)
+
+    blocks = _map_blocks(first_draws, n, 8, 21, workers)
+    assert [(start, count) for start, count, _ in blocks] == [
+        (b * 8, min(8, n - b * 8)) for b in range(-(-n // 8))]
+    for b, (_, _, draws) in enumerate(blocks):
+        assert np.array_equal(draws, block_rng(21, b).standard_normal(3))
+
+
+def test_only_montecarlo_constructs_a_generator():
+    # Every stream is keyed by the one rule in montecarlo; a generator built
+    # anywhere else would bypass it.
+    makers = {"Philox", "Generator", "default_rng"}
+    src = Path(tw.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "montecarlo.py" and path.parent == src:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in makers:
+                    found.append(f"{path.relative_to(src)}:{node.lineno} {name}")
+    assert found == []
 
 
 def test_resolve_workers_honors_env_cap(monkeypatch):
