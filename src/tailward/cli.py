@@ -6,8 +6,10 @@ them), 3 a mathematical hypothesis or domination condition is violated
 (the message names it), 4 numerical failure.  Each error class carries
 its exit code as ``exit_code`` (see :mod:`tailward.errors`).
 
-All randomness enters through --seed (default 0, never time-based); the
-TAILWARD_THREADS environment variable caps --workers.
+All randomness enters through --seed (default 0, never time-based).  The
+Monte Carlo commands run on every CPU the process may use unless --workers
+says otherwise, and the TAILWARD_THREADS environment variable caps either;
+results are bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -283,6 +285,10 @@ def _cmd_gp_econst(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+_WORKERS_HELP = ("threads for the path map (default: the CPUs this process may use); "
+                 "TAILWARD_THREADS caps it, and results do not depend on it")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tailward",
@@ -354,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pick.add_argument("--paths", type=int, default=4000)
     p_pick.add_argument("--steps", type=int, default=1 << 14)
     p_pick.add_argument("--seed", type=int, default=0)
-    p_pick.add_argument("--workers", type=int, default=None)
+    p_pick.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p_pick.add_argument("--out", default=None)
     p_pick.set_defaults(fn=_cmd_gp_pickands)
 
@@ -367,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ec.add_argument("--paths", type=int, default=4000)
     p_ec.add_argument("--steps", type=int, default=1 << 14)
     p_ec.add_argument("--seed", type=int, default=0)
-    p_ec.add_argument("--workers", type=int, default=None)
+    p_ec.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p_ec.add_argument("--out", default=None)
     p_ec.set_defaults(fn=_cmd_gp_econst)
 

@@ -62,6 +62,20 @@ def _circulant_sqrt_spectrum(H: float, n: int) -> np.ndarray:
     return scale
 
 
+@lru_cache(maxsize=16)
+def _conjugating_scale(H: float, n: int) -> np.ndarray:
+    """Read-only (n+1, 2) table of [scale, -scale] rows.
+
+    One real multiply of the half spectrum's (re, im) pairs by it scales
+    them by ``_circulant_sqrt_spectrum(H, n)`` and conjugates them.  The
+    spectrum is computed uncached, so the table is its one cached copy.
+    """
+    scale = _circulant_sqrt_spectrum.__wrapped__(H, n)
+    table = np.stack([scale, -scale], axis=1)
+    table.flags.writeable = False
+    return table
+
+
 def _work_size(n_steps: int) -> int:
     """Floats in a ``work`` buffer for paths of n_steps steps."""
     return 4 * n_steps + 2
@@ -86,17 +100,18 @@ def _fgn_unit(H: float, n: int, rng: np.random.Generator, buf: np.ndarray) -> np
     """
     if H == 0.5:
         return rng.standard_normal(out=buf[2 * n + 2: 3 * n + 2])
-    scale = _circulant_sqrt_spectrum(H, n)
+    table = _conjugating_scale(H, n)
     # One buffer holds the half spectrum w (n+1 complex) and the transform
     # output (2n real).  Draw the two edge normals, then the (re, im) pairs
     # of entries 1..n-1, into w.
     w = buf[: 2 * n + 2].view(complex)
     rng.standard_normal(out=buf[: 2 * n])
     w[0], w[n] = buf[0], buf[1]  # the edge entries are real
-    w *= scale
+    # Scale and conjugate w in one real multiply of its (re, im) pairs:
     # np.fft.hfft(w, 2n), the real FFT of w's Hermitian extension, minus
     # hfft's conjugated copy of w.
-    np.conjugate(w, out=w)
+    pairs = buf[: 2 * n + 2].reshape(n + 1, 2)
+    np.multiply(pairs, table, out=pairs)
     return np.fft.irfft(w, 2 * n, norm="forward", out=buf[2 * n + 2: 4 * n + 2])[:n]
 
 

@@ -4,7 +4,8 @@ The one stream rule: ``_map_blocks`` cuts the draws or paths into blocks,
 block b draws from the counter-based Philox stream keyed (seed, b) (Salmon
 et al. 2011), and a path estimator re-keys it to (seed, i) before path i.
 Results come back in block order, so output is bitwise identical for any
-worker count.
+worker count.  Without an explicit count the map runs one thread per CPU
+the process may use, capped by the TAILWARD_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -66,9 +67,19 @@ def rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generato
 
 
 def resolve_workers(requested: int | None) -> int:
-    """Worker count after the TAILWARD_THREADS cap; result >= 1."""
+    """Worker count after the TAILWARD_THREADS cap; result >= 1.
+
+    A positive ``requested`` is taken as given; None (or <= 0) means the
+    number of CPUs this process may run on.  Either is then capped by
+    TAILWARD_THREADS.
+    """
     cap = os.environ.get("TAILWARD_THREADS")
-    workers = requested if requested and requested > 0 else 1
+    if requested and requested > 0:
+        workers = requested
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     if cap:
         try:
             workers = min(workers, max(1, int(cap)))

@@ -370,46 +370,52 @@ _FAMILIES = {
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:[:(]\s*(.*?)\s*\)?)?\s*$")
 
 
+def _spec_parts(text: str, order: tuple, spec: str):
+    """(name, text) of each part of a spec string, in order; a positional
+    part is named by the family's parameter order."""
+    for i, part in enumerate(p for p in text.split(",") if p.strip()):
+        k, eq, v = part.partition("=")
+        if eq:
+            yield k.strip(), v
+        elif i < len(order):
+            yield order[i], part
+        else:
+            raise SpecError(f"too many parameters in {spec!r}")
+
+
 def parse_model_spec(spec) -> tuple[str, dict]:
-    """Parse ``weibull(1,2)``, ``weibull:K=1,alpha=2`` or a JSON-style dict."""
+    """Parse ``weibull(1,2)``, ``weibull:K=1,alpha=2`` or a JSON-style dict.
+
+    Both forms pass the same checks: a known family, known parameter names,
+    every parameter present, and numbers read by ``_parse_float``.
+    """
     if isinstance(spec, dict):
-        family = spec.get("family")
-        params = dict(spec.get("params", {}))
-        if family not in _FAMILIES:
-            raise SpecError(f"unknown distribution family {family!r}")
-        return family, {k: float(v) for k, v in params.items()}
-    if not isinstance(spec, str):
+        family, given = spec.get("family"), spec.get("params", {})
+        if not isinstance(given, dict):
+            raise SpecError(f"params must be a mapping in {spec!r}")
+    elif isinstance(spec, str) and (m := _SPEC_RE.match(spec)):
+        family, given = m.group(1), m.group(2) or ""
+    else:
         raise SpecError(f"cannot parse model spec {spec!r}")
-    m = _SPEC_RE.match(spec)
-    if not m:
-        raise SpecError(f"cannot parse model spec {spec!r}")
-    family, arg_str = m.group(1), m.group(2)
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise SpecError(f"unknown distribution family {family!r}")
     order = _FAMILIES[family][1]
     params: dict[str, float] = {}
-    if arg_str:
-        for i, part in enumerate(p for p in arg_str.split(",") if p.strip()):
-            if "=" in part:
-                k, v = part.split("=", 1)
-                k = k.strip()
-                if k not in order:
-                    raise SpecError(f"{family} has no parameter {k!r}")
-                params[k] = _parse_float(v, spec)
-            else:
-                if i >= len(order):
-                    raise SpecError(f"too many parameters in {spec!r}")
-                params[order[i]] = _parse_float(part, spec)
+    parts = given.items() if isinstance(given, dict) else _spec_parts(given, order, spec)
+    for k, v in parts:
+        if k not in order:
+            raise SpecError(f"{family} has no parameter {k!r}")
+        params[k] = _parse_float(v, spec)
     missing = [k for k in order if k not in params]
     if missing:
         raise SpecError(f"{family} spec {spec!r} is missing {missing}")
     return family, params
 
 
-def _parse_float(text: str, spec) -> float:
+def _parse_float(text, spec) -> float:
     try:
         return float(text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecError(f"bad number {text!r} in {spec!r}") from exc
 
 

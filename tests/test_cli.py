@@ -576,11 +576,16 @@ def test_every_extreme_input_answers_or_refuses(capsys, validate, tmp_path, comm
     # Every path's weight sits at t = 0: 1 / dt = 4e-08 for H_1 = 1, zero width.
     (("pickands", "--alpha", "1", "--T", "1e8"),
      "sup_integral_ratio estimate: all 2 paths gave 4e-08; no interval backs it"),
+    # The two paths differ, but their squared deviations underflow.
+    (("econst", "--process", "fbm", "--H", "0.999", "--alpha", "1", "--beta", "1",
+      "--T", "1e-300"), None),
+    (("pickands", "--alpha", "1e-8", "--T", "1e300"), None),
 ])
 def test_gp_estimator_sweep_findings_answer_or_refuse(capsys, validate, tmp_path, argv, message):
     # Each once gave, in order: a traceback; an overflow warning, later a
     # zero-width interval at 0; "value": NaN with exit 0; a nan/inf path
-    # file with exit 0; an overflow warning; two more zero-width intervals.
+    # file with exit 0; an overflow warning; two more zero-width intervals;
+    # two refusals of paths that differ.
     out = tmp_path / "p.csv"
     argv = ("gp",) + tuple(str(out) if a == "OUT" else a for a in argv)
     if argv[1] != "fbm":

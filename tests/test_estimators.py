@@ -1,6 +1,7 @@
 """Path estimators: bitwise equal to a per-path reference loop, inputs checked first."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -64,7 +65,8 @@ def _reference_sup(u_grid, T, n_steps, n_paths, seed, beta, eta, zeta, hurst):
     return [(k / n_paths, *wilson_interval(int(k), n_paths)) for k in counts]
 
 
-SIZES = [(n, w) for n in (2, 65, 130) for w in (1, 2)]
+# workers=None is the default: one thread per available CPU.
+SIZES = [(n, w) for n in (2, 65, 130) for w in (1, 2, None)]
 
 
 @pytest.mark.parametrize("n_paths,workers", SIZES)
@@ -128,3 +130,25 @@ def test_inputs_are_checked_before_the_first_path(monkeypatch, call, message):
     monkeypatch.setattr(estimators, "two_sided_path", no_path)
     with pytest.raises(SpecError, match=message):
         call()
+
+
+@pytest.mark.parametrize("values", [
+    [1.9e-301, 2.1e-301], [-3e-300, 5e-300, 1e-300], [1e-200, -1e-200, 2e-200, 5e-201],
+])
+def test_a_spread_whose_squares_underflow_still_backs_an_interval(values):
+    # Every squared deviation is below the smallest double, so the plain sd
+    # is 0; statistics.stdev sums the squares exactly.
+    assert np.std(values, ddof=1) == 0.0
+    est = estimators._mean_estimate(np.array(values), "m", T=1.0, n_steps=1, seed=0)
+    half = _Z95 * statistics.stdev(values) / math.sqrt(len(values))
+    assert est.value == float(np.mean(values))
+    assert est.ci_hi - est.value == pytest.approx(half, rel=1e-12)
+    assert est.value - est.ci_lo == pytest.approx(half, rel=1e-12)
+
+
+def test_a_half_width_below_the_doubles_is_still_refused():
+    # The values differ in their last bit, and the half-width is below
+    # the smallest subnormal.
+    values = np.array([5e-324, 5e-324, 5e-324, 1e-323] + [5e-324] * 60)
+    with pytest.raises(DomainError, match="the spread of 64 paths .* underflows"):
+        estimators._mean_estimate(values, "m", T=1.0, n_steps=1, seed=0)

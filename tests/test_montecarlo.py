@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -234,7 +235,7 @@ def test_direct_estimate_equals_the_broadcast_counts(n, op, with_y):
     partner = y if with_y else tw.make_model(_NEUTRAL[op])
     for grid in _GRIDS[op]:
         expected = _broadcast_estimate_sf(x, y if with_y else None, op, grid, n, seed=17)
-        for workers in (1, 2):
+        for workers in (1, 2, None):
             assert tw.estimate_sf(x, partner, op, grid, n, seed=17, workers=workers) == expected
 
 
@@ -246,8 +247,9 @@ def test_conditional_estimate_matches_the_broadcast_sums(n, op):
     x, y = (tw.make_model(s) for s in _OPERANDS[op])
     for grid in _GRIDS[op]:
         expected = _broadcast_conditional_sf(x, y, op, grid, n, seed=17)
-        runs = [tw.conditional_sf(x, y, op, grid, n, seed=17, workers=w) for w in (1, 2, 8)]
-        assert runs[0] == runs[1] == runs[2]
+        runs = [tw.conditional_sf(x, y, op, grid, n, seed=17, workers=w)
+                for w in (1, 2, 8, None)]
+        assert runs[0] == runs[1] == runs[2] == runs[3]
         for got, ref in zip(runs[0], expected):
             assert (got.u, got.n, got.method) == (ref.u, ref.n, ref.method)
             for field in ("p_hat", "ci_lo", "ci_hi"):
@@ -329,8 +331,18 @@ def test_only_montecarlo_constructs_a_generator():
 
 
 def test_resolve_workers_honors_env_cap(monkeypatch):
+    # The default is the CPUs the process may run on, capped like any count.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.delenv("TAILWARD_THREADS", raising=False)
+    assert [resolve_workers(k) for k in (None, 0, -1, 1, 8)] == [4, 4, 4, 1, 8]
     monkeypatch.setenv("TAILWARD_THREADS", "2")
-    assert resolve_workers(8) == 2
-    assert resolve_workers(None) == 1
+    assert [resolve_workers(k) for k in (None, 0, -1, 1, 8)] == [2, 2, 2, 1, 2]
+    monkeypatch.setenv("TAILWARD_THREADS", "8")
+    assert [resolve_workers(k) for k in (None, 1, 3, 16)] == [4, 1, 3, 8]
+    # Without an affinity mask, the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.delenv("TAILWARD_THREADS")
-    assert resolve_workers(8) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert resolve_workers(None) == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers(None) == 1

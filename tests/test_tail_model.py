@@ -140,6 +140,25 @@ def test_make_model_rejects_bad_specs(spec):
         tw.make_model(spec)
 
 
+@pytest.mark.parametrize("params,message", [
+    # Each once escaped as a ValueError or TypeError.
+    ({"C": "x", "alpha": 2}, r"bad number 'x' in \{'family': 'pareto'"),
+    ({"C": None, "alpha": 2}, "bad number None in"),
+    ({"C": 1, "alpha": 2, "z": 3}, "pareto has no parameter 'z'"),
+    ({"C": 1}, r"is missing \['alpha'\]"),
+    ([1, 2], "params must be a mapping"),
+])
+def test_dict_specs_pass_the_string_checks(params, message):
+    with pytest.raises(SpecError, match=message):
+        tw.make_model({"family": "pareto", "params": params})
+
+
+@pytest.mark.parametrize("family", [None, ["pareto"], "nosuch"])
+def test_dict_spec_with_an_unknown_family_is_a_spec_error(family):
+    with pytest.raises(SpecError, match="unknown distribution family"):
+        tw.make_model({"family": family, "params": {}})
+
+
 def test_pareto_support_edge_beyond_the_doubles_is_a_spec_error():
     # C**(1/alpha) = 1e300**1e8 once ended in an OverflowError.
     with pytest.raises(SpecError, match=r"C=1e\+300, alpha=1e-08"):
