@@ -8,7 +8,6 @@ oracles that verify every closed form it emits.
 
 from . import errors
 from .asymptotic_engine import (
-    density_to_sf,
     product_mixed_tail,
     product_power_tail,
     product_tail,
@@ -42,7 +41,6 @@ from .tail_model import (
     power_order,
     power_substitute,
     sf_eval,
-    tail_from_dict,
     tail_to_dict,
 )
 
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "density_to_sf",
     "product_mixed_tail",
     "product_power_tail",
     "product_tail",
@@ -80,7 +77,6 @@ __all__ = [
     "power_order",
     "power_substitute",
     "sf_eval",
-    "tail_from_dict",
     "tail_to_dict",
     "__version__",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "product_power_tail",
     "sum_tail",
     "product_tail",
-    "density_to_sf",
 ]
 
 
@@ -210,33 +209,3 @@ def product_tail(x: DistributionModel, y: DistributionModel) -> tuple[Asymptotic
         return product_mixed_tail(ty, tx), "product_mixed"
     heavy, light = _heavier_first(x, y, "product")
     return product_power_tail(light, heavy.tail), "product_power"
-
-
-# ---------------------------------------------------------------------------
-# Density-to-survival conversion
-# ---------------------------------------------------------------------------
-
-def density_to_sf(case: str, **params) -> AsymptoticTail:
-    """Tail family implied by an asymptotic density form.
-
-    power:   f(u) ~ C*alpha*u**(-alpha-1)        ->  PowerTail(C, alpha)
-    weibull: f(u) ~ C*u**beta*exp(-K*u**alpha)   ->  WeibullType(C/(alpha*K),
-                                                     beta+1-alpha, K, alpha, 0)
-    edge:    f(u) ~ C*alpha*(M-u)**(alpha-1)     ->  EdgePower(C, M, alpha)
-    """
-    if case == "power":
-        c, alpha = params["C"], params["alpha"]
-        if c <= 0 or alpha <= 0:
-            raise SpecError(f"power density needs C, alpha > 0, got {params}")
-        return PowerTail(c, alpha)
-    if case == "weibull_type":
-        c, beta, k, alpha = params["C"], params["beta"], params["K"], params["alpha"]
-        if c <= 0 or k <= 0 or alpha <= 0:
-            raise SpecError(f"weibull density needs C, K, alpha > 0, got {params}")
-        return WeibullType(c / (alpha * k), beta + 1.0 - alpha, k, alpha, 0.0)
-    if case == "edge":
-        c, m, alpha = params["C"], params["M"], params["alpha"]
-        if c <= 0 or alpha <= 0:
-            raise SpecError(f"edge density needs C, alpha > 0, got {params}")
-        return EdgePower(c, m, alpha)
-    raise SpecError(f"unknown density case {case!r}")

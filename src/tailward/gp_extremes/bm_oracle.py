@@ -9,9 +9,9 @@ the slope eta and offset zeta gives an exact survival function for
 
 independent of every closed-form asymptotic in this package.  Offsets with
 zeta <= -u make the kernel saturate at 1; that mass is added analytically
-as P(zeta <= -u) rather than integrated.  Both averages are
-:func:`tailward.oracle.log_mixture`, the one mixture integral: the inner
-one over eta is the outer one's kernel.
+as P(zeta <= -u), zeta's own lower tail, rather than integrated.  Both
+averages are :func:`tailward.oracle.log_mixture`, the one mixture
+integral: the inner one over eta is the outer one's kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from ..errors import DomainError, SpecError, as_double
 from ..oracle import log_mixture
-from ..quadrature import log1mexp
 from ..tail_model import DistributionModel, law
 from .trend import EtaSpec
 
@@ -55,23 +54,21 @@ def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
 
 
 def negate_model(model: DistributionModel) -> DistributionModel:
-    """The law of -X for a model with a density."""
+    """The law of -X for a model with a density: its two tails swap.
+
+    P(-X > x) = P(X < -x) and P(-X <= x) = P(X >= -x), each X's own tail:
+    a continuous law puts no mass on the point -x.
+    """
     if model.log_density is None:
         raise SpecError(f"negate_model needs a density; {model.family} has none")
     lo, hi = model.support
 
-    def log_sf(x):
-        # P(-X > u) = P(X < -u) = 1 - SF_X(-u) for a continuous law.
-        return np.log(-np.expm1(np.minimum(model.log_sf(-x), 0.0)))
-
-    def log_density(x):
-        return model.log_density(-x)
-
     def sampler(rng, size=None):
         return -model.sampler(rng, size)
 
-    return law(f"neg_{model.family}", dict(model.params), (-hi, -lo), None,
-               sampler, log_sf, log_density)
+    return law(f"neg_{model.family}", dict(model.params), (-hi, -lo), None, sampler,
+               lambda x: model.log_cdf(-x), lambda x: model.log_density(-x),
+               log_cdf=lambda x: model.log_sf(-x))
 
 
 def _log_mean_kernel(eta: DistributionModel, v: float, rtol: float) -> float:
@@ -106,7 +103,4 @@ def bm_exact_oracle(
     inner = np.vectorize(lambda z: _log_mean_kernel(eta, u + z, rtol / 10.0),
                          otypes=[float])
     # Kernel saturates at 1 for zeta <= -u: that mass is P(zeta <= -u).
-    saturated = -math.inf
-    if zeta.support[0] < -u:
-        saturated = log1mexp(min(float(zeta.log_sf(-u)), 0.0))
-    return log_mixture(zeta, inner, -u, math.inf, saturated, rtol)
+    return log_mixture(zeta, inner, -u, math.inf, zeta.log_cdf(-u), rtol)

@@ -93,20 +93,20 @@ def _path_values(per_path, n_paths: int, seed: int, n_steps: int, workers: int |
 def _mean_estimate(values: np.ndarray, method: str, **fields) -> McEstimate:
     """The mean of the path values with its normal 95% interval.
 
-    When the squared deviations of values that differ underflow, the sd is
-    taken of the values over their largest magnitude and scaled back.  A
-    zero-width interval (every path gave the same value, or a half-width
-    that still underflows) backs nothing and is a DomainError, raised after
-    McEstimate's refusal of a mean or an interval end beyond the doubles.
+    When the half-width of values that differ underflows to 0 or overflows
+    (their squared deviations leave the doubles), it is taken of the values
+    over their largest magnitude and scaled back.  A zero-width interval
+    (every path gave the same value, or a half-width that still underflows)
+    backs nothing and is a DomainError, raised after McEstimate's refusal of
+    a mean or an interval end beyond the doubles.
     """
     n = len(values)
     with np.errstate(over="ignore", invalid="ignore"):  # McEstimate refuses inf
         value = float(values.mean())
-        sd = float(values.std(ddof=1))
-        if sd == 0.0 and values.min() != values.max():
+        half = _Z95 * float(values.std(ddof=1)) / math.sqrt(n)
+        if not 0.0 < half < math.inf and values.min() != values.max():
             big = float(np.max(np.abs(values)))
-            sd = float((values / big).std(ddof=1)) * big
-        half = _Z95 * sd / math.sqrt(n)
+            half = _Z95 * float((values / big).std(ddof=1)) / math.sqrt(n) * big
     est = McEstimate(value, value - half, value + half, n, method=method, **fields)
     if not est.ci_lo < est.ci_hi:
         what = (f"all {n} paths gave {value!r}" if values.min() == values.max() else

@@ -42,9 +42,8 @@ def _fgn_autocov(H: float, n: int) -> np.ndarray:
     return 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
 
 
-@lru_cache(maxsize=16)
 def _circulant_sqrt_spectrum(H: float, n: int) -> np.ndarray:
-    """Read-only (n+1)-point scale of the half spectrum of unit-spacing fGn.
+    """(n+1)-point scale of the half spectrum of unit-spacing fGn.
 
     Entry k is sqrt(lambda_k / m) at the real edges k = 0, n and
     sqrt(lambda_k / (2m)) in between, with m = 2n.  Raises EmbeddingFailure
@@ -58,7 +57,6 @@ def _circulant_sqrt_spectrum(H: float, n: int) -> np.ndarray:
         raise EmbeddingFailure(f"circulant spectrum negative for H={H}, n={n}")
     scale = np.sqrt(np.maximum(lam, 0.0) / (2 * m))
     scale[[0, n]] *= math.sqrt(2.0)
-    scale.flags.writeable = False
     return scale
 
 
@@ -67,10 +65,10 @@ def _conjugating_scale(H: float, n: int) -> np.ndarray:
     """Read-only (n+1, 2) table of [scale, -scale] rows.
 
     One real multiply of the half spectrum's (re, im) pairs by it scales
-    them by ``_circulant_sqrt_spectrum(H, n)`` and conjugates them.  The
-    spectrum is computed uncached, so the table is its one cached copy.
+    them by ``_circulant_sqrt_spectrum(H, n)`` and conjugates them; it is
+    the one cached copy of that spectrum.
     """
-    scale = _circulant_sqrt_spectrum.__wrapped__(H, n)
+    scale = _circulant_sqrt_spectrum(H, n)
     table = np.stack([scale, -scale], axis=1)
     table.flags.writeable = False
     return table

@@ -139,13 +139,6 @@ class TrendModel:
         return (s_ref / s) ** self.alpha_loc * d_val
 
     @classmethod
-    def brownian(cls, eta: EtaSpec | None = None, zeta: ZetaSpec | None = None,
-                 beta: float = 1.0) -> "TrendModel":
-        """Standard Brownian motion: H=1/2, alpha_loc=1, D(s)=1/s."""
-        return cls(H=0.5, beta=beta, alpha_loc=1.0, d_ref=(1.0, 1.0),
-                   eta=eta, zeta=zeta)
-
-    @classmethod
     def fbm(cls, H: float, beta: float, eta: EtaSpec | None = None,
             zeta: ZetaSpec | None = None, pickands: float | None = None,
             e_const: float | None = None) -> "TrendModel":
@@ -248,8 +241,8 @@ class TrendTailValue:
 
 def trend_tail_asymptotic(model: TrendModel, c: float, u: float) -> TrendTailValue:
     """Both closed forms of the deterministic-trend exceedance at level u."""
-    if u <= 0:
-        raise SpecError(f"level must be positive, got {u}")
+    if not 0 < u < math.inf:
+        raise SpecError(f"level must be positive and finite, got {u}")
     k = trend_constants(model, c)
     H, beta, a = model.H, model.beta, model.alpha_loc
     one_minus_h = 1.0 - H / beta
@@ -257,7 +250,7 @@ def trend_tail_asymptotic(model: TrendModel, c: float, u: float) -> TrendTailVal
     log_g = math.log(k.C) + one_minus_h * (2.0 / a - 2.0) * math.log(u) \
         + (-0.5 * _LOG_2PI - 0.5 * arg * arg)  # log of the normal density
     # The exact-tail form is C * A * u**(...) * Q(arg); Q(x) ~ phi(x) / x gives log_g.
-    log_f = math.log(k.C * k.A) + one_minus_h * (2.0 / a - 1.0) * math.log(u) \
+    log_f = math.log(k.C) + math.log(k.A) + one_minus_h * (2.0 / a - 1.0) * math.log(u) \
         + log_norm_sf(arg)
     return TrendTailValue(log_f=log_f, log_g=log_g)
 

@@ -48,9 +48,8 @@ def tail_integral_numeric(
     mu: float,
     K: float,
     delta: float,
-    rtol: float = 1e-10,
 ) -> float:
-    """log I(u) by adaptive quadrature, exact up to the requested rtol."""
+    """log I(u) by adaptive quadrature, exact up to rtol 1e-10."""
     _check_positive(u=u, alpha=alpha, mu=mu, K=K)
     if delta < 0:
         raise SpecError(f"delta must be nonnegative, got {delta}")
@@ -69,10 +68,17 @@ def tail_integral_numeric(
                 + K * (u + z) ** alpha * np.expm1(-alpha * np.log1p(z / u))
             )
 
-    # Panels seeded at 1, 10 and 100 kernel scales 1/slope, where the mass sits.
-    slope = K * alpha * u ** (alpha - 1.0)
-    breaks = [b / slope for b in (1.0, 10.0, 100.0) if b < delta * slope]
-    return -peak + log_quad(log_rest, 0.0, delta, rtol=rtol, breakpoints=breaks)
+    # Panels seeded at 1, 10 and 100 kernel scales 1/slope, where the mass
+    # sits; a slope beyond the doubles seeds none inside (0, delta).  Logs
+    # near the top of the doubles overflow in the quadrature's differences,
+    # to terms of 0; a result beyond the doubles is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = K * alpha * np.float64(u) ** (alpha - 1.0)
+        breaks = [b / slope for b in (1.0, 10.0, 100.0) if b < delta * slope]
+        log_i = -peak + log_quad(log_rest, 0.0, delta, rtol=1e-10, breakpoints=breaks)
+    if log_i == -math.inf:  # the integrand vanishes at every node
+        return log_i
+    return as_double(f"log I(u) at u={u}", lambda: log_i, positive=False)
 
 
 def tail_integral_asymptotic(
@@ -84,12 +90,12 @@ def tail_integral_asymptotic(
         raise AssumptionError(
             f"closed form requires alpha > 1, got alpha={alpha}"
         )
-    return (
+    return as_double(f"log I(u) closed form at u={u}", lambda: (
         -(mu + 1.0) * math.log(K * alpha)
         + math.lgamma(mu + 1.0)
         + (beta - (alpha - 1.0) * (mu + 1.0)) * math.log(u)
         - _log_peak(u, alpha, K)
-    )
+    ), positive=False)
 
 
 # ---------------------------------------------------------------------------

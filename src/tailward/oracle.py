@@ -121,7 +121,6 @@ def ratio_table(
     op: str,
     predicted: AsymptoticTail,
     grid,
-    rtol: float = _RTOL,
 ) -> list[dict]:
     """Exact-vs-asymptotic survival ratios over a grid of levels.
 
@@ -142,7 +141,7 @@ def ratio_table(
         status = "ok"
         try:
             log_h = sf_eval(predicted, u)
-            log_sf = oracle(x, y, u, rtol=rtol)
+            log_sf = oracle(x, y, u)
             ratio = as_double("exact-to-asymptotic ratio", lambda: math.exp(log_sf - log_h),
                               positive=False)
         except TailwardError as exc:

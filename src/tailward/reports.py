@@ -305,7 +305,7 @@ def _random_slope_rows(u, eta_zero, eta_pos):
     # Zero lower edge (power tail 0.5 * u^-1) and positive edge, same check.
     rows = []
     for name, eta in (("zero-edge-ratio", eta_zero), ("positive-edge-ratio", eta_pos)):
-        tail = gp.random_trend_tail(gp.TrendModel.brownian(eta=gp.EtaSpec(**eta)))
+        tail = gp.random_trend_tail(gp.TrendModel.fbm(0.5, 1.0, eta=gp.EtaSpec(**eta)))
         log_exact = gp.bm_exact_oracle(gp.eta_power_low_model(**eta), None, u)
         rows.append(_check(name, math.exp(log_exact - sf_eval(tail, u)), 1.0, 0.02))
     return rows
@@ -317,8 +317,8 @@ def _offset_rows(eta, gammas, u):
     eta_law = gp.eta_power_low_model(**eta)
     rows = []
     for name, gamma, level in zip(("light-offset", "heavy-offset"), gammas, u):
-        model = gp.TrendModel.brownian(
-            eta=gp.EtaSpec(**eta), zeta=gp.ZetaSpec(-math.inf, 1.0, gamma)
+        model = gp.TrendModel.fbm(
+            0.5, 1.0, eta=gp.EtaSpec(**eta), zeta=gp.ZetaSpec(-math.inf, 1.0, gamma)
         )
         tail, _ = gp.trend_tail(model)
         zeta = gp.negate_model(make_model({"family": "pareto",

@@ -13,8 +13,9 @@ push survival probabilities far below 1e-300.
 
 Every exact law is built by :func:`law` and obeys one support rule: with
 support (lo, hi), log SF is 0 at or below lo and -inf at or above hi, log
-density is -inf outside the open interval (lo, hi), and a scalar argument
-gives a float.  Constructors give only the formulas valid inside (lo, hi).
+CDF the reverse, log density is -inf outside the open interval (lo, hi),
+and a scalar argument gives a float.  Constructors give only the formulas
+valid inside (lo, hi).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergentMoment, DomainError, SpecError, as_double
+from .quadrature import log1mexp, log_quad
 from .specfun import log_norm_sf
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "sf_eval",
     "power_substitute",
     "tail_to_dict",
-    "tail_from_dict",
     "DistributionModel",
     "law",
     "make_model",
@@ -163,28 +164,13 @@ def tail_to_dict(tail: AsymptoticTail) -> dict:
     return d
 
 
-def tail_from_dict(d: dict) -> AsymptoticTail:
-    try:
-        variant = d["variant"]
-        params = {k: float(v) for k, v in d.items() if k != "variant"}
-        if variant == "power":
-            return PowerTail(**params)
-        if variant == "weibull_type":
-            return WeibullType(**params)
-        if variant == "edge_power":
-            return EdgePower(**params)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"bad tail object {d!r}: {exc}") from exc
-    raise SpecError(f"unknown tail variant {variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # Exact reference distributions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DistributionModel:
-    """An exact law: vectorized log survival and log density, a sampler, metadata.
+    """An exact law: vectorized log survival, log density and log CDF, a sampler, metadata.
 
     Values are immutable after construction and safe to share across
     threads; samplers take an explicit numpy Generator so callers own all
@@ -192,8 +178,8 @@ class DistributionModel:
     inside the three families (lognormal and the degenerate constant have
     none).  Laws built by :func:`law` share one support rule: with
     ``support = (lo, hi)``, log SF is 0 at or below lo and -inf at or above
-    hi, log density is -inf outside the open interval (lo, hi), and a
-    scalar argument gives a float.
+    hi, log CDF the reverse, log density is -inf outside the open interval
+    (lo, hi), and a scalar argument gives a float.
     """
 
     family: str
@@ -203,6 +189,7 @@ class DistributionModel:
     log_sf: Callable = field(compare=False, repr=False)
     log_density: Optional[Callable] = field(compare=False, repr=False)
     sampler: Callable = field(compare=False, repr=False)
+    log_cdf: Callable = field(compare=False, repr=False)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return self.sampler(rng, size)
@@ -211,16 +198,23 @@ class DistributionModel:
         return {"family": self.family, "params": dict(self.params)}
 
 
+# log(1 - e**v) of each value, by the scalar log1mexp's arithmetic.
+_log_complement = np.vectorize(lambda v: log1mexp(min(v, 0.0)), otypes=[float])
+
+
 def law(family: str, params: dict, support: tuple[float, float],
         tail: Optional[AsymptoticTail], sampler: Callable, log_sf: Callable,
-        log_density: Optional[Callable] = None) -> DistributionModel:
+        log_density: Optional[Callable] = None,
+        log_cdf: Optional[Callable] = None) -> DistributionModel:
     """A DistributionModel from formulas valid strictly inside the support.
 
-    ``log_sf`` and ``log_density`` take a float array and need only be right
-    on the open interval (lo, hi); what they give elsewhere, and any
-    floating-point error they raise there, is discarded.  The support rule
-    of :class:`DistributionModel` is applied here, with one mask per finite
-    end, so a law with an infinite end pays no mask for it.
+    ``log_sf``, ``log_density`` and ``log_cdf`` take a float array and need
+    only be right on the open interval (lo, hi); what they give elsewhere,
+    and any floating-point error they raise there, is discarded.  The
+    support rule of :class:`DistributionModel` is applied here, with one
+    mask per finite end, so a law with an infinite end pays no mask for it.
+    Without ``log_cdf`` the CDF is 1 - SF, which loses a lower-tail mass
+    below ~1e-16; a law that knows its lower tail passes it.
     """
     lo, hi = support
 
@@ -247,6 +241,7 @@ def law(family: str, params: dict, support: tuple[float, float],
         log_sf=confine(log_sf, 0.0, -np.inf),
         log_density=None if log_density is None else confine(log_density, -np.inf, -np.inf),
         sampler=sampler,
+        log_cdf=confine(log_cdf or (lambda x: _log_complement(log_sf(x))), -np.inf, 0.0),
     )
 
 
@@ -487,10 +482,8 @@ def moment(model: DistributionModel, alpha: float) -> float:
     return moment_by_quadrature(model, alpha)
 
 
-def moment_by_quadrature(model: DistributionModel, alpha: float, rtol: float = 1e-9) -> float:
+def moment_by_quadrature(model: DistributionModel, alpha: float) -> float:
     """The tail-integral identity evaluated with adaptive quadrature."""
-    from .quadrature import log_quad
-
     lo, hi = model.support
     if lo < 0:
         raise DomainError("quadrature moment needs support within [0, inf)")
@@ -504,5 +497,5 @@ def moment_by_quadrature(model: DistributionModel, alpha: float, rtol: float = 1
             return model.log_sf(u) + (alpha - 1.0) * np.log(np.maximum(u, 1e-320))
 
     breaks = [b for b in (lo, hi) if 0.0 < b < math.inf]
-    log_val = log_quad(log_integrand, 0.0, math.inf, rtol=rtol, breakpoints=breaks)
+    log_val = log_quad(log_integrand, 0.0, math.inf, rtol=1e-9, breakpoints=breaks)
     return alpha * math.exp(log_val)

@@ -1,12 +1,10 @@
-"""Closed-form tail calculus: conditions, combination rules, conversions."""
+"""Closed-form tail calculus: conditions and combination rules."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 import tailward as tw
 from tailward import gp_extremes as gp
@@ -19,7 +17,6 @@ from tailward.errors import (
     SpecError,
     Unsupported,
 )
-from tailward.quadrature import log_quad
 
 W = tw.WeibullType
 P = tw.PowerTail
@@ -33,7 +30,7 @@ E = tw.EdgePower
 def _hand_built_unbounded_law():
     m = tw.make_model("normal")
     return tw.DistributionModel("hand_built", {}, m.support, None, m.log_sf,
-                                m.log_density, m.sampler)
+                                m.log_density, m.sampler, m.log_cdf)
 
 
 @pytest.mark.parametrize("model,order", [
@@ -339,50 +336,3 @@ def test_ratio_fixtures_take_claim_and_tail_from_the_engine():
         tail, claim = _classify(r.inputs["op"], r.inputs["x"], r.inputs["y"])
         assert r.claim == claim
         assert r.inputs["predicted"] == tw.tail_to_dict(tail)
-
-
-# ---------------------------------------------------------------------------
-# density_to_sf
-# ---------------------------------------------------------------------------
-
-def test_density_to_sf_power_case():
-    assert tw.density_to_sf("power", C=2, alpha=3) == P(2, 3)
-
-
-def test_density_to_sf_edge_case():
-    assert tw.density_to_sf("edge", C=1, M=0, alpha=1) == E(1, 0, 1)
-
-
-def test_density_to_sf_weibull_matches_gaussian_tail():
-    out = tw.density_to_sf("weibull_type", C=1, beta=0, K=0.5, alpha=2)
-    assert out == W(1.0, -1.0, 0.5, 2.0, 0.0)
-    # Cross-check against the scaled erfc integral of the density at u=6.
-    u = 6.0
-    exact = math.sqrt(math.pi / 2.0) * special.erfc(u / math.sqrt(2.0))
-    assert math.exp(tw.sf_eval(out, u)) == pytest.approx(exact, rel=0.03)
-
-
-def test_density_to_sf_rejects_bad_parameters():
-    with pytest.raises(SpecError):
-        tw.density_to_sf("power", C=-1, alpha=2)
-    with pytest.raises(SpecError):
-        tw.density_to_sf("weibull_type", C=1, beta=0, K=0, alpha=2)
-    with pytest.raises(SpecError):
-        tw.density_to_sf("nope", C=1)
-
-
-@pytest.mark.parametrize(
-    "c,beta,k,alpha,u",
-    [(1.0, 0.0, 0.5, 2.0, 8.0), (2.0, 1.0, 1.0, 1.5, 30.0)],
-)
-def test_density_to_sf_weibull_integrates_back(c, beta, k, alpha, u):
-    # The quadrature of the density over (u, inf) must match the converted
-    # survival form within 2% at tail depth K u^alpha >~ 30.
-    tail = tw.density_to_sf("weibull_type", C=c, beta=beta, K=k, alpha=alpha)
-
-    def log_density(x):
-        return math.log(c) + beta * np.log(x) - k * x ** alpha
-
-    num = log_quad(log_density, u, math.inf, rtol=1e-11)
-    ratio = math.exp(num - tw.sf_eval(tail, u))
-    assert 0.98 <= ratio <= 1.02

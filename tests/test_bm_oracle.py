@@ -89,7 +89,8 @@ def test_eta_power_low_model_refuses_what_no_slope_law_has(delta, C, mu, error, 
 
 
 def test_negate_model_flips_law(rng):
-    m = negate_model(tw.make_model("pareto(1,2)"))
+    x = tw.make_model("pareto(1,2)")
+    m = negate_model(x)
     assert m.support == (-math.inf, -1.0)
     assert np.exp(m.log_sf(-2.0)) == pytest.approx(1.0 - 0.25, rel=1e-12)
     assert float(m.log_density(-3.0)) == pytest.approx(
@@ -97,6 +98,13 @@ def test_negate_model_flips_law(rng):
     )
     xs = np.asarray(m.sample(rng, 1000))
     assert np.all(xs <= -1.0)
+    # The two tails swap: P(-X <= -1e40) = 1e-80 is X's own SF, a mass that
+    # 1 - P(-X > -1e40) would round away.
+    levels = np.array([-1e300, -1e40, -4.0, -1.0, 0.0])
+    np.testing.assert_array_equal(m.log_cdf(levels), x.log_sf(-levels))
+    np.testing.assert_array_equal(m.log_sf(levels), x.log_cdf(-levels))
+    assert m.log_cdf(-1e40) == pytest.approx(-80.0 * math.log(10.0), rel=1e-15)
+    assert negate_model(m).log_sf(1e40) == x.log_sf(1e40)
 
 
 def test_offset_with_power_lower_tail_against_series():
@@ -108,6 +116,30 @@ def test_offset_with_power_lower_tail_against_series():
     leading = u ** -0.5
     assert got == pytest.approx(leading, rel=0.05)
     assert got > leading  # slope term adds mass
+
+
+def _heavy_offset_oracle(u):
+    # Uniform slope and zeta = -pareto(1, 0.5): the offset dominates, and
+    # log P(sup > u) = log(u**-0.5 + slope term ~ 0.5/u) tends to -0.5 ln u.
+    zeta = negate_model(tw.make_model("pareto(1,0.5)"))
+    return bm_exact_oracle(eta_power_low_model(0.0, 1.0, 1.0), zeta, u)
+
+
+def test_offset_mass_at_1e16_matches_a_high_precision_integral():
+    # A 40-digit mpmath integral of the same mixture.  Taking P(zeta <= -u)
+    # as 1 - P(zeta > -u) was 5e-9 nats off here.
+    assert _heavy_offset_oracle(1e16) == pytest.approx(-18.4206807389523645, abs=1e-12)
+
+
+@pytest.mark.parametrize("u", [
+    1e32, 1e34,
+    pytest.param(1e50, marks=pytest.mark.slow),
+    pytest.param(1e300, marks=pytest.mark.slow),
+])
+def test_offset_mass_below_double_resolution_is_kept(u):
+    # 1 - u**-0.5 rounds to 1 here, so the complement lost the offset mass
+    # (0.105 nats at 1e32, ~37-40 nats beyond); the lower tail itself keeps it.
+    assert _heavy_offset_oracle(u) == pytest.approx(-0.5 * math.log(u), rel=1e-14)
 
 
 def test_requires_positive_slope_support():

@@ -146,6 +146,22 @@ def test_a_spread_whose_squares_underflow_still_backs_an_interval(values):
     assert est.value - est.ci_lo == pytest.approx(half, rel=1e-12)
 
 
+@pytest.mark.parametrize("values", [[1e300, 1.5e300], [1e308, -1e308, 1e308]])
+def test_a_spread_whose_squares_overflow_still_backs_an_interval(values):
+    # The squared deviations (or z times the sd) overflow, yet the mean and
+    # the half-width fit in a double.
+    est = estimators._mean_estimate(np.array(values), "m", T=1.0, n_steps=1, seed=0)
+    half = _Z95 * (statistics.stdev(values) / math.sqrt(len(values)))
+    assert est.value == float(np.mean(values))
+    assert est.ci_hi - est.value == pytest.approx(half, rel=1e-12)
+    assert est.value - est.ci_lo == pytest.approx(half, rel=1e-12)
+
+
+def test_a_half_width_beyond_the_doubles_is_refused():
+    with pytest.raises(DomainError, match="ci_lo is not a finite double"):
+        estimators._mean_estimate(np.array([1.7e308, -1.7e308]), "m", T=1.0, n_steps=1, seed=0)
+
+
 def test_a_half_width_below_the_doubles_is_still_refused():
     # The values differ in their last bit, and the half-width is below
     # the smallest subnormal.

@@ -181,7 +181,7 @@ def test_generator_keeps_the_reference_stream(H, n_steps):
 def test_circulant_spectrum_nonnegative_on_hurst_grid():
     # Worst min/max eigenvalue ratio here is about -6.4e-10 (H = 0.9999,
     # n = 2^16), well above the -1e-8 round-off floor: no EmbeddingFailure.
-    spectrum = fbm_module._circulant_sqrt_spectrum.__wrapped__
+    spectrum = fbm_module._circulant_sqrt_spectrum
     hursts = [k / 100 for k in range(1, 100)] + [0.999, 0.9999]
     for H in hursts:
         for k in range(1, 17):
@@ -189,10 +189,11 @@ def test_circulant_spectrum_nonnegative_on_hurst_grid():
 
 
 def test_cached_spectrum_is_read_only():
-    scale = fbm_module._circulant_sqrt_spectrum(0.3, 64)
-    assert scale.shape == (65,)
+    # The worker threads share this table.
+    table = fbm_module._conjugating_scale(0.3, 64)
+    assert table.shape == (65, 2)
     with pytest.raises(ValueError):
-        scale[0] = 1.0
+        table[0, 0] = 1.0
 
 
 def test_negative_spectrum_raises_embedding_failure(monkeypatch):

@@ -28,7 +28,7 @@ from tailward.specfun import log_norm_sf
 
 
 def test_brownian_constants_reference_values():
-    k = trend_constants(TrendModel.brownian(), 1.0)
+    k = trend_constants(TrendModel.fbm(0.5, 1.0), 1.0)
     assert k.K_s == pytest.approx(1.0)
     assert k.K_A == pytest.approx(2.0)
     assert k.K_B == pytest.approx(0.5)
@@ -63,14 +63,14 @@ def test_exact_pickands_values():
 
 def test_brownian_density_form_is_exact_exponential():
     # Unit slope, Brownian: the density form collapses to exp(-2u) exactly.
-    m = TrendModel.brownian()
+    m = TrendModel.fbm(0.5, 1.0)
     for u in (0.5, 3.0, 20.0):
         v = trend_tail_asymptotic(m, 1.0, u)
         assert v.log_g == pytest.approx(-2.0 * u, rel=1e-12)
 
 
 def test_tail_forms_converge_to_each_other():
-    m = TrendModel.brownian()
+    m = TrendModel.fbm(0.5, 1.0)
     devs = [
         abs(math.exp(trend_tail_asymptotic(m, 1.0, u).log_f
                      - trend_tail_asymptotic(m, 1.0, u).log_g) - 1.0)
@@ -150,7 +150,7 @@ def test_alpha_loc_two_branch_is_finite_and_scales():
 # ---------------------------------------------------------------------------
 
 def test_zero_edge_slope_reduces_to_power_half():
-    tail = random_trend_tail(TrendModel.brownian(eta=EtaSpec(0.0, 1.0, 1.0)))
+    tail = random_trend_tail(TrendModel.fbm(0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0)))
     assert tail == tw.PowerTail(0.5, 1.0)
 
 
@@ -188,7 +188,7 @@ def test_positive_edge_slope_brownian_watson_identity():
     # delta > 0: the closed form must equal the kernel-average asymptotic
     # C_eta Gamma(mu+1) (2u)^-mu e^(-2 delta u) field by field, to 1e-12.
     for delta, c_eta, mu in ((0.3, 1.0, 1.0), (0.7, 2.0, 1.5), (1.2, 0.5, 2.0)):
-        tail = random_trend_tail(TrendModel.brownian(eta=EtaSpec(delta, c_eta, mu)))
+        tail = random_trend_tail(TrendModel.fbm(0.5, 1.0, eta=EtaSpec(delta, c_eta, mu)))
         assert isinstance(tail, tw.WeibullType)
         assert tail.C == pytest.approx(c_eta * math.gamma(mu + 1) * 2.0 ** -mu, rel=1e-12)
         assert tail.rho == pytest.approx(-mu, rel=1e-12)
@@ -208,10 +208,10 @@ def test_positive_edge_general_exponents():
 
 def test_random_trend_requires_eta():
     with pytest.raises(SpecError):
-        random_trend_tail(TrendModel.brownian())
+        random_trend_tail(TrendModel.fbm(0.5, 1.0))
     for zeta in (None, ZetaSpec(-math.inf, 1.0, 0.5), ZetaSpec(0.2, 1.0, 1.0)):
         with pytest.raises(SpecError):
-            trend_tail(TrendModel.brownian(zeta=zeta))
+            trend_tail(TrendModel.fbm(0.5, 1.0, zeta=zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +219,8 @@ def test_random_trend_requires_eta():
 # ---------------------------------------------------------------------------
 
 def test_offset_dominates_for_heavy_power_offset():
-    model = TrendModel.brownian(
-        eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 2.0, 0.5)
+    model = TrendModel.fbm(
+        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 2.0, 0.5)
     )
     assert trend_tail(model) == (tw.PowerTail(2.0, 0.5), "offset_dominates")
     # The answer is the offset's own power tail: no sup-ratio moment is needed.
@@ -230,22 +230,22 @@ def test_offset_dominates_for_heavy_power_offset():
 
 
 def test_offset_dominates_any_positive_edge_slope():
-    model = TrendModel.brownian(
-        eta=EtaSpec(0.4, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 7.0)
+    model = TrendModel.fbm(
+        0.5, 1.0, eta=EtaSpec(0.4, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 7.0)
     )
     assert trend_tail(model) == (tw.PowerTail(1.0, 7.0), "offset_dominates")
 
 
 def test_slope_dominates_for_light_power_offset():
-    model = TrendModel.brownian(
-        eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 3.0)
+    model = TrendModel.fbm(
+        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 3.0)
     )
     assert trend_tail(model) == (tw.PowerTail(0.5, 1.0), "slope_dominates")
 
 
 def test_equal_power_orders_refuse_a_closed_form():
-    model = TrendModel.brownian(
-        eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 1.0)
+    model = TrendModel.fbm(
+        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 1.0)
     )
     with pytest.raises(BoundaryCase):
         trend_tail(model)
@@ -268,8 +268,8 @@ def test_edge_offset_equals_sum_rule_composition():
 
 
 def test_edge_offset_needs_shallow_hurst():
-    model = TrendModel.brownian(  # beta = 1 = 2H: decay order would be 1
-        eta=EtaSpec(0.5, 1.0, 1.0), zeta=ZetaSpec(0.2, 1.0, 1.0)
+    model = TrendModel.fbm(  # beta = 1 = 2H: decay order would be 1
+        0.5, 1.0, eta=EtaSpec(0.5, 1.0, 1.0), zeta=ZetaSpec(0.2, 1.0, 1.0)
     )
     with pytest.raises(AssumptionError):
         trend_tail(model)

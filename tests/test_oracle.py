@@ -132,6 +132,7 @@ def test_unsupported_conditioning_without_density(weibull12):
         log_sf=lambda u: np.where(np.asarray(u) < 1.0, 0.0, -np.inf),
         log_density=None,
         sampler=lambda rng, size=None: rng.random(size),
+        log_cdf=lambda u: np.where(np.asarray(u) < 1.0, -np.inf, 0.0),
     )
     with pytest.raises(Unsupported):
         sf_sum_exact(weibull12, bad, 2.0)

@@ -87,10 +87,10 @@ def test_full_exact_law_fixture_passes(validate):
 def test_failed_row_is_null_and_keeps_its_status(monkeypatch):
     exact = oracle.sf_sum_exact
 
-    def failing_at_six(x, y, u, rtol):
+    def failing_at_six(x, y, u):
         if u == 6.0:
             raise QuadratureFailure("forced failure")
-        return exact(x, y, u, rtol=rtol)
+        return exact(x, y, u)
 
     monkeypatch.setattr(oracle, "sf_sum_exact", failing_at_six)
     data = _strict(run_fixture("sum-mixed-weibull-edge"))

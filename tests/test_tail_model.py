@@ -1,5 +1,6 @@
 """Tail families, the distribution registry and moment computation."""
 
+import json
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from scipy import special, stats
 import tailward as tw
 from tailward import gp_extremes as gp
 from tailward.errors import DivergentMoment, DomainError, SpecError
+from tailward.quadrature import log1mexp
 from tailward.tail_model import moment_by_quadrature
 
 ALL_SPECS = [
@@ -210,10 +212,10 @@ BITWISE_POINTS = np.concatenate([np.linspace(-3.0, 5.0, 161), np.geomspace(1e-9,
 
 @pytest.mark.parametrize("name", list(SUPPORT_RULE_LAWS))
 def test_every_law_follows_the_support_rule(name):
-    # log SF is 0 at or below lo and -inf at or above hi; log density is
-    # -inf outside (lo, hi); scalars give floats with the bits of the same
-    # point inside an array, arrays keep their shape, and nothing warns,
-    # not even at +-1e300.
+    # log SF is 0 at or below lo and -inf at or above hi, log CDF the
+    # reverse; log density is -inf outside (lo, hi); scalars give floats with
+    # the bits of the same point inside an array, arrays keep their shape,
+    # and nothing warns, not even at +-1e300.
     m = SUPPORT_RULE_LAWS[name]
     lo, hi = m.support
     points = [-1e300, 1e300] + BITWISE_POINTS
@@ -223,26 +225,38 @@ def test_every_law_follows_the_support_rule(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sf = [m.log_sf(float(x)) for x in points]
+        cdf = [m.log_cdf(float(x)) for x in points]
         dens = [m.log_density(float(x)) for x in points] if m.log_density else []
         assert m.log_sf(points[:, None]).shape == (len(points), 1)
+        assert m.log_cdf(points[:, None]).shape == (len(points), 1)
         if m.log_density:
             assert m.log_density(points[:, None]).shape == (len(points), 1)
-    assert all(type(v) is float for v in sf + dens), name
+    assert all(type(v) is float for v in sf + cdf + dens), name
     assert m.log_sf(points).tobytes() == np.array(sf).tobytes(), name
+    assert m.log_cdf(points).tobytes() == np.array(cdf).tobytes(), name
     if m.log_density:
         assert m.log_density(points).tobytes() == np.array(dens).tobytes(), name
-    for x, v in zip(points, sf):
+    for x, v, c in zip(points, sf, cdf):
         if x >= hi:
-            assert v == -math.inf, (name, x, v)
+            assert (v, c) == (-math.inf, 0.0), (name, x, v, c)
         elif x <= lo:
-            assert v == 0.0, (name, x, v)
+            assert (v, c) == (0.0, -math.inf), (name, x, v, c)
         else:
-            assert v <= 0.0, (name, x, v)
+            assert v <= 0.0 and c <= 0.0, (name, x, v, c)
     for x, v in zip(points, dens):
         if x <= lo or x >= hi:
             assert v == -math.inf, (name, x, v)
         else:
             assert not math.isnan(v), (name, x, v)
+
+
+@pytest.mark.parametrize("name", [n for n in SUPPORT_RULE_LAWS if not n.startswith("neg ")])
+def test_log_cdf_defaults_to_the_complement_of_the_sf(name):
+    # A law that gives no lower tail of its own takes log(1 - SF) point by
+    # point, by the arithmetic of quadrature.log1mexp.
+    m = SUPPORT_RULE_LAWS[name]
+    for x in [-1e300, 1e300] + BITWISE_POINTS:
+        assert m.log_cdf(x) == log1mexp(min(m.log_sf(x), 0.0)), (name, x)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -392,4 +406,5 @@ def test_tail_json_round_trip(c, alpha, rho, shift):
         tw.WeibullType(c, rho, alpha, alpha, shift),
         tw.EdgePower(c, shift, alpha),
     ):
-        assert tw.tail_from_dict(tw.tail_to_dict(tail)) == tail
+        d = json.loads(json.dumps(tw.tail_to_dict(tail)))
+        assert type(tail)(**{k: v for k, v in d.items() if k != "variant"}) == tail
