@@ -6,10 +6,10 @@ them), 3 a mathematical hypothesis or domination condition is violated
 (the message names it), 4 numerical failure.  Each error class carries
 its exit code as ``exit_code`` (see :mod:`tailward.errors`).
 
-All randomness enters through --seed (default 0, never time-based).  The
-Monte Carlo commands run on every CPU the process may use unless --workers
-says otherwise, and the TAILWARD_THREADS environment variable caps either;
-results are bitwise the same for any worker count.
+All randomness enters through --seed, in [0, 2**64) (default 0, never
+time-based).  Monte Carlo commands run on at most --workers threads
+(default: every CPU the process may use), capped by those CPUs and by
+TAILWARD_THREADS; results are bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .asymptotic_engine import product_tail, sum_tail
 from .errors import SpecError, TailwardError
-from .tail_model import make_model, tail_to_dict
+from .tail_model import EdgePower, PowerTail, make_model, tail_to_dict
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -138,8 +138,18 @@ def _cmd_verify(args) -> int:
 _PRESET_FIXES = {"bm": ("H", "alpha_loc", "d_ref"), "fbm": ("alpha_loc", "d_ref")}
 
 
+def _zeta_tail(zeta: dict):
+    """The upper tail of -zeta: a power without delta0, else an edge at -delta0."""
+    delta0 = float(zeta.get("delta0", -math.inf))
+    c, gamma = float(zeta["C"]), float(zeta["gamma"])
+    try:
+        return PowerTail(c, gamma) if delta0 == -math.inf else EdgePower(c, -delta0, gamma)
+    except SpecError as exc:
+        raise SpecError(f"bad zeta spec {zeta}: {exc}") from None
+
+
 def _trend_model_from_json(text: str):
-    from .gp_extremes import EtaSpec, TrendModel, ZetaSpec
+    from .gp_extremes import EtaSpec, TrendModel
 
     # Inline JSON is never probed as a path: a long one is no valid file name.
     raw = text if text.lstrip().startswith(("{", "[")) else Path(text).read_text()
@@ -160,13 +170,7 @@ def _trend_model_from_json(text: str):
             eta=EtaSpec(float(eta["delta"]), float(eta["C"]), float(eta["mu"]))
             if eta
             else None,
-            zeta=ZetaSpec(
-                float(zeta.get("delta0", -math.inf)),
-                float(zeta["C"]),
-                float(zeta["gamma"]),
-            )
-            if zeta
-            else None,
+            zeta=_zeta_tail(zeta) if zeta else None,
             pickands=None if obj.get("pickands") is None else float(obj["pickands"]),
             e_const=None if obj.get("e_const") is None else float(obj["e_const"]),
         )
@@ -285,8 +289,8 @@ def _cmd_gp_econst(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-_WORKERS_HELP = ("threads for the path map (default: the CPUs this process may use); "
-                 "TAILWARD_THREADS caps it, and results do not depend on it")
+_WORKERS_HELP = ("threads for the path map, at least 1 (default: the CPUs this process may "
+                 "use); those CPUs and TAILWARD_THREADS cap it, and results do not depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:

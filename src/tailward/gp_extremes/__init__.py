@@ -19,7 +19,6 @@ from .trend import (
     TrendConstants,
     TrendModel,
     TrendTailValue,
-    ZetaSpec,
     bm_sup_ratio_moment,
     pickands_exact,
     random_trend_tail,
@@ -45,7 +44,6 @@ __all__ = [
     "TrendConstants",
     "TrendModel",
     "TrendTailValue",
-    "ZetaSpec",
     "bm_sup_ratio_moment",
     "pickands_exact",
     "random_trend_tail",

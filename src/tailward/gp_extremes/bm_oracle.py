@@ -40,10 +40,10 @@ def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
 
     def log_sf(x):
         cdf = np.minimum(C * np.minimum(x - delta, width) ** mu, 1.0)
-        return np.log1p(-np.minimum(cdf, 1.0 - 1e-17))
+        return np.log1p(-cdf)
 
     def log_density(x):
-        return math.log(C * mu) + (mu - 1.0) * np.log(np.maximum(x - delta, 1e-320))
+        return math.log(C * mu) + (mu - 1.0) * np.log(x - delta)
 
     def sampler(rng, size=None):
         v = rng.random(size)

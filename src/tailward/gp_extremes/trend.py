@@ -48,7 +48,6 @@ from ..tail_model import (
 
 __all__ = [
     "EtaSpec",
-    "ZetaSpec",
     "TrendModel",
     "TrendConstants",
     "pickands_exact",
@@ -86,28 +85,14 @@ class EtaSpec:
 
 
 @dataclass(frozen=True)
-class ZetaSpec:
-    """Lower-tail behaviour of the offset zeta.
-
-    With delta0 = -inf the lower tail is a power:
-    P(zeta < -u) ~ C * u**-gamma.  With finite delta0 = ess inf zeta the
-    approach is an edge power: P(zeta < delta0 + x) ~ C * x**gamma.
-    """
-
-    delta0: float
-    C: float
-    gamma: float
-
-    def __post_init__(self):
-        # delta0 = -inf is the power lower tail; +inf and NaN are no law.
-        if not (-math.inf <= self.delta0 < math.inf and 0 < self.C < math.inf
-                and 0 < self.gamma < math.inf):
-            raise SpecError(f"bad zeta spec {self}")
-
-
-@dataclass(frozen=True)
 class TrendModel:
     """Parameters of the conditionally Gaussian supremum problem.
+
+    The supremum of X(t) - eta*t**beta - zeta is the sum of the slope part
+    and -zeta, so ``zeta`` is the upper tail of -zeta:
+    ``PowerTail(C, gamma)`` when P(zeta < -u) ~ C * u**-gamma, and
+    ``EdgePower(C, -delta0, gamma)`` when ess inf zeta = delta0 and
+    P(zeta < delta0 + x) ~ C * x**gamma.
 
     ``d_ref`` anchors the limit constant of local stationarity: the
     standardized process has D(s) = (s_ref / s)**alpha_loc * d_value, which
@@ -119,7 +104,7 @@ class TrendModel:
     alpha_loc: float
     d_ref: tuple[float, float]
     eta: Optional[EtaSpec] = None
-    zeta: Optional[ZetaSpec] = None
+    zeta: Optional[PowerTail | EdgePower] = None
     pickands: Optional[float] = None
     e_const: Optional[float] = None
 
@@ -133,6 +118,8 @@ class TrendModel:
         s_ref, d_val = self.d_ref
         if s_ref <= 0 or d_val <= 0:
             raise SpecError(f"d_ref must be positive, got {self.d_ref}")
+        if not isinstance(self.zeta, (PowerTail, EdgePower, type(None))):
+            raise SpecError(f"zeta must be a power or edge tail of -zeta, got {self.zeta!r}")
 
     def d_at(self, s: float) -> float:
         s_ref, d_val = self.d_ref
@@ -140,7 +127,7 @@ class TrendModel:
 
     @classmethod
     def fbm(cls, H: float, beta: float, eta: EtaSpec | None = None,
-            zeta: ZetaSpec | None = None, pickands: float | None = None,
+            zeta: PowerTail | EdgePower | None = None, pickands: float | None = None,
             e_const: float | None = None) -> "TrendModel":
         """Fractional Brownian motion: alpha_loc = 2H, D(s) = s**(-2H)."""
         return cls(H=H, beta=beta, alpha_loc=2.0 * H, d_ref=(1.0, 1.0),
@@ -340,12 +327,12 @@ def trend_tail(model: TrendModel) -> tuple[AsymptoticTail, str]:
         raise SpecError("trend_tail needs an eta spec on the model")
     if zeta is None:
         return random_trend_tail(model), "slope_only"
-    if math.isinf(zeta.delta0):
+    if isinstance(zeta, PowerTail):
         # A positive slope edge leaves a Gaussian-type tail, lighter than any power.
         slope_order = eta.mu * (model.beta - model.H) / model.H
-        if eta.delta > 0.0 or slope_order > zeta.gamma:
-            return PowerTail(zeta.C, zeta.gamma), "offset_dominates"
-        if slope_order < zeta.gamma:
+        if eta.delta > 0.0 or slope_order > zeta.alpha:
+            return zeta, "offset_dominates"
+        if slope_order < zeta.alpha:
             return random_trend_tail(model), "slope_dominates"
         raise BoundaryCase(
             "the supremum and offset tails decay at the same power order; "
@@ -360,5 +347,4 @@ def trend_tail(model: TrendModel) -> tuple[AsymptoticTail, str]:
             f"finite-edge offset case needs beta > 2H, got beta={model.beta}, "
             f"H={model.H} (the shifted-sum rule needs decay order > 1)"
         )
-    minus_zeta = EdgePower(zeta.C, -zeta.delta0, zeta.gamma)
-    return sum_mixed_tail(random_trend_tail(model), minus_zeta), "edge_offset"
+    return sum_mixed_tail(random_trend_tail(model), zeta), "edge_offset"

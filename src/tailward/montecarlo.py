@@ -4,8 +4,8 @@ The one stream rule: ``_map_blocks`` cuts the draws or paths into blocks,
 block b draws from the counter-based Philox stream keyed (seed, b) (Salmon
 et al. 2011), and a path estimator re-keys it to (seed, i) before path i.
 Results come back in block order, so output is bitwise identical for any
-worker count.  Without an explicit count the map runs one thread per CPU
-the process may use, capped by the TAILWARD_THREADS environment variable.
+worker count.  A map runs on min(blocks, requested count, CPUs the process
+may use, TAILWARD_THREADS) threads; a count of None requests every CPU.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def _philox_key(seed: int, index: int) -> np.ndarray:
-    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
+    if not 0 <= seed < 1 << 64:
+        raise SpecError(f"seed must be in [0, 2**64), got {seed}")
+    return np.array([np.uint64(seed), np.uint64(index)])
 
 
 def block_rng(seed: int, index: int) -> np.random.Generator:
@@ -67,24 +69,21 @@ def rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generato
 
 
 def resolve_workers(requested: int | None) -> int:
-    """Worker count after the TAILWARD_THREADS cap; result >= 1.
+    """min(requested, CPUs, TAILWARD_THREADS): the most threads a map may run.
 
-    A positive ``requested`` is taken as given; None (or <= 0) means the
-    number of CPUs this process may run on.  Either is then capped by
-    TAILWARD_THREADS.
+    None asks for the CPUs this process may run on.  A count below 1, or a
+    TAILWARD_THREADS that is not a positive integer, is refused.
     """
+    if requested is not None and requested < 1:
+        raise SpecError(f"workers must be at least 1, got {requested}")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = cpus if requested is None else min(requested, cpus)
     cap = os.environ.get("TAILWARD_THREADS")
-    if requested and requested > 0:
-        workers = requested
-    elif hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            pass
+    if cap is not None:
+        if not (cap.strip().isdigit() and int(cap) >= 1):
+            raise SpecError(f"TAILWARD_THREADS must be a positive integer, got {cap!r}")
+        workers = min(workers, int(cap))
     return workers
 
 
@@ -92,15 +91,16 @@ def _map_blocks(fn, n: int, size: int, seed: int, workers: int | None) -> list:
     """[fn(rng, start, count) for each block of n units], in block order.
 
     Block b holds count = min(size, n - start) units from start = b * size
-    and draws from block_rng(seed, b); resolve_workers(workers) threads run.
+    and draws from block_rng(seed, b); min(blocks, resolve_workers(workers))
+    threads run.
     """
     def run(b: int):
         start = b * size
         return fn(block_rng(seed, b), start, min(size, n - start))
 
     n_blocks = -(-n // size)
-    workers = resolve_workers(workers)
-    if workers <= 1 or n_blocks <= 1:
+    workers = min(n_blocks, resolve_workers(workers))
+    if workers <= 1:
         return [run(b) for b in range(n_blocks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, range(n_blocks)))

@@ -256,7 +256,7 @@ def _make_weibull(K: float, alpha: float) -> DistributionModel:
         return -K * x ** alpha
 
     def log_density(x):
-        body = log_k_alpha + (alpha - 1) * np.log(np.maximum(x, 1e-320))
+        body = log_k_alpha + (alpha - 1) * np.log(x)
         return body - K * x ** alpha
 
     def sampler(rng, size=None):
@@ -277,10 +277,10 @@ def _make_pareto(C: float, alpha: float) -> DistributionModel:
                         f"got C={C}, alpha={alpha}") from None
 
     def log_sf(x):
-        return math.log(C) - alpha * np.log(np.maximum(x, 1e-320))
+        return math.log(C) - alpha * np.log(x)
 
     def log_density(x):
-        return math.log(C * alpha) - (alpha + 1) * np.log(np.maximum(x, 1e-320))
+        return math.log(C * alpha) - (alpha + 1) * np.log(x)
 
     def sampler(rng, size=None):
         v = rng.random(size)
@@ -300,7 +300,7 @@ def _make_edge(sigma: float, mu: float) -> DistributionModel:
         return mu * np.log(np.minimum(sigma - x, 1.0))
 
     def log_density(x):
-        return math.log(mu) + (mu - 1) * np.log(np.maximum(sigma - x, 1e-320))
+        return math.log(mu) + (mu - 1) * np.log(sigma - x)
 
     def sampler(rng, size=None):
         v = rng.random(size)
@@ -315,10 +315,10 @@ def _make_lognormal(m: float, s: float) -> DistributionModel:
         raise SpecError(f"lognormal needs s > 0, got s={s}")
 
     def log_sf(x):
-        return log_norm_sf((np.log(np.maximum(x, 1e-320)) - m) / s)
+        return log_norm_sf((np.log(x) - m) / s)
 
     def log_density(x):
-        lx = np.log(np.maximum(x, 1e-320))
+        lx = np.log(x)
         return -lx - math.log(s) - 0.5 * math.log(2 * math.pi) - (lx - m) ** 2 / (2 * s * s)
 
     def sampler(rng, size=None):

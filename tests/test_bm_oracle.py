@@ -72,6 +72,13 @@ def test_eta_power_low_model_law(rng):
     assert np.mean(xs > mid) == pytest.approx(float(np.exp(m.log_sf(mid))), abs=0.02)
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-321])
+def test_eta_power_low_density_just_above_its_edge_is_its_formula(x):
+    # The formula once clamped x - delta to 1e-320.
+    m = eta_power_low_model(0.0, 1.0, 0.5)
+    assert m.log_density(x) == pytest.approx(math.log(0.5) - 0.5 * math.log(x), rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("delta,C,mu,error,message", [
     (math.nan, 1.0, 1.0, SpecError, "bad eta spec"),
     (0.0, math.inf, 1.0, SpecError, "bad eta spec"),

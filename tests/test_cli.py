@@ -17,7 +17,7 @@ import tailward as tw
 from tailward import asymptotic_engine, cli, errors
 from tailward import gp_extremes as gp
 from tailward.errors import QuadratureFailure
-from tailward.reports import FIXTURES
+from tailward.reports import FIXTURES, GP_FIXTURES
 
 
 def _run(capsys, *argv):
@@ -470,6 +470,15 @@ def _gp_tail_models():
                f'"eta":{{"delta":{delta},"C":1,"mu":{mu}}},"zeta":{{"C":1,"gamma":1}}}}')
 
 
+# Seeds on both sides of the Philox key range [0, 2**64) and worker counts
+# on both sides of 1; at 2 paths a map has one block, so no call starts a
+# thread.
+_SEEDS = ("-1", "0", str(2 ** 63), str(2 ** 64 + 5))
+_MAP_OPTIONS = ([("--workers", w) for w in ("0", "-1", "1", str(10 ** 6))]
+                + [("--seed", s) for s in ("-1", str(2 ** 64 + 5))])
+# The full exact-law fixture takes 81 s; its own slow test runs it.
+_GP_FIXTURE_NAMES = sorted(set(GP_FIXTURES) - {"bm-unit-slope-exact-law"}) + ["no-such", ""]
+
 # Each command's grid, and how many of its calls one tier-1 run samples.
 _SWEEPS = {
     "tail": (lambda: _both_orders("tail", _PARTNERS), 200),
@@ -487,7 +496,10 @@ _SWEEPS = {
          "--paths", "2", "--steps", "4")
         for process, h, a, b, t in itertools.product(
             ("bm", "fbm"), ("0.3", "0.999", "nan"), _ESTIMATOR_VALUES,
-            ("1", "1e300", "inf", "nan"), _ESTIMATOR_VALUES)], 60),
+            ("1", "1e300", "inf", "nan"), _ESTIMATOR_VALUES)]
+        + [("gp", "econst", "--process", process, "--alpha", "1", "--beta", "1", "--T", "1",
+            "--paths", "2", "--steps", "4", *option)
+           for process in ("bm", "fbm") for option in _MAP_OPTIONS], 60),
     "gp fbm": (lambda: [
         ("gp", "fbm", "--H", h, "--steps", "4", "--T", t, "--paths", p, "--out", "OUT")
         for h, t, p in itertools.product(("1e-300", "1e-8", "0.3", "0.5", "0.999", "1", "nan"),
@@ -495,7 +507,13 @@ _SWEEPS = {
     "gp pickands": (lambda: [
         ("gp", "pickands", "--alpha", a, "--T", t, "--paths", "2", "--steps", "4")
         for a, t in itertools.product(("1e-300", "1e-8", "0.6", "1", "2", "inf", "nan"),
-                                      _ESTIMATOR_VALUES + ("5e-324",))], 30),
+                                      _ESTIMATOR_VALUES + ("5e-324",))]
+        + [("gp", "pickands", "--alpha", a, "--T", "1", "--paths", "2", "--steps", "4", *option)
+           for a in ("0.6", "1") for option in _MAP_OPTIONS], 30),
+    "gp verify": (lambda: [
+        ("gp", "verify", "--fixture", name, "--seed", seed)
+        for name, seed in itertools.product(_GP_FIXTURE_NAMES, _SEEDS)]
+        + [("gp", "verify", "--fixture", "bm-random-slope", "--out", "/dev/null/reports")], 10),
 }
 
 
@@ -522,7 +540,7 @@ def _contract_breach(capsys, validate, argv):
         return f"exit {code}, non-finite paths written" if re.search("nan|inf", paths) else None
     try:
         payload = json.loads(out, parse_constant=_reject_constant)
-        if argv[0] == "verify":
+        if "verify" in argv[:2]:
             validate(payload, "report")
         elif argv[1] == "constants":
             validate(payload, "constants")
@@ -554,7 +572,7 @@ def test_extreme_inputs_answer_or_refuse(capsys, validate, tmp_path, command):
 @pytest.mark.slow
 @pytest.mark.parametrize("command", _SWEEPS)
 def test_every_extreme_input_answers_or_refuses(capsys, validate, tmp_path, command):
-    # All 6,976 calls of the grids take about a minute.
+    # All 7,025 calls of the grids take about a minute.
     breaches = _sweep_breaches(capsys, validate, tmp_path, _SWEEPS[command][0]())
     assert not breaches, (len(breaches), breaches[:5])
 
@@ -598,6 +616,34 @@ def test_gp_estimator_sweep_findings_answer_or_refuse(capsys, validate, tmp_path
     else:
         assert (code, stdout, err) == (cli.EXIT_SPEC, "", f"specification error: {message}\n")
         assert not out.exists()
+
+
+_ZETA_EDGE_AT_INF = ('{"preset": "bm", "eta": {"delta": 0, "C": 1, "mu": 1},'
+                     ' "zeta": {"delta0": Infinity, "C": 1, "gamma": 0.5}}')
+
+
+@pytest.mark.parametrize("argv,message", [
+    # Seeds 5 and 2**64 + 5 once drew the same stream under different seeds.
+    (("econst", "--alpha", "1", "--beta", "1", "--seed", str(2 ** 64 + 5)),
+     "seed must be in [0, 2**64), got 18446744073709551621"),
+    (("pickands", "--alpha", "1", "--seed", "-1"), "seed must be in [0, 2**64), got -1"),
+    (("fbm", "--H", "0.3", "--steps", "4", "--T", "1", "--seed", "-1", "--out", "OUT"),
+     "seed must be in [0, 2**64), got -1"),
+    # A count below 1 once meant every CPU.
+    (("pickands", "--alpha", "1", "--workers", "0"), "workers must be at least 1, got 0"),
+    (("econst", "--alpha", "1", "--beta", "1", "--workers", "-1"),
+     "workers must be at least 1, got -1"),
+    (("tail", "--model", _ZETA_EDGE_AT_INF),
+     "bad zeta spec {'delta0': inf, 'C': 1, 'gamma': 0.5}: edge_power tail needs finite "
+     "fields with C, mu > 0, got sigma=-inf"),
+])
+def test_seed_worker_and_zeta_refusals_name_what_they_refuse(capsys, tmp_path, argv, message):
+    out = tmp_path / "p.csv"
+    argv = ("gp",) + tuple(str(out) if a == "OUT" else a for a in argv)
+    if argv[1] in ("econst", "pickands"):
+        argv += ("--paths", "2", "--steps", "4")
+    assert _run(capsys, *argv) == (cli.EXIT_SPEC, "", f"specification error: {message}\n")
+    assert not out.exists()
 
 
 _LOG_C_175 = math.lgamma(176.0) - 175.0 * math.log(2.0)

@@ -16,7 +16,6 @@ from tailward.errors import (
 from tailward.gp_extremes import (
     EtaSpec,
     TrendModel,
-    ZetaSpec,
     bm_sup_ratio_moment,
     pickands_exact,
     random_trend_tail,
@@ -168,7 +167,7 @@ def test_zero_edge_requires_sup_ratio_moment():
     eta = EtaSpec(0.0, 1.0, 1.0)  # slope tail order mu (beta - H) / H = 3
     slope_only = TrendModel.fbm(H=0.25, beta=1.0, eta=eta, pickands=0.8)
     slope_dominates = TrendModel.fbm(H=0.25, beta=1.0, eta=eta, pickands=0.8,
-                                     zeta=ZetaSpec(-math.inf, 1.0, 5.0))
+                                     zeta=tw.PowerTail(1.0, 5.0))
     with pytest.raises(MissingEConstant):
         random_trend_tail(slope_only)
     for model in (slope_only, slope_dominates):
@@ -209,7 +208,7 @@ def test_positive_edge_general_exponents():
 def test_random_trend_requires_eta():
     with pytest.raises(SpecError):
         random_trend_tail(TrendModel.fbm(0.5, 1.0))
-    for zeta in (None, ZetaSpec(-math.inf, 1.0, 0.5), ZetaSpec(0.2, 1.0, 1.0)):
+    for zeta in (None, tw.PowerTail(1.0, 0.5), tw.EdgePower(1.0, -0.2, 1.0)):
         with pytest.raises(SpecError):
             trend_tail(TrendModel.fbm(0.5, 1.0, zeta=zeta))
 
@@ -218,34 +217,41 @@ def test_random_trend_requires_eta():
 # Random slope plus offset
 # ---------------------------------------------------------------------------
 
+def test_zeta_is_the_power_or_edge_tail_of_minus_zeta():
+    # The supremum adds -zeta, so only the two tails the sum rules take are models.
+    with pytest.raises(SpecError, match="zeta must be a power or edge tail of -zeta"):
+        TrendModel.fbm(0.5, 1.0, eta=EtaSpec(0.5, 1.0, 1.0),
+                       zeta=tw.WeibullType(1.0, 0.0, 1.0, 2.0))
+
+
 def test_offset_dominates_for_heavy_power_offset():
     model = TrendModel.fbm(
-        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 2.0, 0.5)
+        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=tw.PowerTail(2.0, 0.5)
     )
     assert trend_tail(model) == (tw.PowerTail(2.0, 0.5), "offset_dominates")
     # The answer is the offset's own power tail: no sup-ratio moment is needed.
     model = TrendModel.fbm(H=0.25, beta=1.0, eta=EtaSpec(0.0, 1.0, 1.0),
-                           zeta=ZetaSpec(-math.inf, 1.0, 0.5), pickands=0.8)
+                           zeta=tw.PowerTail(1.0, 0.5), pickands=0.8)
     assert trend_tail(model) == (tw.PowerTail(1.0, 0.5), "offset_dominates")
 
 
 def test_offset_dominates_any_positive_edge_slope():
     model = TrendModel.fbm(
-        0.5, 1.0, eta=EtaSpec(0.4, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 7.0)
+        0.5, 1.0, eta=EtaSpec(0.4, 1.0, 1.0), zeta=tw.PowerTail(1.0, 7.0)
     )
     assert trend_tail(model) == (tw.PowerTail(1.0, 7.0), "offset_dominates")
 
 
 def test_slope_dominates_for_light_power_offset():
     model = TrendModel.fbm(
-        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 3.0)
+        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=tw.PowerTail(1.0, 3.0)
     )
     assert trend_tail(model) == (tw.PowerTail(0.5, 1.0), "slope_dominates")
 
 
 def test_equal_power_orders_refuse_a_closed_form():
     model = TrendModel.fbm(
-        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(-math.inf, 1.0, 1.0)
+        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=tw.PowerTail(1.0, 1.0)
     )
     with pytest.raises(BoundaryCase):
         trend_tail(model)
@@ -254,7 +260,7 @@ def test_equal_power_orders_refuse_a_closed_form():
 def test_edge_offset_equals_sum_rule_composition():
     model = TrendModel(
         H=0.5, beta=2.0, alpha_loc=1.0, d_ref=(1.0, 1.0),
-        eta=EtaSpec(0.5, 1.0, 1.0), zeta=ZetaSpec(0.2, 1.0, 1.0),
+        eta=EtaSpec(0.5, 1.0, 1.0), zeta=tw.EdgePower(1.0, -0.2, 1.0),
     )
     combined, case = trend_tail(model)
     assert case == "edge_offset"
@@ -269,7 +275,7 @@ def test_edge_offset_equals_sum_rule_composition():
 
 def test_edge_offset_needs_shallow_hurst():
     model = TrendModel.fbm(  # beta = 1 = 2H: decay order would be 1
-        0.5, 1.0, eta=EtaSpec(0.5, 1.0, 1.0), zeta=ZetaSpec(0.2, 1.0, 1.0)
+        0.5, 1.0, eta=EtaSpec(0.5, 1.0, 1.0), zeta=tw.EdgePower(1.0, -0.2, 1.0)
     )
     with pytest.raises(AssumptionError):
         trend_tail(model)
@@ -278,7 +284,7 @@ def test_edge_offset_needs_shallow_hurst():
 def test_edge_offset_needs_positive_slope_edge():
     model = TrendModel(
         H=0.5, beta=2.0, alpha_loc=1.0, d_ref=(1.0, 1.0),
-        eta=EtaSpec(0.0, 1.0, 1.0), zeta=ZetaSpec(0.2, 1.0, 1.0),
+        eta=EtaSpec(0.0, 1.0, 1.0), zeta=tw.EdgePower(1.0, -0.2, 1.0),
     )
     with pytest.raises(AssumptionError):
         trend_tail(model)

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailward as tw
+from tailward import gp_extremes as gp
+from tailward import montecarlo
 from tailward.errors import SpecError
 from tailward.montecarlo import (
     _Z95,
@@ -282,7 +284,7 @@ def test_block_rng_streams_are_stable():
 
 
 @pytest.mark.parametrize("seed,index", [
-    (0, 0), (7, 1), (2 ** 63, 5), (2 ** 64 - 1, 2 ** 62), (-3, 9),
+    (0, 0), (7, 1), (2 ** 63, 5), (2 ** 64 - 1, 2 ** 62), (2 ** 64 - 3, 9),
 ])
 def test_rekeyed_generator_draws_the_block_rng_stream(seed, index):
     rng = block_rng(11, 4)
@@ -312,33 +314,46 @@ def test_map_blocks_keys_each_block_and_keeps_block_order(n, workers):
         assert np.array_equal(draws, block_rng(21, b).standard_normal(3))
 
 
+def _called_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield node, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def test_only_montecarlo_constructs_a_generator():
-    # Every stream is keyed by the one rule in montecarlo; a generator built
-    # anywhere else would bypass it.
-    makers = {"Philox", "Generator", "default_rng"}
+    # Every stream is keyed, and every pool sized, by the one rule in
+    # montecarlo; a generator or a pool built anywhere else would bypass it.
+    makers = {"Philox", "Generator", "default_rng", "ThreadPoolExecutor"}
     src = Path(tw.__file__).parent
     found = []
     for path in sorted(src.rglob("*.py")):
         if path.name == "montecarlo.py" and path.parent == src:
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in makers:
-                    found.append(f"{path.relative_to(src)}:{node.lineno} {name}")
+        found += [f"{path.relative_to(src)}:{node.lineno} {name}"
+                  for node, name in _called_names(ast.parse(path.read_text()))
+                  if name in makers]
     assert found == []
+    # Inside montecarlo, the one pool is the stream map's.
+    module = ast.parse((src / "montecarlo.py").read_text())
+    pools = [fn.name for fn in module.body if isinstance(fn, ast.FunctionDef)
+             for _, name in _called_names(fn) if name == "ThreadPoolExecutor"]
+    assert pools == ["_map_blocks"]
 
 
 def test_resolve_workers_honors_env_cap(monkeypatch):
-    # The default is the CPUs the process may run on, capped like any count.
+    # The default is the CPUs the process may run on; a count is capped by
+    # them and by TAILWARD_THREADS.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.delenv("TAILWARD_THREADS", raising=False)
-    assert [resolve_workers(k) for k in (None, 0, -1, 1, 8)] == [4, 4, 4, 1, 8]
+    assert [resolve_workers(k) for k in (None, 1, 8)] == [4, 1, 4]
     monkeypatch.setenv("TAILWARD_THREADS", "2")
-    assert [resolve_workers(k) for k in (None, 0, -1, 1, 8)] == [2, 2, 2, 1, 2]
+    assert [resolve_workers(k) for k in (None, 1, 8)] == [2, 1, 2]
     monkeypatch.setenv("TAILWARD_THREADS", "8")
-    assert [resolve_workers(k) for k in (None, 1, 3, 16)] == [4, 1, 3, 8]
+    assert [resolve_workers(k) for k in (None, 1, 3, 16)] == [4, 1, 3, 4]
+    for k in (0, -1):
+        with pytest.raises(SpecError, match="workers must be at least 1"):
+            resolve_workers(k)
     # Without an affinity mask, the CPU count.
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.delenv("TAILWARD_THREADS")
@@ -346,3 +361,52 @@ def test_resolve_workers_honors_env_cap(monkeypatch):
     assert resolve_workers(None) == 6
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert resolve_workers(None) == 1
+
+
+@pytest.mark.parametrize("cap", ["0", "-2", "", "x", "1.5"])
+def test_a_malformed_thread_cap_is_refused(monkeypatch, cap):
+    # Each was once ignored, or ("0", "-2") taken as 1.
+    monkeypatch.setenv("TAILWARD_THREADS", cap)
+    with pytest.raises(SpecError, match="TAILWARD_THREADS must be a positive integer"):
+        resolve_workers(None)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 9])
+@pytest.mark.parametrize("workers", [None, 1, 3, 10 ** 6])
+def test_map_blocks_asks_for_no_more_threads_than_blocks_and_cpus(monkeypatch, n_blocks,
+                                                                  workers):
+    # A fake pool records the size it is asked for and starts no thread.
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.delenv("TAILWARD_THREADS", raising=False)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakePool)
+    blocks = _map_blocks(lambda rng, start, count: start, 8 * n_blocks, 8, 0, workers)
+    assert blocks == [8 * b for b in range(n_blocks)]
+    expected = min(n_blocks, 4 if workers is None else workers, 4)
+    assert (asked or [1]) == [expected]
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+def test_a_seed_outside_the_key_range_is_refused(seed):
+    # The key was once seed mod 2**64: seeds 5 and 2**64 + 5, or -1 and
+    # 2**64 - 1, gave the same stream under different recorded seeds.
+    with pytest.raises(SpecError, match=r"seed must be in \[0, 2\*\*64\)"):
+        block_rng(seed, 0)
+    with pytest.raises(SpecError, match=r"seed must be in \[0, 2\*\*64\)"):
+        rekey(block_rng(0, 0), seed, 0)
+    with pytest.raises(SpecError, match=r"seed must be in \[0, 2\*\*64\)"):
+        gp.econst_estimate("bm", alpha=1.0, beta=1.0, T=1.0, n_paths=2, n_steps=4, seed=seed)

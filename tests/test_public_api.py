@@ -29,7 +29,7 @@ PUBLIC = [
     "tail_to_dict", "wilson_interval",
 ]
 GP_PUBLIC = [
-    "EtaSpec", "McEstimate", "TrendConstants", "TrendModel", "TrendTailValue", "ZetaSpec",
+    "EtaSpec", "McEstimate", "TrendConstants", "TrendModel", "TrendTailValue",
     "bm_exact_oracle", "bm_sup_ratio_moment", "econst_estimate", "eta_power_low_model",
     "fbm_path", "negate_model", "paths_to_csv", "pickands_estimate", "pickands_exact",
     "random_trend_tail", "read_paths_binary", "sup_exceedance_mc", "trend_constants",

@@ -6,12 +6,13 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import jsonschema
 import pytest
 from scipy import special
 
 from tailward import cli, oracle, reports
 from tailward import gp_extremes as gp
-from tailward.errors import QuadratureFailure
+from tailward.errors import QuadratureFailure, SpecError
 from tailward.montecarlo import TailEstimate
 from tailward.reports import (
     FIXTURES,
@@ -68,6 +69,17 @@ def test_fixture_report_is_strict_json(kind, name, validate):
 
 def test_pinned_reports_cover_every_fixture():
     assert set(PINNED) == set(FIXTURES) | (set(GP_FIXTURES) - {SLOW_GP_FIXTURE})
+
+
+def test_a_one_level_table_is_judged_by_the_ratio_window(validate):
+    # A rule type outside the three is refused by the schema and the verdict.
+    data = _strict(run_fixture("product-power-lognormal-pareto", seed=201))
+    assert data["rule"] == reports._RATIO_WINDOW and data["passed"] is True
+    data["rule"] = {"type": "ratio_band", "lo": 0.95, "hi": 1.05}
+    with pytest.raises(jsonschema.ValidationError):
+        validate(data, "report")
+    with pytest.raises(SpecError, match="unknown rule type 'ratio_band'"):
+        recompute_pass(data)
 
 
 def test_slow_fixture_reports_its_own_name(monkeypatch, validate):

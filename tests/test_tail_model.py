@@ -259,6 +259,20 @@ def test_log_cdf_defaults_to_the_complement_of_the_sf(name):
         assert m.log_cdf(x) == log1mexp(min(m.log_sf(x), 0.0)), (name, x)
 
 
+@pytest.mark.parametrize("spec,fn,x,formula", [
+    ("weibull(1,0.5)", "log_density", 5e-324,
+     lambda x: math.log(0.5) - 0.5 * math.log(x) - math.sqrt(x)),
+    ("lognormal(0,1)", "log_density", 1e-322,
+     lambda x: -math.log(x) - 0.5 * math.log(2 * math.pi) - 0.5 * math.log(x) ** 2),
+    # The support edge 1e-300**1e8 underflows to 0.
+    ("pareto(1e-300,1e-8)", "log_sf", 5e-324, lambda x: math.log(1e-300) - 1e-8 * math.log(x)),
+])
+def test_a_subnormal_argument_gets_the_law_formula(spec, fn, x, formula):
+    # Each formula once clamped its argument to 1e-320: weibull(1,0.5) gave
+    # 367.72 at 5e-324 instead of 371.53.
+    assert getattr(tw.make_model(spec), fn)(x) == pytest.approx(formula(x), rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_sf_nonincreasing_and_log_consistent(spec):
     m = tw.make_model(spec)
