@@ -47,7 +47,10 @@ def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
 
     def sampler(rng, size=None):
         v = rng.random(size)
-        return delta + (v / C) ** (1.0 / mu)
+        v /= C
+        v **= 1.0 / mu
+        v += delta
+        return v
 
     return law("eta_power_low", {"delta": delta, "C": C, "mu": mu},
                (delta, delta + width), None, sampler, log_sf, log_density)

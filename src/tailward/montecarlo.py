@@ -26,21 +26,27 @@ __all__ = [
     "estimate_sf",
     "conditional_sf",
     "block_rng",
+    "check_seed",
     "rekey",
     "resolve_workers",
 ]
 
 BLOCK_SIZE = 1 << 14
-# Per-level temporaries of half a block (64 KiB) stay below glibc's default
+# A half-block buffer and per-level arrays (64 KiB) stay below glibc's default
 # 128 KiB mmap threshold, so they are reused from the heap, not faulted in.
 _PART_SIZE = BLOCK_SIZE // 2
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def _philox_key(seed: int, index: int) -> np.ndarray:
+def check_seed(seed: int) -> int:
+    """The seed, if it is a Philox key word in [0, 2**64); else a SpecError."""
     if not 0 <= seed < 1 << 64:
         raise SpecError(f"seed must be in [0, 2**64), got {seed}")
-    return np.array([np.uint64(seed), np.uint64(index)])
+    return seed
+
+
+def _philox_key(seed: int, index: int) -> np.ndarray:
+    return np.array([np.uint64(check_seed(seed)), np.uint64(index)])
 
 
 def block_rng(seed: int, index: int) -> np.random.Generator:
@@ -158,7 +164,10 @@ def estimate_sf(
     def run_block(rng, start: int, count: int) -> np.ndarray:
         xs = x.sample(rng, count)
         ys = y.sample(rng, count)
-        xs = xs + ys if combine == "sum" else xs * ys
+        if combine == "sum":
+            xs += ys
+        else:
+            xs *= ys
         return np.array([np.count_nonzero(xs > u) for u in grid], dtype=np.int64)
 
     counts = sum(_map_blocks(run_block, n, BLOCK_SIZE, seed, workers))
@@ -193,19 +202,24 @@ def conditional_sf(
     if op == "product" and (x.support[0] < 0 or y.support[0] < 0):
         raise DomainError("conditional product estimator needs positive supports")
     exact, sampled = _heavy_first(x, y)
+    combine = np.subtract if op == "sum" else np.divide
     grid = np.asarray(list(grid), dtype=float)
 
     def run_block(rng, start: int, count: int) -> np.ndarray:
         draws = np.asarray(sampled.sample(rng, count), dtype=float)
         if op == "product":
-            draws = np.maximum(draws, 1e-320)
-        # One level at a time over each half of the draws: the temporaries
-        # never grow with the grid.  Rows: the sums of w and of w**2.
+            np.maximum(draws, 1e-320, out=draws)
+        # One level at a time over each half of the draws: one half-block
+        # buffer takes the level's arguments, then its weights, so no array
+        # grows with the grid or outlives its level.  Rows: the sums of w
+        # and of w**2.
         sums = np.zeros((2, len(grid)))
+        buf = np.empty(min(count, _PART_SIZE))
         for lo in range(0, count, _PART_SIZE):
             part = draws[lo:lo + _PART_SIZE]
+            w = buf[:len(part)]
             for j, u in enumerate(grid):
-                w = np.exp(exact.log_sf(u - part if op == "sum" else u / part))
+                np.exp(exact.log_sf(combine(u, part, out=w)), out=w)
                 sums[0, j] += w.sum()
                 sums[1, j] += np.dot(w, w)
         return sums

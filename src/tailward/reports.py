@@ -35,6 +35,7 @@ from .laplace_kernel import (
     tail_integral_asymptotic,
     tail_integral_numeric,
 )
+from .montecarlo import check_seed
 from .tail_model import EdgePower, PowerTail, make_model, sf_eval, tail_to_dict
 
 __all__ = [
@@ -143,6 +144,7 @@ def ratio_report(name: str, x_spec, y_spec, op: str, grid, rule: dict,
     whatever ``sum_tail``/``product_tail`` return for the two laws, and its
     rows are ``oracle.ratio_table``'s dicts as they are.
     """
+    check_seed(seed)  # recorded, though no stream draws from it
     t0 = time.perf_counter()
     x = make_model(x_spec)
     y = make_model(y_spec)
@@ -266,7 +268,8 @@ FIXTURES = {
 def _run(registry: dict, kind: str, name: str, seed: int) -> VerifyReport:
     if name not in registry:
         raise SpecError(f"unknown {kind} {name!r}; available: {sorted(registry)}")
-    return registry[name](name, seed=seed)
+    # A report records only a seed a stream could have, drawn from or not.
+    return registry[name](name, seed=check_seed(seed))
 
 
 def run_fixture(name: str, seed: int = 0) -> VerifyReport:

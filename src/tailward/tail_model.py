@@ -198,6 +198,12 @@ class DistributionModel:
         return {"family": self.family, "params": dict(self.params)}
 
 
+def _own(draw):
+    """The array a sampler drew, for its arithmetic to write into; None for
+    a scalar draw, which numpy then returns as a new scalar."""
+    return draw if isinstance(draw, np.ndarray) else None
+
+
 # log(1 - e**v) of each value, by the scalar log1mexp's arithmetic.
 _log_complement = np.vectorize(lambda v: log1mexp(min(v, 0.0)), otypes=[float])
 
@@ -208,11 +214,14 @@ def law(family: str, params: dict, support: tuple[float, float],
         log_cdf: Optional[Callable] = None) -> DistributionModel:
     """A DistributionModel from formulas valid strictly inside the support.
 
-    ``log_sf``, ``log_density`` and ``log_cdf`` take a float array and need
-    only be right on the open interval (lo, hi); what they give elsewhere,
-    and any floating-point error they raise there, is discarded.  The
-    support rule of :class:`DistributionModel` is applied here, with one
-    mask per finite end, so a law with an infinite end pays no mask for it.
+    ``log_sf``, ``log_density`` and ``log_cdf`` take a float array, which
+    they must not write into, and return a float array of its shape, which
+    ``law`` may overwrite at the ends.  They need only be right on the open
+    interval (lo, hi); what they give elsewhere, and any floating-point
+    error they raise there, is discarded.  The support rule of
+    :class:`DistributionModel` is applied here, with one mask per finite
+    end, so a law with an infinite end pays no mask for it.  A formula that
+    returns its own argument gets a copy masked, never the caller's array.
     Without ``log_cdf`` the CDF is 1 - SF, which loses a lower-tail mass
     below ~1e-16; a law that knows its lower tail passes it.
     """
@@ -226,10 +235,12 @@ def law(family: str, params: dict, support: tuple[float, float],
                 x = x.reshape(1)
             with np.errstate(all="ignore"):
                 out = formula(x)
+            if np.may_share_memory(out, x):
+                out = out.copy()
             if lo > -math.inf:
-                out = np.where(x <= lo, below, out)
+                np.copyto(out, below, where=x <= lo)
             if hi < math.inf:
-                out = np.where(x >= hi, above, out)
+                np.copyto(out, above, where=x >= hi)
             return float(out[0]) if scalar else out
         return evaluate
 
@@ -261,7 +272,13 @@ def _make_weibull(K: float, alpha: float) -> DistributionModel:
 
     def sampler(rng, size=None):
         v = rng.random(size)
-        return (-np.log1p(-v) / K) ** (1.0 / alpha)
+        o = _own(v)
+        v = np.negative(v, out=o)
+        v = np.log1p(v, out=o)
+        v = np.negative(v, out=o)
+        v /= K
+        v **= 1.0 / alpha
+        return v
 
     return law("weibull", {"K": K, "alpha": alpha}, (0.0, math.inf),
                WeibullType(1.0, 0.0, K, alpha, 0.0), sampler, log_sf, log_density)
@@ -277,14 +294,21 @@ def _make_pareto(C: float, alpha: float) -> DistributionModel:
                         f"got C={C}, alpha={alpha}") from None
 
     def log_sf(x):
-        return math.log(C) - alpha * np.log(x)
+        t = np.log(x)
+        t *= alpha
+        return np.subtract(math.log(C), t, out=t)
 
     def log_density(x):
-        return math.log(C * alpha) - (alpha + 1) * np.log(x)
+        t = np.log(x)
+        t *= alpha + 1
+        return np.subtract(math.log(C * alpha), t, out=t)
 
     def sampler(rng, size=None):
         v = rng.random(size)
-        return lo * (1.0 - v) ** (-1.0 / alpha)
+        v = np.subtract(1.0, v, out=_own(v))
+        v **= -1.0 / alpha
+        v *= lo
+        return v
 
     return law("pareto", {"C": C, "alpha": alpha}, (lo, math.inf),
                PowerTail(C, alpha), sampler, log_sf, log_density)
@@ -304,7 +328,8 @@ def _make_edge(sigma: float, mu: float) -> DistributionModel:
 
     def sampler(rng, size=None):
         v = rng.random(size)
-        return sigma - v ** (1.0 / mu)
+        v **= 1.0 / mu
+        return np.subtract(sigma, v, out=_own(v))
 
     return law("edge", {"sigma": sigma, "mu": mu}, (sigma - 1.0, sigma),
                EdgePower(1.0, sigma, mu), sampler, log_sf, log_density)
@@ -315,14 +340,27 @@ def _make_lognormal(m: float, s: float) -> DistributionModel:
         raise SpecError(f"lognormal needs s > 0, got s={s}")
 
     def log_sf(x):
-        return log_norm_sf((np.log(x) - m) / s)
+        t = np.log(x)
+        t -= m
+        t /= s
+        return log_norm_sf(t)
 
     def log_density(x):
         lx = np.log(x)
-        return -lx - math.log(s) - 0.5 * math.log(2 * math.pi) - (lx - m) ** 2 / (2 * s * s)
+        out = np.negative(lx)
+        out -= math.log(s)
+        out -= 0.5 * math.log(2 * math.pi)
+        lx -= m
+        lx **= 2
+        lx /= 2 * s * s
+        out -= lx
+        return out
 
     def sampler(rng, size=None):
-        return np.exp(m + s * rng.standard_normal(size))
+        z = rng.standard_normal(size)
+        z *= s
+        z += m
+        return np.exp(z, out=_own(z))
 
     # No declaration: the lognormal survival function is not asymptotic to
     # any member of the three families (it decays in powers of log u).

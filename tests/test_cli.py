@@ -646,7 +646,19 @@ def test_seed_worker_and_zeta_refusals_name_what_they_refuse(capsys, tmp_path, a
     assert not out.exists()
 
 
-_LOG_C_175 = math.lgamma(176.0) - 175.0 * math.log(2.0)
+@pytest.mark.parametrize("argv", [
+    ("gp", "verify", "--fixture", "bm-random-slope", "--seed", "-1"),
+    ("verify", "watson", "--fixture", "watson-kernel", "--seed", "-7"),
+    ("verify", "sum", "--x", "weibull(1,2)", "--y", "pareto(1,2)", "--grid", "10",
+     "--seed", str(2 ** 64)),
+])
+def test_reports_that_draw_nothing_refuse_a_seed_no_stream_can_have(capsys, argv):
+    # These reports once ran and recorded the seed as given.
+    assert _run(capsys, *argv) == (
+        cli.EXIT_SPEC, "", f"specification error: seed must be in [0, 2**64), got {argv[-1]}\n")
+
+
+_LOG_C_175 =math.lgamma(176.0) - 175.0 * math.log(2.0)
 
 
 @pytest.mark.parametrize("argv,log_c", [

@@ -1,0 +1,143 @@
+"""Sampler draws, law values and tail estimates pinned to recorded digests.
+
+The broadcast references in test_montecarlo call the same samplers and law
+formulas as the code they check, so they cannot see those bits move; these
+pins can.  A digest is the first 16 hex digits of the SHA-256 of the
+float64 bytes.  The pins were recorded before the samplers, the law end
+masks and the estimators wrote into arrays they own.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import tailward as tw
+from tailward import gp_extremes as gp
+from tailward.montecarlo import BLOCK_SIZE, block_rng
+
+LAWS = {spec: tw.make_model(spec) for spec in (
+    "weibull(1,2)", "weibull(0.5,3)", "weibull(2,0.5)", "pareto(1,2)", "pareto(2,1.5)",
+    "edge(0,1)", "edge(2,1)", "edge(1,0.5)", "lognormal(0,1)", "normal()", "constant(1.5)")}
+LAWS.update({
+    "eta_power_low(0.3,2,1.5)": gp.eta_power_low_model(0.3, 2.0, 1.5),
+    "neg pareto(1,2)": gp.negate_model(tw.make_model("pareto(1,2)")),
+    "neg lognormal(0,1)": gp.negate_model(tw.make_model("lognormal(0,1)")),
+})
+STREAMS = ((7, 3), (2 ** 64 - 1, 0))
+SIZES = (1, BLOCK_SIZE, BLOCK_SIZE + 1)
+POINTS = np.concatenate([np.linspace(-3.0, 5.0, 161), np.geomspace(1e-9, 1e9, 181),
+                         [-1e300, 1e300, 0.3, 0.30000000000000004, 1.0 - 2.0 ** -53]])
+# The mc-bm benchmark calls at 10**5 draws.
+ESTIMATES = {
+    "sum": ("weibull(1,2)", "pareto(1,2)", (10.0, 30.0, 100.0, 300.0, 1000.0)),
+    "product": ("lognormal(0,1)", "pareto(1,2)", (10.0, 100.0, 1000.0, 2700.0)),
+}
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        assert a.dtype == np.float64
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def sample_digest(name):
+    return digest(*[LAWS[name].sample(block_rng(s, b), n) for s, b in STREAMS for n in SIZES])
+
+
+def scalar_draws(name):
+    draws = [LAWS[name].sample(block_rng(s, b)) for s, b in STREAMS]
+    assert all(isinstance(v, float) for v in draws), name
+    return [float(v).hex() for v in draws]
+
+
+def law_digest(name):
+    m = LAWS[name]
+    return digest(*[f(POINTS) for f in (m.log_sf, m.log_cdf, m.log_density) if f])
+
+
+def estimate_digest(estimator, op, workers):
+    x, y, grid = ESTIMATES[op]
+    ests = getattr(tw, estimator)(tw.make_model(x), tw.make_model(y), op, list(grid),
+                                  10 ** 5, seed=31, workers=workers)
+    return digest([[e.u, e.p_hat, e.ci_lo, e.ci_hi] for e in ests])
+
+
+SAMPLES = {
+    "weibull(1,2)": "39bd7e96e86b7f62",
+    "weibull(0.5,3)": "6f7062396b30b4cc",
+    "weibull(2,0.5)": "f146956232c63069",
+    "pareto(1,2)": "15502468a2f37bfd",
+    "pareto(2,1.5)": "16746ac79251c612",
+    "edge(0,1)": "b75c91620fb219d6",
+    "edge(2,1)": "aa1611d3dcea8ad0",
+    "edge(1,0.5)": "46a4c6b49e364e0d",
+    "lognormal(0,1)": "64b7cb7b529823b7",
+    "normal()": "4c8e855cc5f02925",
+    "constant(1.5)": "1ca088e0bd06cd34",
+    "eta_power_low(0.3,2,1.5)": "e94bcfdb8a1bb07d",
+    "neg pareto(1,2)": "114e2198e0a0f091",
+    "neg lognormal(0,1)": "657ce4832b86698d",
+}
+SCALARS = {
+    "weibull(1,2)": ["0x1.9f543971c48efp-1", "0x1.08f55c3375308p-1"],
+    "weibull(0.5,3)": ["0x1.188acc130c293p+0", "0x1.9fccf6e01c8a6p-1"],
+    "weibull(2,0.5)": ["0x1.bb64b08be0e7ap-4", "0x1.25c24b4d2e370p-6"],
+    "pareto(1,2)": ["0x1.63bcaa1c1d2c1p+0", "0x1.24ae03c50f35bp+0"],
+    "pareto(2,1.5)": ["0x1.3b1375fc6c569p+1", "0x1.e5ce88b9a8202p+0"],
+    "edge(0,1)": ["-0x1.edb31ec618b30p-2", "-0x1.e1290e2c6ef2cp-3"],
+    "edge(2,1)": ["0x1.8493384e79d34p+0", "0x1.c3dade3a7221ap+0"],
+    "edge(1,0.5)": ["0x1.88fc93c49f04ap-1", "0x1.e3bd25913be08p-1"],
+    "lognormal(0,1)": ["0x1.8059fe6660863p-4", "0x1.01013795b2f2fp-4"],
+    "normal()": ["-0x1.2edfec22026c5p+1", "-0x1.6263d495cd1d9p+1"],
+    "constant(1.5)": ["0x1.8000000000000p+0", "0x1.8000000000000p+0"],
+    "eta_power_low(0.3,2,1.5)": ["0x1.5fea972272688p-1", "0x1.14683328d9ed3p-1"],
+    "neg pareto(1,2)": ["-0x1.63bcaa1c1d2c1p+0", "-0x1.24ae03c50f35bp+0"],
+    "neg lognormal(0,1)": ["-0x1.8059fe6660863p-4", "-0x1.01013795b2f2fp-4"],
+}
+LAW_VALUES = {
+    "weibull(1,2)": "4a79bf60d9d1fe4a",
+    "weibull(0.5,3)": "db9dbb24b2ffc45e",
+    "weibull(2,0.5)": "d2997beb64c7a902",
+    "pareto(1,2)": "760d1a6434c81776",
+    "pareto(2,1.5)": "71f2039407032f0b",
+    "edge(0,1)": "ecf9235eb816fcca",
+    "edge(2,1)": "6f465c74e7348b27",
+    "edge(1,0.5)": "d2a23e7098aaa1da",
+    "lognormal(0,1)": "e32bcae1f5a4c82e",
+    "normal()": "0836e6eb4ce59c85",
+    "constant(1.5)": "fa96f1caedf27610",
+    "eta_power_low(0.3,2,1.5)": "4a6ad8ed9be2982b",
+    "neg pareto(1,2)": "d4208d98359d1441",
+    "neg lognormal(0,1)": "daafe0f824e2d85c",
+}
+ESTIMATE_PINS = {
+    ("estimate_sf", "sum"): "0e2056d256520709",
+    ("estimate_sf", "product"): "6425b4ac1fe7d694",
+    ("conditional_sf", "sum"): "e1883e4a383ab39a",
+    ("conditional_sf", "product"): "a299f7789091c2e2",
+}
+
+
+@pytest.mark.parametrize("name", list(LAWS))
+def test_sampler_draws_keep_their_pinned_bits(name):
+    assert sample_digest(name) == SAMPLES[name]
+
+
+@pytest.mark.parametrize("name", list(LAWS))
+def test_scalar_draws_keep_their_pinned_bits(name):
+    assert scalar_draws(name) == SCALARS[name]
+
+
+@pytest.mark.parametrize("name", list(LAWS))
+def test_law_values_keep_their_pinned_bits(name):
+    assert law_digest(name) == LAW_VALUES[name]
+
+
+@pytest.mark.parametrize("workers", [1, None])
+@pytest.mark.parametrize("op", list(ESTIMATES))
+@pytest.mark.parametrize("estimator", ["estimate_sf", "conditional_sf"])
+def test_tail_estimates_keep_their_pinned_bits(estimator, op, workers):
+    assert estimate_digest(estimator, op, workers) == ESTIMATE_PINS[estimator, op]

@@ -14,7 +14,7 @@ import tailward as tw
 from tailward import gp_extremes as gp
 from tailward.errors import DivergentMoment, DomainError, SpecError
 from tailward.quadrature import log1mexp
-from tailward.tail_model import moment_by_quadrature
+from tailward.tail_model import law, moment_by_quadrature
 
 ALL_SPECS = [
     "weibull(1,2)",
@@ -215,13 +215,14 @@ def test_every_law_follows_the_support_rule(name):
     # log SF is 0 at or below lo and -inf at or above hi, log CDF the
     # reverse; log density is -inf outside (lo, hi); scalars give floats with
     # the bits of the same point inside an array, arrays keep their shape,
-    # and nothing warns, not even at +-1e300.
+    # nothing warns, not even at +-1e300, and nothing writes into the points.
     m = SUPPORT_RULE_LAWS[name]
     lo, hi = m.support
     points = [-1e300, 1e300] + BITWISE_POINTS
     for end in (e for e in (lo, hi) if math.isfinite(e)):
         points += [end - 0.25, np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf), end + 0.25]
     points = np.array(points)
+    given = points.tobytes()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sf = [m.log_sf(float(x)) for x in points]
@@ -236,6 +237,7 @@ def test_every_law_follows_the_support_rule(name):
     assert m.log_cdf(points).tobytes() == np.array(cdf).tobytes(), name
     if m.log_density:
         assert m.log_density(points).tobytes() == np.array(dens).tobytes(), name
+    assert points.tobytes() == given, name
     for x, v, c in zip(points, sf, cdf):
         if x >= hi:
             assert (v, c) == (-math.inf, 0.0), (name, x, v, c)
@@ -248,6 +250,17 @@ def test_every_law_follows_the_support_rule(name):
             assert v == -math.inf, (name, x, v)
         else:
             assert not math.isnan(v), (name, x, v)
+
+
+def test_a_formula_that_returns_its_argument_has_a_copy_masked():
+    # Formulas that hand back their argument, or a view of it.
+    m = law("identity", {}, (0.0, 1.0), None, None, lambda x: x,
+            log_density=lambda x: x.reshape(x.shape), log_cdf=lambda x: x[...])
+    x = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+    assert m.log_sf(x).tolist() == [0.0, 0.0, 0.5, -math.inf, -math.inf]
+    assert m.log_cdf(x).tolist() == [-math.inf, -math.inf, 0.5, 0.0, 0.0]
+    assert m.log_density(x).tolist() == [-math.inf, -math.inf, 0.5, -math.inf, -math.inf]
+    assert x.tolist() == [-1.0, 0.0, 0.5, 1.0, 2.0]
 
 
 @pytest.mark.parametrize("name", [n for n in SUPPORT_RULE_LAWS if not n.startswith("neg ")])
