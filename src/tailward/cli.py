@@ -7,9 +7,9 @@ them), 3 a mathematical hypothesis or domination condition is violated
 its exit code as ``exit_code`` (see :mod:`tailward.errors`).
 
 All randomness enters through --seed, in [0, 2**64) (default 0, never
-time-based).  Monte Carlo commands run on at most --workers threads
-(default: every CPU the process may use), capped by those CPUs and by
-TAILWARD_THREADS; results are bitwise the same for any worker count.
+time-based).  Monte Carlo commands run one thread per CPU the process may
+use, at most TAILWARD_THREADS when it is set (a positive integer); results
+are bitwise the same for any thread count.
 """
 
 from __future__ import annotations
@@ -191,18 +191,9 @@ def _trend_model_from_json(text: str):
 
 
 def _cmd_gp_constants(args) -> int:
-    from .gp_extremes import TrendModel, trend_constants
+    from .gp_extremes import trend_constants
 
-    try:
-        s_ref, d_val = (float(p) for p in args.d_ref.split(":"))
-    except ValueError as exc:
-        raise SpecError(f"bad --d-ref {args.d_ref!r}, expected s:value") from exc
-    model = TrendModel(
-        H=args.H, beta=args.beta, alpha_loc=args.alpha_loc,
-        d_ref=(s_ref, d_val), pickands=args.pickands,
-    )
-    k = trend_constants(model, args.c)
-    _emit(k.to_dict(), args.out)
+    _emit(trend_constants(_trend_model_from_json(args.model), args.c).to_dict(), args.out)
     return EXIT_OK
 
 
@@ -267,7 +258,7 @@ def _cmd_gp_pickands(args) -> int:
 
     est = pickands_estimate(
         args.alpha, T=args.T, n_paths=args.paths, n_steps=args.steps,
-        seed=args.seed, workers=args.workers,
+        seed=args.seed,
     )
     _emit(est.to_dict(), args.out)
     return EXIT_OK
@@ -277,9 +268,8 @@ def _cmd_gp_econst(args) -> int:
     from .gp_extremes import econst_estimate
 
     est = econst_estimate(
-        args.process, alpha=args.alpha, beta=args.beta, T=args.T,
+        "fbm", alpha=args.alpha, beta=args.beta, T=args.T,
         n_paths=args.paths, n_steps=args.steps, seed=args.seed, H=args.H,
-        workers=args.workers,
     )
     _emit(est.to_dict(), args.out)
     return EXIT_OK
@@ -288,10 +278,6 @@ def _cmd_gp_econst(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-_WORKERS_HELP = ("threads for the path map, at least 1 (default: the CPUs this process may "
-                 "use); those CPUs and TAILWARD_THREADS cap it, and results do not depend on it")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -323,12 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     gp_sub = p_gp.add_subparsers(dest="gp_command", required=True)
 
     p_const = gp_sub.add_parser("constants", help="derived trend constants")
-    p_const.add_argument("--H", type=float, required=True)
-    p_const.add_argument("--beta", type=float, required=True)
-    p_const.add_argument("--alpha-loc", dest="alpha_loc", type=float, required=True)
+    p_const.add_argument("--model", required=True,
+                         help="JSON string or file, read as in gp tail; eta and zeta are unused")
     p_const.add_argument("--c", type=float, default=1.0)
-    p_const.add_argument("--d-ref", dest="d_ref", default="1:1", help="s:value anchor")
-    p_const.add_argument("--pickands", type=float, default=None)
     p_const.add_argument("--out", default=None)
     p_const.set_defaults(fn=_cmd_gp_constants)
 
@@ -364,20 +347,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_pick.add_argument("--paths", type=int, default=4000)
     p_pick.add_argument("--steps", type=int, default=1 << 14)
     p_pick.add_argument("--seed", type=int, default=0)
-    p_pick.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p_pick.add_argument("--out", default=None)
     p_pick.set_defaults(fn=_cmd_gp_pickands)
 
     p_ec = gp_sub.add_parser("econst", help="estimate the sup-ratio moment")
-    p_ec.add_argument("--process", choices=["bm", "fbm"], default="bm")
-    p_ec.add_argument("--H", type=float, default=0.5)
+    p_ec.add_argument("--H", type=float, default=0.5, help="Hurst index; 0.5 is Brownian motion")
     p_ec.add_argument("--alpha", type=float, required=True)
     p_ec.add_argument("--beta", type=float, required=True)
     p_ec.add_argument("--T", type=float, default=30.0)
     p_ec.add_argument("--paths", type=int, default=4000)
     p_ec.add_argument("--steps", type=int, default=1 << 14)
     p_ec.add_argument("--seed", type=int, default=0)
-    p_ec.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p_ec.add_argument("--out", default=None)
     p_ec.set_defaults(fn=_cmd_gp_econst)
 

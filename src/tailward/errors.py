@@ -46,10 +46,6 @@ class DivergentMoment(TailwardError):
 class QuadratureFailure(TailwardError):
     """Adaptive quadrature did not reach tolerance within the node budget."""
 
-    def __init__(self, message: str, achieved: float = float("nan")):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class MissingPickands(TailwardError):
     """No Pickands constant known or supplied for this stationarity index."""

@@ -116,18 +116,20 @@ def _mean_estimate(values: np.ndarray, method: str, **fields) -> McEstimate:
 
 
 def _hurst(process: str, H: float) -> float:
-    if process == "bm":
-        return 0.5
     if process == "fbm":
         return H
-    raise SpecError(f"process must be 'bm' or 'fbm', got {process!r}")
+    if process != "bm":
+        raise SpecError(f"process must be 'bm' or 'fbm', got {process!r}")
+    if H != 0.5:  # NaN included: a Brownian H is never dropped silently
+        raise SpecError(f"process 'bm' has H = 0.5, got H={H}")
+    return 0.5
 
 
 def pickands_estimate(
     alpha_loc: float,
-    T: float = 20.0,
-    n_paths: int = 4000,
-    n_steps: int = 1 << 12,
+    T: float,
+    n_paths: int,
+    n_steps: int,
     seed: int = 0,
     workers: int | None = None,
 ) -> McEstimate:
@@ -178,16 +180,16 @@ def econst_estimate(
     process: str,
     alpha: float,
     beta: float,
-    T: float = 30.0,
-    n_paths: int = 10_000,
-    n_steps: int = 1 << 16,
+    T: float,
+    n_paths: int,
+    n_steps: int,
     seed: int = 0,
     H: float = 0.5,
     workers: int | None = None,
 ) -> McEstimate:
     """E (sup_{t>=0} X(t)/(1+t**beta))**alpha by path simulation.
 
-    ``process`` is "bm" or "fbm" (the latter with Hurst parameter H).
+    ``process`` is "fbm" with Hurst parameter H, or "bm" (H must be 0.5).
     The supremum is truncated at horizon T; beyond it the ratio decays like
     t**(H-beta), which the returned note quantifies.  The interval is the
     normal interval of the mean of the per-path values, as for Pickands.

@@ -125,11 +125,11 @@ class TailEstimate:
         return dict(self.__dict__)
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval; stays sane at p_hat in {0, 1}."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson 95% score interval; stays sane at p_hat in {0, 1}."""
     if n <= 0:
         raise SpecError(f"need a positive sample count, got {n}")
-    p = successes / n
+    p, z = successes / n, _Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom

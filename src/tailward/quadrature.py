@@ -70,6 +70,7 @@ _WG = np.array([
 
 _LOG_WK = np.log(_WK)
 _LOG_WG = np.log(_WG)
+_MAX_NODES = 10 ** 6  # integrand evaluations before a call stops unconverged
 
 
 def logsumexp_pair(a: float, b: float) -> float:
@@ -179,7 +180,6 @@ def log_quad_result(
     *,
     rtol: float = 1e-10,
     breakpoints=(),
-    max_nodes: int = 10 ** 6,
 ) -> QuadResult:
     """Integrate exp(log_f) over (a, b); returns the log of the integral.
 
@@ -232,7 +232,7 @@ def log_quad_result(
         threshold = log_rtol - math.log(len(pan)) - 3.0
         split = (pan[:, _LOG_ERR] - total > threshold) & (pan[:, _FINAL] == 0.0)
         n_split = np.count_nonzero(split)
-        if not n_split or n_nodes + 30 * n_split > max_nodes:
+        if not n_split or n_nodes + 30 * n_split > _MAX_NODES:
             return QuadResult(total, err, n_nodes, False)
         parents = pan[split]
         mid = (parents[:, _T_LO] + parents[:, _T_HI]) / 2.0
@@ -258,16 +258,12 @@ def log_quad(
     *,
     rtol: float = 1e-10,
     breakpoints=(),
-    max_nodes: int = 10 ** 6,
 ) -> float:
     """Like :func:`log_quad_result`, raising on unconverged integrals."""
-    res = log_quad_result(
-        log_f, a, b, rtol=rtol, breakpoints=breakpoints, max_nodes=max_nodes
-    )
+    res = log_quad_result(log_f, a, b, rtol=rtol, breakpoints=breakpoints)
     if not res.converged:
         raise QuadratureFailure(
             f"quadrature stalled at relative error {res.rel_error:.3e} "
-            f"(target {rtol:.1e}, {res.n_nodes} nodes)",
-            achieved=res.rel_error,
+            f"(target {rtol:.1e}, {res.n_nodes} nodes)"
         )
     return res.log_value

@@ -281,10 +281,23 @@ def test_unwritable_out_exits_two(capsys, tmp_path, argv):
 
 
 def test_gp_constants_payload_matches_its_schema(capsys, validate):
-    code, out, _ = _run(capsys, "gp", "constants", "--H", "0.5", "--beta", "1",
-                        "--alpha-loc", "1")
+    code, out, _ = _run(capsys, "gp", "constants", "--model",
+                        '{"H": 0.5, "beta": 1, "alpha_loc": 1}')
     assert code == cli.EXIT_OK
     validate(json.loads(out), "constants")
+
+
+def test_gp_constants_and_gp_tail_read_one_model_file(capsys, tmp_path):
+    # The constants ignore eta and zeta, so a gp tail model serves both.
+    model = {"preset": "fbm", "H": 0.3, "beta": 1.5, "pickands": 0.8,
+             "eta": {"delta": 0.5, "C": 1, "mu": 1}, "zeta": {"C": 1, "gamma": 2}}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert _run(capsys, "gp", "tail", "--model", str(path))[0] == cli.EXIT_OK
+    code, out, _ = _run(capsys, "gp", "constants", "--model", str(path), "--c", "2")
+    assert code == cli.EXIT_OK
+    expected = gp.trend_constants(gp.TrendModel.fbm(0.3, 1.5, pickands=0.8), 2.0)
+    assert out == json.dumps(expected.to_dict(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -304,8 +317,10 @@ def test_tail_estimate_matches_its_schema(validate):
 
 
 @pytest.mark.parametrize("argv", [
-    ("constants", "--H", "0.5", "--beta", "1", "--alpha-loc", "1", "--d-ref", "a:b"),
-    ("constants", "--H", "0.5", "--beta", "1", "--alpha-loc", "1", "--d-ref", "1:2:3"),
+    ("constants", "--model",
+     '{"H": 0.5, "beta": 1, "alpha_loc": 1, "d_ref": {"s": "a", "value": 1}}'),
+    ("constants", "--model", '{"H": 0.5, "beta": 1, "alpha_loc": 1, "d_ref": [1, 2, 3]}'),
+    ("constants", "--model", '{"preset": "bm", "H": 0.3}'),
     ("tail", "--model", '{"preset": "fbm"}'),
     ("tail", "--model", '{"H": "x", "beta": 1, "alpha_loc": 1}'),
     ("tail", "--model", '{"preset": "bm", "beta": "x"}'),
@@ -470,12 +485,10 @@ def _gp_tail_models():
                f'"eta":{{"delta":{delta},"C":1,"mu":{mu}}},"zeta":{{"C":1,"gamma":1}}}}')
 
 
-# Seeds on both sides of the Philox key range [0, 2**64) and worker counts
-# on both sides of 1; at 2 paths a map has one block, so no call starts a
-# thread.
+# Seeds on both sides of the Philox key range [0, 2**64); at 2 paths a map
+# has one block, so no call starts a thread.
 _SEEDS = ("-1", "0", str(2 ** 63), str(2 ** 64 + 5))
-_MAP_OPTIONS = ([("--workers", w) for w in ("0", "-1", "1", str(10 ** 6))]
-                + [("--seed", s) for s in ("-1", str(2 ** 64 + 5))])
+_MAP_OPTIONS = [("--seed", s) for s in ("-1", str(2 ** 64 + 5))]
 # The full exact-law fixture takes 81 s; its own slow test runs it.
 _GP_FIXTURE_NAMES = sorted(set(GP_FIXTURES) - {"bm-unit-slope-exact-law"}) + ["no-such", ""]
 
@@ -485,21 +498,20 @@ _SWEEPS = {
     "verify": (lambda: _both_orders("verify", _PARTNERS[:4], "--grid", _EXTREME_LEVELS), 50),
     "gp tail": (lambda: [("gp", "tail", "--model", m) for m in _gp_tail_models()], 150),
     "gp constants": (lambda: [
-        ("gp", "constants", "--H", h, "--beta", beta, "--alpha-loc", a, "--c", c,
-         "--pickands", "1")
+        ("gp", "constants", "--model",
+         f'{{"H":{h},"beta":{beta},"alpha_loc":{a},"pickands":1}}', "--c", c)
         for h, beta, c, a in itertools.product(("1e-300", "1e-8", "0.3", "0.5", "0.999"),
                                                _EXTREMES, _EXTREMES,
                                                ("1e-300", "0.5", "1", "2"))], 100),
     # The estimators at 2 paths of 4 steps; OUT is the paths file.
     "gp econst": (lambda: [
-        ("gp", "econst", "--process", process, "--H", h, "--alpha", a, "--beta", b, "--T", t,
+        ("gp", "econst", "--H", h, "--alpha", a, "--beta", b, "--T", t,
          "--paths", "2", "--steps", "4")
-        for process, h, a, b, t in itertools.product(
-            ("bm", "fbm"), ("0.3", "0.999", "nan"), _ESTIMATOR_VALUES,
+        for h, a, b, t in itertools.product(
+            ("0.3", "0.5", "0.999", "nan"), _ESTIMATOR_VALUES,
             ("1", "1e300", "inf", "nan"), _ESTIMATOR_VALUES)]
-        + [("gp", "econst", "--process", process, "--alpha", "1", "--beta", "1", "--T", "1",
-            "--paths", "2", "--steps", "4", *option)
-           for process in ("bm", "fbm") for option in _MAP_OPTIONS], 60),
+        + [("gp", "econst", "--alpha", "1", "--beta", "1", "--T", "1",
+            "--paths", "2", "--steps", "4", *option) for option in _MAP_OPTIONS], 60),
     "gp fbm": (lambda: [
         ("gp", "fbm", "--H", h, "--steps", "4", "--T", t, "--paths", p, "--out", "OUT")
         for h, t, p in itertools.product(("1e-300", "1e-8", "0.3", "0.5", "0.999", "1", "nan"),
@@ -572,16 +584,16 @@ def test_extreme_inputs_answer_or_refuse(capsys, validate, tmp_path, command):
 @pytest.mark.slow
 @pytest.mark.parametrize("command", _SWEEPS)
 def test_every_extreme_input_answers_or_refuses(capsys, validate, tmp_path, command):
-    # All 7,025 calls of the grids take about a minute.
+    # All 6,615 calls of the grids take about a minute.
     breaches = _sweep_breaches(capsys, validate, tmp_path, _SWEEPS[command][0]())
     assert not breaches, (len(breaches), breaches[:5])
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("econst", "--process", "fbm", "--H", "0.3", "--alpha", "1", "--beta", "1e300",
+    (("econst", "--H", "0.3", "--alpha", "1", "--beta", "1e300",
       "--T", "1e-8"), None),
     # Every path's ratio, or its power, is 0: a zero-width interval at 0.
-    (("econst", "--process", "fbm", "--H", "0.3", "--alpha", "1", "--beta", "1e300",
+    (("econst", "--H", "0.3", "--alpha", "1", "--beta", "1e300",
       "--T", "1e300"), "path_supremum estimate: all 2 paths gave 0.0; no interval backs it"),
     (("econst", "--alpha", "nan", "--beta", "1"),
      "alpha and beta must be positive and finite, got nan, 1.0"),
@@ -589,13 +601,13 @@ def test_every_extreme_input_answers_or_refuses(capsys, validate, tmp_path, comm
      "horizon must be finite, got inf"),
     # The squared deviations overflow, but the mean and half-width fit.
     (("pickands", "--alpha", "1e-8", "--T", "1e-300"), None),
-    (("econst", "--process", "fbm", "--H", "0.3", "--alpha", "1e300", "--beta", "1"),
+    (("econst", "--H", "0.3", "--alpha", "1e300", "--beta", "1"),
      "path_supremum estimate: all 2 paths gave 0.0; no interval backs it"),
     # Every path's weight sits at t = 0: 1 / dt = 4e-08 for H_1 = 1, zero width.
     (("pickands", "--alpha", "1", "--T", "1e8"),
      "sup_integral_ratio estimate: all 2 paths gave 4e-08; no interval backs it"),
     # The two paths differ, but their squared deviations underflow.
-    (("econst", "--process", "fbm", "--H", "0.999", "--alpha", "1", "--beta", "1",
+    (("econst", "--H", "0.999", "--alpha", "1", "--beta", "1",
       "--T", "1e-300"), None),
     (("pickands", "--alpha", "1e-8", "--T", "1e300"), None),
 ])
@@ -629,15 +641,21 @@ _ZETA_EDGE_AT_INF = ('{"preset": "bm", "eta": {"delta": 0, "C": 1, "mu": 1},'
     (("pickands", "--alpha", "1", "--seed", "-1"), "seed must be in [0, 2**64), got -1"),
     (("fbm", "--H", "0.3", "--steps", "4", "--T", "1", "--seed", "-1", "--out", "OUT"),
      "seed must be in [0, 2**64), got -1"),
-    # A count below 1 once meant every CPU.
-    (("pickands", "--alpha", "1", "--workers", "0"), "workers must be at least 1, got 0"),
-    (("econst", "--alpha", "1", "--beta", "1", "--workers", "-1"),
-     "workers must be at least 1, got -1"),
+    # A leading NAME=value sets the environment, as a shell does; a thread
+    # count below 1 once meant every CPU.
+    (("TAILWARD_THREADS=0", "pickands", "--alpha", "1"),
+     "TAILWARD_THREADS must be a positive integer, got '0'"),
+    (("TAILWARD_THREADS=x", "econst", "--alpha", "1", "--beta", "1"),
+     "TAILWARD_THREADS must be a positive integer, got 'x'"),
     (("tail", "--model", _ZETA_EDGE_AT_INF),
      "bad zeta spec {'delta0': inf, 'C': 1, 'gamma': 0.5}: edge_power tail needs finite "
      "fields with C, mu > 0, got sigma=-inf"),
 ])
-def test_seed_worker_and_zeta_refusals_name_what_they_refuse(capsys, tmp_path, argv, message):
+def test_seed_worker_and_zeta_refusals_name_what_they_refuse(capsys, monkeypatch, tmp_path,
+                                                             argv, message):
+    if "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("="))
+        argv = argv[1:]
     out = tmp_path / "p.csv"
     argv = ("gp",) + tuple(str(out) if a == "OUT" else a for a in argv)
     if argv[1] in ("econst", "pickands"):
@@ -705,9 +723,9 @@ _RATIO_ROW = "^failed: exact-to-asymptotic ratio is not a finite double"
     (("verify", "sum", "--x", "weibull(1e-300,1e-300)", "--y", "pareto(1,2)", "--grid", "1e16"),
      1, ""),
     # Trend constants beyond the positive doubles: 0 ** negative, an underflow to 0.
-    (("gp", "constants", "--H", "1e-300", "--beta", "1e300", "--alpha-loc", "1", "--c", "1"), 2,
-     "trend_constants: constant K_s is not a positive finite double"),
-    (("gp", "constants", "--H", "0.5", "--beta", "1", "--alpha-loc", "1", "--c", "1e-300"), 2,
+    (("gp", "constants", "--model", '{"H": 1e-300, "beta": 1e300, "alpha_loc": 1}', "--c", "1"),
+     2, "trend_constants: constant K_s is not a positive finite double"),
+    (("gp", "constants", "--model", '{"H": 0.5, "beta": 1, "alpha_loc": 1}', "--c", "1e-300"), 2,
      r"trend_constants: constant B is not a positive finite double \(got 0.0\)"),
     # The random-slope edge constant and the sup-ratio moment overflow.
     (("gp", "tail", "--model", '{"preset":"bm","eta":{"delta":1e300,"C":1,"mu":1}}'), 2,

@@ -112,13 +112,20 @@ def test_sup_exceedance_matches_the_reference_loop(process, H, slope, n_paths, w
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: pickands_estimate(1.0, n_paths=0), "n_paths >= 2, got 0"),
-    (lambda: pickands_estimate(1.0, n_paths=1), "n_paths >= 2, got 1"),
-    (lambda: pickands_estimate(1.0, n_steps=100), "power of two, got 100"),
-    (lambda: pickands_estimate(1.0, T=-1.0), "horizon must be positive, got -1.0"),
-    (lambda: econst_estimate("bm", 1.0, 1.0, n_paths=1), "n_paths >= 2, got 1"),
-    (lambda: econst_estimate("fbm", 1.0, 1.0, H=0.3, n_steps=100), "power of two, got 100"),
+    (lambda: pickands_estimate(1.0, 5.0, 0, 64), "n_paths >= 2, got 0"),
+    (lambda: pickands_estimate(1.0, 5.0, 1, 64), "n_paths >= 2, got 1"),
+    (lambda: pickands_estimate(1.0, 5.0, 16, 100), "power of two, got 100"),
+    (lambda: pickands_estimate(1.0, -1.0, 16, 64), "horizon must be positive, got -1.0"),
+    (lambda: econst_estimate("bm", 1.0, 1.0, 5.0, 1, 64), "n_paths >= 2, got 1"),
+    (lambda: econst_estimate("fbm", 1.0, 1.0, 5.0, 16, 100, H=0.3), "power of two, got 100"),
     (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, process="bmm"), "'bmm'"),
+    # "bm" once dropped any H and ran at H = 0.5.
+    (lambda: econst_estimate("bm", 1.5, 1.2, 5.0, 16, 64, H=0.3),
+     "process 'bm' has H = 0.5, got H=0.3"),
+    (lambda: econst_estimate("bm", 1.5, 1.2, 5.0, 16, 64, H=math.nan),
+     "process 'bm' has H = 0.5, got H=nan"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, process="bm", H=0.7),
+     "process 'bm' has H = 0.5, got H=0.7"),
     (lambda: sup_exceedance_mc([1.0], 5.0, 64, 0, 0), "n_paths >= 1, got 0"),
     (lambda: sup_exceedance_mc([1.0], 0.0, 64, 16, 0), "horizon must be positive, got 0.0"),
 ])

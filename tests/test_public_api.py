@@ -1,12 +1,14 @@
 """The public surface: its names, and its library entries on any double.
 
 A name added to or removed from ``tailward.__all__`` or
-``tailward.gp_extremes.__all__`` shows as a diff in the lists below.  Each
+``tailward.gp_extremes.__all__``, or an option added to or removed from a
+command of ``tailward.cli``, shows as a diff in the tables below.  Each
 swept entry returns log values that are finite or -inf, or raises a
 ``TailwardError`` that carries its exit code; a NaN, a +inf, another
 exception or a ``RuntimeWarning`` fails.
 """
 
+import argparse
 import math
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tailward
-from tailward import gp_extremes
+from tailward import cli, gp_extremes
 from tailward.errors import TailwardError
 from tailward.gp_extremes import TrendModel, trend_tail_asymptotic
 from tailward.laplace_kernel import tail_integral_asymptotic, tail_integral_numeric
@@ -37,11 +39,40 @@ GP_PUBLIC = [
 ]
 
 
+# Each command's option strings, and its positionals by name; one spelling
+# per input.
+CLI_OPTIONS = {
+    "tail": ["--out", "--x", "--y", "op"],
+    "verify": ["--fixture", "--grid", "--out", "--seed", "--tol", "--x", "--y", "target"],
+    "gp constants": ["--c", "--model", "--out"],
+    "gp tail": ["--model", "--out"],
+    "gp verify": ["--fixture", "--out", "--seed"],
+    "gp fbm": ["--H", "--T", "--format", "--out", "--paths", "--seed", "--steps"],
+    "gp pickands": ["--T", "--alpha", "--out", "--paths", "--seed", "--steps"],
+    "gp econst": ["--H", "--T", "--alpha", "--beta", "--out", "--paths", "--seed", "--steps"],
+}
+
+
 @pytest.mark.parametrize("module,names", [(tailward, PUBLIC), (gp_extremes, GP_PUBLIC)])
 def test_public_names_are_pinned_and_resolve(module, names):
     assert sorted(module.__all__) == names
     for name in names:
         assert hasattr(module, name), name
+
+
+def _commands(parser, path=()):
+    """{command path: sorted option strings and positionals} of each leaf command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): sorted(
+            name for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            for name in a.option_strings or [a.dest])}
+    return {key: names for a in subs for word, sub in a.choices.items()
+            for key, names in _commands(sub, path + (word,)).items()}
+
+
+def test_command_line_options_are_pinned():
+    assert _commands(cli.build_parser()) == CLI_OPTIONS
 
 
 def _answers_or_refuses(call):
