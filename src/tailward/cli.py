@@ -138,10 +138,33 @@ def _cmd_verify(args) -> int:
 _PRESET_FIXES = {"bm": ("H", "alpha_loc", "d_ref"), "fbm": ("alpha_loc", "d_ref")}
 
 
+_REQUIRED = object()
+
+
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"trend model field {name} must be an object, got {json.dumps(value)}")
+    return value
+
+
+def _json_number(obj: dict, key: str, default=_REQUIRED, where: str = "") -> float:
+    """obj[key] as a float: a JSON number, never a boolean or a numeric string."""
+    name = where + key
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise SpecError(f"trend model field {name} is missing")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"trend model field {name} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecError(f"trend model field {name} is beyond the doubles, got {value}") from None
+
+
 def _zeta_tail(zeta: dict):
     """The upper tail of -zeta: a power without delta0, else an edge at -delta0."""
-    delta0 = float(zeta.get("delta0", -math.inf))
-    c, gamma = float(zeta["C"]), float(zeta["gamma"])
+    delta0 = _json_number(zeta, "delta0", -math.inf, "zeta.")
+    c, gamma = _json_number(zeta, "C", where="zeta."), _json_number(zeta, "gamma", where="zeta.")
     try:
         return PowerTail(c, gamma) if delta0 == -math.inf else EdgePower(c, -delta0, gamma)
     except SpecError as exc:
@@ -157,37 +180,38 @@ def _trend_model_from_json(text: str):
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SpecError(f"bad trend model JSON: {exc}") from exc
-    try:
-        preset = obj.get("preset")
-        if preset is not None and preset not in _PRESET_FIXES:
-            raise SpecError(f"unknown preset {preset!r}; use 'bm' or 'fbm'")
-        clash = [name for name in _PRESET_FIXES.get(preset, ()) if name in obj]
-        if clash:
-            raise SpecError(f"preset {preset!r} fixes {', '.join(clash)}; drop them")
-        eta = obj.get("eta")
-        zeta = obj.get("zeta")
-        parts = dict(
-            eta=EtaSpec(float(eta["delta"]), float(eta["C"]), float(eta["mu"]))
-            if eta
-            else None,
-            zeta=_zeta_tail(zeta) if zeta else None,
-            pickands=None if obj.get("pickands") is None else float(obj["pickands"]),
-            e_const=None if obj.get("e_const") is None else float(obj["e_const"]),
-        )
-        if preset == "bm":
-            return TrendModel.fbm(0.5, float(obj.get("beta", 1.0)), **parts)
-        if preset == "fbm":
-            return TrendModel.fbm(float(obj["H"]), float(obj["beta"]), **parts)
-        d_ref = obj.get("d_ref", {"s": 1.0, "value": 1.0})
-        return TrendModel(
-            H=float(obj["H"]),
-            beta=float(obj["beta"]),
-            alpha_loc=float(obj["alpha_loc"]),
-            d_ref=(float(d_ref["s"]), float(d_ref["value"])),
-            **parts,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"bad trend model object: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SpecError(f"a trend model must be a JSON object, got {json.dumps(obj)}")
+    preset = obj.get("preset")
+    if preset is not None and (not isinstance(preset, str) or preset not in _PRESET_FIXES):
+        raise SpecError(f"unknown preset {preset!r}; use 'bm' or 'fbm'")
+    clash = [name for name in _PRESET_FIXES.get(preset, ()) if name in obj]
+    if clash:
+        raise SpecError(f"preset {preset!r} fixes {', '.join(clash)}; drop them")
+    eta, zeta = obj.get("eta"), obj.get("zeta")
+    eta = None if eta is None else _json_object(eta, "eta")
+    zeta = None if zeta is None else _json_object(zeta, "zeta")
+    parts = dict(
+        eta=EtaSpec(*(_json_number(eta, k, where="eta.") for k in ("delta", "C", "mu")))
+        if eta
+        else None,
+        zeta=_zeta_tail(zeta) if zeta else None,
+        pickands=None if obj.get("pickands") is None else _json_number(obj, "pickands"),
+        e_const=None if obj.get("e_const") is None else _json_number(obj, "e_const"),
+    )
+    if preset == "bm":
+        return TrendModel.fbm(0.5, _json_number(obj, "beta", 1.0), **parts)
+    if preset == "fbm":
+        return TrendModel.fbm(_json_number(obj, "H"), _json_number(obj, "beta"), **parts)
+    d_ref = _json_object(obj.get("d_ref", {"s": 1.0, "value": 1.0}), "d_ref")
+    return TrendModel(
+        H=_json_number(obj, "H"),
+        beta=_json_number(obj, "beta"),
+        alpha_loc=_json_number(obj, "alpha_loc"),
+        d_ref=(_json_number(d_ref, "s", where="d_ref."),
+               _json_number(d_ref, "value", where="d_ref.")),
+        **parts,
+    )
 
 
 def _cmd_gp_constants(args) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, SpecError, as_double
-from ..montecarlo import _Z95, TailEstimate, _map_blocks, _wilson_table, rekey
+from ..montecarlo import _Z95, TailEstimate, _map_blocks, _wilson_table, block_rng
 from ..tail_model import DistributionModel
 from .fbm import _check_grid, _work_size, fbm_path, two_sided_path
 
@@ -69,22 +69,22 @@ def _check_paths(n_paths: int, least: int) -> None:
         raise SpecError(f"need n_paths >= {least}, got {n_paths}")
 
 
-_CHUNK = 64  # paths per generator and workspace
+_CHUNK = 64  # paths per workspace and per task of the map
 
 
 def _path_values(per_path, n_paths: int, seed: int, n_steps: int, workers: int | None):
     """Ordered map of a per-path functional; returns the sample values.
 
-    ``per_path(rng, work)`` gets the stream of path i, its chunk's generator
-    re-keyed to (seed, i) by the stream rule of :mod:`tailward.montecarlo`,
-    and a float64 workspace of ``_work_size(n_steps)`` entries.  Each chunk
-    of paths owns one generator and one workspace: per_path may overwrite
-    the workspace freely, and nothing in it outlives the call, because the
-    next path of the chunk reuses it.
+    ``per_path(rng, work)`` gets path i's own stream, ``block_rng(seed, i)``
+    by the stream rule of :mod:`tailward.montecarlo`, and a float64
+    workspace of ``_work_size(n_steps)`` entries.  Each chunk of paths owns
+    one workspace: per_path may overwrite it freely, and nothing in it
+    outlives the call, because the next path of the chunk reuses it.  The
+    chunk's own block stream draws nothing.
     """
-    def run(rng, start: int, count: int) -> np.ndarray:
+    def run(_, start: int, count: int) -> np.ndarray:
         work = np.empty(_work_size(n_steps))
-        return np.array([per_path(rekey(rng, seed, i), work)
+        return np.array([per_path(block_rng(seed, i), work)
                          for i in range(start, start + count)])
 
     return np.concatenate(_map_blocks(run, n_paths, _CHUNK, seed, workers))

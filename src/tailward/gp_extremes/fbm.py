@@ -38,8 +38,13 @@ def _is_pow2(n: int) -> bool:
 
 
 def _fgn_autocov(H: float, n: int) -> np.ndarray:
-    k = np.arange(n + 1, dtype=float)
-    return 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
+    """gamma(k) = ((k+1)**2H - 2 k**2H + |k-1|**2H) / 2 for k = 0 ... n."""
+    p = np.arange(n + 2, dtype=float) ** (2 * H)  # k**2H for k = 0 ... n + 1
+    gamma = p[1:] - 2 * p[:-1]
+    gamma[1:] += p[:n]
+    gamma[0] += p[1]
+    gamma *= 0.5
+    return gamma
 
 
 def _circulant_sqrt_spectrum(H: float, n: int) -> np.ndarray:

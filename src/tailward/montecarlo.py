@@ -1,11 +1,13 @@
 """Sampling-based tail estimation with reproducible parallel streams.
 
-The one stream rule: ``_map_blocks`` cuts the draws or paths into blocks,
-block b draws from the counter-based Philox stream keyed (seed, b) (Salmon
-et al. 2011), and a path estimator re-keys it to (seed, i) before path i.
-Results come back in block order, so output is bitwise identical for any
-worker count.  A map runs on min(blocks, requested count, CPUs the process
-may use, TAILWARD_THREADS) threads; a count of None requests every CPU.
+The one stream rule: stream (seed, index) is an SFC64 generator seeded by
+child ``index`` of ``SeedSequence(seed)``, numpy's pattern for parallel
+streams.  ``_map_blocks`` cuts the draws or paths into blocks, block b
+draws from stream (seed, b), and a path estimator draws path i from stream
+(seed, i).  Results come back in block order, so output is bitwise
+identical for any worker count.  A map runs on min(blocks, requested
+count, CPUs the process may use, TAILWARD_THREADS) threads; a count of
+None requests every CPU.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "conditional_sf",
     "block_rng",
     "check_seed",
-    "rekey",
     "resolve_workers",
 ]
 
@@ -39,39 +40,25 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def check_seed(seed: int) -> int:
-    """The seed, if it is a Philox key word in [0, 2**64); else a SpecError."""
+    """The seed, if it fits the two uint32 words of a stream's entropy; else a SpecError."""
     if not 0 <= seed < 1 << 64:
         raise SpecError(f"seed must be in [0, 2**64), got {seed}")
     return seed
 
 
-def _philox_key(seed: int, index: int) -> np.ndarray:
-    return np.array([np.uint64(check_seed(seed)), np.uint64(index)])
-
-
 def block_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one block/path; key = (seed, index)."""
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, index)))
+    """Stream (seed, index): SFC64 seeded by child ``index`` of SeedSequence(seed).
 
-
-_PHILOX_ZERO = np.zeros(4, dtype=np.uint64)
-
-
-def rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generator:
-    """Reset a ``block_rng`` generator to the start of stream (seed, index).
-
-    The generator then draws exactly what ``block_rng(seed, index)`` draws;
-    a re-key costs a few microseconds, a new Philox generator about 20.
+    The seed enters as exactly two uint32 words, so no (seed, index) pair
+    spells another's entropy: ``SeedSequence([seed, index])`` would give
+    (5 * 2**32 + 1, 7) and (1, 7 * 2**32 + 5) the same words.  SeedSequence
+    pads the entropy of a spawned child to four words, so the two words
+    give the child of ``SeedSequence(seed)`` for a seed below 2**32 too.
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _PHILOX_ZERO, "key": _philox_key(seed, index)},
-        "buffer": _PHILOX_ZERO,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+    seed = check_seed(seed)
+    words = np.array([seed & 0xFFFFFFFF, seed >> 32], dtype=np.uint32)
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(words, spawn_key=(index,))))
 
 
 def resolve_workers(requested: int | None) -> int:

@@ -263,12 +263,21 @@ def _make_weibull(K: float, alpha: float) -> DistributionModel:
     # K * alpha can underflow to 0 where neither factor does.
     log_k_alpha = math.log(K * alpha) if K * alpha > 0 else math.log(K) + math.log(alpha)
 
+    # x ** alpha keeps numpy's square and square-root shortcuts; each formula
+    # then works in its own arrays.
     def log_sf(x):
-        return -K * x ** alpha
+        t = x ** alpha
+        t *= -K
+        return t
 
     def log_density(x):
-        body = log_k_alpha + (alpha - 1) * np.log(x)
-        return body - K * x ** alpha
+        t = np.log(x)
+        t *= alpha - 1
+        t += log_k_alpha
+        p = x ** alpha
+        p *= K
+        t -= p
+        return t
 
     def sampler(rng, size=None):
         v = rng.random(size)

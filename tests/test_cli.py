@@ -351,6 +351,33 @@ def test_malformed_gp_input_exits_two(capsys, argv):
     assert err.startswith("specification error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["constants", "tail"])
+@pytest.mark.parametrize("model,message", [
+    # Each was once read with float(): true as 1.0, "1" as 1.0.
+    ('{"preset": "bm", "beta": true}', 'field beta must be a number, got true'),
+    ('{"preset": "bm", "pickands": "1"}', 'field pickands must be a number, got "1"'),
+    ('{"preset": "fbm", "H": false, "beta": 1}', 'field H must be a number, got false'),
+    ('{"preset": "bm", "eta": {"delta": 0, "C": "1", "mu": 1}}',
+     'field eta.C must be a number, got "1"'),
+    ('{"preset": "bm", "eta": {"delta": 0, "C": 1, "mu": 1}, "zeta": {"C": 1, "gamma": true}}',
+     'field zeta.gamma must be a number, got true'),
+    # These once gave "could not convert string to float: 'a'" and a bare TypeError.
+    ('{"H": 0.5, "beta": 1, "alpha_loc": 1, "d_ref": {"s": "a", "value": 1}}',
+     'field d_ref.s must be a number, got "a"'),
+    ('{"H": 0.5, "beta": 1, "alpha_loc": 1, "d_ref": [1, 2, 3]}',
+     'field d_ref must be an object, got [1, 2, 3]'),
+    ('{"preset": "bm", "eta": {"delta": 0, "C": 1}}', 'field eta.mu is missing'),
+    ('{"preset": "bm", "eta": [1]}', 'field eta must be an object, got [1]'),
+    ('{"preset": "bm", "beta": 1' + "0" * 400 + '}', 'field beta is beyond the doubles'),
+    ("[1]", "a trend model must be a JSON object, got [1]"),
+])
+def test_a_malformed_trend_model_field_is_named(capsys, command, model, message):
+    code, out, err = _run(capsys, "gp", command, "--model", model)
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err.startswith("specification error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_gp_fbm_without_paths_exits_two_and_writes_nothing(capsys, tmp_path):
     out = tmp_path / "paths.fbm"
     code, stdout, err = _run(capsys, "gp", "fbm", "--H", "0.5", "--steps", "8", "--T", "1",
@@ -485,8 +512,9 @@ def _gp_tail_models():
                f'"eta":{{"delta":{delta},"C":1,"mu":{mu}}},"zeta":{{"C":1,"gamma":1}}}}')
 
 
-# Seeds on both sides of the Philox key range [0, 2**64); at 2 paths a map
-# has one block, so no call starts a thread.
+# Seeds on both sides of the seed range [0, 2**64), the two uint32 entropy
+# words of every stream; at 2 paths a map has one block, so no call starts a
+# thread.
 _SEEDS = ("-1", "0", str(2 ** 63), str(2 ** 64 + 5))
 _MAP_OPTIONS = [("--seed", s) for s in ("-1", str(2 ** 64 + 5))]
 # The full exact-law fixture takes 81 s; its own slow test runs it.

@@ -178,6 +178,14 @@ def test_generator_keeps_the_reference_stream(H, n_steps):
         assert np.max(np.abs(path2 - ref2)) <= 1e-12 * np.max(np.abs(ref2))
 
 
+@pytest.mark.parametrize("H", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0])
+def test_autocovariance_from_one_power_table_keeps_the_three_power_bits(H):
+    for n in (1, 2, 16, 1024, 1 << 14, 1 << 15):
+        k = np.arange(n + 1, dtype=float)
+        ref = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
+        assert fbm_module._fgn_autocov(H, n).tobytes() == ref.tobytes(), n
+
+
 def test_circulant_spectrum_nonnegative_on_hurst_grid():
     # Worst min/max eigenvalue ratio here is about -6.4e-10 (H = 0.9999,
     # n = 2^16), well above the -1e-8 round-off floor: no EmbeddingFailure.

@@ -23,7 +23,6 @@ from tailward.montecarlo import (
     _heavy_first,
     _map_blocks,
     block_rng,
-    rekey,
     resolve_workers,
     wilson_interval,
 )
@@ -293,21 +292,57 @@ def test_block_rng_streams_are_stable():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("seed,index", [
-    (0, 0), (7, 1), (2 ** 63, 5), (2 ** 64 - 1, 2 ** 62), (2 ** 64 - 3, 9),
-])
-def test_rekeyed_generator_draws_the_block_rng_stream(seed, index):
-    rng = block_rng(11, 4)
-    # Leave the generator mid-buffer, with a spare 32-bit half cached.
-    rng.standard_normal(7)
-    rng.integers(0, 2 ** 31, size=3, dtype=np.int32)
-    rng.random(dtype=np.float32)
-    assert rekey(rng, seed, index) is rng
-    fresh = block_rng(seed, index)
-    for draw in (lambda g: g.standard_normal(1001), lambda g: g.random(dtype=np.float32),
-                 lambda g: g.integers(0, 2 ** 31, size=5, dtype=np.int32),
-                 lambda g: g.standard_normal(3)):
-        assert np.array_equal(draw(rng), draw(fresh))
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 32 + 3, 2 ** 63, 2 ** 64 - 1])
+def test_block_rng_is_the_spawned_child_of_the_seed(seed):
+    kids = np.random.SeedSequence(seed).spawn(66)
+    for index in (0, 1, 63, 64, 65):
+        child = np.random.Generator(np.random.SFC64(kids[index]))
+        assert np.array_equal(block_rng(seed, index).standard_normal(9), child.standard_normal(9))
+
+
+def test_seed_and_index_words_never_run_together():
+    # SeedSequence([seed, index]) gives both pairs the entropy words [1, 5, 7].
+    a = block_rng(5 * 2 ** 32 + 1, 7).random(4)
+    b = block_rng(1, 7 * 2 ** 32 + 5).random(4)
+    assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("workers", [1, 2, None])
+@pytest.mark.parametrize("estimator", ["pickands", "econst", "sup"])
+def test_path_i_draws_the_stream_seed_i(monkeypatch, estimator, workers):
+    # Paths 63, 64 and 65 sit on both sides of the first chunk edge.  Every
+    # path estimator draws a path first, from a generator no draw has moved.
+    seed, n_paths, n_steps = 2 ** 63 + 7, 66, 32
+    drawn = {}  # the generator's state at the path's start -> the path drawn
+
+    def spy(draw):
+        def path(H, n, T, rng, work=None):
+            start = repr(rng.bit_generator.state)
+            out = draw(H, n, T, rng, work)
+            drawn.setdefault(start, []).append(out.copy())
+            return out
+        return path
+
+    monkeypatch.setattr(gp.estimators, "fbm_path", spy(gp.fbm_path))
+    monkeypatch.setattr(gp.estimators, "two_sided_path", spy(gp.two_sided_path))
+    run, reference = {
+        "pickands": (
+            lambda: gp.pickands_estimate(1.4, 2.0, n_paths, n_steps, seed=seed, workers=workers),
+            lambda rng: gp.two_sided_path(0.7, n_steps, 2.0, rng)),
+        "econst": (
+            lambda: gp.econst_estimate("fbm", 1.0, 1.0, 2.0, n_paths, n_steps, seed=seed,
+                                       H=0.3, workers=workers),
+            lambda rng: gp.fbm_path(0.3, n_steps, 2.0, rng)),
+        "sup": (
+            lambda: gp.sup_exceedance_mc([0.5], 2.0, n_steps, n_paths, seed, workers=workers),
+            lambda rng: gp.fbm_path(0.5, n_steps, 2.0, rng)),
+    }[estimator]
+    run()
+    assert len(drawn) == n_paths
+    for i in (63, 64, 65):
+        start = repr(block_rng(seed, i).bit_generator.state)
+        assert len(drawn[start]) == 1
+        assert np.array_equal(drawn[start][0], reference(block_rng(seed, i)))
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 29])
@@ -334,7 +369,8 @@ def _called_names(tree):
 def test_only_montecarlo_constructs_a_generator():
     # Every stream is keyed, and every pool sized, by the one rule in
     # montecarlo; a generator or a pool built anywhere else would bypass it.
-    makers = {"Philox", "Generator", "default_rng", "ThreadPoolExecutor"}
+    makers = {"Philox", "SFC64", "SeedSequence", "Generator", "default_rng",
+              "ThreadPoolExecutor"}
     src = Path(tw.__file__).parent
     found = []
     for path in sorted(src.rglob("*.py")):
@@ -416,7 +452,5 @@ def test_a_seed_outside_the_key_range_is_refused(seed):
     # 2**64 - 1, gave the same stream under different recorded seeds.
     with pytest.raises(SpecError, match=r"seed must be in \[0, 2\*\*64\)"):
         block_rng(seed, 0)
-    with pytest.raises(SpecError, match=r"seed must be in \[0, 2\*\*64\)"):
-        rekey(block_rng(0, 0), seed, 0)
     with pytest.raises(SpecError, match=r"seed must be in \[0, 2\*\*64\)"):
         gp.econst_estimate("bm", alpha=1.0, beta=1.0, T=1.0, n_paths=2, n_steps=4, seed=seed)

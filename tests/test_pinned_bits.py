@@ -4,7 +4,10 @@ The broadcast references in test_montecarlo call the same samplers and law
 formulas as the code they check, so they cannot see those bits move; these
 pins can.  A digest is the first 16 hex digits of the SHA-256 of the
 float64 bytes.  The pins were recorded before the samplers, the law end
-masks and the estimators wrote into arrays they own.
+masks and the estimators wrote into arrays they own.  The sampler pins draw
+from Philox generators built here, the streams they were recorded on, so
+they pin the sampler arithmetic whatever generator ``block_rng`` builds;
+the stream pins and the estimate pins pin ``block_rng`` itself.
 """
 
 import hashlib
@@ -43,14 +46,22 @@ def digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
+def philox(seed, index):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
 def sample_digest(name):
-    return digest(*[LAWS[name].sample(block_rng(s, b), n) for s, b in STREAMS for n in SIZES])
+    return digest(*[LAWS[name].sample(philox(s, b), n) for s, b in STREAMS for n in SIZES])
 
 
 def scalar_draws(name):
-    draws = [LAWS[name].sample(block_rng(s, b)) for s, b in STREAMS]
+    draws = [LAWS[name].sample(philox(s, b)) for s, b in STREAMS]
     assert all(isinstance(v, float) for v in draws), name
     return [float(v).hex() for v in draws]
+
+
+def stream_digest(draw):
+    return digest(*[draw(block_rng(s, b), n) for s, b in STREAMS for n in SIZES])
 
 
 def law_digest(name):
@@ -97,6 +108,11 @@ SCALARS = {
     "neg pareto(1,2)": ["-0x1.63bcaa1c1d2c1p+0", "-0x1.24ae03c50f35bp+0"],
     "neg lognormal(0,1)": ["-0x1.8059fe6660863p-4", "-0x1.01013795b2f2fp-4"],
 }
+STREAM_DRAWS = {
+    "random": (lambda rng, n: rng.random(n), "01226333df08be0b"),
+    "standard_normal": (lambda rng, n: rng.standard_normal(n), "e85df617e506b574"),
+    "standard_exponential": (lambda rng, n: rng.standard_exponential(n), "88642c6bd67e9843"),
+}
 LAW_VALUES = {
     "weibull(1,2)": "4a79bf60d9d1fe4a",
     "weibull(0.5,3)": "db9dbb24b2ffc45e",
@@ -114,10 +130,10 @@ LAW_VALUES = {
     "neg lognormal(0,1)": "daafe0f824e2d85c",
 }
 ESTIMATE_PINS = {
-    ("estimate_sf", "sum"): "0e2056d256520709",
-    ("estimate_sf", "product"): "6425b4ac1fe7d694",
-    ("conditional_sf", "sum"): "e1883e4a383ab39a",
-    ("conditional_sf", "product"): "a299f7789091c2e2",
+    ("estimate_sf", "sum"): "58b8e4e406ead0a1",
+    ("estimate_sf", "product"): "be8881fb398d6a60",
+    ("conditional_sf", "sum"): "839caba66face41c",
+    ("conditional_sf", "product"): "13f720a58c720796",
 }
 
 
@@ -129,6 +145,12 @@ def test_sampler_draws_keep_their_pinned_bits(name):
 @pytest.mark.parametrize("name", list(LAWS))
 def test_scalar_draws_keep_their_pinned_bits(name):
     assert scalar_draws(name) == SCALARS[name]
+
+
+@pytest.mark.parametrize("name", list(STREAM_DRAWS))
+def test_block_rng_draws_keep_their_pinned_bits(name):
+    draw, pin = STREAM_DRAWS[name]
+    assert stream_digest(draw) == pin
 
 
 @pytest.mark.parametrize("name", list(LAWS))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -107,6 +108,22 @@ def test_power_substitute_evaluates_at_rescaled_argument(p, u):
 def test_weibull_sf_definition():
     m = tw.make_model("weibull(1,2)")
     assert np.exp(m.log_sf(1.0)) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("spec", ["weibull(1,2)", "weibull(2,0.5)", "pareto(1,2)"])
+def test_law_formulas_hold_at_most_their_own_arrays(spec):
+    # log_sf holds at most one argument-sized array and log_density two; the
+    # weibull log_sf once held two, x ** alpha and -K * x ** alpha.
+    m, x = tw.make_model(spec), np.linspace(0.5, 10.0, 8192)
+    for formula, arrays in ((m.log_sf, 1), (m.log_density, 2)):
+        formula(x)  # warm up
+        tracemalloc.start()
+        try:
+            formula(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (arrays + 0.25) * x.nbytes, (formula, peak)
 
 
 def test_edge_sf_and_sampler_shape(rng):
