@@ -16,9 +16,11 @@ O(exp(-T**alpha)) and the grid bias is a one-sided fraction of a percent.
 The sup-ratio moment E (sup_t X(t)/(1+t**beta))**alpha is estimated by a
 plain path-maximum plug-in; grid suprema under-estimate continuous ones, so
 comparisons against closed forms use one-sided tolerances.  Both are path
-means with one interval, mean +- z * sd / sqrt(n) (to first order the
-percentile bootstrap interval; Efron & Tibshirani 1993, ch. 13); a sample
-with no spread backs none and is refused.
+means with the statistic of every Monte Carlo mean in
+:mod:`tailward.montecarlo`: mean +- z * sd / sqrt(n) (to first order the
+percentile bootstrap interval; Efron & Tibshirani 1993, ch. 13) and the
+effective sample size.  A sample with no spread, or with too small an
+ESS, backs no interval and is refused.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, SpecError, as_double
-from ..montecarlo import _Z95, TailEstimate, _map_blocks, _wilson_table, block_rng
+from ..montecarlo import (TailEstimate, _mean_interval, _ordered_map, _sums, _wilson_table,
+                          block_rng)
 from ..tail_model import DistributionModel
 from .fbm import _check_grid, _work_size, fbm_path, two_sided_path
 
@@ -43,6 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class McEstimate:
+    """A path mean, its normal 95% interval and its ESS (sum v)**2 / sum v**2."""
     value: float
     ci_lo: float
     ci_hi: float
@@ -51,6 +55,7 @@ class McEstimate:
     n_steps: int
     seed: int
     method: str
+    ess: float  # effective sample size of the path values
     truncation_note: str = ""
 
     def __post_init__(self):
@@ -79,37 +84,31 @@ def _path_values(per_path, n_paths: int, seed: int, n_steps: int, workers: int |
     by the stream rule of :mod:`tailward.montecarlo`, and a float64
     workspace of ``_work_size(n_steps)`` entries.  Each chunk of paths owns
     one workspace: per_path may overwrite it freely, and nothing in it
-    outlives the call, because the next path of the chunk reuses it.  The
-    chunk's own block stream draws nothing.
+    outlives the call, because the next path of the chunk reuses it.  A
+    chunk has no stream of its own: only its paths draw.
     """
-    def run(_, start: int, count: int) -> np.ndarray:
+    def run(c: int) -> np.ndarray:
         work = np.empty(_work_size(n_steps))
-        return np.array([per_path(block_rng(seed, i), work)
-                         for i in range(start, start + count)])
+        paths = range(c * _CHUNK, min((c + 1) * _CHUNK, n_paths))
+        return np.array([per_path(block_rng(seed, i), work) for i in paths])
 
-    return np.concatenate(_map_blocks(run, n_paths, _CHUNK, seed, workers))
+    return np.concatenate(_ordered_map(run, -(-n_paths // _CHUNK), workers))
 
 
-def _mean_estimate(values: np.ndarray, method: str, **fields) -> McEstimate:
-    """The mean of the path values with its normal 95% interval.
+def _path_mean(values: np.ndarray, method: str, **fields) -> McEstimate:
+    """``_mean_interval`` of the path values, one block kept whole.
 
-    When the half-width of values that differ underflows to 0 or overflows
-    (their squared deviations leave the doubles), it is taken of the values
-    over their largest magnitude and scaled back.  A zero-width interval
-    (every path gave the same value, or a half-width that still underflows)
-    backs nothing and is a DomainError, raised after McEstimate's refusal of
-    a mean or an interval end beyond the doubles.
+    A zero-width interval (every path gave the same value, or a spread
+    below the doubles) backs nothing and is a DomainError, raised after
+    McEstimate's refusal of a mean or an interval end beyond the doubles.
     """
     n = len(values)
-    with np.errstate(over="ignore", invalid="ignore"):  # McEstimate refuses inf
-        value = float(values.mean())
-        half = _Z95 * float(values.std(ddof=1)) / math.sqrt(n)
-        if not 0.0 < half < math.inf and values.min() != values.max():
-            big = float(np.max(np.abs(values)))
-            half = _Z95 * float((values / big).std(ddof=1)) / math.sqrt(n) * big
-    est = McEstimate(value, value - half, value + half, n, method=method, **fields)
-    if not est.ci_lo < est.ci_hi:
-        what = (f"all {n} paths gave {value!r}" if values.min() == values.max() else
+    with np.errstate(over="ignore", invalid="ignore"):  # retaken, or refused as inf
+        sums = _sums(values, centered=True)
+    value, lo, hi, ess = _mean_interval(sums, n, f"{method} estimate", centered=True)
+    est = McEstimate(value, lo, hi, n, method=method, ess=ess, **fields)
+    if not lo < hi:
+        what = (f"all {n} paths gave {value!r}" if sums[1] == 0.0 else
                 f"the spread of {n} paths around {value!r} underflows")
         raise DomainError(f"{method} estimate: {what}; no interval backs it")
     return est
@@ -166,7 +165,7 @@ def pickands_estimate(
         return 1.0 / total if total > 0.0 else math.inf
 
     ratios = _path_values(per_path, n_paths, seed, 2 * n_steps, workers)
-    return _mean_estimate(
+    return _path_mean(
         ratios, T=T, n_steps=n_steps, seed=seed,
         method="sup_integral_ratio",
         truncation_note=(
@@ -218,7 +217,7 @@ def econst_estimate(
         # where it overflows.
         vals = np.array([r ** alpha for r in sups])
         scale = float(np.float64(T) ** (hurst - beta))  # the note prints inf
-    return _mean_estimate(
+    return _path_mean(
         vals, T=T, n_steps=n_steps, seed=seed,
         method="path_supremum",
         truncation_note=(

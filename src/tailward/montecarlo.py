@@ -2,18 +2,21 @@
 
 The one stream rule: stream (seed, index) is an SFC64 generator seeded by
 child ``index`` of ``SeedSequence(seed)``, numpy's pattern for parallel
-streams.  ``_map_blocks`` cuts the draws or paths into blocks, block b
-draws from stream (seed, b), and a path estimator draws path i from stream
-(seed, i).  Results come back in block order, so output is bitwise
-identical for any worker count.  A map runs on min(blocks, requested
-count, CPUs the process may use, TAILWARD_THREADS) threads; a count of
-None requests every CPU.
+streams.  ``_map_blocks`` cuts the draws into blocks, block b draws from
+stream (seed, b), and a path estimator draws path i from stream (seed, i).
+Results come back in block order, so output is bitwise identical for any
+worker count.  A map runs on min(blocks, requested count, CPUs the process
+may use, TAILWARD_THREADS) threads; a count of None requests every CPU.
+Indicator counts get Wilson intervals; every other Monte Carlo mean, of
+weights or path values, gets ``_mean_interval``'s interval and ESS.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,6 +40,8 @@ BLOCK_SIZE = 1 << 14
 # 128 KiB mmap threshold, so they are reused from the heap, not faulted in.
 _PART_SIZE = BLOCK_SIZE // 2
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_ESS_FLOOR = 1e-4  # the least ESS, as a share of n, that backs a normal interval
+_NO_MASS = -(1 << 16)  # the scale of an all-zero block: any other wins
 
 
 def check_seed(seed: int) -> int:
@@ -80,23 +85,26 @@ def resolve_workers(requested: int | None) -> int:
     return workers
 
 
+def _ordered_map(run, count: int, workers: int | None) -> list:
+    """[run(i) for i in range(count)] on min(count, resolve_workers(workers)) threads."""
+    workers = min(count, resolve_workers(workers))
+    if workers <= 1:
+        return [run(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(count)))
+
+
 def _map_blocks(fn, n: int, size: int, seed: int, workers: int | None) -> list:
     """[fn(rng, start, count) for each block of n units], in block order.
 
     Block b holds count = min(size, n - start) units from start = b * size
-    and draws from block_rng(seed, b); min(blocks, resolve_workers(workers))
-    threads run.
+    and draws from block_rng(seed, b).
     """
     def run(b: int):
         start = b * size
         return fn(block_rng(seed, b), start, min(size, n - start))
 
-    n_blocks = -(-n // size)
-    workers = min(n_blocks, resolve_workers(workers))
-    if workers <= 1:
-        return [run(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(n_blocks)))
+    return _ordered_map(run, -(-n // size), workers)
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,7 @@ class TailEstimate:
     ci_hi: float
     n: int
     method: str  # "direct" | "conditional"
+    ess: float  # effective sample size; n for a direct estimate
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -128,8 +137,56 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 def _wilson_table(grid, counts, n: int) -> list[TailEstimate]:
     """Direct estimates k / n with Wilson intervals, one per level of grid."""
-    return [TailEstimate(float(u), k / n, *wilson_interval(int(k), n), n, "direct")
+    return [TailEstimate(float(u), k / n, *wilson_interval(int(k), n), n, "direct", float(n))
             for u, k in zip(grid, counts)]
+
+
+def _sums(w: np.ndarray, centered: bool = False) -> tuple[float, float, int]:
+    """(sum v, sum (v - c)**2, k) of v = w / 2**k, c = 0 or mean(v) if centered.
+
+    k = 0 unless the squares' direct sum leaves the normal doubles; then w is
+    scaled by the power of two of its largest magnitude, a scale exact for
+    normal doubles: the common case keeps its bits and makes no extra pass.
+    Values that may overflow are summed under np.errstate(over="ignore").
+    """
+    def direct(v):
+        s1 = float(v.sum())
+        d = v - s1 / len(v) if centered else v
+        return s1, float(np.dot(d, d))
+
+    s1, s2 = direct(w)
+    if sys.float_info.min <= s2 < math.inf:
+        return s1, s2, 0
+    top = float(np.max(np.abs(w)))
+    k = math.frexp(top)[1] if top else _NO_MASS
+    return (*direct(np.ldexp(w, -k)), k)
+
+
+def _add(a, b):
+    """The ``_sums`` of two blocks, in the units of the larger scale."""
+    k = max(a[2], b[2])
+    return (math.ldexp(a[0], a[2] - k) + math.ldexp(b[0], b[2] - k),
+            math.ldexp(a[1], 2 * (a[2] - k)) + math.ldexp(b[1], 2 * (b[2] - k)), k)
+
+
+def _mean_interval(sums, n: int, what: str, centered: bool = False):
+    """(mean, lo, hi, ess) of n values from their ``_sums``: the one normal 95% interval.
+
+    Streamed sums give the variance s2/n - mean**2; values kept whole, their
+    squares about the mean and s2/(n - 1).  The ESS (sum v)**2 / sum v**2 =
+    n / (1 + var/mean**2) of nonnegative values (Kong 1992) is refused below
+    _ESS_FLOOR * n, where too few values carry the mean to back an interval.
+    """
+    s1, s2, k = sums
+    p = s1 / n
+    var = max(s2 / n - (0.0 if centered else p * p), 0.0)
+    ess = n / (1.0 + var / p / p) if p else 0.0
+    if 0.0 < ess < _ESS_FLOOR * n:
+        raise DomainError(f"{what}: effective sample size {ess:.3g} of n = {n} is below "
+                          f"{_ESS_FLOOR:g} n; no normal interval backs it")
+    half = _Z95 * math.sqrt(var / (n - 1 if centered else n))
+    with np.errstate(over="ignore"):  # an end beyond the doubles is inf
+        return (*(float(np.ldexp(x, k)) for x in (p, p - half, p + half)), ess)
 
 
 def estimate_sf(
@@ -177,10 +234,13 @@ def conditional_sf(
     the variance relative to the direct indicator estimator.  H is the heavy
     operand, the one of smaller ``power_order`` (X on a tie), and L the
     other one (Asmussen & Kroese 2006, Adv. Appl. Probab. 38).  The weights
-    in [0, 1] are not indicators, and the blocks stream only the sums of w
-    and w**2, so the interval is its own: the normal one from those sums.
-    When no draw carries mass, it is the Wilson interval for zero successes
-    in n, never [0, 0].
+    in [0, 1] are not indicators: the blocks stream the sums of w and w**2
+    for ``_mean_interval``'s normal interval, clipped to [0, 1], and ESS
+    (sum w)**2 / sum w**2.  A level whose ESS is below 10**-4 * n rests on a
+    few draws (two light tails pile the weights onto the largest L): it is
+    refused with a DomainError naming the level, the ESS and n.  A level
+    where no draw carries mass is never refused: its interval is the Wilson
+    interval for zero successes in n, never [0, 0], and its ESS 0.
     """
     if n < 10 ** 3:
         raise SpecError(f"need n >= 1000 samples, got {n}")
@@ -192,34 +252,27 @@ def conditional_sf(
     combine = np.subtract if op == "sum" else np.divide
     grid = np.asarray(list(grid), dtype=float)
 
-    def run_block(rng, start: int, count: int) -> np.ndarray:
+    def run_block(rng, start: int, count: int) -> list:
         draws = np.asarray(sampled.sample(rng, count), dtype=float)
         if op == "product":
             np.maximum(draws, 1e-320, out=draws)
         # One level at a time over each half of the draws: one half-block
         # buffer takes the level's arguments, then its weights, so no array
-        # grows with the grid or outlives its level.  Rows: the sums of w
-        # and of w**2.
-        sums = np.zeros((2, len(grid)))
+        # grows with the grid or outlives its level.
+        sums = [(0.0, 0.0, _NO_MASS)] * len(grid)
         buf = np.empty(min(count, _PART_SIZE))
         for lo in range(0, count, _PART_SIZE):
             part = draws[lo:lo + _PART_SIZE]
             w = buf[:len(part)]
             for j, u in enumerate(grid):
                 np.exp(exact.log_sf(combine(u, part, out=w)), out=w)
-                sums[0, j] += w.sum()
-                sums[1, j] += np.dot(w, w)
+                sums[j] = _add(sums[j], _sums(w))
         return sums
 
-    s1, s2 = sum(_map_blocks(run_block, n, BLOCK_SIZE, seed, workers))
-
     out = []
-    for u, t1, t2 in zip(grid, s1, s2):
-        p = t1 / n
-        if t1 > 0.0:
-            half = _Z95 * math.sqrt(max(t2 / n - p * p, 0.0) / n)
-            lo, hi = max(0.0, p - half), min(1.0, p + half)
-        else:
-            lo, hi = wilson_interval(0, n)
-        out.append(TailEstimate(float(u), p, lo, hi, n, "conditional"))
+    for u, *blocks in zip(grid, *_map_blocks(run_block, n, BLOCK_SIZE, seed, workers)):
+        level = functools.reduce(_add, blocks, (0.0, 0.0, _NO_MASS))
+        p, lo, hi, ess = (_mean_interval(level, n, f"conditional estimate at u = {float(u)!r}")
+                          if level[0] > 0.0 else (0.0, *wilson_interval(0, n), 0.0))
+        out.append(TailEstimate(float(u), p, max(0.0, lo), min(1.0, hi), n, "conditional", ess))
     return out

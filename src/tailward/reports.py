@@ -365,7 +365,7 @@ GP_FIXTURES = {
         eta={"delta": 0.0, "C": 1.0, "mu": 1.0}, gammas=[0.5, 3.0], u=[400.0, 100.0],
     ),
     "bm-offset-edge-composition": _scalar_fixture(
-        "shifted_trend_edge", _offset_edge_rows,
+        "composition_identity", _offset_edge_rows,
         model={"H": 0.5, "beta": 2.0, "alpha_loc": 1.0,
                "eta": {"delta": 0.5, "C": 1.0, "mu": 1.0},
                "zeta": {"delta0": 0.2, "C": 1.0, "gamma": 1.0}},

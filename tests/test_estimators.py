@@ -17,11 +17,12 @@ from tailward.gp_extremes import (
     sup_exceedance_mc,
 )
 from tailward.gp_extremes import estimators
-from tailward.montecarlo import _Z95, block_rng, wilson_interval
+from tailward.montecarlo import _Z95, _mean_interval, _sums, block_rng, wilson_interval
 
 # Each reference draws path i from a fresh block_rng(seed, i) into a fresh
 # array, exactly as the estimators did before they reused one workspace and
-# one generator per chunk of paths.
+# one generator per chunk of paths.  Its interval is mean +- z * sd / sqrt(n)
+# with the sd of numpy's two-pass std(ddof=1).
 
 
 def _reference_pickands(alpha_loc, T, n_paths, n_steps, seed):
@@ -36,10 +37,7 @@ def _reference_pickands(alpha_loc, T, n_paths, n_steps, seed):
         base = fbm_path(H, 2 * n_steps, 2 * T, block_rng(seed, i))
         z = math.sqrt(2.0) * (base - base[n_steps]) - drift
         ratios.append(1.0 / float(np.sum(w_trap * np.exp(z - z.max()))))
-    ratios = np.array(ratios)
-    value = float(ratios.mean())
-    half = _Z95 * float(ratios.std(ddof=1)) / math.sqrt(n_paths)
-    return value, value - half, value + half
+    return _normal_interval(np.array(ratios))
 
 
 def _reference_econst(hurst, alpha, beta, T, n_paths, n_steps, seed):
@@ -48,9 +46,19 @@ def _reference_econst(hurst, alpha, beta, T, n_paths, n_steps, seed):
         max(float(np.max(fbm_path(hurst, n_steps, T, block_rng(seed, i)) / denom)), 0.0) ** alpha
         for i in range(n_paths)
     ])
-    value = float(vals.mean())
-    half = _Z95 * float(vals.std(ddof=1)) / math.sqrt(n_paths)
+    return _normal_interval(vals)
+
+
+def _normal_interval(values):
+    value = float(values.mean())
+    half = _Z95 * float(values.std(ddof=1)) / math.sqrt(len(values))
     return value, value - half, value + half
+
+
+def _matches(est, ref):
+    # The value bitwise; the ends to round-off, as the estimators take the
+    # spread from the sums of one block (a dot product of the deviations).
+    return est.value == ref[0] and (est.ci_lo, est.ci_hi) == pytest.approx(ref[1:], rel=1e-12)
 
 
 def _reference_sup(u_grid, T, n_steps, n_paths, seed, beta, eta, zeta, hurst):
@@ -74,7 +82,7 @@ SIZES = [(n, w) for n in (2, 65, 130) for w in (1, 2, None)]
 def test_pickands_matches_the_reference_loop(alpha_loc, n_paths, workers):
     est = pickands_estimate(alpha_loc, T=3.0, n_paths=n_paths, n_steps=64, seed=5,
                             workers=workers)
-    assert (est.value, est.ci_lo, est.ci_hi) == _reference_pickands(alpha_loc, 3.0, n_paths, 64, 5)
+    assert _matches(est, _reference_pickands(alpha_loc, 3.0, n_paths, 64, 5))
 
 
 @pytest.mark.parametrize("n_paths,workers", SIZES)
@@ -89,7 +97,7 @@ def test_econst_matches_the_reference_loop(process, H, n_paths, workers):
             econst_estimate(process, 1.5, 1.2, **kwargs)
         return
     est = econst_estimate(process, 1.5, 1.2, **kwargs)
-    assert (est.value, est.ci_lo, est.ci_hi) == ref
+    assert _matches(est, ref)
 
 
 @pytest.mark.parametrize("n_paths,workers", SIZES)
@@ -139,6 +147,12 @@ def test_inputs_are_checked_before_the_first_path(monkeypatch, call, message):
         call()
 
 
+def _interval(values):
+    with np.errstate(over="ignore"):  # the squares' direct sum overflows, and is retaken
+        sums = _sums(np.array(values), centered=True)
+    return _mean_interval(sums, len(values), "m", centered=True)
+
+
 @pytest.mark.parametrize("values", [
     [1.9e-301, 2.1e-301], [-3e-300, 5e-300, 1e-300], [1e-200, -1e-200, 2e-200, 5e-201],
 ])
@@ -146,32 +160,35 @@ def test_a_spread_whose_squares_underflow_still_backs_an_interval(values):
     # Every squared deviation is below the smallest double, so the plain sd
     # is 0; statistics.stdev sums the squares exactly.
     assert np.std(values, ddof=1) == 0.0
-    est = estimators._mean_estimate(np.array(values), "m", T=1.0, n_steps=1, seed=0)
+    value, lo, hi, _ = _interval(values)
     half = _Z95 * statistics.stdev(values) / math.sqrt(len(values))
-    assert est.value == float(np.mean(values))
-    assert est.ci_hi - est.value == pytest.approx(half, rel=1e-12)
-    assert est.value - est.ci_lo == pytest.approx(half, rel=1e-12)
+    assert value == float(np.mean(values)) and lo < value < hi
+    assert hi - value == pytest.approx(half, rel=1e-12)
+    assert value - lo == pytest.approx(half, rel=1e-12)
 
 
 @pytest.mark.parametrize("values", [[1e300, 1.5e300], [1e308, -1e308, 1e308]])
 def test_a_spread_whose_squares_overflow_still_backs_an_interval(values):
     # The squared deviations (or z times the sd) overflow, yet the mean and
     # the half-width fit in a double.
-    est = estimators._mean_estimate(np.array(values), "m", T=1.0, n_steps=1, seed=0)
+    value, lo, hi, _ = _interval(values)
     half = _Z95 * (statistics.stdev(values) / math.sqrt(len(values)))
-    assert est.value == float(np.mean(values))
-    assert est.ci_hi - est.value == pytest.approx(half, rel=1e-12)
-    assert est.value - est.ci_lo == pytest.approx(half, rel=1e-12)
+    assert value == float(np.mean(values))
+    assert hi - value == pytest.approx(half, rel=1e-12)
+    assert value - lo == pytest.approx(half, rel=1e-12)
 
 
 def test_a_half_width_beyond_the_doubles_is_refused():
+    assert _interval([1.7e308, -1.7e308])[1] == -math.inf
     with pytest.raises(DomainError, match="ci_lo is not a finite double"):
-        estimators._mean_estimate(np.array([1.7e308, -1.7e308]), "m", T=1.0, n_steps=1, seed=0)
+        estimators._path_mean(np.array([1.7e308, -1.7e308]), "m", T=1.0, n_steps=1, seed=0)
 
 
 def test_a_half_width_below_the_doubles_is_still_refused():
     # The values differ in their last bit, and the half-width is below
     # the smallest subnormal.
     values = np.array([5e-324, 5e-324, 5e-324, 1e-323] + [5e-324] * 60)
+    value, lo, hi, _ = _interval(values)
+    assert lo == value == hi
     with pytest.raises(DomainError, match="the spread of 64 paths .* underflows"):
-        estimators._mean_estimate(values, "m", T=1.0, n_steps=1, seed=0)
+        estimators._path_mean(values, "m", T=1.0, n_steps=1, seed=0)

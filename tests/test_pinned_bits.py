@@ -7,7 +7,9 @@ float64 bytes.  The pins were recorded before the samplers, the law end
 masks and the estimators wrote into arrays they own.  The sampler pins draw
 from Philox generators built here, the streams they were recorded on, so
 they pin the sampler arithmetic whatever generator ``block_rng`` builds;
-the stream pins and the estimate pins pin ``block_rng`` itself.
+the stream pins and the estimate pins pin ``block_rng`` itself.  The
+path-mean pins were recorded before the path means and the conditional
+levels shared one interval statistic.
 """
 
 import hashlib
@@ -76,6 +78,18 @@ def estimate_digest(estimator, op, workers):
     return digest([[e.u, e.p_hat, e.ci_lo, e.ci_hi] for e in ests])
 
 
+def path_mean_digest(estimator, workers):
+    return digest([PATH_MEANS[estimator](workers).value])
+
+# Path means at 64 paths x 2**8 steps.
+PATH_MEANS = {
+    "pickands_estimate": lambda workers: gp.pickands_estimate(
+        1.4, 4.0, 64, 1 << 8, seed=41, workers=workers),
+    "econst_estimate": lambda workers: gp.econst_estimate(
+        "fbm", 1.0, 1.0, 10.0, 64, 1 << 8, seed=41, H=0.7, workers=workers),
+}
+
+
 SAMPLES = {
     "weibull(1,2)": "39bd7e96e86b7f62",
     "weibull(0.5,3)": "6f7062396b30b4cc",
@@ -135,6 +149,10 @@ ESTIMATE_PINS = {
     ("conditional_sf", "sum"): "839caba66face41c",
     ("conditional_sf", "product"): "13f720a58c720796",
 }
+PATH_MEAN_PINS = {
+    "pickands_estimate": "6de7426839bc942b",
+    "econst_estimate": "253601ad9012e2b4",
+}
 
 
 @pytest.mark.parametrize("name", list(LAWS))
@@ -163,3 +181,9 @@ def test_law_values_keep_their_pinned_bits(name):
 @pytest.mark.parametrize("estimator", ["estimate_sf", "conditional_sf"])
 def test_tail_estimates_keep_their_pinned_bits(estimator, op, workers):
     assert estimate_digest(estimator, op, workers) == ESTIMATE_PINS[estimator, op]
+
+
+@pytest.mark.parametrize("workers", [1, None])
+@pytest.mark.parametrize("estimator", list(PATH_MEANS))
+def test_path_means_keep_their_pinned_bits(estimator, workers):
+    assert path_mean_digest(estimator, workers) == PATH_MEAN_PINS[estimator]

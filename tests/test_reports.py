@@ -84,7 +84,8 @@ def test_a_one_level_table_is_judged_by_the_ratio_window(validate):
 
 def test_slow_fixture_reports_its_own_name(monkeypatch, validate):
     def exact_estimates(grid, n_paths, **kwargs):
-        return [TailEstimate(u, math.exp(-2.0 * u), 0.0, 1.0, n_paths, "direct") for u in grid]
+        return [TailEstimate(u, math.exp(-2.0 * u), 0.0, 1.0, n_paths, "direct",
+                             float(n_paths)) for u in grid]
 
     monkeypatch.setattr(gp, "sup_exceedance_mc", exact_estimates)
     data = _check_report(run_gp_fixture(SLOW_GP_FIXTURE), validate)
