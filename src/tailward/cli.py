@@ -256,16 +256,16 @@ def _cmd_gp_verify(args) -> int:
 
 
 def _cmd_gp_fbm(args) -> int:
-    import numpy as np
-
-    from .gp_extremes import fbm_path, paths_to_csv, write_paths_binary
-    from .montecarlo import block_rng
+    from .gp_extremes.estimators import _path_values
+    from .gp_extremes.fbm import _check_grid, fbm_path, paths_to_csv, write_paths_binary
 
     if args.paths < 1:
         raise SpecError(f"need --paths >= 1, got {args.paths}")
-    # Each path is copied out of its 4n+2 workspace, which is then freed.
-    paths = np.array([fbm_path(args.H, args.steps, args.T, block_rng(args.seed, i)).copy()
-                      for i in range(args.paths)])
+    _check_grid(args.H, args.steps, args.T)  # before a workspace is sized from --steps
+    # Path i is the path a path estimate draws for index i.
+    paths = _path_values(
+        lambda rng, work: fbm_path(args.H, args.steps, args.T, rng, work).copy(),
+        args.paths, args.seed, args.steps, None)
     fmt = args.format
     if fmt == "auto":
         fmt = "csv" if args.out.endswith(".csv") else "bin"

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, SpecError, as_double
-from ..montecarlo import (TailEstimate, _mean_interval, _ordered_map, _sums, _wilson_table,
-                          block_rng)
+from ..montecarlo import TailEstimate, _map_blocks, _mean_interval, _sums, _wilson_table
 from ..tail_model import DistributionModel
 from .fbm import _check_grid, _work_size, fbm_path, two_sided_path
 
@@ -74,25 +73,24 @@ def _check_paths(n_paths: int, least: int) -> None:
         raise SpecError(f"need n_paths >= {least}, got {n_paths}")
 
 
-_CHUNK = 64  # paths per workspace and per task of the map
+# Paths per chunk, which is one stream, one workspace and one task of the map.
+_CHUNK = 64  # it keys the streams, so it is part of every path estimate's bits
 
 
 def _path_values(per_path, n_paths: int, seed: int, n_steps: int, workers: int | None):
     """Ordered map of a per-path functional; returns the sample values.
 
-    ``per_path(rng, work)`` gets path i's own stream, ``block_rng(seed, i)``
-    by the stream rule of :mod:`tailward.montecarlo`, and a float64
-    workspace of ``_work_size(n_steps)`` entries.  Each chunk of paths owns
-    one workspace: per_path may overwrite it freely, and nothing in it
-    outlives the call, because the next path of the chunk reuses it.  A
-    chunk has no stream of its own: only its paths draw.
+    Chunk c draws paths 64c ... 64c + 63 one after another from stream
+    ``block_rng(seed, c)``, the rule of :mod:`tailward.montecarlo`:
+    ``per_path(rng, work)`` gets that stream, moved on by the chunk's paths
+    before it, and the chunk's float64 workspace of ``_work_size(n_steps)``
+    entries, which it may overwrite freely: nothing in it outlives the call.
     """
-    def run(c: int) -> np.ndarray:
+    def run(rng, start: int, count: int) -> np.ndarray:
         work = np.empty(_work_size(n_steps))
-        paths = range(c * _CHUNK, min((c + 1) * _CHUNK, n_paths))
-        return np.array([per_path(block_rng(seed, i), work) for i in paths])
+        return np.array([per_path(rng, work) for _ in range(count)])
 
-    return np.concatenate(_ordered_map(run, -(-n_paths // _CHUNK), workers))
+    return np.concatenate(_map_blocks(run, n_paths, _CHUNK, seed, workers))
 
 
 def _path_mean(values: np.ndarray, method: str, **fields) -> McEstimate:
@@ -243,9 +241,10 @@ def sup_exceedance_mc(
 ) -> list[TailEstimate]:
     """Empirical P(sup_t (X(t) - eta*t**beta - zeta) > u) on a u-grid.
 
-    The trend slope eta may be a constant or a distribution, drawn after
-    the path from the path's stream.  Grid suprema under-sample the
-    continuous supremum: the bias is one-sided (empirical <= truth).
+    The trend slope eta may be a constant or a law.  A path draws its noise,
+    then its slope (if eta is a law), then its offset (if zeta is given),
+    from its chunk's stream.  Grid suprema under-sample the continuous
+    supremum: the bias is one-sided (empirical <= truth).
     """
     hurst = _hurst(process, H)
     _check_grid(hurst, n_steps, T)

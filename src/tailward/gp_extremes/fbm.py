@@ -4,7 +4,8 @@ Paths are generated by circulant embedding of the increment covariance,
 one half-spectrum real FFT per path.  The circulant spectrum of fGn is
 nonnegative for every H in (0, 1) (Craigmile 2003), so the embedding is
 exact: round-off negatives are clipped, and a spectrum below the floor
-raises EmbeddingFailure.  Path streams follow :mod:`tailward.montecarlo`.
+raises EmbeddingFailure.  Path streams follow :mod:`tailward.montecarlo`:
+chunk c of 64 paths draws them one after another from stream (seed, c).
 
 A path's transform needs one buffer of 4n+2 floats.  A caller that draws
 many paths passes one such buffer as ``work`` and gets each path back as a

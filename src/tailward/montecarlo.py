@@ -2,8 +2,8 @@
 
 The one stream rule: stream (seed, index) is an SFC64 generator seeded by
 child ``index`` of ``SeedSequence(seed)``, numpy's pattern for parallel
-streams.  ``_map_blocks`` cuts the draws into blocks, block b draws from
-stream (seed, b), and a path estimator draws path i from stream (seed, i).
+streams.  ``_map_blocks`` cuts the work into blocks, and block b draws from
+stream (seed, b): a block of tail draws, or a chunk of paths one after another.
 Results come back in block order, so output is bitwise identical for any
 worker count.  A map runs on min(blocks, requested count, CPUs the process
 may use, TAILWARD_THREADS) threads; a count of None requests every CPU.
@@ -54,8 +54,9 @@ def check_seed(seed: int) -> int:
 def block_rng(seed: int, index: int) -> np.random.Generator:
     """Stream (seed, index): SFC64 seeded by child ``index`` of SeedSequence(seed).
 
-    The seed enters as exactly two uint32 words, so no (seed, index) pair
-    spells another's entropy: ``SeedSequence([seed, index])`` would give
+    Block ``index`` of every map draws from it, tail draws or a chunk's paths
+    in turn.  The seed enters as exactly two uint32 words, so no (seed, index)
+    pair spells another's entropy: ``SeedSequence([seed, index])`` would give
     (5 * 2**32 + 1, 7) and (1, 7 * 2**32 + 5) the same words.  SeedSequence
     pads the entropy of a spawned child to four words, so the two words
     give the child of ``SeedSequence(seed)`` for a seed below 2**32 too.
@@ -85,26 +86,23 @@ def resolve_workers(requested: int | None) -> int:
     return workers
 
 
-def _ordered_map(run, count: int, workers: int | None) -> list:
-    """[run(i) for i in range(count)] on min(count, resolve_workers(workers)) threads."""
-    workers = min(count, resolve_workers(workers))
-    if workers <= 1:
-        return [run(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(count)))
-
-
 def _map_blocks(fn, n: int, size: int, seed: int, workers: int | None) -> list:
     """[fn(rng, start, count) for each block of n units], in block order.
 
     Block b holds count = min(size, n - start) units from start = b * size
-    and draws from block_rng(seed, b).
+    and draws from block_rng(seed, b).  The blocks run on min(blocks,
+    resolve_workers(workers)) threads.
     """
     def run(b: int):
         start = b * size
         return fn(block_rng(seed, b), start, min(size, n - start))
 
-    return _ordered_map(run, -(-n // size), workers)
+    blocks = -(-n // size)
+    workers = min(blocks, resolve_workers(workers))
+    if workers <= 1:
+        return [run(b) for b in range(blocks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(blocks)))
 
 
 @dataclass(frozen=True)

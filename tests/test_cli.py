@@ -11,12 +11,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tailward as tw
 from tailward import asymptotic_engine, cli, errors
 from tailward import gp_extremes as gp
 from tailward.errors import QuadratureFailure
+from tailward.montecarlo import block_rng
 from tailward.reports import FIXTURES, GP_FIXTURES
 
 
@@ -387,6 +389,37 @@ def test_gp_fbm_without_paths_exits_two_and_writes_nothing(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", [None, "1", "2"])
+def test_gp_fbm_path_i_is_the_path_an_estimate_draws_for_index_i(capsys, monkeypatch, tmp_path,
+                                                               threads):
+    # Dumps once drew path i from stream (seed, i) of its own.  130 paths
+    # fill two chunks of 64 and two paths of a third, at any thread count.
+    if threads is None:
+        monkeypatch.delenv("TAILWARD_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("TAILWARD_THREADS", threads)
+    out = tmp_path / "paths.fbm"
+    code, _, err = _run(capsys, "gp", "fbm", "--H", "0.7", "--steps", "16", "--T", "2",
+                        "--paths", "130", "--seed", "17", "--out", str(out))
+    assert code == cli.EXIT_OK and err == ""
+    drawn = []
+
+    def spy(H, n, T, rng, work=None):
+        path = gp.fbm_path(H, n, T, rng, work)
+        drawn.append(path.copy())
+        return path
+
+    monkeypatch.setattr(gp.estimators, "fbm_path", spy)
+    gp.econst_estimate("fbm", 1.0, 1.0, 2.0, 130, 16, seed=17, H=0.7, workers=1)
+    H, T, dumped = gp.read_paths_binary(out)
+    assert (H, T, dumped.shape) == (0.7, 2.0, (130, 17))
+    assert dumped.tobytes() == np.array(drawn).tobytes()
+    # The last two paths are the first two draws of stream (17, 2).
+    rng = block_rng(17, 2)
+    assert dumped[128:].tobytes() == np.array([gp.fbm_path(0.7, 16, 2.0, rng)
+                                               for _ in range(2)]).tobytes()
+
+
 def test_gp_tail_reads_a_long_inline_model_and_a_model_file(capsys, tmp_path):
     model = {"preset": "bm", "eta": {"delta": 0.5, "C": 1.0, "mu": 1.0},
              "zeta": {"C": 1.0, "gamma": 3.0}, "note": "x" * 300}
@@ -636,7 +669,10 @@ def test_every_extreme_input_answers_or_refuses(capsys, validate, tmp_path, comm
      "sup_integral_ratio estimate: all 2 paths gave 4e-08; no interval backs it"),
     # The two paths differ, but their squared deviations underflow.
     (("econst", "--H", "0.999", "--alpha", "1", "--beta", "1",
-      "--T", "1e-300"), None),
+      "--T", "1e-300", "--seed", "1"), None),
+    # At seed 0 both paths stay at or below 0: both ratios are 0.
+    (("econst", "--H", "0.999", "--alpha", "1", "--beta", "1",
+      "--T", "1e-300"), "path_supremum estimate: all 2 paths gave 0.0; no interval backs it"),
     (("pickands", "--alpha", "1e-8", "--T", "1e300"), None),
 ])
 def test_gp_estimator_sweep_findings_answer_or_refuse(capsys, validate, tmp_path, argv, message):
@@ -644,7 +680,8 @@ def test_gp_estimator_sweep_findings_answer_or_refuse(capsys, validate, tmp_path
     # zero-width interval at 0; "value": NaN with exit 0; a nan/inf path
     # file with exit 0; an overflow warning, later a refusal of an interval
     # that fits; two more zero-width intervals; two refusals of paths that
-    # differ.
+    # differ (the H = 0.999 row at seed 1, and the last row).  The H = 0.999
+    # row's seed-0 refusal is right: both of its paths give 0.
     out = tmp_path / "p.csv"
     argv = ("gp",) + tuple(str(out) if a == "OUT" else a for a in argv)
     if argv[1] != "fbm":

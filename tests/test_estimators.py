@@ -5,6 +5,7 @@ import statistics
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import tailward as tw
 from tailward.errors import DomainError, SpecError
@@ -19,10 +20,18 @@ from tailward.gp_extremes import (
 from tailward.gp_extremes import estimators
 from tailward.montecarlo import _Z95, _mean_interval, _sums, block_rng, wilson_interval
 
-# Each reference draws path i from a fresh block_rng(seed, i) into a fresh
-# array, exactly as the estimators did before they reused one workspace and
-# one generator per chunk of paths.  Its interval is mean +- z * sd / sqrt(n)
-# with the sd of numpy's two-pass std(ddof=1).
+# Each reference draws its paths one after another from each chunk's stream,
+# block_rng(seed, c) for paths 64c ... 64c + 63, into fresh arrays where the
+# estimators reuse one workspace per chunk.  Its interval is
+# mean +- z * sd / sqrt(n) with the sd of numpy's two-pass std(ddof=1).
+
+
+def _path_streams(seed, n_paths):
+    """Path i's generator: chunk i // 64's stream, moved on by the paths before it."""
+    for c in range(math.ceil(n_paths / 64)):
+        rng = block_rng(seed, c)
+        for _ in range(min(64, n_paths - 64 * c)):
+            yield rng
 
 
 def _reference_pickands(alpha_loc, T, n_paths, n_steps, seed):
@@ -33,8 +42,8 @@ def _reference_pickands(alpha_loc, T, n_paths, n_steps, seed):
     w_trap = np.full(t.shape, dt)
     w_trap[0] = w_trap[-1] = dt / 2.0
     ratios = []
-    for i in range(n_paths):
-        base = fbm_path(H, 2 * n_steps, 2 * T, block_rng(seed, i))
+    for rng in _path_streams(seed, n_paths):
+        base = fbm_path(H, 2 * n_steps, 2 * T, rng)
         z = math.sqrt(2.0) * (base - base[n_steps]) - drift
         ratios.append(1.0 / float(np.sum(w_trap * np.exp(z - z.max()))))
     return _normal_interval(np.array(ratios))
@@ -43,8 +52,8 @@ def _reference_pickands(alpha_loc, T, n_paths, n_steps, seed):
 def _reference_econst(hurst, alpha, beta, T, n_paths, n_steps, seed):
     denom = 1.0 + np.linspace(0.0, T, n_steps + 1) ** beta
     vals = np.array([
-        max(float(np.max(fbm_path(hurst, n_steps, T, block_rng(seed, i)) / denom)), 0.0) ** alpha
-        for i in range(n_paths)
+        max(float(np.max(fbm_path(hurst, n_steps, T, rng) / denom)), 0.0) ** alpha
+        for rng in _path_streams(seed, n_paths)
     ])
     return _normal_interval(vals)
 
@@ -64,13 +73,28 @@ def _matches(est, ref):
 def _reference_sup(u_grid, T, n_steps, n_paths, seed, beta, eta, zeta, hurst):
     t_pow = np.linspace(0.0, T, n_steps + 1) ** beta
     counts = np.zeros(len(u_grid), dtype=int)
-    for i in range(n_paths):
-        rng = block_rng(seed, i)
+    for rng in _path_streams(seed, n_paths):
         path = fbm_path(hurst, n_steps, T, rng)
         slope = eta if isinstance(eta, (int, float)) else float(eta.sample(rng))
         offset = 0.0 if zeta is None else float(zeta.sample(rng))
         counts += float(np.max(path - slope * t_pow)) - offset > np.asarray(u_grid)
     return [(k / n_paths, *wilson_interval(int(k), n_paths)) for k in counts]
+
+
+@pytest.mark.parametrize("H", [0.5, 0.7])
+def test_paths_drawn_in_turn_from_one_stream_are_independent(H):
+    # 4,096 paths of 16 steps: 64 chunks, each drawing its 64 paths one
+    # after another from its own stream.  Paths j and j + 1 of a chunk must
+    # be uncorrelated, and the ends B_H(T) must have variance T**2H.
+    T, n = 2.0, 4096
+    ends = estimators._path_values(lambda rng, work: fbm_path(H, 16, T, rng, work)[-1],
+                                   n, 23, 16, 1)
+    chunks = ends.reshape(64, 64)
+    r = np.corrcoef(chunks[:, :-1].ravel(), chunks[:, 1:].ravel())[0, 1]
+    assert abs(r) < 4.0 / math.sqrt(n)
+    # (n - 1) s**2 / T**2H is chi-square with n - 1 degrees of freedom.
+    band = stats.chi2.ppf([0.0005, 0.9995], n - 1) / (n - 1) * T ** (2 * H)
+    assert band[0] < ends.var(ddof=1) < band[1]
 
 
 # workers=None is the default: one thread per available CPU.

@@ -383,9 +383,10 @@ def test_seed_and_index_words_never_run_together():
 
 @pytest.mark.parametrize("workers", [1, 2, None])
 @pytest.mark.parametrize("estimator", ["pickands", "econst", "sup"])
-def test_path_i_draws_the_stream_seed_i(monkeypatch, estimator, workers):
-    # Paths 63, 64 and 65 sit on both sides of the first chunk edge.  Every
-    # path estimator draws a path first, from a generator no draw has moved.
+def test_path_i_is_draw_i_mod_64_of_its_chunks_stream(monkeypatch, estimator, workers):
+    # 66 paths cross the first chunk edge.  Path i starts where path i - 1
+    # of its chunk left block_rng(seed, i // 64), or at that stream's start
+    # for i mod 64 = 0.
     seed, n_paths, n_steps = 2 ** 63 + 7, 66, 32
     drawn = {}  # the generator's state at the path's start -> the path drawn
 
@@ -413,16 +414,19 @@ def test_path_i_draws_the_stream_seed_i(monkeypatch, estimator, workers):
     }[estimator]
     run()
     assert len(drawn) == n_paths
-    for i in (63, 64, 65):
-        start = repr(block_rng(seed, i).bit_generator.state)
-        assert len(drawn[start]) == 1
-        assert np.array_equal(drawn[start][0], reference(block_rng(seed, i)))
+    for c in range(2):
+        rng = block_rng(seed, c)
+        for _ in range(min(64, n_paths - 64 * c)):
+            start = repr(rng.bit_generator.state)
+            assert len(drawn[start]) == 1
+            assert np.array_equal(drawn[start][0], reference(rng))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("estimator", ["pickands", "econst", "sup"])
-def test_a_path_estimate_keys_one_stream_per_path(monkeypatch, estimator, workers):
-    # A chunk of 64 paths once also keyed a stream of its own, unused.
+def test_a_path_estimate_keys_one_stream_per_chunk(monkeypatch, estimator, workers):
+    # Path i once keyed stream (seed, i) of its own, and before that each
+    # chunk of 64 paths also keyed one it never drew from.
     calls = []
 
     def counted(seed, index):
@@ -430,14 +434,13 @@ def test_a_path_estimate_keys_one_stream_per_path(monkeypatch, estimator, worker
         return block_rng(seed, index)
 
     monkeypatch.setattr(montecarlo, "block_rng", counted)
-    monkeypatch.setattr(gp.estimators, "block_rng", counted)
     n_paths = 130
     {"pickands": lambda: gp.pickands_estimate(1.4, 2.0, n_paths, 16, seed=3, workers=workers),
      "econst": lambda: gp.econst_estimate("fbm", 1.0, 1.0, 2.0, n_paths, 16, seed=3, H=0.3,
                                           workers=workers),
      "sup": lambda: gp.sup_exceedance_mc([0.5], 2.0, 16, n_paths, 3, workers=workers),
      }[estimator]()
-    assert sorted(calls) == list(range(n_paths))
+    assert sorted(calls) == list(range(math.ceil(n_paths / 64)))
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 29])
@@ -475,12 +478,12 @@ def test_only_montecarlo_constructs_a_generator():
                   for node, name in _called_names(ast.parse(path.read_text()))
                   if name in makers]
     assert found == []
-    # Inside montecarlo, the one pool is the ordered map's, which the stream
-    # map and the path map share.
+    # Inside montecarlo, the one pool is the block map's, which the tail
+    # estimators and the path estimators share.
     module = ast.parse((src / "montecarlo.py").read_text())
     pools = [fn.name for fn in module.body if isinstance(fn, ast.FunctionDef)
              for _, name in _called_names(fn) if name == "ThreadPoolExecutor"]
-    assert pools == ["_ordered_map"]
+    assert pools == ["_map_blocks"]
 
 
 def test_resolve_workers_honors_env_cap(monkeypatch):

@@ -8,8 +8,8 @@ masks and the estimators wrote into arrays they own.  The sampler pins draw
 from Philox generators built here, the streams they were recorded on, so
 they pin the sampler arithmetic whatever generator ``block_rng`` builds;
 the stream pins and the estimate pins pin ``block_rng`` itself.  The
-path-mean pins were recorded before the path means and the conditional
-levels shared one interval statistic.
+path-mean pins were re-recorded when chunk c of a path estimate came to
+draw its 64 paths one after another from ``block_rng(seed, c)``.
 """
 
 import hashlib
@@ -78,15 +78,16 @@ def estimate_digest(estimator, op, workers):
     return digest([[e.u, e.p_hat, e.ci_lo, e.ci_hi] for e in ests])
 
 
-def path_mean_digest(estimator, workers):
-    return digest([PATH_MEANS[estimator](workers).value])
+def path_mean_digest(estimator, workers, n_paths=64):
+    return digest([PATH_MEANS[estimator](n_paths, workers).value])
 
-# Path means at 64 paths x 2**8 steps.
+# Path means at 2**8 steps: one chunk of 64 paths, or 130 paths in three
+# chunks, the last holding two.
 PATH_MEANS = {
-    "pickands_estimate": lambda workers: gp.pickands_estimate(
-        1.4, 4.0, 64, 1 << 8, seed=41, workers=workers),
-    "econst_estimate": lambda workers: gp.econst_estimate(
-        "fbm", 1.0, 1.0, 10.0, 64, 1 << 8, seed=41, H=0.7, workers=workers),
+    "pickands_estimate": lambda n_paths, workers: gp.pickands_estimate(
+        1.4, 4.0, n_paths, 1 << 8, seed=41, workers=workers),
+    "econst_estimate": lambda n_paths, workers: gp.econst_estimate(
+        "fbm", 1.0, 1.0, 10.0, n_paths, 1 << 8, seed=41, H=0.7, workers=workers),
 }
 
 
@@ -150,8 +151,12 @@ ESTIMATE_PINS = {
     ("conditional_sf", "product"): "13f720a58c720796",
 }
 PATH_MEAN_PINS = {
-    "pickands_estimate": "6de7426839bc942b",
-    "econst_estimate": "253601ad9012e2b4",
+    "pickands_estimate": "3fd154d35e9ec77f",
+    "econst_estimate": "3a68605353ab9e25",
+}
+PATH_MEAN_PINS_130 = {
+    "pickands_estimate": "b6deb8108f1bdfc7",
+    "econst_estimate": "59f82e8a3c725017",
 }
 
 
@@ -187,3 +192,9 @@ def test_tail_estimates_keep_their_pinned_bits(estimator, op, workers):
 @pytest.mark.parametrize("estimator", list(PATH_MEANS))
 def test_path_means_keep_their_pinned_bits(estimator, workers):
     assert path_mean_digest(estimator, workers) == PATH_MEAN_PINS[estimator]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("estimator", list(PATH_MEANS))
+def test_path_means_over_three_chunks_keep_their_pinned_bits(estimator, workers):
+    assert path_mean_digest(estimator, workers, n_paths=130) == PATH_MEAN_PINS_130[estimator]
