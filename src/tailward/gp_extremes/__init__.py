@@ -11,7 +11,6 @@ from .fbm import (
     fbm_path,
     paths_to_csv,
     read_paths_binary,
-    two_sided_path,
     write_paths_binary,
 )
 from .trend import (
@@ -38,7 +37,6 @@ __all__ = [
     "fbm_path",
     "paths_to_csv",
     "read_paths_binary",
-    "two_sided_path",
     "write_paths_binary",
     "EtaSpec",
     "TrendConstants",

@@ -26,14 +26,17 @@ ESS, backs no interval and is refused.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DomainError, SpecError, as_double
-from ..montecarlo import TailEstimate, _map_blocks, _mean_interval, _sums, _wilson_table
+from ..montecarlo import (
+    TailEstimate, _levels, _map_blocks, _mean_interval, _sums, _wilson_table,
+)
 from ..tail_model import DistributionModel
-from .fbm import _check_grid, _work_size, fbm_path, two_sided_path
+from .fbm import _check_grid, _work_size, fbm_path
 
 __all__ = [
     "McEstimate",
@@ -122,6 +125,21 @@ def _hurst(process: str, H: float) -> float:
     return 0.5
 
 
+def _slope(eta):
+    """A law as it is, a real number as a finite float; anything else is a SpecError."""
+    if isinstance(eta, DistributionModel):
+        return eta
+    if not isinstance(eta, numbers.Real):
+        raise SpecError(f"slope eta must be a real number or a law, got {eta!r}")
+    try:
+        slope = float(eta)
+    except OverflowError:  # an int beyond the doubles
+        slope = math.inf
+    if not math.isfinite(slope):
+        raise SpecError(f"slope eta must be finite, got {eta!r}")
+    return slope
+
+
 def pickands_estimate(
     alpha_loc: float,
     T: float,
@@ -142,24 +160,25 @@ def pickands_estimate(
     _check_grid(H, n_steps, T)
     _check_paths(n_paths, 2)
     dt = T / n_steps
-    t = np.linspace(-T, T, 2 * n_steps + 1)
     with np.errstate(over="ignore"):  # an infinite drift weighs exp(-inf) = 0
-        drift = np.abs(t) ** alpha_loc
+        drift = np.abs(np.linspace(-T, T, 2 * n_steps + 1)) ** alpha_loc
         omitted = math.exp(-(np.float64(T) ** alpha_loc))
     sqrt2 = math.sqrt(2.0)
     # Trapezoid weights for the denominator integral.
-    w_trap = np.full(t.shape, dt)
+    w_trap = np.full(drift.shape, dt)
     w_trap[0] = w_trap[-1] = dt / 2.0
 
     def per_path(rng, work) -> float:
-        # z = sqrt2 * b - drift, then sum(w_trap * exp(z - max z)), in place.
-        z = two_sided_path(H, n_steps, T, rng, work)
+        # The ratio does not change when z moves by a constant, so the path
+        # on [0, 2T] stands for B_H on [-T, T] (stationary increments) and
+        # is not pinned to 0 at t = 0.  z = sqrt2 * b - drift, then the
+        # trapezoid sum of exp(z - max z), in place.
+        z = fbm_path(H, 2 * n_steps, 2 * T, rng, work)
         z *= sqrt2
         z -= drift
         z -= z.max()
         np.exp(z, out=z)
-        z *= w_trap
-        total = float(np.sum(z))
+        total = float(np.dot(z, w_trap))
         return 1.0 / total if total > 0.0 else math.inf
 
     ratios = _path_values(per_path, n_paths, seed, 2 * n_steps, workers)
@@ -201,9 +220,8 @@ def econst_estimate(
         )
     _check_grid(hurst, n_steps, T)
     _check_paths(n_paths, 2)
-    t = np.linspace(0.0, T, n_steps + 1)
     with np.errstate(over="ignore"):  # an infinite denominator gives ratio 0
-        denom = 1.0 + t ** beta
+        denom = 1.0 + np.linspace(0.0, T, n_steps + 1) ** beta
 
     def per_path(rng, work) -> float:
         path = fbm_path(hurst, n_steps, T, rng, work)
@@ -241,25 +259,35 @@ def sup_exceedance_mc(
 ) -> list[TailEstimate]:
     """Empirical P(sup_t (X(t) - eta*t**beta - zeta) > u) on a u-grid.
 
-    The trend slope eta may be a constant or a law.  A path draws its noise,
-    then its slope (if eta is a law), then its offset (if zeta is given),
-    from its chunk's stream.  Grid suprema under-sample the continuous
-    supremum: the bias is one-sided (empirical <= truth).
+    The trend slope eta may be a finite real number or a law, and beta is
+    positive and finite; anything else, or a NaN level, is a SpecError
+    before the first path.  A path draws its noise, then its slope (if eta
+    is a law), then its offset (if zeta is given), from its chunk's stream.
+    Grid suprema under-sample the continuous supremum: the bias is
+    one-sided (empirical <= truth).
     """
     hurst = _hurst(process, H)
     _check_grid(hurst, n_steps, T)
     _check_paths(n_paths, 1)
-    u_grid = np.asarray(list(u_grid), dtype=float)
-    t = np.linspace(0.0, T, n_steps + 1)
-    t_pow = t ** beta
+    if not 0 < beta < math.inf:
+        raise SpecError(f"beta must be positive and finite, got {beta}")
+    slope = _slope(eta)
+    u_grid = _levels(u_grid)
+    t_pow = np.linspace(0.0, T, n_steps + 1) ** beta
+    # A number's trend is one array for every path, t_pow scaled in place;
+    # a law's is drawn per path.
+    trend = (None if isinstance(slope, DistributionModel)
+             else np.multiply(t_pow, slope, out=t_pow))
 
     def per_path(rng, work) -> np.ndarray:
         path = fbm_path(hurst, n_steps, T, rng, work)
-        slope = eta if isinstance(eta, (int, float)) else float(eta.sample(rng))
+        drift = trend
+        if drift is None:
+            # slope * t_pow for a drawn slope, in the workspace past the path.
+            drift = np.multiply(t_pow, float(slope.sample(rng)),
+                                out=work[n_steps + 1: 2 * n_steps + 2])
         offset = 0.0 if zeta is None else float(zeta.sample(rng))
-        # path - slope * t_pow, with the trend in the workspace past the path.
-        trend = np.multiply(t_pow, slope, out=work[n_steps + 1: 2 * n_steps + 2])
-        sup = float(np.max(np.subtract(path, trend, out=path))) - offset
+        sup = float(np.max(np.subtract(path, drift, out=path))) - offset
         return sup > u_grid
 
     flags = _path_values(per_path, n_paths, seed, n_steps, workers)

@@ -1,16 +1,32 @@
 """Exact-in-distribution fractional Brownian motion on regular grids.
 
-Paths are generated by circulant embedding of the increment covariance,
-one half-spectrum real FFT per path.  The circulant spectrum of fGn is
-nonnegative for every H in (0, 1) (Craigmile 2003), so the embedding is
-exact: round-off negatives are clipped, and a spectrum below the floor
-raises EmbeddingFailure.  Path streams follow :mod:`tailward.montecarlo`:
-chunk c of 64 paths draws them one after another from stream (seed, c).
+Paths are generated by circulant embedding of the increment covariance
+(Davies & Harte 1987; Wood & Chan 1994), one half-spectrum real FFT per
+path.  The circulant spectrum of fGn is nonnegative for every H in (0, 1)
+(Craigmile 2003), so the embedding is exact: round-off negatives are
+clipped, and a spectrum below the floor raises EmbeddingFailure.  Path
+streams follow :mod:`tailward.montecarlo`: chunk c of 64 paths draws them
+one after another from stream (seed, c).
 
-A path's transform needs one buffer of 4n+2 floats.  A caller that draws
-many paths passes one such buffer as ``work`` and gets each path back as a
-view of it, valid until the next call with the same buffer; without
-``work`` each path is a view of a buffer of its own.
+The transform sums the noise as it makes it.  With theta_k = pi k / n, the
+fGn at unit spacing is x_j = sum_k w_k exp(i theta_k j) over the 2n
+Hermitian entries of its spectrum w, and the geometric sum
+
+    sum_{j<J} exp(i theta j) = (exp(i theta J) - 1) / (exp(i theta) - 1)
+
+turns its prefix sums into W_0 J + y_J - y_0, where W_0 = w_0 is the
+increments' common mean and y is the transform of w_k / (exp(i theta_k) - 1)
+for k >= 1.  One cached table per (H, n) holds both factors, so a path is
+one multiply by it, one ``irfft`` and dt**H (W_0 J + y_J - y_0): no prefix
+sum.  H = 1/2 (white noise, no transform) sums its normals; H = 1 is a
+random slope.
+
+A path's workspace is one float64 buffer of 4n+2 entries: the path is
+work[:n+1], over the first 2n+2 floats, which first hold the n+1 complex
+entries of the spectrum, and the transform fills work[2n+2:].  A caller
+that draws many paths passes one such buffer as ``work`` and gets each path
+back as a view of it, valid until the next call with the same buffer;
+without ``work`` each path is a view of a buffer of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +41,6 @@ from ..errors import EmbeddingFailure, SpecError
 
 __all__ = [
     "fbm_path",
-    "two_sided_path",
     "write_paths_binary",
     "read_paths_binary",
     "paths_to_csv",
@@ -67,15 +82,22 @@ def _circulant_sqrt_spectrum(H: float, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _conjugating_scale(H: float, n: int) -> np.ndarray:
-    """Read-only (n+1, 2) table of [scale, -scale] rows.
+def _summing_spectrum(H: float, n: int) -> np.ndarray:
+    """Read-only (n+1)-point complex table: s_0, then s_k / (exp(i pi k/n) - 1).
 
-    One real multiply of the half spectrum's (re, im) pairs by it scales
-    them by ``_circulant_sqrt_spectrum(H, n)`` and conjugates them; it is
-    the one cached copy of that spectrum.
+    s is ``_circulant_sqrt_spectrum(H, n)``.  Multiplying a half spectrum of
+    normals by it scales entry 0 to the increments' common mean and turns
+    the transform of entries k >= 1 into the prefix sums of their noise, up
+    to the constant y_0.  1 / (exp(i t) - 1) = -(1 + i cot(t/2)) / 2, which
+    keeps its digits as t -> 0 and is -1/2 exactly at the real edge k = n.
     """
     scale = _circulant_sqrt_spectrum(H, n)
-    table = np.stack([scale, -scale], axis=1)
+    half_theta = 0.5 * np.pi / n * np.arange(1, n + 1)
+    table = np.empty(n + 1, dtype=complex)
+    table[0] = scale[0]
+    table[1:].real = -0.5 * scale[1:]
+    table[1:].imag = -0.5 * scale[1:] / np.tan(half_theta)
+    table[n] = -0.5 * scale[n]
     table.flags.writeable = False
     return table
 
@@ -97,63 +119,61 @@ def _check_grid(H: float, n_steps: int, T: float) -> None:
         raise SpecError(f"n_steps must be a power of two, got {n_steps}")
 
 
-def _fgn_unit(H: float, n: int, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
-    """n stationary fractional Gaussian noise values at unit spacing.
-
-    ``buf`` has ``_work_size(n)`` floats; the values are buf[2n+2 : 3n+2].
-    """
-    if H == 0.5:
-        return rng.standard_normal(out=buf[2 * n + 2: 3 * n + 2])
-    table = _conjugating_scale(H, n)
-    # One buffer holds the half spectrum w (n+1 complex) and the transform
-    # output (2n real).  Draw the two edge normals, then the (re, im) pairs
-    # of entries 1..n-1, into w.
-    w = buf[: 2 * n + 2].view(complex)
-    rng.standard_normal(out=buf[: 2 * n])
-    w[0], w[n] = buf[0], buf[1]  # the edge entries are real
-    # Scale and conjugate w in one real multiply of its (re, im) pairs:
-    # np.fft.hfft(w, 2n), the real FFT of w's Hermitian extension, minus
-    # hfft's conjugated copy of w.
-    pairs = buf[: 2 * n + 2].reshape(n + 1, 2)
-    np.multiply(pairs, table, out=pairs)
-    return np.fft.irfft(w, 2 * n, norm="forward", out=buf[2 * n + 2: 4 * n + 2])[:n]
-
-
 def fbm_path(
     H: float, n_steps: int, T: float, rng: np.random.Generator, work: np.ndarray | None = None,
 ) -> np.ndarray:
     """One path of B_H on the grid {k*T/n_steps}, length n_steps + 1.
 
-    The path is written to ``work`` (float64, at least 4*n_steps + 2 entries;
-    allocated when not given) as work[:n_steps + 1], and that view is returned.
+    For H in (0, 1) other than 1/2 the path is dt**H (W_0 J + y_J - y_0)
+    from one transform of the normals' half spectrum times
+    ``_summing_spectrum(H, n_steps)`` (see the module docstring); the 2n
+    normals are drawn as the two real edge entries, then the (re, im) pairs
+    of entries 1 ... n-1, and conjugated, the stream of a complex-FFT
+    circulant generator.  The path is written to ``work`` (a writable
+    C-contiguous float64 array of at least 4*n_steps + 2 entries, allocated
+    when not given; anything else is a SpecError) as work[:n_steps + 1],
+    and that view is returned.
     """
     _check_grid(H, n_steps, T)
-    work = np.empty(_work_size(n_steps)) if work is None else work
-    path = work[: n_steps + 1]
+    if work is None:
+        work = np.empty(_work_size(n_steps))
+    elif not (isinstance(work, np.ndarray) and work.ndim == 1 and work.flags.carray
+              and work.dtype == np.float64 and work.size >= _work_size(n_steps)):
+        # flags.carray: C-contiguous, aligned and writeable.
+        raise SpecError(
+            f"work must be a writable C-contiguous 1-D float64 array of at least "
+            f"{_work_size(n_steps)} entries for {n_steps} steps, got "
+            f"{getattr(work, 'dtype', type(work).__name__)} of shape {np.shape(work)}")
+    n = n_steps
+    path = work[: n + 1]
     if H == 1.0:
         # Covariance t*t': the path is a random slope through the origin.
         z = rng.standard_normal()
-        return np.multiply(np.linspace(0.0, T, n_steps + 1), z, out=path)
-    dt = T / n_steps
-    # The fGn lies past the path's entries, in the upper half of work.
-    fgn = _fgn_unit(H, n_steps, rng, work)
-    fgn *= dt ** H
-    path[0] = 0.0
-    np.cumsum(fgn, out=path[1:])
+        return np.multiply(np.linspace(0.0, T, n + 1), z, out=path)
+    dt_h = (T / n) ** H
+    if H == 0.5:
+        # White noise past the path's entries, summed into them.
+        noise = rng.standard_normal(out=work[2 * n + 2: 3 * n + 2])
+        noise *= dt_h
+        path[0] = 0.0
+        np.cumsum(noise, out=path[1:])
+        return path
+    table = _summing_spectrum(H, n)
+    # Draw the two real edge normals, then the (re, im) pairs of entries
+    # 1 ... n-1, into the half spectrum w; conjugate it and scale it.
+    w = work[: 2 * n + 2].view(complex)
+    rng.standard_normal(out=work[: 2 * n])
+    w[0], w[n] = work[0], work[1]
+    np.conjugate(w, out=w)
+    np.multiply(w, table, out=w)
+    w0 = w[0].real
+    y = np.fft.irfft(w, 2 * n, norm="forward", out=work[2 * n + 2: 4 * n + 2])[: n + 1]
+    # path = dt**H (W_0 J + y_J - y_0), over the spectrum's first half.
+    np.multiply(np.arange(n + 1.0), w0, out=path)
+    path += y
+    path -= y[0]
+    path *= dt_h
     return path
-
-
-def two_sided_path(
-    H: float, half_steps: int, T: float, rng: np.random.Generator, work: np.ndarray | None = None,
-) -> np.ndarray:
-    """B_H on {-T, ..., T} pinned to 0 at t=0, via increment stationarity.
-
-    Returns 2*half_steps + 1 values; entry half_steps is exactly 0.  ``work``
-    is as in ``fbm_path`` for 2*half_steps steps.
-    """
-    base = fbm_path(H, 2 * half_steps, 2 * T, rng, work)
-    base -= base[half_steps]
-    return base
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,14 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _levels(grid) -> np.ndarray:
+    """The levels of a u-grid as floats; a NaN level is a SpecError, before any draw."""
+    grid = np.asarray(list(grid), dtype=float)
+    if np.isnan(grid).any():
+        raise SpecError(f"levels must be numbers, got {grid.tolist()}")
+    return grid
+
+
 def _wilson_table(grid, counts, n: int) -> list[TailEstimate]:
     """Direct estimates k / n with Wilson intervals, one per level of grid."""
     return [TailEstimate(float(u), k / n, *wilson_interval(int(k), n), n, "direct", float(n))
@@ -201,7 +209,7 @@ def estimate_sf(
         raise SpecError(f"need n >= 1000 samples, got {n}")
     if combine not in ("sum", "product"):
         raise SpecError(f"unknown combine {combine!r}")
-    grid = np.asarray(list(grid), dtype=float)
+    grid = _levels(grid)
 
     def run_block(rng, start: int, count: int) -> np.ndarray:
         xs = x.sample(rng, count)
@@ -248,7 +256,7 @@ def conditional_sf(
         raise DomainError("conditional product estimator needs positive supports")
     exact, sampled = _heavy_first(x, y)
     combine = np.subtract if op == "sum" else np.divide
-    grid = np.asarray(list(grid), dtype=float)
+    grid = _levels(grid)
 
     def run_block(rng, start: int, count: int) -> list:
         draws = np.asarray(sampled.sample(rng, count), dtype=float)

@@ -43,9 +43,9 @@ def _reference_pickands(alpha_loc, T, n_paths, n_steps, seed):
     w_trap[0] = w_trap[-1] = dt / 2.0
     ratios = []
     for rng in _path_streams(seed, n_paths):
-        base = fbm_path(H, 2 * n_steps, 2 * T, rng)
-        z = math.sqrt(2.0) * (base - base[n_steps]) - drift
-        ratios.append(1.0 / float(np.sum(w_trap * np.exp(z - z.max()))))
+        # The path on [0, 2T], unpinned: the ratio ignores a constant shift.
+        z = math.sqrt(2.0) * fbm_path(H, 2 * n_steps, 2 * T, rng) - drift
+        ratios.append(1.0 / float(np.dot(np.exp(z - z.max()), w_trap)))
     return _normal_interval(np.array(ratios))
 
 
@@ -160,15 +160,41 @@ def test_sup_exceedance_matches_the_reference_loop(process, H, slope, n_paths, w
      "process 'bm' has H = 0.5, got H=0.7"),
     (lambda: sup_exceedance_mc([1.0], 5.0, 64, 0, 0), "n_paths >= 1, got 0"),
     (lambda: sup_exceedance_mc([1.0], 0.0, 64, 16, 0), "horizon must be positive, got 0.0"),
+    # A NaN slope, level or trend power once gave p_hat = 0; beta = -1
+    # warned of a division by zero, and a string slope raised AttributeError.
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, eta=math.nan),
+     "slope eta must be finite, got nan"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, eta=-math.inf),
+     "slope eta must be finite, got -inf"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, eta=10 ** 400), "slope eta must be finite"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, eta="1"),
+     "slope eta must be a real number or a law, got '1'"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, beta=math.nan),
+     "beta must be positive and finite, got nan"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, beta=-1.0),
+     "beta must be positive and finite, got -1.0"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, beta=math.inf),
+     "beta must be positive and finite, got inf"),
+    (lambda: sup_exceedance_mc([0.5, math.nan], 5.0, 64, 16, 0),
+     r"levels must be numbers, got \[0.5, nan\]"),
 ])
 def test_inputs_are_checked_before_the_first_path(monkeypatch, call, message):
     def no_path(*args, **kwargs):
         raise AssertionError("drew a path before checking the inputs")
 
     monkeypatch.setattr(estimators, "fbm_path", no_path)
-    monkeypatch.setattr(estimators, "two_sided_path", no_path)
     with pytest.raises(SpecError, match=message):
         call()
+
+
+@pytest.mark.parametrize("process,H", [("bm", 0.5), ("fbm", 0.7)])
+def test_a_numpy_scalar_slope_is_a_number(process, H):
+    # eta=np.int64(1) once raised AttributeError: it is neither an int nor a
+    # float, so it was taken for a law.  Every real 1 gives the bits of 1.0.
+    kwargs = dict(T=5.0, n_steps=64, n_paths=70, seed=3, process=process, H=H, workers=1)
+    ref = sup_exceedance_mc([0.0, 0.5, 1.0], eta=1.0, **kwargs)
+    for eta in (np.int64(1), np.float32(1.0), np.float64(1.0), 1):
+        assert sup_exceedance_mc([0.0, 0.5, 1.0], eta=eta, **kwargs) == ref
 
 
 def _interval(values):

@@ -12,7 +12,6 @@ from tailward.gp_extremes import (
     fbm_path,
     paths_to_csv,
     read_paths_binary,
-    two_sided_path,
     write_paths_binary,
 )
 from tailward.montecarlo import block_rng
@@ -91,16 +90,6 @@ def test_seeded_path_reproduces():
     assert not np.array_equal(a, c)
 
 
-def test_two_sided_path_pinned_and_stationary():
-    path = two_sided_path(0.5, 128, 1.0, block_rng(0, 0))
-    assert path.shape == (257,)
-    assert path[128] == 0.0
-    many = np.array([two_sided_path(0.5, 64, 1.0, block_rng(0, i)) for i in range(4000)])
-    # Marginal variance at t = -1 and t = +1 both equal 1.
-    assert many[:, 0].var(ddof=1) == pytest.approx(1.0, rel=0.1)
-    assert many[:, -1].var(ddof=1) == pytest.approx(1.0, rel=0.1)
-
-
 def test_reused_workspace_paths_equal_fresh_paths():
     # One workspace for every call, as an estimator's chunk of paths uses
     # it; (H, n_steps) change from call to call and leave stale data behind.
@@ -111,11 +100,25 @@ def test_reused_workspace_paths_equal_fresh_paths():
         path = fbm_path(H, n, 1.5, block_rng(3, k), work=work)
         assert np.shares_memory(path, work) and path.shape == fresh.shape
         assert np.array_equal(path, fresh)
-        half = n // 2
-        fresh2 = two_sided_path(H, half, 0.75, block_rng(4, k))
-        path2 = two_sided_path(H, half, 0.75, block_rng(4, k), work=work)
-        assert np.shares_memory(path2, work) and path2[half] == 0.0
-        assert np.array_equal(path2, fresh2)
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5, 0.7, 1.0])
+def test_a_workspace_that_cannot_hold_the_path_is_refused(H):
+    # A 10-float workspace once gave a 10-point Brownian path for 64 steps,
+    # and an IndexError or ValueError at the other H.
+    n = 64
+    buf = np.empty(2 * (4 * n + 2))
+    for work in (np.empty(10), np.empty(4 * n + 1), np.empty(4 * n + 2, dtype=np.float32),
+                 buf[::2], np.empty((2, 2 * n + 1)), list(np.empty(4 * n + 2))):
+        with pytest.raises(SpecError, match="work must be a writable C-contiguous"):
+            fbm_path(H, n, 1.0, block_rng(0, 0), work=work)
+    frozen = np.empty(4 * n + 2)
+    frozen.flags.writeable = False
+    with pytest.raises(SpecError, match="work must be a writable C-contiguous"):
+        fbm_path(H, n, 1.0, block_rng(0, 0), work=frozen)
+    # A longer buffer is fine: the path is its head.
+    path = fbm_path(H, n, 1.0, block_rng(0, 0), work=np.empty(4 * n + 9))
+    assert np.array_equal(path, fbm_path(H, n, 1.0, block_rng(0, 0)))
 
 
 def test_binary_dump_round_trip(tmp_path):
@@ -163,19 +166,16 @@ def _reference_path(H, n_steps, T, rng):
     return np.concatenate([[0.0], np.cumsum(fgn)])
 
 
-@pytest.mark.parametrize("H", [0.3, 0.7])
-@pytest.mark.parametrize("n_steps", [1 << 4, 1 << 10, 1 << 14])
+@pytest.mark.parametrize("H", [0.01, 0.05, 0.3, 0.7, 0.95, 0.99])
+@pytest.mark.parametrize("n_steps", [1 << 4, 1 << 10, 1 << 14, 1 << 16])
 def test_generator_keeps_the_reference_stream(H, n_steps):
+    # The reference sums its noise; fbm_path sums it in the transform.  At
+    # H = 0.01 and 2^16 steps y_J and y_0 are O(sqrt n) while the path, their
+    # difference, is O(1): the most digits cancel there.
     for seed in range(5):
         ref = _reference_path(H, n_steps, 2.0, block_rng(seed, 3))
         path = fbm_path(H, n_steps, 2.0, block_rng(seed, 3))
         assert np.max(np.abs(path - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-        half = n_steps // 2
-        ref2 = _reference_path(H, n_steps, 2.0, block_rng(seed, 4))
-        ref2 -= ref2[half]
-        path2 = two_sided_path(H, half, 1.0, block_rng(seed, 4))
-        assert np.max(np.abs(path2 - ref2)) <= 1e-12 * np.max(np.abs(ref2))
 
 
 @pytest.mark.parametrize("H", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0])
@@ -198,10 +198,14 @@ def test_circulant_spectrum_nonnegative_on_hurst_grid():
 
 def test_cached_spectrum_is_read_only():
     # The worker threads share this table.
-    table = fbm_module._conjugating_scale(0.3, 64)
-    assert table.shape == (65, 2)
+    table = fbm_module._summing_spectrum(0.3, 64)
+    assert table.shape == (65,) and table.dtype == complex
+    scale = fbm_module._circulant_sqrt_spectrum(0.3, 64)
+    direct = scale[1:] / (np.exp(1j * np.pi * np.arange(1, 65) / 64) - 1.0)
+    assert table[0] == scale[0] and table[64].imag == 0.0
+    assert np.allclose(table[1:], direct, rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError):
-        table[0, 0] = 1.0
+        table[0] = 1.0
 
 
 def test_negative_spectrum_raises_embedding_failure(monkeypatch):

@@ -81,6 +81,28 @@ def test_unknown_combine_is_rejected_before_sampling():
             tw.estimate_sf(x, y, "hypot", [0.0], 10 ** 3, seed=0)
 
 
+@pytest.mark.parametrize("estimator", ["estimate_sf", "conditional_sf", "sup_exceedance_mc"])
+def test_a_nan_level_is_refused_before_sampling(monkeypatch, estimator):
+    # A NaN level once got p_hat = 0 and the interval [0, 0.0038] at n = 1000.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the levels")
+
+    monkeypatch.setattr(montecarlo, "_map_blocks", no_draw)
+    monkeypatch.setattr(gp.estimators, "_map_blocks", no_draw)
+    x, y = tw.make_model("normal()"), tw.make_model("pareto(1,2)")
+    call = {
+        "estimate_sf": lambda grid: tw.estimate_sf(x, y, "sum", grid, 10 ** 3, seed=0),
+        "conditional_sf": lambda grid: tw.conditional_sf(x, y, "sum", grid, 10 ** 3, seed=0),
+        "sup_exceedance_mc": lambda grid: gp.sup_exceedance_mc(grid, 5.0, 64, 16, 0),
+    }[estimator]
+    for grid in ([math.nan], [1.0, math.nan, 3.0]):
+        with pytest.raises(SpecError, match="levels must be numbers, got .*nan"):
+            call(grid)
+    # An infinite level is a number: nothing exceeds +inf.
+    monkeypatch.undo()
+    assert [e.p_hat for e in call([math.inf])] == [0.0]
+
+
 def test_estimate_requires_minimum_samples():
     with pytest.raises(SpecError):
         tw.estimate_sf(tw.make_model("normal()"), tw.make_model("constant(0)"), "sum", [0.0],
@@ -399,11 +421,10 @@ def test_path_i_is_draw_i_mod_64_of_its_chunks_stream(monkeypatch, estimator, wo
         return path
 
     monkeypatch.setattr(gp.estimators, "fbm_path", spy(gp.fbm_path))
-    monkeypatch.setattr(gp.estimators, "two_sided_path", spy(gp.two_sided_path))
     run, reference = {
         "pickands": (
             lambda: gp.pickands_estimate(1.4, 2.0, n_paths, n_steps, seed=seed, workers=workers),
-            lambda rng: gp.two_sided_path(0.7, n_steps, 2.0, rng)),
+            lambda rng: gp.fbm_path(0.7, 2 * n_steps, 4.0, rng)),
         "econst": (
             lambda: gp.econst_estimate("fbm", 1.0, 1.0, 2.0, n_paths, n_steps, seed=seed,
                                        H=0.3, workers=workers),

@@ -9,7 +9,9 @@ from Philox generators built here, the streams they were recorded on, so
 they pin the sampler arithmetic whatever generator ``block_rng`` builds;
 the stream pins and the estimate pins pin ``block_rng`` itself.  The
 path-mean pins were re-recorded when chunk c of a path estimate came to
-draw its 64 paths one after another from ``block_rng(seed, c)``.
+draw its 64 paths one after another from ``block_rng(seed, c)``, and the
+64-path Pickands pin again when fractional paths came to be summed in their
+transform and Pickands paths were no longer pinned to 0 at t = 0.
 """
 
 import hashlib
@@ -151,7 +153,7 @@ ESTIMATE_PINS = {
     ("conditional_sf", "product"): "13f720a58c720796",
 }
 PATH_MEAN_PINS = {
-    "pickands_estimate": "3fd154d35e9ec77f",
+    "pickands_estimate": "3da54b50f26d445b",
     "econst_estimate": "3a68605353ab9e25",
 }
 PATH_MEAN_PINS_130 = {

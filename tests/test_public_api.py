@@ -35,7 +35,7 @@ GP_PUBLIC = [
     "bm_exact_oracle", "bm_sup_ratio_moment", "econst_estimate", "eta_power_low_model",
     "fbm_path", "negate_model", "paths_to_csv", "pickands_estimate", "pickands_exact",
     "random_trend_tail", "read_paths_binary", "sup_exceedance_mc", "trend_constants",
-    "trend_tail", "trend_tail_asymptotic", "two_sided_path", "write_paths_binary",
+    "trend_tail", "trend_tail_asymptotic", "write_paths_binary",
 ]
 
 
