@@ -31,7 +31,7 @@ from .tail_model import (
     PowerTail,
     WeibullType,
     _heavy_first,
-    moment,
+    _moment_forms,
     power_order,
 )
 
@@ -113,7 +113,7 @@ def product_power_tail(x_model: DistributionModel, y: PowerTail) -> PowerTail:
     Conditions (C_alpha) and (D_alpha) on X, with alpha = y.alpha, hold
     exactly when X's power order exceeds alpha (see ``_heavier_first``);
     the product then inherits Y's exponent with the coefficient scaled by
-    E X**alpha.
+    E X**alpha (its log form too: C can fit where the moment does not).
     """
     if not isinstance(y, PowerTail):
         raise SpecError("product_power_tail takes (DistributionModel, PowerTail)")
@@ -123,8 +123,9 @@ def product_power_tail(x_model: DistributionModel, y: PowerTail) -> PowerTail:
             f"conditions (C_alpha) and (D_alpha) with alpha={y.alpha} fail for "
             f"{x_model.family} tail {x_model.tail}"
         )
+    direct, log = _moment_forms(x_model, y.alpha)
     c = as_double("product_power_tail: constant C of the combined tail",
-                  lambda: y.C * moment(x_model, y.alpha))
+                  lambda: y.C * direct(), log_compute=lambda: math.log(y.C) + log())
     return PowerTail(c, y.alpha)
 
 

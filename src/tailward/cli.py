@@ -161,18 +161,19 @@ def _json_number(obj: dict, key: str, default=_REQUIRED, where: str = "") -> flo
         raise SpecError(f"trend model field {name} is beyond the doubles, got {value}") from None
 
 
-def _zeta_tail(zeta: dict):
-    """The upper tail of -zeta: a power without delta0, else an edge at -delta0."""
-    delta0 = _json_number(zeta, "delta0", -math.inf, "zeta.")
-    c, gamma = _json_number(zeta, "C", where="zeta."), _json_number(zeta, "gamma", where="zeta.")
+def _minus_tail(obj: dict, name: str, edge: str, power: str, no_edge=_REQUIRED):
+    """The upper tail of -X from X's JSON: an edge at -obj[edge], else a power."""
+    where = name + "."
+    delta = _json_number(obj, edge, no_edge, where)
+    c, p = _json_number(obj, "C", where=where), _json_number(obj, power, where=where)
     try:
-        return PowerTail(c, gamma) if delta0 == -math.inf else EdgePower(c, -delta0, gamma)
+        return PowerTail(c, p) if delta == -math.inf else EdgePower(c, -delta, p)
     except SpecError as exc:
-        raise SpecError(f"bad zeta spec {zeta}: {exc}") from None
+        raise SpecError(f"bad {name} spec {obj}: {exc}") from None
 
 
 def _trend_model_from_json(text: str):
-    from .gp_extremes import EtaSpec, TrendModel
+    from .gp_extremes import TrendModel
 
     # Inline JSON is never probed as a path: a long one is no valid file name.
     raw = text if text.lstrip().startswith(("{", "[")) else Path(text).read_text()
@@ -192,10 +193,8 @@ def _trend_model_from_json(text: str):
     eta = None if eta is None else _json_object(eta, "eta")
     zeta = None if zeta is None else _json_object(zeta, "zeta")
     parts = dict(
-        eta=EtaSpec(*(_json_number(eta, k, where="eta.") for k in ("delta", "C", "mu")))
-        if eta
-        else None,
-        zeta=_zeta_tail(zeta) if zeta else None,
+        eta=_minus_tail(eta, "eta", "delta", "mu") if eta else None,
+        zeta=_minus_tail(zeta, "zeta", "delta0", "gamma", -math.inf) if zeta else None,
         pickands=None if obj.get("pickands") is None else _json_number(obj, "pickands"),
         e_const=None if obj.get("e_const") is None else _json_number(obj, "e_const"),
     )
@@ -227,7 +226,7 @@ def _cmd_gp_tail(args) -> int:
     model = _trend_model_from_json(args.model)
     tail, case = trend_tail(model)
     notes = []
-    if model.eta.delta == 0.0 and case in ("slope_only", "slope_dominates"):
+    if model.eta.sigma == 0.0 and case in ("slope_only", "slope_dominates"):
         notes.append(
             "zero-edge slope: power exponent is mu*(beta-H)/H, the value "
             "derived by composing the rescaling with the product rule "

@@ -14,7 +14,6 @@ from .fbm import (
     write_paths_binary,
 )
 from .trend import (
-    EtaSpec,
     TrendConstants,
     TrendModel,
     TrendTailValue,
@@ -38,7 +37,6 @@ __all__ = [
     "paths_to_csv",
     "read_paths_binary",
     "write_paths_binary",
-    "EtaSpec",
     "TrendConstants",
     "TrendModel",
     "TrendTailValue",

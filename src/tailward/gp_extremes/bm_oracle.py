@@ -22,8 +22,8 @@ import numpy as np
 
 from ..errors import DomainError, SpecError, as_double
 from ..oracle import log_mixture
-from ..tail_model import DistributionModel, law
-from .trend import EtaSpec
+from ..tail_model import DistributionModel, EdgePower, law
+from .trend import _check_slope_edge
 
 __all__ = ["eta_power_low_model", "negate_model", "bm_exact_oracle"]
 
@@ -32,10 +32,10 @@ def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
     """Law with CDF C*(x-delta)**mu on [delta, delta + C**(-1/mu)].
 
     Realizes an exact slope law whose lower-edge behaviour is the declared
-    (delta, C, mu), checked by ``EtaSpec``; the width is whatever makes the
-    CDF reach one.
+    (delta, C, mu), checked as a trend model's ``EdgePower(C, -delta, mu)``;
+    the width is whatever makes the CDF reach one.
     """
-    EtaSpec(delta, C, mu)
+    _check_slope_edge(EdgePower(C, -delta, mu))
     width = as_double(f"eta width C**(-1/mu) for C={C}, mu={mu}", lambda: C ** (-1.0 / mu))
 
     def log_sf(x):

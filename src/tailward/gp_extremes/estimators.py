@@ -260,9 +260,10 @@ def sup_exceedance_mc(
     """Empirical P(sup_t (X(t) - eta*t**beta - zeta) > u) on a u-grid.
 
     The trend slope eta may be a finite real number or a law, and beta is
-    positive and finite; anything else, or a NaN level, is a SpecError
-    before the first path.  A path draws its noise, then its slope (if eta
-    is a law), then its offset (if zeta is given), from its chunk's stream.
+    positive and finite; anything else, a NaN level or a trend beyond the
+    doubles at T is a SpecError before the first path (a drawn slope's
+    trend may overflow to inf).  A path draws its noise, then its slope (if
+    eta is a law), then its offset (if zeta is given), from its chunk's stream.
     Grid suprema under-sample the continuous supremum: the bias is
     one-sided (empirical <= truth).
     """
@@ -273,19 +274,24 @@ def sup_exceedance_mc(
         raise SpecError(f"beta must be positive and finite, got {beta}")
     slope = _slope(eta)
     u_grid = _levels(u_grid)
-    t_pow = np.linspace(0.0, T, n_steps + 1) ** beta
-    # A number's trend is one array for every path, t_pow scaled in place;
-    # a law's is drawn per path.
-    trend = (None if isinstance(slope, DistributionModel)
-             else np.multiply(t_pow, slope, out=t_pow))
+    law = isinstance(slope, DistributionModel)
+    # t**beta and a number's trend grow with t, so each fits when it does at T.
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        t_pow = np.linspace(0.0, T, n_steps + 1) ** beta
+        if not math.isfinite(t_pow[-1] * (1.0 if law else slope)):
+            raise SpecError(f"trend eta*T**beta is beyond the doubles, got T={T}, "
+                            f"beta={beta}, eta={eta!r}")
+    # A number's trend is one array, t_pow scaled in place; a law's is drawn per path.
+    trend = None if law else np.multiply(t_pow, slope, out=t_pow)
 
     def per_path(rng, work) -> np.ndarray:
         path = fbm_path(hurst, n_steps, T, rng, work)
         drift = trend
         if drift is None:
             # slope * t_pow for a drawn slope, in the workspace past the path.
-            drift = np.multiply(t_pow, float(slope.sample(rng)),
-                                out=work[n_steps + 1: 2 * n_steps + 2])
+            with np.errstate(over="ignore"):
+                drift = np.multiply(t_pow, float(slope.sample(rng)),
+                                    out=work[n_steps + 1: 2 * n_steps + 2])
         offset = 0.0 if zeta is None else float(zeta.sample(rng))
         sup = float(np.max(np.subtract(path, drift, out=path))) - offset
         return sup > u_grid

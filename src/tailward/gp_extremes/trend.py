@@ -8,6 +8,10 @@ independently of X) reduce to the product/sum tail calculus of
 :mod:`tailward.asymptotic_engine` through the self-similarity rescaling
 u -> u**(1 - H/beta).
 
+Slope and offset are both given as upper tails of their negatives, in the
+families of :mod:`tailward.tail_model`, whose moment rule also gives the
+Brownian sup-ratio moment; this module keeps what is specific to suprema.
+
 ``trend_tail`` is the one place that decides which regime gives the tail
 of sup_t (X(t) - eta*t**beta - zeta):
 
@@ -43,11 +47,12 @@ from ..tail_model import (
     EdgePower,
     PowerTail,
     WeibullType,
+    make_model,
+    moment,
     power_substitute,
 )
 
 __all__ = [
-    "EtaSpec",
     "TrendModel",
     "TrendConstants",
     "pickands_exact",
@@ -66,33 +71,22 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # Model description
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EtaSpec:
-    """Lower-edge behaviour of the random trend slope eta > 0.
-
-    P(eta < delta + x) ~ C * x**mu as x -> 0, with delta the essential
-    infimum of eta.
-    """
-
-    delta: float
-    C: float
-    mu: float
-
-    def __post_init__(self):
-        if not (0 <= self.delta < math.inf and 0 < self.C < math.inf
-                and 0 < self.mu < math.inf):
-            raise SpecError(f"bad eta spec {self}")
+def _check_slope_edge(eta: EdgePower | None) -> None:
+    """Refuse an eta that is not the edge tail of -eta at -delta <= 0."""
+    if eta is not None and not (isinstance(eta, EdgePower) and eta.sigma <= 0.0):
+        raise SpecError(f"eta must be the edge tail EdgePower(C, -delta, mu) of -eta "
+                        f"with delta >= 0, got {eta!r}")
 
 
 @dataclass(frozen=True)
 class TrendModel:
     """Parameters of the conditionally Gaussian supremum problem.
 
-    The supremum of X(t) - eta*t**beta - zeta is the sum of the slope part
-    and -zeta, so ``zeta`` is the upper tail of -zeta:
-    ``PowerTail(C, gamma)`` when P(zeta < -u) ~ C * u**-gamma, and
-    ``EdgePower(C, -delta0, gamma)`` when ess inf zeta = delta0 and
-    P(zeta < delta0 + x) ~ C * x**gamma.
+    Slope and offset are given as upper tails of their negatives: ``eta`` as
+    ``EdgePower(C, -delta, mu)``, delta = ess inf eta >= 0, when
+    P(eta < delta + x) ~ C * x**mu; ``zeta`` as ``PowerTail(C, gamma)`` when
+    P(zeta < -u) ~ C * u**-gamma, or ``EdgePower(C, -delta0, gamma)`` when
+    ess inf zeta = delta0 and P(zeta < delta0 + x) ~ C * x**gamma.
 
     ``d_ref`` anchors the limit constant of local stationarity: the
     standardized process has D(s) = (s_ref / s)**alpha_loc * d_value, which
@@ -103,7 +97,7 @@ class TrendModel:
     beta: float
     alpha_loc: float
     d_ref: tuple[float, float]
-    eta: Optional[EtaSpec] = None
+    eta: Optional[EdgePower] = None
     zeta: Optional[PowerTail | EdgePower] = None
     pickands: Optional[float] = None
     e_const: Optional[float] = None
@@ -118,6 +112,7 @@ class TrendModel:
         s_ref, d_val = self.d_ref
         if s_ref <= 0 or d_val <= 0:
             raise SpecError(f"d_ref must be positive, got {self.d_ref}")
+        _check_slope_edge(self.eta)
         if not isinstance(self.zeta, (PowerTail, EdgePower, type(None))):
             raise SpecError(f"zeta must be a power or edge tail of -zeta, got {self.zeta!r}")
 
@@ -126,7 +121,7 @@ class TrendModel:
         return (s_ref / s) ** self.alpha_loc * d_val
 
     @classmethod
-    def fbm(cls, H: float, beta: float, eta: EtaSpec | None = None,
+    def fbm(cls, H: float, beta: float, eta: EdgePower | None = None,
             zeta: PowerTail | EdgePower | None = None, pickands: float | None = None,
             e_const: float | None = None) -> "TrendModel":
         """Fractional Brownian motion: alpha_loc = 2H, D(s) = s**(-2H)."""
@@ -260,17 +255,8 @@ def _rescaled_base_tail(model: TrendModel) -> WeibullType:
 
 
 def bm_sup_ratio_moment(alpha: float) -> float:
-    """E (sup_t B(t)/(1+t))**alpha for standard Brownian motion.
-
-    The ratio's square has an exponential law, so the moment is
-    2**(-alpha/2) * Gamma(alpha/2 + 1).
-    """
-    if alpha <= 0:
-        raise SpecError(f"moment order must be positive, got {alpha}")
-    return as_double(f"bm_sup_ratio_moment: moment of order {alpha}",
-                     lambda: 2.0 ** (-alpha / 2.0) * math.gamma(alpha / 2.0 + 1.0),
-                     log_compute=lambda: -alpha / 2.0 * math.log(2.0)
-                     + math.lgamma(alpha / 2.0 + 1.0))
+    """E (sup_t B(t)/(1+t))**alpha: the ratio's square is Exp(2), so the ratio is weibull(2, 2)."""
+    return moment(make_model("weibull(2,2)"), alpha)
 
 
 def _sup_ratio_moment(model: TrendModel, alpha: float) -> float:
@@ -296,13 +282,14 @@ def random_trend_tail(model: TrendModel) -> AsymptoticTail:
     if model.eta is None:
         raise SpecError("random_trend_tail needs an eta spec on the model")
     eta = model.eta
+    delta = -eta.sigma
     H, beta = model.H, model.beta
     h = H / beta
-    if eta.delta > 0.0:
+    if delta > 0.0:
         edge = EdgePower(
             C=as_double("random_trend_tail: edge constant C", lambda: (
-                eta.C * (beta / H) ** eta.mu * eta.delta ** ((1.0 + h) * eta.mu))),
-            sigma=eta.delta ** (-h),
+                eta.C * (beta / H) ** eta.mu * delta ** ((1.0 + h) * eta.mu))),
+            sigma=delta ** (-h),
             mu=eta.mu,
         )
         rescaled = product_mixed_tail(_rescaled_base_tail(model), edge)
@@ -327,10 +314,11 @@ def trend_tail(model: TrendModel) -> tuple[AsymptoticTail, str]:
         raise SpecError("trend_tail needs an eta spec on the model")
     if zeta is None:
         return random_trend_tail(model), "slope_only"
+    delta = -eta.sigma
     if isinstance(zeta, PowerTail):
         # A positive slope edge leaves a Gaussian-type tail, lighter than any power.
         slope_order = eta.mu * (model.beta - model.H) / model.H
-        if eta.delta > 0.0 or slope_order > zeta.alpha:
+        if delta > 0.0 or slope_order > zeta.alpha:
             return zeta, "offset_dominates"
         if slope_order < zeta.alpha:
             return random_trend_tail(model), "slope_dominates"
@@ -338,7 +326,7 @@ def trend_tail(model: TrendModel) -> tuple[AsymptoticTail, str]:
             "the supremum and offset tails decay at the same power order; "
             "neither dominates and no closed form is claimed"
         )
-    if eta.delta <= 0.0:
+    if delta <= 0.0:
         raise AssumptionError(
             "a finite-edge offset needs a positive slope edge (delta > 0)"
         )

@@ -133,7 +133,7 @@ def ratio_table(
     if oracle is None:
         raise DomainError(f"unknown oracle op {op!r}")
     grid = [float(g) for g in grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if any(math.isnan(g) for g in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
     rows = []
     for u in grid:

@@ -305,7 +305,8 @@ def _random_slope_rows(u, eta_zero, eta_pos):
     # Zero lower edge (power tail 0.5 * u^-1) and positive edge, same check.
     rows = []
     for name, eta in (("zero-edge-ratio", eta_zero), ("positive-edge-ratio", eta_pos)):
-        tail = gp.random_trend_tail(gp.TrendModel.fbm(0.5, 1.0, eta=gp.EtaSpec(**eta)))
+        minus_eta = EdgePower(eta["C"], -eta["delta"], eta["mu"])
+        tail = gp.random_trend_tail(gp.TrendModel.fbm(0.5, 1.0, eta=minus_eta))
         log_exact = gp.bm_exact_oracle(gp.eta_power_low_model(**eta), None, u)
         rows.append(_check(name, math.exp(log_exact - sf_eval(tail, u)), 1.0, 0.02))
     return rows
@@ -315,10 +316,11 @@ def _offset_rows(eta, gammas, u):
     from . import gp_extremes as gp
 
     eta_law = gp.eta_power_low_model(**eta)
+    minus_eta = EdgePower(eta["C"], -eta["delta"], eta["mu"])
     rows = []
     for name, gamma, level in zip(("light-offset", "heavy-offset"), gammas, u):
         model = gp.TrendModel.fbm(
-            0.5, 1.0, eta=gp.EtaSpec(**eta), zeta=PowerTail(1.0, gamma)
+            0.5, 1.0, eta=minus_eta, zeta=PowerTail(1.0, gamma)
         )
         tail, _ = gp.trend_tail(model)
         zeta = gp.negate_model(make_model({"family": "pareto",
@@ -331,11 +333,11 @@ def _offset_rows(eta, gammas, u):
 def _offset_edge_rows(model):
     from . import gp_extremes as gp
 
-    zeta = model["zeta"]
+    eta, zeta = model["eta"], model["zeta"]
     minus_zeta = EdgePower(zeta["C"], -zeta["delta0"], zeta["gamma"])
     trend = gp.TrendModel(
         H=model["H"], beta=model["beta"], alpha_loc=model["alpha_loc"],
-        d_ref=(1.0, 1.0), eta=gp.EtaSpec(**model["eta"]), zeta=minus_zeta,
+        d_ref=(1.0, 1.0), eta=EdgePower(eta["C"], -eta["delta"], eta["mu"]), zeta=minus_zeta,
     )
     combined, _ = gp.trend_tail(trend)
     reference = sum_mixed_tail(gp.random_trend_tail(trend), minus_zeta)

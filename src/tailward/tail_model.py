@@ -499,45 +499,49 @@ def _heavy_first(x: DistributionModel, y: DistributionModel):
 
 
 def moment(model: DistributionModel, alpha: float) -> float:
-    """E X**alpha for a model supported on [0, inf).
+    """E X**alpha for a model on [0, inf), a positive double or a DomainError
+    (every moment of X = 0 is 0): one ``as_double`` of ``_moment_forms``."""
+    direct, log = _moment_forms(model, alpha)
+    if model.support[1] == 0.0:
+        return 0.0
+    return as_double(f"moment of order {alpha} of {model.family}", direct, log_compute=log)
 
-    Uses the closed form where one exists, otherwise the survival-function
-    identity E X**alpha = alpha * int_0^inf SF(u) u**(alpha-1) du.  Raises
-    DivergentMoment unless alpha < power_order(model).  The Pareto form
-    matters: the identity's half-line map places no node beyond ~1e16, so
-    a slowly decaying power tail would come out low yet "converged".
-    """
-    if alpha <= 0:
-        raise SpecError(f"moment order must be positive, got {alpha}")
+
+def _moment_forms(model: DistributionModel, alpha: float):
+    """(direct, log) forms of E X**alpha, which exists when alpha < power_order:
+    a family's closed form, else the survival-function identity.  The Pareto
+    form matters: the identity's half-line map places no node beyond ~1e16,
+    so a slowly decaying power tail would come out low yet "converged"."""
+    if not 0.0 < alpha < math.inf:
+        raise SpecError(f"moment order must be positive and finite, got {alpha}")
     if model.support[0] < 0:
         raise DomainError(
             f"moment is defined for nonnegative models, support {model.support}"
         )
+    if not alpha < power_order(model):
+        raise DivergentMoment(f"E X^{alpha} diverges for {model.family} with tail {model.tail}")
     if model.family == "lognormal":
         m, s = model.params["m"], model.params["s"]
-        return math.exp(alpha * m + alpha * alpha * s * s / 2.0)
+        log = lambda: alpha * m + alpha * alpha * s * s / 2.0
+        return lambda: math.exp(log()), log
     if model.family == "weibull":
         K, a = model.params["K"], model.params["alpha"]
-        return K ** (-alpha / a) * math.gamma(alpha / a + 1.0)
+        return (lambda: K ** (-alpha / a) * math.gamma(alpha / a + 1.0),
+                lambda: -alpha / a * math.log(K) + math.lgamma(alpha / a + 1.0))
     if model.family == "constant":
-        return model.params["c"] ** alpha
+        c = model.params["c"]
+        return lambda: c ** alpha, lambda: alpha * math.log(c)
     if model.family == "pareto":
         C, a = model.params["C"], model.params["alpha"]
-        if not alpha < a:
-            raise DivergentMoment(f"E X^{alpha} diverges for pareto with tail {model.tail}")
-        return C ** (alpha / a) * a / (a - alpha)
+        return (lambda: C ** (alpha / a) * a / (a - alpha),
+                lambda: alpha / a * math.log(C) + math.log(a) - math.log(a - alpha))
     return moment_by_quadrature(model, alpha)
 
 
-def moment_by_quadrature(model: DistributionModel, alpha: float) -> float:
-    """The tail-integral identity evaluated with adaptive quadrature."""
+def moment_by_quadrature(model: DistributionModel, alpha: float):
+    """(direct, log) forms of E X**alpha = alpha * int_0^inf SF(u) u**(alpha-1) du
+    for a law on [0, inf), with the integral taken once by quadrature."""
     lo, hi = model.support
-    if lo < 0:
-        raise DomainError("quadrature moment needs support within [0, inf)")
-    if not power_order(model) > alpha:
-        raise DivergentMoment(
-            f"E X^{alpha} diverges for {model.family} with tail {model.tail}"
-        )
 
     def log_integrand(u):
         with np.errstate(divide="ignore"):
@@ -545,4 +549,4 @@ def moment_by_quadrature(model: DistributionModel, alpha: float) -> float:
 
     breaks = [b for b in (lo, hi) if 0.0 < b < math.inf]
     log_val = log_quad(log_integrand, 0.0, math.inf, rtol=1e-9, breakpoints=breaks)
-    return alpha * math.exp(log_val)
+    return lambda: alpha * math.exp(log_val), lambda: math.log(alpha) + log_val

@@ -80,11 +80,14 @@ def test_eta_power_low_density_just_above_its_edge_is_its_formula(x):
 
 
 @pytest.mark.parametrize("delta,C,mu,error,message", [
-    (math.nan, 1.0, 1.0, SpecError, "bad eta spec"),
-    (0.0, math.inf, 1.0, SpecError, "bad eta spec"),
-    (0.0, 1.0, math.nan, SpecError, "bad eta spec"),
-    (0.0, 1.0, math.inf, SpecError, "bad eta spec"),
-    (math.inf, 1.0, 1.0, SpecError, "bad eta spec"),
+    # Checked as the slope tail EdgePower(C, -delta, mu) of a trend model.
+    (math.nan, 1.0, 1.0, SpecError, "edge_power tail needs finite fields .* got sigma=nan"),
+    (0.0, math.inf, 1.0, SpecError, "edge_power tail needs finite fields .* got C=inf"),
+    (0.0, 1.0, math.nan, SpecError, "edge_power tail needs finite fields .* got mu=nan"),
+    (0.0, 1.0, math.inf, SpecError, "edge_power tail needs finite fields .* got mu=inf"),
+    (math.inf, 1.0, 1.0, SpecError, "edge_power tail needs finite fields .* got sigma=-inf"),
+    (-0.5, 1.0, 1.0, SpecError, r"eta must be the edge tail EdgePower\(C, -delta, mu\) of -eta "
+                                r"with delta >= 0"),
     # Width 1e300**-1000 = 0: a point mass at 0, whose exceedance is certain.
     (0.0, 1e300, 1e-3, DomainError, r"eta width C\*\*\(-1/mu\) for C=1e\+300, mu=0.001 "
                                      r"is not a positive finite double \(got 0.0\)"),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tailward as tw
-from tailward import asymptotic_engine, cli, errors
+from tailward import cli, errors, tail_model
 from tailward import gp_extremes as gp
 from tailward.errors import QuadratureFailure
 from tailward.montecarlo import block_rng
@@ -90,10 +90,11 @@ def test_tail_over_registry_pairs_exits_zero_or_three(capsys, validate, op, x):
 
 
 def test_quadrature_failure_exits_four(capsys, monkeypatch):
-    def failing_moment(model, alpha):
+    # edge(2,1) has no closed moment: its E X**2 is a tail integral.
+    def failing_quad(*args, **kwargs):
         raise QuadratureFailure("forced failure")
 
-    monkeypatch.setattr(asymptotic_engine, "moment", failing_moment)
+    monkeypatch.setattr(tail_model, "log_quad", failing_quad)
     code, out, err = _run(capsys, "tail", "product", "--x", "edge(2,1)", "--y", "pareto(1,2)")
     assert code == cli.EXIT_NUMERIC and out == ""
     assert "forced failure" in err
@@ -463,6 +464,33 @@ def test_gp_tail_refuses_equal_orders_and_needs_eta(capsys):
     assert err.startswith("specification error: ")
 
 
+@pytest.mark.parametrize("eta,message", [
+    ('{"delta": -1, "C": 1, "mu": 1}',
+     "eta must be the edge tail EdgePower(C, -delta, mu) of -eta with delta >= 0, "
+     "got EdgePower(C=1.0, sigma=1.0, mu=1.0)"),
+    ('{"delta": 0, "C": 0, "mu": 1}',
+     "bad eta spec {'delta': 0, 'C': 0, 'mu': 1}: edge_power tail needs finite fields "
+     "with C, mu > 0, got C=0.0"),
+    ('{"delta": Infinity, "C": 1, "mu": 1}',
+     "bad eta spec {'delta': inf, 'C': 1, 'mu': 1}: edge_power tail needs finite fields "
+     "with C, mu > 0, got sigma=-inf"),
+])
+def test_gp_tail_refuses_an_eta_no_slope_has(capsys, eta, message):
+    # The slope's edge is read into EdgePower(C, -delta, mu), as zeta's is.
+    model = f'{{"preset": "bm", "eta": {eta}}}'
+    assert _run(capsys, "gp", "tail", "--model", model) == (
+        cli.EXIT_SPEC, "", f"specification error: {message}\n")
+
+
+def test_gp_tail_reads_a_zero_slope_edge_of_either_sign_alike(capsys):
+    # delta = -0.0 gives the edge sigma = 0.0: the zero-edge case and its notes.
+    outs = [_run(capsys, "gp", "tail", "--model",
+                 f'{{"preset": "bm", "eta": {{"delta": {d}, "C": 1, "mu": 1}}}}')
+            for d in ("0", "-0.0")]
+    assert outs[0] == outs[1] and outs[0][0] == cli.EXIT_OK
+    assert len(json.loads(outs[0][1])["notes"]) == 2
+
+
 def test_gp_verify_writes_each_report_under_its_fixture_name(capsys, tmp_path):
     fixture = "bm-unit-slope-exact-law-small"
     code, out, err = _run(capsys, "gp", "verify", "--fixture", fixture, "--out", str(tmp_path))
@@ -758,6 +786,11 @@ _LOG_C_175 =math.lgamma(176.0) - 175.0 * math.log(2.0)
     # 76**-170 is subnormal, so the direct product keeps 4 digits; C ~ 1.3258e-13.
     (("tail", "product", "--x", "weibull(76,1)", "--y", "edge(1,170)"),
      math.lgamma(171.0) - 170.0 * math.log(76.0)),
+    # The moment E X**alpha leaves the doubles, C = 1e-300 * E X**alpha does not.
+    (("tail", "product", "--x", "weibull(1,1)", "--y", "pareto(1e-300,200)"),
+     math.lgamma(201.0) + math.log(1e-300)),
+    (("tail", "product", "--x", "lognormal(0,1)", "--y", "pareto(1e-300,40)"),
+     800.0 + math.log(1e-300)),
 ])
 def test_gamma_constant_that_fits_answers(capsys, validate, argv, log_c):
     # Each factor of C once left the doubles and the command exited 2 with
@@ -796,7 +829,7 @@ _RATIO_ROW = "^failed: exact-to-asymptotic ratio is not a finite double"
     (("gp", "tail", "--model", '{"preset":"bm","eta":{"delta":1e300,"C":1,"mu":1}}'), 2,
      "random_trend_tail: edge constant C is not a positive finite double"),
     (("gp", "tail", "--model", '{"preset":"bm","eta":{"delta":0,"C":1,"mu":1e8}}'), 2,
-     "bm_sup_ratio_moment: moment of order 200000000.0 is not a positive finite double"),
+     "moment of order 200000000.0 of weibull is not a positive finite double"),
 ])
 def test_inputs_beyond_the_doubles_answer_or_refuse(capsys, validate, argv, code, note):
     # Each once ended in a traceback, a RuntimeWarning or "B": 0.0.

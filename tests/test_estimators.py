@@ -177,6 +177,19 @@ def test_sup_exceedance_matches_the_reference_loop(process, H, slope, n_paths, w
      "beta must be positive and finite, got inf"),
     (lambda: sup_exceedance_mc([0.5, math.nan], 5.0, 64, 16, 0),
      r"levels must be numbers, got \[0.5, nan\]"),
+    # A trend beyond the doubles once warned of an overflow, and 0 * inf
+    # gave every path a NaN supremum and p_hat = 0.
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, eta=0.0, beta=1e300),
+     r"trend eta\*T\*\*beta is beyond the doubles, got T=5.0, beta=1e\+300, eta=0.0"),
+    (lambda: sup_exceedance_mc([1.0], 1e200, 64, 16, 0, beta=2.0),
+     r"trend eta\*T\*\*beta is beyond the doubles, got T=1e\+200, beta=2.0, eta=1.0"),
+    (lambda: sup_exceedance_mc([1.0], 1e200, 64, 16, 0, beta=2.0,
+                               eta=eta_power_low_model(0.0, 1.0, 1.0)),
+     r"trend eta\*T\*\*beta is beyond the doubles, got T=1e\+200, beta=2.0, eta=Dist"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, eta=1e308),
+     r"trend eta\*T\*\*beta is beyond the doubles, got T=5.0, beta=1.0, eta=1e\+308"),
+    (lambda: sup_exceedance_mc([1.0], 5.0, 64, 16, 0, eta=-1e308, beta=2.0),
+     r"trend eta\*T\*\*beta is beyond the doubles, got T=5.0, beta=2.0, eta=-1e\+308"),
 ])
 def test_inputs_are_checked_before_the_first_path(monkeypatch, call, message):
     def no_path(*args, **kwargs):
@@ -195,6 +208,17 @@ def test_a_numpy_scalar_slope_is_a_number(process, H):
     ref = sup_exceedance_mc([0.0, 0.5, 1.0], eta=1.0, **kwargs)
     for eta in (np.int64(1), np.float32(1.0), np.float64(1.0), 1):
         assert sup_exceedance_mc([0.0, 0.5, 1.0], eta=eta, **kwargs) == ref
+
+
+@pytest.mark.parametrize("process,H", [("bm", 0.5), ("fbm", 0.3)])
+def test_a_drawn_slope_whose_trend_overflows_leaves_no_exceedance(process, H):
+    # 1e308 * t overflows for t > 1, and once warned; the path can only
+    # exceed at t = 0, as under the finite trend 1e300 * t.
+    kwargs = dict(T=5.0, n_steps=64, n_paths=70, seed=3, process=process, H=H, workers=1)
+    grid = [-1.0, 0.0, 0.5]
+    ests = sup_exceedance_mc(grid, eta=tw.make_model("constant(1e308)"), **kwargs)
+    assert ests == sup_exceedance_mc(grid, eta=1e300, **kwargs)
+    assert [e.p_hat for e in ests] == [1.0, 0.0, 0.0]
 
 
 def _interval(values):

@@ -9,12 +9,12 @@ import tailward as tw
 from tailward.errors import (
     AssumptionError,
     BoundaryCase,
+    DomainError,
     MissingEConstant,
     MissingPickands,
     SpecError,
 )
 from tailward.gp_extremes import (
-    EtaSpec,
     TrendModel,
     bm_sup_ratio_moment,
     pickands_exact,
@@ -24,6 +24,11 @@ from tailward.gp_extremes import (
     trend_tail_asymptotic,
 )
 from tailward.specfun import log_norm_sf
+
+
+def eta_tail(delta, C, mu):
+    """The slope's lower edge P(eta < delta + x) ~ C * x**mu, as the upper tail of -eta."""
+    return tw.EdgePower(C, -delta, mu)
 
 
 def test_brownian_constants_reference_values():
@@ -149,13 +154,13 @@ def test_alpha_loc_two_branch_is_finite_and_scales():
 # ---------------------------------------------------------------------------
 
 def test_zero_edge_slope_reduces_to_power_half():
-    tail = random_trend_tail(TrendModel.fbm(0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0)))
+    tail = random_trend_tail(TrendModel.fbm(0.5, 1.0, eta=eta_tail(0.0, 1.0, 1.0)))
     assert tail == tw.PowerTail(0.5, 1.0)
 
 
 def test_zero_edge_exponent_general_parameters():
     # Exponent mu (beta - H) / H for the zero-edge case.
-    model = TrendModel.fbm(H=0.25, beta=1.0, eta=EtaSpec(0.0, 2.0, 1.5),
+    model = TrendModel.fbm(H=0.25, beta=1.0, eta=eta_tail(0.0, 2.0, 1.5),
                            pickands=0.8, e_const=0.37)
     tail = random_trend_tail(model)
     assert isinstance(tail, tw.PowerTail)
@@ -164,7 +169,7 @@ def test_zero_edge_exponent_general_parameters():
 
 
 def test_zero_edge_requires_sup_ratio_moment():
-    eta = EtaSpec(0.0, 1.0, 1.0)  # slope tail order mu (beta - H) / H = 3
+    eta = eta_tail(0.0, 1.0, 1.0)  # slope tail order mu (beta - H) / H = 3
     slope_only = TrendModel.fbm(H=0.25, beta=1.0, eta=eta, pickands=0.8)
     slope_dominates = TrendModel.fbm(H=0.25, beta=1.0, eta=eta, pickands=0.8,
                                      zeta=tw.PowerTail(1.0, 5.0))
@@ -183,11 +188,51 @@ def test_brownian_sup_ratio_moment_closed_form():
     )
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.7, 10.0, 100.0, 340.0, 345.0])
+def test_brownian_sup_ratio_moment_is_the_weibull_moment_bit_for_bit(alpha):
+    # The ratio is weibull(2, 2).  Its moment keeps the bits of the closed
+    # form 2**(-alpha/2) * Gamma(alpha/2 + 1), or of its log form where
+    # Gamma overflows (alpha = 345).
+    weibull = tw.make_model("weibull(2,2)")
+    assert bm_sup_ratio_moment(alpha) == tw.moment(weibull, alpha)
+    try:
+        closed = 2.0 ** (-alpha / 2.0) * math.gamma(alpha / 2.0 + 1.0)
+    except OverflowError:
+        closed = math.exp(-alpha / 2.0 * math.log(2.0) + math.lgamma(alpha / 2.0 + 1.0))
+    assert bm_sup_ratio_moment(alpha) == closed
+
+
+@pytest.mark.parametrize("alpha,error", [
+    (0.0, SpecError), (-1.0, SpecError), (math.nan, SpecError), (math.inf, SpecError),
+    (400.0, DomainError),
+])
+def test_brownian_sup_ratio_moment_refuses_as_moment_does(alpha, error):
+    with pytest.raises(error, match="moment"):
+        bm_sup_ratio_moment(alpha)
+
+
+@pytest.mark.parametrize("eta", [
+    eta_tail(-0.5, 1.0, 1.0),  # an edge above 0: eta would be negative
+    tw.PowerTail(1.0, 1.0),
+    tw.WeibullType(1.0, 0.0, 1.0, 2.0),
+])
+def test_eta_is_the_edge_tail_of_minus_eta_at_a_nonpositive_edge(eta):
+    with pytest.raises(SpecError, match=r"eta must be the edge tail EdgePower\(C, -delta, mu\)"):
+        TrendModel.fbm(0.5, 1.0, eta=eta)
+
+
+def test_a_zero_slope_edge_of_either_sign_is_the_zero_edge_case():
+    # delta is read as -sigma: an edge at -0.0 and one at 0.0 give the same tail.
+    tails = [random_trend_tail(TrendModel.fbm(0.5, 1.0, eta=tw.EdgePower(1.0, s, 1.0)))
+             for s in (0.0, -0.0)]
+    assert tails == [tw.PowerTail(0.5, 1.0)] * 2
+
+
 def test_positive_edge_slope_brownian_watson_identity():
     # delta > 0: the closed form must equal the kernel-average asymptotic
     # C_eta Gamma(mu+1) (2u)^-mu e^(-2 delta u) field by field, to 1e-12.
     for delta, c_eta, mu in ((0.3, 1.0, 1.0), (0.7, 2.0, 1.5), (1.2, 0.5, 2.0)):
-        tail = random_trend_tail(TrendModel.fbm(0.5, 1.0, eta=EtaSpec(delta, c_eta, mu)))
+        tail = random_trend_tail(TrendModel.fbm(0.5, 1.0, eta=eta_tail(delta, c_eta, mu)))
         assert isinstance(tail, tw.WeibullType)
         assert tail.C == pytest.approx(c_eta * math.gamma(mu + 1) * 2.0 ** -mu, rel=1e-12)
         assert tail.rho == pytest.approx(-mu, rel=1e-12)
@@ -197,7 +242,7 @@ def test_positive_edge_slope_brownian_watson_identity():
 
 
 def test_positive_edge_general_exponents():
-    model = TrendModel.fbm(H=0.25, beta=1.0, eta=EtaSpec(0.5, 1.0, 1.0), pickands=0.8)
+    model = TrendModel.fbm(H=0.25, beta=1.0, eta=eta_tail(0.5, 1.0, 1.0), pickands=0.8)
     tail = random_trend_tail(model)
     assert isinstance(tail, tw.WeibullType)
     assert tail.alpha == pytest.approx(2.0 * (1.0 - 0.25))
@@ -220,38 +265,38 @@ def test_random_trend_requires_eta():
 def test_zeta_is_the_power_or_edge_tail_of_minus_zeta():
     # The supremum adds -zeta, so only the two tails the sum rules take are models.
     with pytest.raises(SpecError, match="zeta must be a power or edge tail of -zeta"):
-        TrendModel.fbm(0.5, 1.0, eta=EtaSpec(0.5, 1.0, 1.0),
+        TrendModel.fbm(0.5, 1.0, eta=eta_tail(0.5, 1.0, 1.0),
                        zeta=tw.WeibullType(1.0, 0.0, 1.0, 2.0))
 
 
 def test_offset_dominates_for_heavy_power_offset():
     model = TrendModel.fbm(
-        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=tw.PowerTail(2.0, 0.5)
+        0.5, 1.0, eta=eta_tail(0.0, 1.0, 1.0), zeta=tw.PowerTail(2.0, 0.5)
     )
     assert trend_tail(model) == (tw.PowerTail(2.0, 0.5), "offset_dominates")
     # The answer is the offset's own power tail: no sup-ratio moment is needed.
-    model = TrendModel.fbm(H=0.25, beta=1.0, eta=EtaSpec(0.0, 1.0, 1.0),
+    model = TrendModel.fbm(H=0.25, beta=1.0, eta=eta_tail(0.0, 1.0, 1.0),
                            zeta=tw.PowerTail(1.0, 0.5), pickands=0.8)
     assert trend_tail(model) == (tw.PowerTail(1.0, 0.5), "offset_dominates")
 
 
 def test_offset_dominates_any_positive_edge_slope():
     model = TrendModel.fbm(
-        0.5, 1.0, eta=EtaSpec(0.4, 1.0, 1.0), zeta=tw.PowerTail(1.0, 7.0)
+        0.5, 1.0, eta=eta_tail(0.4, 1.0, 1.0), zeta=tw.PowerTail(1.0, 7.0)
     )
     assert trend_tail(model) == (tw.PowerTail(1.0, 7.0), "offset_dominates")
 
 
 def test_slope_dominates_for_light_power_offset():
     model = TrendModel.fbm(
-        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=tw.PowerTail(1.0, 3.0)
+        0.5, 1.0, eta=eta_tail(0.0, 1.0, 1.0), zeta=tw.PowerTail(1.0, 3.0)
     )
     assert trend_tail(model) == (tw.PowerTail(0.5, 1.0), "slope_dominates")
 
 
 def test_equal_power_orders_refuse_a_closed_form():
     model = TrendModel.fbm(
-        0.5, 1.0, eta=EtaSpec(0.0, 1.0, 1.0), zeta=tw.PowerTail(1.0, 1.0)
+        0.5, 1.0, eta=eta_tail(0.0, 1.0, 1.0), zeta=tw.PowerTail(1.0, 1.0)
     )
     with pytest.raises(BoundaryCase):
         trend_tail(model)
@@ -260,7 +305,7 @@ def test_equal_power_orders_refuse_a_closed_form():
 def test_edge_offset_equals_sum_rule_composition():
     model = TrendModel(
         H=0.5, beta=2.0, alpha_loc=1.0, d_ref=(1.0, 1.0),
-        eta=EtaSpec(0.5, 1.0, 1.0), zeta=tw.EdgePower(1.0, -0.2, 1.0),
+        eta=eta_tail(0.5, 1.0, 1.0), zeta=tw.EdgePower(1.0, -0.2, 1.0),
     )
     combined, case = trend_tail(model)
     assert case == "edge_offset"
@@ -275,7 +320,7 @@ def test_edge_offset_equals_sum_rule_composition():
 
 def test_edge_offset_needs_shallow_hurst():
     model = TrendModel.fbm(  # beta = 1 = 2H: decay order would be 1
-        0.5, 1.0, eta=EtaSpec(0.5, 1.0, 1.0), zeta=tw.EdgePower(1.0, -0.2, 1.0)
+        0.5, 1.0, eta=eta_tail(0.5, 1.0, 1.0), zeta=tw.EdgePower(1.0, -0.2, 1.0)
     )
     with pytest.raises(AssumptionError):
         trend_tail(model)
@@ -284,7 +329,7 @@ def test_edge_offset_needs_shallow_hurst():
 def test_edge_offset_needs_positive_slope_edge():
     model = TrendModel(
         H=0.5, beta=2.0, alpha_loc=1.0, d_ref=(1.0, 1.0),
-        eta=EtaSpec(0.0, 1.0, 1.0), zeta=tw.EdgePower(1.0, -0.2, 1.0),
+        eta=eta_tail(0.0, 1.0, 1.0), zeta=tw.EdgePower(1.0, -0.2, 1.0),
     )
     with pytest.raises(AssumptionError):
         trend_tail(model)

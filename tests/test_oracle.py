@@ -201,9 +201,15 @@ def test_ratio_table_empty_grid(weibull12, edge01):
     assert ratio_table(weibull12, edge01, "sum", weibull12.tail, []) == []
 
 
-def test_ratio_table_requires_increasing_grid(weibull12, edge01):
-    with pytest.raises(DomainError):
-        ratio_table(weibull12, edge01, "sum", weibull12.tail, [4.0, 4.0])
+@pytest.mark.parametrize("grid", [[4.0, 4.0], [math.nan], [30.0, math.nan], [math.nan, 30.0]])
+def test_ratio_table_requires_increasing_grid(monkeypatch, weibull12, edge01, grid):
+    # A NaN level once passed the check and gave a failed row.
+    def no_oracle(*args):
+        raise AssertionError("an oracle ran before the grid was checked")
+
+    monkeypatch.setattr(oracle, "sf_sum_exact", no_oracle)
+    with pytest.raises(DomainError, match="grid must be strictly increasing"):
+        ratio_table(weibull12, edge01, "sum", weibull12.tail, grid)
 
 
 def test_ratio_table_marks_a_tail_that_overflows_as_a_failed_row(weibull12, edge01):

@@ -11,7 +11,9 @@ the stream pins and the estimate pins pin ``block_rng`` itself.  The
 path-mean pins were re-recorded when chunk c of a path estimate came to
 draw its 64 paths one after another from ``block_rng(seed, c)``, and the
 64-path Pickands pin again when fractional paths came to be summed in their
-transform and Pickands paths were no longer pinned to 0 at t = 0.
+transform and Pickands paths were no longer pinned to 0 at t = 0.  A path
+mean can absorb the last-bit move of every path it averages, so raw
+``fbm_path`` draws are pinned too.
 """
 
 import hashlib
@@ -93,6 +95,12 @@ PATH_MEANS = {
 }
 
 
+def fbm_path_digest(H):
+    # Four paths drawn in turn from one stream, at 2**4, 2**8 (twice) and 2**12 steps.
+    rng = block_rng(41, 0)
+    return digest(*[gp.fbm_path(H, n, 4.0, rng) for n in (1 << 4, 1 << 8, 1 << 8, 1 << 12)])
+
+
 SAMPLES = {
     "weibull(1,2)": "39bd7e96e86b7f62",
     "weibull(0.5,3)": "6f7062396b30b4cc",
@@ -156,6 +164,12 @@ PATH_MEAN_PINS = {
     "pickands_estimate": "3da54b50f26d445b",
     "econst_estimate": "3a68605353ab9e25",
 }
+FBM_PATH_PINS = {
+    0.3: "31dd122d69a5fb76",
+    0.5: "0369cc94c38fc715",
+    0.7: "a1cb6d7f88eb7d3e",
+    1.0: "21fd78b4d243a844",
+}
 PATH_MEAN_PINS_130 = {
     "pickands_estimate": "b6deb8108f1bdfc7",
     "econst_estimate": "59f82e8a3c725017",
@@ -200,3 +214,8 @@ def test_path_means_keep_their_pinned_bits(estimator, workers):
 @pytest.mark.parametrize("estimator", list(PATH_MEANS))
 def test_path_means_over_three_chunks_keep_their_pinned_bits(estimator, workers):
     assert path_mean_digest(estimator, workers, n_paths=130) == PATH_MEAN_PINS_130[estimator]
+
+
+@pytest.mark.parametrize("H", list(FBM_PATH_PINS))
+def test_fbm_paths_keep_their_pinned_bits(H):
+    assert fbm_path_digest(H) == FBM_PATH_PINS[H]

@@ -31,7 +31,7 @@ PUBLIC = [
     "tail_to_dict", "wilson_interval",
 ]
 GP_PUBLIC = [
-    "EtaSpec", "McEstimate", "TrendConstants", "TrendModel", "TrendTailValue",
+    "McEstimate", "TrendConstants", "TrendModel", "TrendTailValue",
     "bm_exact_oracle", "bm_sup_ratio_moment", "econst_estimate", "eta_power_low_model",
     "fbm_path", "negate_model", "paths_to_csv", "pickands_estimate", "pickands_exact",
     "random_trend_tail", "read_paths_binary", "sup_exceedance_mc", "trend_constants",
@@ -117,5 +117,34 @@ def test_trend_tail_asymptotic_answers_or_refuses(H, beta, alpha_loc, d, pickand
         model = TrendModel(H, beta, alpha_loc, (1.0, d), pickands=pickands)
         value = trend_tail_asymptotic(model, c, u)
         return [value.log_f, value.log_g]
+
+    _answers_or_refuses(call)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Each registry family with support in [0, inf), its parameters drawn over
+# the finite doubles the family's spec allows.
+_HALF_LINE_LAWS = st.one_of(
+    st.builds(lambda K, a: ("weibull", {"K": K, "alpha": a}), _POSITIVE, _POSITIVE),
+    st.builds(lambda C, a: ("pareto", {"C": C, "alpha": a}), _POSITIVE, _POSITIVE),
+    st.builds(lambda s, mu: ("edge", {"sigma": s, "mu": mu}),
+              st.floats(min_value=1.0, allow_infinity=False), _POSITIVE),
+    st.builds(lambda m, s: ("lognormal", {"m": m, "s": s}), _FINITE, _POSITIVE),
+    st.builds(lambda c: ("constant", {"c": c}), st.floats(min_value=0.0, allow_infinity=False)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(law=_HALF_LINE_LAWS, alpha=_X)
+@example(law=("weibull", {"K": 1.0, "alpha": 1.0}), alpha=200.0)  # once OverflowError
+@example(law=("lognormal", {"m": 0.0, "s": 1.0}), alpha=40.0)  # once OverflowError
+@example(law=("constant", {"c": 0.0}), alpha=2.0)  # the zero law: every moment is 0
+def test_moment_answers_or_refuses(law, alpha):
+    def call():
+        model = tailward.make_model({"family": law[0], "params": law[1]})
+        value = tailward.moment(model, alpha)
+        assert value > 0.0 or model.support[1] == 0.0, value
+        return [value]
 
     _answers_or_refuses(call)

@@ -13,7 +13,7 @@ from scipy import special, stats
 
 import tailward as tw
 from tailward import gp_extremes as gp
-from tailward.errors import DivergentMoment, DomainError, SpecError
+from tailward.errors import DivergentMoment, DomainError, SpecError, as_double
 from tailward.quadrature import log1mexp
 from tailward.tail_model import law, moment_by_quadrature
 
@@ -369,9 +369,15 @@ def test_declared_tail_ratio_enters_and_stays_near_one(spec, u_star):
 # Moments
 # ---------------------------------------------------------------------------
 
+def quadrature_moment(model, alpha):
+    """E X**alpha by the tail-integral identity, whatever the family."""
+    direct, log = moment_by_quadrature(model, alpha)
+    return as_double("quadrature moment", direct, log_compute=log)
+
+
 def test_lognormal_moment_closed_form_and_quadrature(lognormal01):
     assert tw.moment(lognormal01, 2.0) == pytest.approx(math.exp(2.0), rel=1e-12)
-    assert moment_by_quadrature(lognormal01, 2.0) == pytest.approx(
+    assert quadrature_moment(lognormal01, 2.0) == pytest.approx(
         math.exp(2.0), rel=1e-9
     )
 
@@ -379,6 +385,40 @@ def test_lognormal_moment_closed_form_and_quadrature(lognormal01):
 def test_constant_moment():
     m = tw.make_model("constant(1)")
     assert tw.moment(m, 3.7) == 1.0
+    assert tw.moment(tw.make_model("constant(0)"), 3.7) == 0.0
+
+
+@pytest.mark.parametrize("spec,alpha,log_moment", [
+    # A factor overflows (Gamma(172), Gamma(173.5), 1e300**0.5 * 1e300); the moment fits.
+    ("weibull(2,1)", 171.0, -171.0 * math.log(2.0) + math.lgamma(172.0)),
+    ("weibull(2,2)", 345.0, -172.5 * math.log(2.0) + math.lgamma(173.5)),
+    ("pareto(1e300,1e300)", 5e299, 0.5 * math.log(1e300) + math.log(2.0)),
+])
+def test_a_moment_whose_direct_form_overflows_takes_its_log_form(spec, alpha, log_moment):
+    assert tw.moment(tw.make_model(spec), alpha) == pytest.approx(
+        math.exp(log_moment), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec,alpha,got", [
+    ("weibull(1,1)", 200.0, "inf"),
+    ("lognormal(0,1)", 40.0, "inf"),
+    ("constant(1e300)", 2.0, "inf"),
+    ("edge(1e300,1)", 2.0, "inf"),  # the quadrature family
+    ("lognormal(-1000,1)", 1.0, "0.0"),
+    ("constant(1e-300)", 2.0, "0.0"),
+])
+def test_a_moment_beyond_the_doubles_is_a_domain_error(spec, alpha, got):
+    # Each once raised a bare OverflowError or answered 0.0.
+    family = spec.split("(")[0]
+    with pytest.raises(DomainError, match=rf"moment of order {alpha} of {family} is not a "
+                                          rf"positive finite double \(got {got}\)"):
+        tw.moment(tw.make_model(spec), alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+def test_moment_order_is_positive_and_finite(weibull12, alpha):
+    with pytest.raises(SpecError, match="moment order must be positive and finite"):
+        tw.moment(weibull12, alpha)
 
 
 def test_divergent_moment_for_heavy_power_tail(pareto12):
@@ -398,7 +438,7 @@ def test_moment_requires_nonnegative_support():
 def test_quadrature_moment_matches_closed_form(spec, alpha):
     m = tw.make_model(spec)
     closed = tw.moment(m, alpha)
-    quad = moment_by_quadrature(m, alpha)
+    quad = quadrature_moment(m, alpha)
     assert quad == pytest.approx(closed, rel=1e-7)
 
 
