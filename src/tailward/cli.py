@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .asymptotic_engine import product_tail, sum_tail
 from .errors import SpecError, TailwardError
-from .tail_model import EdgePower, PowerTail, make_model, tail_to_dict
+from .tail_model import make_model, tail_to_dict
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,7 +45,11 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+_MAX_GRID_POINTS = 10 ** 5  # an a:b:step grid's count is checked before a point is built
+
+
 def _parse_grid(text: str) -> list[float]:
+    """A comma list, or a:b:step: each a + k*step to 12 significant digits, at most b."""
     parts = text.split(":")
     try:
         values = [float(p) for p in (parts if len(parts) == 3 else text.split(","))]
@@ -58,12 +62,11 @@ def _parse_grid(text: str) -> list[float]:
     a, b, step = values
     if step <= 0 or b < a or a + step == a:  # a step too small to move a never ends
         raise SpecError(f"bad grid {text!r}")
-    grid = []
-    v = a
-    while v <= b + 1e-12:
-        grid.append(round(v, 12))
-        v += step
-    return grid
+    count = (b - a) / step + 1.0
+    if not count <= _MAX_GRID_POINTS:
+        raise SpecError(f"bad grid {text!r}: more than {_MAX_GRID_POINTS} points")
+    # The slack keeps b where (b - a) / step rounds just below a whole number.
+    return [min(float(f"{a + k * step:.12g}"), b) for k in range(math.floor(count + 1e-9))]
 
 
 # ---------------------------------------------------------------------------
@@ -134,44 +137,6 @@ def _cmd_verify(args) -> int:
 # gp subcommands
 # ---------------------------------------------------------------------------
 
-# The fields each preset sets itself; the caller may not give them.
-_PRESET_FIXES = {"bm": ("H", "alpha_loc", "d_ref"), "fbm": ("alpha_loc", "d_ref")}
-
-
-_REQUIRED = object()
-
-
-def _json_object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise SpecError(f"trend model field {name} must be an object, got {json.dumps(value)}")
-    return value
-
-
-def _json_number(obj: dict, key: str, default=_REQUIRED, where: str = "") -> float:
-    """obj[key] as a float: a JSON number, never a boolean or a numeric string."""
-    name = where + key
-    value = obj.get(key, default)
-    if value is _REQUIRED:
-        raise SpecError(f"trend model field {name} is missing")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"trend model field {name} must be a number, got {json.dumps(value)}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise SpecError(f"trend model field {name} is beyond the doubles, got {value}") from None
-
-
-def _minus_tail(obj: dict, name: str, edge: str, power: str, no_edge=_REQUIRED):
-    """The upper tail of -X from X's JSON: an edge at -obj[edge], else a power."""
-    where = name + "."
-    delta = _json_number(obj, edge, no_edge, where)
-    c, p = _json_number(obj, "C", where=where), _json_number(obj, power, where=where)
-    try:
-        return PowerTail(c, p) if delta == -math.inf else EdgePower(c, -delta, p)
-    except SpecError as exc:
-        raise SpecError(f"bad {name} spec {obj}: {exc}") from None
-
-
 def _trend_model_from_json(text: str):
     from .gp_extremes import TrendModel
 
@@ -181,36 +146,7 @@ def _trend_model_from_json(text: str):
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SpecError(f"bad trend model JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SpecError(f"a trend model must be a JSON object, got {json.dumps(obj)}")
-    preset = obj.get("preset")
-    if preset is not None and (not isinstance(preset, str) or preset not in _PRESET_FIXES):
-        raise SpecError(f"unknown preset {preset!r}; use 'bm' or 'fbm'")
-    clash = [name for name in _PRESET_FIXES.get(preset, ()) if name in obj]
-    if clash:
-        raise SpecError(f"preset {preset!r} fixes {', '.join(clash)}; drop them")
-    eta, zeta = obj.get("eta"), obj.get("zeta")
-    eta = None if eta is None else _json_object(eta, "eta")
-    zeta = None if zeta is None else _json_object(zeta, "zeta")
-    parts = dict(
-        eta=_minus_tail(eta, "eta", "delta", "mu") if eta else None,
-        zeta=_minus_tail(zeta, "zeta", "delta0", "gamma", -math.inf) if zeta else None,
-        pickands=None if obj.get("pickands") is None else _json_number(obj, "pickands"),
-        e_const=None if obj.get("e_const") is None else _json_number(obj, "e_const"),
-    )
-    if preset == "bm":
-        return TrendModel.fbm(0.5, _json_number(obj, "beta", 1.0), **parts)
-    if preset == "fbm":
-        return TrendModel.fbm(_json_number(obj, "H"), _json_number(obj, "beta"), **parts)
-    d_ref = _json_object(obj.get("d_ref", {"s": 1.0, "value": 1.0}), "d_ref")
-    return TrendModel(
-        H=_json_number(obj, "H"),
-        beta=_json_number(obj, "beta"),
-        alpha_loc=_json_number(obj, "alpha_loc"),
-        d_ref=(_json_number(d_ref, "s", where="d_ref."),
-               _json_number(d_ref, "value", where="d_ref.")),
-        **parts,
-    )
+    return TrendModel.from_json(obj)
 
 
 def _cmd_gp_constants(args) -> int:
@@ -333,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_const = gp_sub.add_parser("constants", help="derived trend constants")
     p_const.add_argument("--model", required=True,
-                         help="JSON string or file, read as in gp tail; eta and zeta are unused")
+                         help="JSON string or file, read as in gp tail "
+                         "(gp_extremes.TrendModel.from_json); eta and zeta are unused")
     p_const.add_argument("--c", type=float, default=1.0)
     p_const.add_argument("--out", default=None)
     p_const.set_defaults(fn=_cmd_gp_constants)

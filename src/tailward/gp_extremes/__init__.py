@@ -1,6 +1,7 @@
 """Supremum tails of self-similar Gaussian processes with random trends."""
 
-from .bm_oracle import bm_exact_oracle, eta_power_low_model, negate_model
+from ..tail_model import negate_model
+from .bm_oracle import bm_exact_oracle, eta_power_low_model
 from .estimators import (
     McEstimate,
     econst_estimate,

@@ -12,6 +12,11 @@ zeta <= -u make the kernel saturate at 1; that mass is added analytically
 as P(zeta <= -u), zeta's own lower tail, rather than integrated.  Both
 averages are :func:`tailward.oracle.log_mixture`, the one mixture
 integral: the inner one over eta is the outer one's kernel.
+
+The module defines no law.  A trend model's slope and offset are upper
+tails of -eta and -zeta, and their exact laws are the mirror images
+``tail_model.negate_model(tail_model._law_of(tail))``: pareto for a power
+tail, the edge law for an edge tail (``eta_power_low_model`` is the slope's).
 """
 
 from __future__ import annotations
@@ -20,58 +25,19 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError, SpecError, as_double
+from ..errors import DomainError
 from ..oracle import log_mixture
-from ..tail_model import DistributionModel, EdgePower, law
+from ..tail_model import DistributionModel, EdgePower, _law_of, negate_model
 from .trend import _check_slope_edge
 
-__all__ = ["eta_power_low_model", "negate_model", "bm_exact_oracle"]
+__all__ = ["eta_power_low_model", "bm_exact_oracle"]
 
 
 def eta_power_low_model(delta: float, C: float, mu: float) -> DistributionModel:
-    """Law with CDF C*(x-delta)**mu on [delta, delta + C**(-1/mu)].
-
-    Realizes an exact slope law whose lower-edge behaviour is the declared
-    (delta, C, mu), checked as a trend model's ``EdgePower(C, -delta, mu)``;
-    the width is whatever makes the CDF reach one.
-    """
-    _check_slope_edge(EdgePower(C, -delta, mu))
-    width = as_double(f"eta width C**(-1/mu) for C={C}, mu={mu}", lambda: C ** (-1.0 / mu))
-
-    def log_sf(x):
-        cdf = np.minimum(C * np.minimum(x - delta, width) ** mu, 1.0)
-        return np.log1p(-cdf)
-
-    def log_density(x):
-        return math.log(C * mu) + (mu - 1.0) * np.log(x - delta)
-
-    def sampler(rng, size=None):
-        v = rng.random(size)
-        v /= C
-        v **= 1.0 / mu
-        v += delta
-        return v
-
-    return law("eta_power_low", {"delta": delta, "C": C, "mu": mu},
-               (delta, delta + width), None, sampler, log_sf, log_density)
-
-
-def negate_model(model: DistributionModel) -> DistributionModel:
-    """The law of -X for a model with a density: its two tails swap.
-
-    P(-X > x) = P(X < -x) and P(-X <= x) = P(X >= -x), each X's own tail:
-    a continuous law puts no mass on the point -x.
-    """
-    if model.log_density is None:
-        raise SpecError(f"negate_model needs a density; {model.family} has none")
-    lo, hi = model.support
-
-    def sampler(rng, size=None):
-        return -model.sampler(rng, size)
-
-    return law(f"neg_{model.family}", dict(model.params), (-hi, -lo), None, sampler,
-               lambda x: model.log_cdf(-x), lambda x: model.log_density(-x),
-               log_cdf=lambda x: model.log_sf(-x))
+    """Law with CDF C*(x-delta)**mu on [delta, delta + C**(-1/mu)]: the mirror
+    image of the edge law of a trend model's slope tail EdgePower(C, -delta, mu)."""
+    _check_slope_edge(eta := EdgePower(C, -delta, mu))
+    return negate_model(_law_of(eta))
 
 
 def _log_mean_kernel(eta: DistributionModel, v: float, rtol: float) -> float:

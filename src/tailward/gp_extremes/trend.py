@@ -9,8 +9,11 @@ independently of X) reduce to the product/sum tail calculus of
 u -> u**(1 - H/beta).
 
 Slope and offset are both given as upper tails of their negatives, in the
-families of :mod:`tailward.tail_model`, whose moment rule also gives the
-Brownian sup-ratio moment; this module keeps what is specific to suprema.
+families of :mod:`tailward.tail_model`.  Its moment rule gives the Brownian
+sup-ratio moment, and the mirror of each tail's exact law is the slope or
+offset law of the Brownian referee (:mod:`.bm_oracle`).  ``TrendModel.from_json``
+is the one reader of a model's JSON, for ``gp tail``, ``gp constants`` and
+the GP fixtures.  This module keeps what is specific to suprema.
 
 ``trend_tail`` is the one place that decides which regime gives the tail
 of sup_t (X(t) - eta*t**beta - zeta):
@@ -28,6 +31,7 @@ Equal power orders of slope and offset are refused with ``BoundaryCase``.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -134,6 +138,72 @@ class TrendModel:
             and self.alpha_loc == 1.0
             and abs(self.d_at(1.0) - 1.0) < 1e-12
         )
+
+    @classmethod
+    def from_json(cls, obj) -> "TrendModel":
+        """The model a decoded JSON object describes; the one reader of
+        ``gp tail --model``, ``gp constants --model`` and the GP fixtures."""
+        if not isinstance(obj, dict):
+            raise SpecError(f"a trend model must be a JSON object, got {json.dumps(obj)}")
+        preset = obj.get("preset")
+        if preset is not None and (not isinstance(preset, str) or preset not in _PRESET_FIXES):
+            raise SpecError(f"unknown preset {preset!r}; use 'bm' or 'fbm'")
+        clash = [name for name in _PRESET_FIXES.get(preset, ()) if name in obj]
+        if clash:
+            raise SpecError(f"preset {preset!r} fixes {', '.join(clash)}; drop them")
+        eta, zeta = (None if obj.get(k) is None else _json_object(obj[k], k)
+                     for k in ("eta", "zeta"))
+        parts = dict(
+            eta=_minus_tail(eta, "eta", "delta", "mu") if eta else None,
+            zeta=_minus_tail(zeta, "zeta", "delta0", "gamma", -math.inf) if zeta else None,
+            **{k: None if obj.get(k) is None else _json_number(obj, k)
+               for k in ("pickands", "e_const")})
+        if preset is not None:
+            H = 0.5 if preset == "bm" else _json_number(obj, "H")
+            return cls.fbm(H, _json_number(obj, "beta", 1.0 if preset == "bm" else _REQUIRED),
+                           **parts)
+        d_ref = _json_object(obj.get("d_ref", {"s": 1.0, "value": 1.0}), "d_ref")
+        return cls(H=_json_number(obj, "H"), beta=_json_number(obj, "beta"),
+                   alpha_loc=_json_number(obj, "alpha_loc"),
+                   d_ref=(_json_number(d_ref, "s", where="d_ref."),
+                          _json_number(d_ref, "value", where="d_ref.")), **parts)
+
+
+# The fields each preset sets itself; the caller may not give them.
+_PRESET_FIXES = {"bm": ("H", "alpha_loc", "d_ref"), "fbm": ("alpha_loc", "d_ref")}
+
+_REQUIRED = object()
+
+
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"trend model field {name} must be an object, got {json.dumps(value)}")
+    return value
+
+
+def _json_number(obj: dict, key: str, default=_REQUIRED, where: str = "") -> float:
+    """obj[key] as a float: a JSON number, never a boolean or a numeric string."""
+    name = where + key
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise SpecError(f"trend model field {name} is missing")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"trend model field {name} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecError(f"trend model field {name} is beyond the doubles, got {value}") from None
+
+
+def _minus_tail(obj: dict, name: str, edge: str, power: str, no_edge=_REQUIRED):
+    """The upper tail of -X from X's JSON: an edge at -obj[edge], else a power."""
+    where = name + "."
+    delta = _json_number(obj, edge, no_edge, where)
+    c, p = _json_number(obj, "C", where=where), _json_number(obj, power, where=where)
+    try:
+        return PowerTail(c, p) if delta == -math.inf else EdgePower(c, -delta, p)
+    except SpecError as exc:
+        raise SpecError(f"bad {name} spec {obj}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@ import numpy as np
 
 from .errors import DomainError, TailwardError, Unsupported, as_double
 from .quadrature import log_quad, logsumexp_pair
-from .tail_model import AsymptoticTail, DistributionModel, _heavy_first, sf_eval
+from .tail_model import (AsymptoticTail, DistributionModel, _heavy_first, _mass_decades,
+                         sf_eval)
 
 __all__ = ["log_mixture", "sf_sum_exact", "sf_product_exact", "ratio_table"]
 
 _RTOL = 1e-9
-_DECADES = np.outer((-1.0, 1.0), 10.0 ** np.arange(-300, 301)).ravel()
 
 
 def log_mixture(law: DistributionModel, log_kernel, lo: float, hi: float,
@@ -71,17 +71,6 @@ def log_mixture(law: DistributionModel, log_kernel, lo: float, hi: float,
 def _upper_mass(y: DistributionModel, edge: float) -> float:
     # log P(Y > edge), the mass where SF_X has saturated at 1.
     return float(y.log_sf(edge)) if edge < y.support[1] else -math.inf
-
-
-def _mass_decades(y: DistributionModel, lo: float, hi: float) -> np.ndarray:
-    # Panel edges at every decade +-10**k inside (lo, hi) and Y's support
-    # where log SF_Y lies in (-745, -1e-3); cuts outside (lo, hi) would be
-    # dropped by the quadrature, so SF_Y is not evaluated there.
-    lo, hi = max(lo, y.support[0]), min(hi, y.support[1])
-    decades = _DECADES[(_DECADES > lo) & (_DECADES < hi)]
-    with np.errstate(all="ignore"):
-        log_sf = np.asarray(y.log_sf(decades))
-    return decades[(log_sf > -745.0) & (log_sf < -1e-3)]
 
 
 def sf_sum_exact(x: DistributionModel, y: DistributionModel, u: float,

@@ -36,7 +36,7 @@ from .laplace_kernel import (
     tail_integral_numeric,
 )
 from .montecarlo import check_seed
-from .tail_model import EdgePower, PowerTail, make_model, sf_eval, tail_to_dict
+from .tail_model import _law_of, make_model, negate_model, sf_eval, tail_to_dict
 
 __all__ = [
     "VerifyReport",
@@ -299,56 +299,31 @@ def _gp_exact_sup_fixture(T=50.0, n_steps=1 << 16, n_paths=10 ** 5):
     return run
 
 
-def _random_slope_rows(u, eta_zero, eta_pos):
+def _trend_ratio_rows(models, u, tol):
+    """Each model's oracle-to-claim ratio at its level; the oracle's laws mirror its tails."""
     from . import gp_extremes as gp
 
-    # Zero lower edge (power tail 0.5 * u^-1) and positive edge, same check.
     rows = []
-    for name, eta in (("zero-edge-ratio", eta_zero), ("positive-edge-ratio", eta_pos)):
-        minus_eta = EdgePower(eta["C"], -eta["delta"], eta["mu"])
-        tail = gp.random_trend_tail(gp.TrendModel.fbm(0.5, 1.0, eta=minus_eta))
-        log_exact = gp.bm_exact_oracle(gp.eta_power_low_model(**eta), None, u)
-        rows.append(_check(name, math.exp(log_exact - sf_eval(tail, u)), 1.0, 0.02))
-    return rows
-
-
-def _offset_rows(eta, gammas, u):
-    from . import gp_extremes as gp
-
-    eta_law = gp.eta_power_low_model(**eta)
-    minus_eta = EdgePower(eta["C"], -eta["delta"], eta["mu"])
-    rows = []
-    for name, gamma, level in zip(("light-offset", "heavy-offset"), gammas, u):
-        model = gp.TrendModel.fbm(
-            0.5, 1.0, eta=minus_eta, zeta=PowerTail(1.0, gamma)
-        )
+    for (name, obj), level in zip(models.items(), u):
+        model = gp.TrendModel.from_json(obj)
         tail, _ = gp.trend_tail(model)
-        zeta = gp.negate_model(make_model({"family": "pareto",
-                                           "params": {"C": 1.0, "alpha": gamma}}))
-        ratio = math.exp(gp.bm_exact_oracle(eta_law, zeta, level) - sf_eval(tail, level))
-        rows.append(_check(name, ratio, 1.0, 0.05))
+        eta, zeta = (None if t is None else negate_model(_law_of(t))
+                     for t in (model.eta, model.zeta))
+        log_exact = gp.bm_exact_oracle(eta, zeta, level)
+        rows.append(_check(name, math.exp(log_exact - sf_eval(tail, level)), 1.0, tol))
     return rows
 
 
 def _offset_edge_rows(model):
     from . import gp_extremes as gp
 
-    eta, zeta = model["eta"], model["zeta"]
-    minus_zeta = EdgePower(zeta["C"], -zeta["delta0"], zeta["gamma"])
-    trend = gp.TrendModel(
-        H=model["H"], beta=model["beta"], alpha_loc=model["alpha_loc"],
-        d_ref=(1.0, 1.0), eta=EdgePower(eta["C"], -eta["delta"], eta["mu"]), zeta=minus_zeta,
-    )
+    trend = gp.TrendModel.from_json(model)
     combined, _ = gp.trend_tail(trend)
-    reference = sum_mixed_tail(gp.random_trend_tail(trend), minus_zeta)
-    rows = []
-    for fld in ("C", "rho", "K", "alpha", "shift"):
-        a = getattr(combined, fld)
-        b = getattr(reference, fld)
-        rel = abs(a - b) / max(abs(b), 1e-300)
-        rows.append({"name": fld, "value": a, "reference": b,
-                     "tol": 1e-12, "ok": rel <= 1e-12})
-    return rows
+    reference = sum_mixed_tail(gp.random_trend_tail(trend), trend.zeta)
+    fields = [(f, getattr(combined, f), getattr(reference, f))
+              for f in ("C", "rho", "K", "alpha", "shift")]
+    return [{"name": f, "value": a, "reference": b, "tol": 1e-12,
+             "ok": abs(a - b) / max(abs(b), 1e-300) <= 1e-12} for f, a, b in fields]
 
 
 GP_FIXTURES = {
@@ -357,14 +332,18 @@ GP_FIXTURES = {
         T=20.0, n_steps=1 << 13, n_paths=4000
     ),
     "bm-random-slope": _scalar_fixture(
-        "random_trend", _random_slope_rows,
-        u=50.0,
-        eta_zero={"delta": 0.0, "C": 1.0, "mu": 1.0},
-        eta_pos={"delta": 0.3, "C": 1.0, "mu": 1.0},
+        "random_trend", _trend_ratio_rows,
+        models={"zero-edge-ratio": {"preset": "bm", "eta": {"delta": 0.0, "C": 1.0, "mu": 1.0}},
+                "positive-edge-ratio": {"preset": "bm",
+                                        "eta": {"delta": 0.3, "C": 1.0, "mu": 1.0}}},
+        u=[50.0, 50.0], tol=0.02,
     ),
     "bm-random-slope-offset": _scalar_fixture(
-        "shifted_trend", _offset_rows,
-        eta={"delta": 0.0, "C": 1.0, "mu": 1.0}, gammas=[0.5, 3.0], u=[400.0, 100.0],
+        "shifted_trend", _trend_ratio_rows,
+        models={name: {"preset": "bm", "eta": {"delta": 0.0, "C": 1.0, "mu": 1.0},
+                       "zeta": {"C": 1.0, "gamma": gamma}}
+                for name, gamma in (("light-offset", 0.5), ("heavy-offset", 3.0))},
+        u=[400.0, 100.0], tol=0.05,
     ),
     "bm-offset-edge-composition": _scalar_fixture(
         "composition_identity", _offset_edge_rows,

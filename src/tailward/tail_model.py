@@ -11,11 +11,12 @@ Three tail families are closed under the sum/product calculus implemented in
 All survival evaluation is done and stored in log-space: the interesting u
 push survival probabilities far below 1e-300.
 
-Every exact law is built by :func:`law` and obeys one support rule: with
-support (lo, hi), log SF is 0 at or below lo and -inf at or above hi, log
-CDF the reverse, log density is -inf outside the open interval (lo, hi),
-and a scalar argument gives a float.  Constructors give only the formulas
-valid inside (lo, hi).
+Every exact law is built by :func:`law`, or mirrored from one by
+:func:`negate_model`, and obeys one support rule: with support (lo, hi),
+log SF is 0 at or below lo and -inf at or above hi, log CDF the reverse,
+log density is -inf outside the open interval (lo, hi), and a scalar
+argument gives a float.  Constructors give only the formulas valid inside
+(lo, hi).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergentMoment, DomainError, SpecError, as_double
-from .quadrature import log1mexp, log_quad
+from .quadrature import log1mexp, log_quad, logsumexp_pair
 from .specfun import log_norm_sf
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "tail_to_dict",
     "DistributionModel",
     "law",
+    "negate_model",
     "make_model",
     "parse_model_spec",
     "power_order",
@@ -176,10 +178,7 @@ class DistributionModel:
     threads; samplers take an explicit numpy Generator so callers own all
     mutation.  ``tail`` is the exact asymptotic declaration where one exists
     inside the three families (lognormal and the degenerate constant have
-    none).  Laws built by :func:`law` share one support rule: with
-    ``support = (lo, hi)``, log SF is 0 at or below lo and -inf at or above
-    hi, log CDF the reverse, log density is -inf outside the open interval
-    (lo, hi), and a scalar argument gives a float.
+    none).  Every law follows the module's support rule on ``support``.
     """
 
     family: str
@@ -256,6 +255,27 @@ def law(family: str, params: dict, support: tuple[float, float],
     )
 
 
+def negate_model(model: DistributionModel) -> DistributionModel:
+    """The law of -X for a law with a density: its two tails swap.
+
+    P(-X > x) = P(X < -x) and P(-X <= x) = P(X >= -x), each X's own tail:
+    a continuous law puts no mass on the point -x.  X's callables follow the
+    support rule, so their mirror images do, with no second mask."""
+    if model.log_density is None:
+        raise SpecError(f"negate_model needs a density; {model.family} has none")
+    lo, hi = model.support
+
+    def sampler(rng, size=None):
+        v = model.sampler(rng, size)
+        return np.negative(v, out=_own(v))
+
+    return DistributionModel(
+        family=f"neg_{model.family}", params=dict(model.params), support=(-hi, -lo),
+        tail=None, log_sf=lambda x: model.log_cdf(np.negative(x)),
+        log_density=lambda x: model.log_density(np.negative(x)), sampler=sampler,
+        log_cdf=lambda x: model.log_sf(np.negative(x)))
+
+
 def _make_weibull(K: float, alpha: float) -> DistributionModel:
     if not (K > 0 and alpha > 0):
         raise SpecError(f"weibull needs K > 0 and alpha > 0, got K={K}, alpha={alpha}")
@@ -323,25 +343,29 @@ def _make_pareto(C: float, alpha: float) -> DistributionModel:
                PowerTail(C, alpha), sampler, log_sf, log_density)
 
 
-def _make_edge(sigma: float, mu: float) -> DistributionModel:
-    # Support is fixed to [sigma-1, sigma] so SF(u) = (sigma-u)**mu exactly
-    # there; the declared tail is an identity, not an asymptotic.
+def _make_edge(sigma: float, mu: float, C: float = 1.0) -> DistributionModel:
+    # SF(u) = C*(sigma-u)**mu exactly on the support [sigma - C**(-1/mu), sigma]:
+    # the tail is an identity, not an asymptotic.  The registry's edge is C = 1.
     if not mu > 0:
         raise SpecError(f"edge needs mu > 0, got mu={mu}")
+    width = as_double(f"edge width C**(-1/mu) for C={C}, mu={mu}", lambda: C ** (-1.0 / mu))
+    log_c = math.log(C)
+    params = {"sigma": sigma, "mu": mu} if C == 1.0 else {"sigma": sigma, "mu": mu, "C": C}
 
     def log_sf(x):
-        return mu * np.log(np.minimum(sigma - x, 1.0))
+        return mu * np.log(np.minimum(sigma - x, width)) + log_c
 
     def log_density(x):
-        return math.log(mu) + (mu - 1) * np.log(sigma - x)
+        return math.log(C * mu) + (mu - 1) * np.log(sigma - x)
 
     def sampler(rng, size=None):
         v = rng.random(size)
+        v /= C
         v **= 1.0 / mu
         return np.subtract(sigma, v, out=_own(v))
 
-    return law("edge", {"sigma": sigma, "mu": mu}, (sigma - 1.0, sigma),
-               EdgePower(1.0, sigma, mu), sampler, log_sf, log_density)
+    return law("edge", params, (sigma - width, sigma),
+               EdgePower(C, sigma, mu), sampler, log_sf, log_density)
 
 
 def _make_lognormal(m: float, s: float) -> DistributionModel:
@@ -471,9 +495,32 @@ def make_model(spec) -> DistributionModel:
     return ctor(**params)
 
 
+def _law_of(tail: PowerTail | EdgePower) -> DistributionModel:
+    """The law whose SF is ``tail`` on its support: pareto, or the edge law."""
+    if isinstance(tail, PowerTail):
+        return _make_pareto(tail.C, tail.alpha)
+    if isinstance(tail, EdgePower):
+        return _make_edge(tail.sigma, tail.mu, tail.C)
+    raise SpecError(f"no exact law for tail {tail!r}")
+
+
 # ---------------------------------------------------------------------------
 # Moments
 # ---------------------------------------------------------------------------
+
+_DECADES = np.outer((-1.0, 1.0), 10.0 ** np.arange(-300, 301)).ravel()
+
+
+def _mass_decades(y: DistributionModel, lo: float, hi: float) -> np.ndarray:
+    # Panel edges at every decade +-10**k inside (lo, hi) and Y's support
+    # where log SF_Y lies in (-745, -1e-3); cuts outside (lo, hi) would be
+    # dropped by the quadrature, so SF_Y is not evaluated there.
+    lo, hi = max(lo, y.support[0]), min(hi, y.support[1])
+    decades = _DECADES[(_DECADES > lo) & (_DECADES < hi)]
+    with np.errstate(all="ignore"):
+        log_sf = np.asarray(y.log_sf(decades))
+    return decades[(log_sf > -745.0) & (log_sf < -1e-3)]
+
 
 def power_order(model: DistributionModel) -> float:
     """Sup of the b with SF(u) = o(u**-b): the law's power order at +inf.
@@ -539,14 +586,23 @@ def _moment_forms(model: DistributionModel, alpha: float):
 
 
 def moment_by_quadrature(model: DistributionModel, alpha: float):
-    """(direct, log) forms of E X**alpha = alpha * int_0^inf SF(u) u**(alpha-1) du
-    for a law on [0, inf), with the integral taken once by quadrature."""
+    """(direct, log) forms of E X**alpha = s**alpha * (t_lo + int SF(s * t**(1/alpha)) dt)
+    for a law on [0, inf), one quadrature over t = (u/s)**alpha from t_lo <= 1 to
+    t_hi >= 1, the support's ends, at s = hi (an unbounded support: lo, or 1 if 0).
+    So the mass below lo and the mass near u = 0 (below the doubles at a small
+    order) are exact; each decade of u where SF moves, a sliver of t at a small
+    order, is a panel."""
     lo, hi = model.support
+    s = hi if 0.0 < hi < math.inf else (lo if lo > 0.0 else 1.0)
+    log_t_lo = alpha * math.log(lo / s) if lo > 0.0 else -math.inf
 
-    def log_integrand(u):
-        with np.errstate(divide="ignore"):
-            return model.log_sf(u) + (alpha - 1.0) * np.log(np.maximum(u, 1e-320))
+    def log_integrand(t):
+        with np.errstate(over="ignore"):
+            return model.log_sf(s * t ** (1.0 / alpha))
 
-    breaks = [b for b in (lo, hi) if 0.0 < b < math.inf]
-    log_val = log_quad(log_integrand, 0.0, math.inf, rtol=1e-9, breakpoints=breaks)
-    return lambda: alpha * math.exp(log_val), lambda: math.log(alpha) + log_val
+    with np.errstate(over="ignore", under="ignore"):
+        cuts = (_mass_decades(model, 0.0, math.inf) / s) ** alpha
+    log_int = log_quad(log_integrand, math.exp(log_t_lo), (hi / s) ** alpha, rtol=1e-9,
+                       breakpoints=cuts)
+    log_val = alpha * math.log(s) + logsumexp_pair(log_t_lo, log_int)
+    return lambda: math.exp(log_val), lambda: log_val

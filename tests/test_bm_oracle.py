@@ -89,7 +89,7 @@ def test_eta_power_low_density_just_above_its_edge_is_its_formula(x):
     (-0.5, 1.0, 1.0, SpecError, r"eta must be the edge tail EdgePower\(C, -delta, mu\) of -eta "
                                 r"with delta >= 0"),
     # Width 1e300**-1000 = 0: a point mass at 0, whose exceedance is certain.
-    (0.0, 1e300, 1e-3, DomainError, r"eta width C\*\*\(-1/mu\) for C=1e\+300, mu=0.001 "
+    (0.0, 1e300, 1e-3, DomainError, r"edge width C\*\*\(-1/mu\) for C=1e\+300, mu=0.001 "
                                      r"is not a positive finite double \(got 0.0\)"),
 ])
 def test_eta_power_low_model_refuses_what_no_slope_law_has(delta, C, mu, error, message):

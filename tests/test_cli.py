@@ -72,6 +72,16 @@ def test_power_product_constant_is_the_closed_form_moment(capsys):
                                        "alpha": 1.9}
 
 
+def test_power_product_constant_at_a_small_order_is_the_edge_moment(capsys):
+    # C = E X^0.001 for X uniform on [1, 2], (2**1.001 - 1) / 1.001; it once read 0.5222.
+    code, out, err = _run(capsys, "tail", "product", "--x", "edge(2,1)",
+                          "--y", "pareto(1,0.001)")
+    assert code == cli.EXIT_OK and err == ""
+    assert json.loads(out)["tail"] == {
+        "variant": "power", "C": pytest.approx((2.0 ** 1.001 - 1.0) / 1.001, rel=1e-12),
+        "alpha": 0.001}
+
+
 _LAWS = ("weibull(1,2)", "weibull(1,0.5)", "pareto(1,2)", "pareto(1,3)", "edge(0,1)",
          "edge(2,1)", "lognormal(0,1)", "normal", "constant(1)", "constant(0)")
 
@@ -206,6 +216,42 @@ def test_non_finite_grid_or_bad_tolerance_exits_two(capsys, option, value, messa
                           *(f"{k}={v}" for k, v in argv.items()))
     assert code == cli.EXIT_SPEC and out == ""
     assert err == f"specification error: {message}\n"
+
+
+@pytest.mark.parametrize("grid,points", [
+    ("0.1:0.7:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]),
+    ("4:10:2", [4.0, 6.0, 8.0, 10.0]),
+    ("0:1:0.3", [0.0, 0.3, 0.6, 0.9]),
+    # Rounded to 12 decimals, a sum of steps gave five 0.0 and ten 1e-12.
+    ("1e-13:5e-13:1e-13", [1e-13, 2e-13, 3e-13, 4e-13, 5e-13]),
+    # 12 digits of a round up past b: the point is b.
+    ("4.12345678901634:4.12345678901634:1", [4.12345678901634]),
+])
+def test_a_step_grid_is_a_plus_k_steps_up_to_b(capsys, grid, points):
+    assert cli._parse_grid(grid) == points
+    code, out, err = _run(capsys, "verify", "sum", "--x", "weibull(1,2)", "--y", "edge(0,1)",
+                          "--grid", grid)
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED) and err == ""
+    assert json.loads(out)["inputs"]["grid"] == points
+
+
+def test_a_grid_of_too_many_points_is_refused_before_it_is_built():
+    # 0:1e300:1 once appended points until memory ran out; the subprocess gets
+    # 1 GiB of address space, so an unbounded grid fails without a memory hog.
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "tailward.cli", "verify", "sum", "--x", "weibull(1,2)",
+         "--y", "edge(0,1)", "--grid", "0:1e300:1"],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+    assert done.returncode == cli.EXIT_SPEC and done.stdout == ""
+    assert done.stderr == ("specification error: bad grid '0:1e300:1': more than "
+                           f"{cli._MAX_GRID_POINTS} points\n")
 
 
 @pytest.mark.parametrize("grid,message", [

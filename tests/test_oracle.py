@@ -8,7 +8,7 @@ from scipy import special
 from scipy.stats import binomtest
 
 import tailward as tw
-from tailward import oracle
+from tailward import oracle, tail_model
 from tailward.errors import DomainError, QuadratureFailure, Unsupported
 from tailward.gp_extremes import bm_exact_oracle, negate_model
 from tailward.oracle import ratio_table, sf_product_exact, sf_sum_exact
@@ -170,8 +170,8 @@ def test_mass_decades_are_the_full_grid_rule_cut_to_the_interval(spec):
     # (-745, -1e-3), kept inside the open interval cut to Y's support.
     y = tw.make_model(spec)
     with np.errstate(all="ignore"):
-        log_sf = np.asarray(y.log_sf(oracle._DECADES))
-    full = oracle._DECADES[(log_sf > -745.0) & (log_sf < -1e-3)]
+        log_sf = np.asarray(y.log_sf(tail_model._DECADES))
+    full = tail_model._DECADES[(log_sf > -745.0) & (log_sf < -1e-3)]
     intervals = [(0.5, 1e4), (-3.0, 2.0), (1e-3, 1e300),           # finite
                  (-math.inf, 10.0), (2.0, math.inf), (-math.inf, math.inf),  # lines
                  (5.0, 5.0), (7.0, 3.0),                            # empty
@@ -179,7 +179,7 @@ def test_mass_decades_are_the_full_grid_rule_cut_to_the_interval(spec):
     for lo, hi in intervals:
         cut_lo, cut_hi = max(lo, y.support[0]), min(hi, y.support[1])
         expected = full[(full > cut_lo) & (full < cut_hi)]
-        got = oracle._mass_decades(y, lo, hi)
+        got = tail_model._mass_decades(y, lo, hi)
         assert got.tolist() == expected.tolist(), (lo, hi)
 
 

@@ -13,7 +13,8 @@ draw its 64 paths one after another from ``block_rng(seed, c)``, and the
 64-path Pickands pin again when fractional paths came to be summed in their
 transform and Pickands paths were no longer pinned to 0 at t = 0.  A path
 mean can absorb the last-bit move of every path it averages, so raw
-``fbm_path`` draws are pinned too.
+``fbm_path`` draws are pinned too.  The slope law's value pin was
+re-recorded when it became the edge law's mirror image.
 """
 
 import hashlib
@@ -150,10 +151,14 @@ LAW_VALUES = {
     "lognormal(0,1)": "e32bcae1f5a4c82e",
     "normal()": "0836e6eb4ce59c85",
     "constant(1.5)": "fa96f1caedf27610",
-    "eta_power_low(0.3,2,1.5)": "4a6ad8ed9be2982b",
+    "eta_power_low(0.3,2,1.5)": "fd13301f773bd1fa",
     "neg pareto(1,2)": "d4208d98359d1441",
     "neg lognormal(0,1)": "daafe0f824e2d85c",
 }
+# The slope law's log density and support, pinned apart from its law value:
+# they kept their bits when the law became the mirror of the edge law with
+# constant C, while its log SF and log CDF (read by no oracle) moved.
+SLOPE_DENSITY = ("5f3297ce5554dd0d", ("0x1.3333333333333p-2", "0x1.dc23c93270c24p-1"))
 ESTIMATE_PINS = {
     ("estimate_sf", "sum"): "58b8e4e406ead0a1",
     ("estimate_sf", "product"): "be8881fb398d6a60",
@@ -195,6 +200,11 @@ def test_block_rng_draws_keep_their_pinned_bits(name):
 @pytest.mark.parametrize("name", list(LAWS))
 def test_law_values_keep_their_pinned_bits(name):
     assert law_digest(name) == LAW_VALUES[name]
+
+
+def test_slope_law_density_and_support_keep_their_pinned_bits():
+    m = LAWS["eta_power_low(0.3,2,1.5)"]
+    assert (digest(m.log_density(POINTS)), tuple(v.hex() for v in m.support)) == SLOPE_DENSITY
 
 
 @pytest.mark.parametrize("workers", [1, None])

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 from scipy import special
 
+import tailward as tw
 from tailward import cli, oracle, reports
 from tailward import gp_extremes as gp
 from tailward.errors import QuadratureFailure, SpecError
@@ -65,6 +66,31 @@ def test_fixture_report_is_strict_json(kind, name, validate):
     data["runtime_seconds"] = 0.0
     # sort_keys and the text form tell -0.0 from 0.0: bitwise, not approximate.
     assert json.dumps(data, sort_keys=True) == json.dumps(PINNED[name], sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["bm-random-slope", "bm-random-slope-offset",
+                                  "bm-offset-edge-composition"])
+def test_gp_fixture_models_replay_through_gp_tail(monkeypatch, capsys, name):
+    # Each model object in a report's inputs is a --model for gp tail as it
+    # stands, and gp tail answers the very tail the report judged.
+    judged = []
+
+    def recording(model):
+        judged.append(trend_tail(model))
+        return judged[-1]
+
+    trend_tail = gp.trend_tail
+    monkeypatch.setattr(gp, "trend_tail", recording)
+    data = _strict(run_gp_fixture(name, seed=201))
+    assert data["rows"] == PINNED[name]["rows"]
+    inputs = data["inputs"]
+    models = list(inputs["models"].values()) if "models" in inputs else [inputs["model"]]
+    assert len(models) == len(judged)
+    for model, (tail, case) in zip(models, judged):
+        assert cli.main(["gp", "tail", "--model", json.dumps(model)]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["case"], json.dumps(payload["tail"])) == (
+            case, json.dumps(tw.tail_to_dict(tail)))
 
 
 def test_pinned_reports_cover_every_fixture():
