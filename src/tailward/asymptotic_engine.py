@@ -7,7 +7,8 @@ families, never on sampled function values: the conditions quantify over
 all large u, which no finite sample can certify.
 
 ``sum_tail`` and ``product_tail`` are the classifiers: given two laws they
-decide which theorem applies and return its tail with the theorem's name.
+order them once by ``tail_model._heavy_first``, decide which theorem
+applies and return its tail with the theorem's name.
 One rule decides every domination condition, (A)/(B) between two tails and
 (C_alpha)/(D_alpha) for a product's other factor: the law of smaller
 :func:`~tailward.tail_model.power_order` dominates.
@@ -111,7 +112,7 @@ def product_power_tail(x_model: DistributionModel, y: PowerTail) -> PowerTail:
     """Tail of X * Y for positive X, Y with Y of power type.
 
     Conditions (C_alpha) and (D_alpha) on X, with alpha = y.alpha, hold
-    exactly when X's power order exceeds alpha (see ``_heavier_first``);
+    exactly when X's power order exceeds alpha (see ``_require_dominance``);
     the product then inherits Y's exponent with the coefficient scaled by
     E X**alpha (its log form too: C can fit where the moment does not).
     """
@@ -141,10 +142,8 @@ def _require_positive(model: DistributionModel) -> None:
         )
 
 
-def _heavier_first(
-    x: DistributionModel, y: DistributionModel, op: str
-) -> tuple[DistributionModel, DistributionModel]:
-    """(heavy, light) by ``tail_model._heavy_first``; a tie has no closed form."""
+def _require_dominance(heavy: DistributionModel, light: DistributionModel, op: str) -> None:
+    """Refuse a (heavy, light) pair of ``tail_model._heavy_first`` that is a tie."""
     # One comparison decides (A), (B), (C_alpha) and (D_alpha) on these
     # families.  Let f be the lighter tail, of power order b, and g the
     # heavier, of order a < b (a power, since a is finite).  The witness
@@ -159,18 +158,17 @@ def _heavier_first(
     # registry's only law with a declared tail that is unbounded below is
     # the normal, which is symmetric, so its right tail is that heavier tail
     # and (B) needs nothing more.
-    ox, oy = power_order(x), power_order(y)
-    if ox == oy == math.inf:
+    oh, ol = power_order(heavy), power_order(light)
+    if oh == ol == math.inf:
         raise Unsupported(
-            f"no closed {op} rule for families {x.family!r} and {y.family!r}: "
+            f"no closed {op} rule for families {heavy.family!r} and {light.family!r}: "
             f"both tails are lighter than every power"
         )
-    if ox == oy:
+    if oh == ol:
         raise ConditionError(
-            f"equal power exponents {ox}: neither tail dominates the other "
+            f"equal power exponents {oh}: neither tail dominates the other "
             f"and no closed form applies"
         )
-    return _heavy_first(x, y)
 
 
 def sum_tail(x: DistributionModel, y: DistributionModel) -> tuple[AsymptoticTail, str]:
@@ -180,17 +178,15 @@ def sum_tail(x: DistributionModel, y: DistributionModel) -> tuple[AsymptoticTail
     declared tail of smaller power order dominates the other and is kept as
     ``sum_dominant``.
     """
-    tx, ty = x.tail, y.tail
-    if isinstance(tx, WeibullType) and isinstance(ty, EdgePower):
-        return sum_mixed_tail(tx, ty), "sum_mixed"
-    if isinstance(tx, EdgePower) and isinstance(ty, WeibullType):
-        return sum_mixed_tail(ty, tx), "sum_mixed"
-    if any(t is None or isinstance(t, EdgePower) for t in (tx, ty)):
+    x, y = _heavy_first(x, y)
+    if isinstance(x.tail, WeibullType) and isinstance(y.tail, EdgePower):
+        return sum_mixed_tail(x.tail, y.tail), "sum_mixed"
+    if any(t is None or isinstance(t, EdgePower) for t in (x.tail, y.tail)):
         raise Unsupported(
             f"no closed sum rule for families {x.family!r} + {y.family!r}"
         )
-    heavy, _ = _heavier_first(x, y, "sum")
-    return heavy.tail, "sum_dominant"
+    _require_dominance(x, y, "sum")
+    return x.tail, "sum_dominant"
 
 
 def product_tail(x: DistributionModel, y: DistributionModel) -> tuple[AsymptoticTail, str]:
@@ -203,10 +199,8 @@ def product_tail(x: DistributionModel, y: DistributionModel) -> tuple[Asymptotic
     """
     for m in (x, y):
         _require_positive(m)
-    tx, ty = x.tail, y.tail
-    if isinstance(tx, WeibullType) and isinstance(ty, EdgePower):
-        return product_mixed_tail(tx, ty), "product_mixed"
-    if isinstance(tx, EdgePower) and isinstance(ty, WeibullType):
-        return product_mixed_tail(ty, tx), "product_mixed"
-    heavy, light = _heavier_first(x, y, "product")
-    return product_power_tail(light, heavy.tail), "product_power"
+    x, y = _heavy_first(x, y)
+    if isinstance(x.tail, WeibullType) and isinstance(y.tail, EdgePower):
+        return product_mixed_tail(x.tail, y.tail), "product_mixed"
+    _require_dominance(x, y, "product")
+    return product_power_tail(y, x.tail), "product_power"

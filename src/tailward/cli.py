@@ -166,12 +166,14 @@ def _cmd_gp_tail(args) -> int:
         notes.append(
             "zero-edge slope: power exponent is mu*(beta-H)/H, the value "
             "derived by composing the rescaling with the product rule "
-            "(published displays differ; the Brownian oracle confirms this one)"
+            "(published displays differ; the Brownian oracle checks it at "
+            "beta = 1 only, where the rival form mu*(beta-H)/(beta*H) agrees)"
         )
         if case == "slope_only":  # the zero-edge slope-only tail is a power
             notes.append(
                 "coefficient uses the sup-ratio moment of order beta*mu/H "
-                "(proof-side subscript), verified against the Brownian oracle"
+                "(proof-side subscript), checked against the Brownian oracle "
+                "at beta = 1 only, where the order mu/H agrees"
             )
     payload = {
         "case": case,

@@ -107,6 +107,12 @@ class TrendModel:
     e_const: Optional[float] = None
 
     def __post_init__(self):
+        fields = {"H": self.H, "beta": self.beta, "alpha_loc": self.alpha_loc,
+                  "d_ref.s": self.d_ref[0], "d_ref.value": self.d_ref[1],
+                  "pickands": self.pickands, "e_const": self.e_const}
+        for name, v in fields.items():
+            if v is not None and not math.isfinite(v):
+                raise SpecError(f"trend model field {name} must be finite, got {v}")
         if not (0 < self.H < 1):
             raise SpecError(f"H must be in (0, 1), got {self.H}")
         if not self.beta > self.H:
@@ -154,8 +160,9 @@ class TrendModel:
         eta, zeta = (None if obj.get(k) is None else _json_object(obj[k], k)
                      for k in ("eta", "zeta"))
         parts = dict(
-            eta=_minus_tail(eta, "eta", "delta", "mu") if eta else None,
-            zeta=_minus_tail(zeta, "zeta", "delta0", "gamma", -math.inf) if zeta else None,
+            eta=None if eta is None else _minus_tail(eta, "eta", "delta", "mu"),
+            zeta=None if zeta is None else _minus_tail(zeta, "zeta", "delta0", "gamma",
+                                                       -math.inf),
             **{k: None if obj.get(k) is None else _json_number(obj, k)
                for k in ("pickands", "e_const")})
         if preset is not None:
@@ -190,9 +197,12 @@ def _json_number(obj: dict, key: str, default=_REQUIRED, where: str = "") -> flo
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"trend model field {name} must be a number, got {json.dumps(value)}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise SpecError(f"trend model field {name} is beyond the doubles, got {value}") from None
+    if key in obj and not math.isfinite(number):  # json.loads reads NaN and Infinity
+        raise SpecError(f"trend model field {name} must be finite, got {value}")
+    return number
 
 
 def _minus_tail(obj: dict, name: str, edge: str, power: str, no_edge=_REQUIRED):

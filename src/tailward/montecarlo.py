@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .tail_model import DistributionModel, _heavy_first
+from .tail_model import DistributionModel, _conditioning, _light_tie
 
 __all__ = [
     "TailEstimate",
@@ -238,9 +238,12 @@ def conditional_sf(
     Averages SF_H(u - L) (or SF_H(u / L) for products of positive
     variables) over draws of L; the exact inner expectation can only shrink
     the variance relative to the direct indicator estimator.  H is the heavy
-    operand, the one of smaller ``power_order`` (X on a tie), and L the
-    other one (Asmussen & Kroese 2006, Adv. Appl. Probab. 38).  The weights
-    in [0, 1] are not indicators: the blocks stream the sums of w and w**2
+    operand, L the other one and the map from L to H's argument come from
+    ``tail_model._conditioning`` (Asmussen & Kroese 2006, Adv. Appl. Probab.
+    38).  Two laws of one unbounded light tail (Exp(1) + Exp(1)) are refused
+    before any draw: the weights of either pile onto its largest draws, and
+    the interval misses before their ESS is small.  The weights in [0, 1]
+    are not indicators: the blocks stream the sums of w and w**2
     for ``_mean_interval``'s normal interval, clipped to [0, 1], and ESS
     (sum w)**2 / sum w**2.  A level whose ESS is below 10**-4 * n rests on a
     few draws (two light tails pile the weights onto the largest L): it is
@@ -250,28 +253,24 @@ def conditional_sf(
     """
     if n < 10 ** 3:
         raise SpecError(f"need n >= 1000 samples, got {n}")
-    if op not in ("sum", "product"):
-        raise SpecError(f"unknown op {op!r}")
-    if op == "product" and (x.support[0] < 0 or y.support[0] < 0):
-        raise DomainError("conditional product estimator needs positive supports")
-    exact, sampled = _heavy_first(x, y)
-    combine = np.subtract if op == "sum" else np.divide
+    exact, sampled, inverse = _conditioning(x, y, op)
+    if _light_tie(x, y):
+        raise DomainError(f"{x.family}{x.params} and {y.family}{y.params} have one light "
+                          f"tail, so no conditional interval backs them; use estimate_sf")
     grid = _levels(grid)
 
     def run_block(rng, start: int, count: int) -> list:
         draws = np.asarray(sampled.sample(rng, count), dtype=float)
-        if op == "product":
-            np.maximum(draws, 1e-320, out=draws)
         # One level at a time over each half of the draws: one half-block
         # buffer takes the level's arguments, then its weights, so no array
         # grows with the grid or outlives its level.
         sums = [(0.0, 0.0, _NO_MASS)] * len(grid)
         buf = np.empty(min(count, _PART_SIZE))
         for lo in range(0, count, _PART_SIZE):
-            part = draws[lo:lo + _PART_SIZE]
-            w = buf[:len(part)]
+            at = inverse(draws[lo:lo + _PART_SIZE])
+            w = buf[:min(_PART_SIZE, count - lo)]
             for j, u in enumerate(grid):
-                np.exp(exact.log_sf(combine(u, part, out=w)), out=w)
+                np.exp(exact.log_sf(at(u, out=w)), out=w)
                 sums[j] = _add(sums[j], _sums(w))
         return sums
 

@@ -2,7 +2,7 @@
 
 For independent X, Y the survival function of the sum is E SF_X(u - Y) and
 that of the product (for positive variables) is E SF_X(u / Y), with X the
-heavier law by ``tail_model._heavy_first``: SF_X is exact at any level,
+heavier law by ``tail_model._conditioning``: SF_X is exact at any level,
 while a heavy Y would put its mass near u, beyond the panels' reach at
 u ~ 1e300.  Adaptive log-space quadrature against Y's density, with panel
 edges at every decade where SF_Y moves, sees Y's mass at any level and
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, TailwardError, Unsupported, as_double
 from .quadrature import log_quad, logsumexp_pair
-from .tail_model import (AsymptoticTail, DistributionModel, _heavy_first, _mass_decades,
+from .tail_model import (AsymptoticTail, DistributionModel, _conditioning, _mass_decades,
                          sf_eval)
 
 __all__ = ["log_mixture", "sf_sum_exact", "sf_product_exact", "ratio_table"]
@@ -68,20 +68,25 @@ def log_mixture(law: DistributionModel, log_kernel, lo: float, hi: float,
     return logsumexp_pair(body, saturated)
 
 
-def _upper_mass(y: DistributionModel, edge: float) -> float:
-    # log P(Y > edge), the mass where SF_X has saturated at 1.
-    return float(y.log_sf(edge)) if edge < y.support[1] else -math.inf
+def _sf_exact(x: DistributionModel, y: DistributionModel, op: str, u: float,
+              rtol: float) -> float:
+    """log P(X op Y > u) = log E SF_X(inverse(Y)(u)), Y the lighter law: both oracles."""
+    x, y, inverse = _conditioning(x, y, op)
+    # SF_X(inverse(yy)(u)) is 0 for yy <= lo and 1 for yy >= hi (x_lo > 0 for a product).
+    x_lo, x_hi = x.support
+    if op == "sum":
+        lo, hi = u - x_hi, u - x_lo
+    else:
+        lo, hi = (u / e if e > 0.0 else math.inf for e in (x_hi, x_lo))
+    upper = float(y.log_sf(hi)) if hi < y.support[1] else -math.inf
+    return log_mixture(y, lambda yy: x.log_sf(inverse(yy)(u)), lo, hi, upper, rtol,
+                       _mass_decades(y, lo, hi))
 
 
 def sf_sum_exact(x: DistributionModel, y: DistributionModel, u: float,
                  rtol: float = _RTOL) -> float:
     """log P(X + Y > u) = log E SF_X(u - Y), Y the lighter law."""
-    x, y = _heavy_first(x, y)
-    # SF_X(u - yy) is 0 for yy <= u - x_hi and 1 for yy >= u - x_lo.
-    x_lo, x_hi = x.support
-    lo, hi = u - x_hi, u - x_lo
-    return log_mixture(y, lambda yy: x.log_sf(u - yy), lo, hi,
-                       _upper_mass(y, hi), rtol, _mass_decades(y, lo, hi))
+    return _sf_exact(x, y, "sum", u, rtol)
 
 
 def sf_product_exact(x: DistributionModel, y: DistributionModel, u: float,
@@ -89,19 +94,7 @@ def sf_product_exact(x: DistributionModel, y: DistributionModel, u: float,
     """log P(X * Y > u) = log E SF_X(u / Y) for positive X, Y and u > 0."""
     if u <= 0:
         raise DomainError(f"product oracle needs u > 0, got u={u}")
-    for m in (x, y):
-        if m.support[0] < 0:
-            raise DomainError(
-                f"product oracle needs positive supports, {m.family} has "
-                f"{m.support}"
-            )
-    x, y = _heavy_first(x, y)
-    # SF_X(u / yy) is 0 for yy <= u / x_hi and 1 for yy >= u / x_lo (x_lo > 0).
-    x_lo, x_hi = x.support
-    lo = u / x_hi if x_hi > 0.0 else math.inf
-    hi = u / x_lo if x_lo > 0.0 else math.inf
-    return log_mixture(y, lambda yy: x.log_sf(u / np.maximum(yy, 1e-320)), lo, hi,
-                       _upper_mass(y, hi), rtol, _mass_decades(y, lo, hi))
+    return _sf_exact(x, y, "product", u, rtol)
 
 
 def ratio_table(

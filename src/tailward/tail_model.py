@@ -358,6 +358,15 @@ def _make_edge(sigma: float, mu: float, C: float = 1.0) -> DistributionModel:
     def log_density(x):
         return math.log(C * mu) + (mu - 1) * np.log(sigma - x)
 
+    def log_cdf(x):
+        # log1p(-SF) near the top end, where the SF is below 1/2 and
+        # log1mexp(log SF) would lose its relative digits; the default below.
+        sf = C * (sigma - x) ** mu
+        out = np.log1p(-np.minimum(sf, 0.5))
+        far = ~(sf < 0.5)
+        out[far] = _log_complement(log_sf(x[far]))
+        return out
+
     def sampler(rng, size=None):
         v = rng.random(size)
         v /= C
@@ -365,7 +374,7 @@ def _make_edge(sigma: float, mu: float, C: float = 1.0) -> DistributionModel:
         return np.subtract(sigma, v, out=_own(v))
 
     return law("edge", params, (sigma - width, sigma),
-               EdgePower(C, sigma, mu), sampler, log_sf, log_density)
+               EdgePower(C, sigma, mu), sampler, log_sf, log_density, log_cdf)
 
 
 def _make_lognormal(m: float, s: float) -> DistributionModel:
@@ -522,27 +531,73 @@ def _mass_decades(y: DistributionModel, lo: float, hi: float) -> np.ndarray:
     return decades[(log_sf > -745.0) & (log_sf < -1e-3)]
 
 
+_POWER, _LOGNORMAL, _WEIBULL, _BOUNDED = range(4)  # the classes of _tail_rank
+
+
+def _tail_rank(model: DistributionModel) -> tuple:
+    """A sort key for a law's upper tail, heaviest first: the one ranking of two laws.
+
+    Power tails by exponent; then the lognormal, by s and then m, larger
+    first; then unbounded weibull-type tails, by alpha and then K, smaller
+    first, then rho, larger first; a bounded support last.  A law outside
+    these classes is a SpecError.
+    """
+    tail, hi = model.tail, model.support[1]
+    if isinstance(tail, PowerTail):
+        return _POWER, tail.alpha
+    if model.family == "lognormal":
+        return _LOGNORMAL, -model.params["s"], -model.params["m"]
+    if isinstance(tail, WeibullType) and hi == math.inf:
+        return _WEIBULL, tail.alpha, tail.K, -tail.rho
+    if hi < math.inf:
+        return (_BOUNDED,)
+    raise SpecError(f"no tail rank for model {model.family!r}")
+
+
 def power_order(model: DistributionModel) -> float:
     """Sup of the b with SF(u) = o(u**-b): the law's power order at +inf.
 
-    A power tail has its exponent; bounded supports, weibull-type
-    declarations and the lognormal (SF = o(u**-b) for every b) are lighter
-    than every power.  E X**b < inf exactly when b < power_order.
+    A power tail has its exponent; every other class of ``_tail_rank`` is
+    lighter than every power.  E X**b < inf exactly when b < power_order.
     """
-    tail = model.tail
-    if isinstance(tail, PowerTail):
-        return tail.alpha
-    if isinstance(tail, WeibullType) or model.support[1] < math.inf or model.family == "lognormal":
-        return math.inf
-    raise SpecError(f"no power order for model {model.family!r}")
+    rank = _tail_rank(model)
+    return rank[1] if rank[0] == _POWER else math.inf
 
 
 def _heavy_first(x: DistributionModel, y: DistributionModel):
-    """(heavy, light): the smaller power order first, X on a tie; the one operand rule."""
+    """(heavy, light) by ``_tail_rank``, X on a tie; the one operand rule."""
     try:
-        return (y, x) if power_order(y) < power_order(x) else (x, y)
-    except SpecError:  # a law without a power order keeps the caller's order
+        return (y, x) if _tail_rank(y) < _tail_rank(x) else (x, y)
+    except SpecError:  # a law without a rank keeps the caller's order
         return x, y
+
+
+def _light_tie(x: DistributionModel, y: DistributionModel) -> bool:
+    """Whether X and Y share one rank of an unbounded tail lighter than every power."""
+    try:
+        return _tail_rank(x) == _tail_rank(y) and _tail_rank(x)[0] in (_LOGNORMAL, _WEIBULL)
+    except SpecError:
+        return False
+
+
+def _conditioning(x: DistributionModel, y: DistributionModel, op: str):
+    """(exact, averaged, inverse) with P(X op Y > u) = E SF_exact(inverse(averaged)(u)):
+    the one operand rule, op check and refusal of a product of negative values.
+    ``inverse(v)`` maps u to u - v, or to u / v with v floored at 1e-320, and
+    takes numpy's ``out=``."""
+    if op not in ("sum", "product"):
+        raise SpecError(f"unknown op {op!r}")
+    exact, averaged = _heavy_first(x, y)
+    for m in (exact, averaged) if op == "product" else ():
+        if m.support[0] < 0:
+            raise DomainError(f"a product needs positive supports, {m.family} has {m.support}")
+    if op == "sum":
+        return exact, averaged, lambda v: lambda u, out=None: np.subtract(u, v, out=out)
+
+    def inverse(v):
+        v = np.maximum(v, 1e-320)
+        return lambda u, out=None: np.divide(u, v, out=out)
+    return exact, averaged, inverse
 
 
 def moment(model: DistributionModel, alpha: float) -> float:

@@ -517,9 +517,7 @@ def test_gp_tail_refuses_equal_orders_and_needs_eta(capsys):
     ('{"delta": 0, "C": 0, "mu": 1}',
      "bad eta spec {'delta': 0, 'C': 0, 'mu': 1}: edge_power tail needs finite fields "
      "with C, mu > 0, got C=0.0"),
-    ('{"delta": Infinity, "C": 1, "mu": 1}',
-     "bad eta spec {'delta': inf, 'C': 1, 'mu': 1}: edge_power tail needs finite fields "
-     "with C, mu > 0, got sigma=-inf"),
+    ('{"delta": Infinity, "C": 1, "mu": 1}', "trend model field eta.delta must be finite, got inf"),
 ])
 def test_gp_tail_refuses_an_eta_no_slope_has(capsys, eta, message):
     # The slope's edge is read into EdgePower(C, -delta, mu), as zeta's is.
@@ -787,8 +785,7 @@ _ZETA_EDGE_AT_INF = ('{"preset": "bm", "eta": {"delta": 0, "C": 1, "mu": 1},'
     (("TAILWARD_THREADS=x", "econst", "--alpha", "1", "--beta", "1"),
      "TAILWARD_THREADS must be a positive integer, got 'x'"),
     (("tail", "--model", _ZETA_EDGE_AT_INF),
-     "bad zeta spec {'delta0': inf, 'C': 1, 'gamma': 0.5}: edge_power tail needs finite "
-     "fields with C, mu > 0, got sigma=-inf"),
+     "trend model field zeta.delta0 must be finite, got inf"),
 ])
 def test_seed_worker_and_zeta_refusals_name_what_they_refuse(capsys, monkeypatch, tmp_path,
                                                              argv, message):

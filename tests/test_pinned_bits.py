@@ -14,7 +14,10 @@ draw its 64 paths one after another from ``block_rng(seed, c)``, and the
 transform and Pickands paths were no longer pinned to 0 at t = 0.  A path
 mean can absorb the last-bit move of every path it averages, so raw
 ``fbm_path`` draws are pinned too.  The slope law's value pin was
-re-recorded when it became the edge law's mirror image.
+re-recorded when it became the edge law's mirror image, and again, with the
+edge laws' value pins, when the edge law's log CDF came to be log1p(-SF)
+where SF < 1/2: only that log CDF, and the slope law's log SF (its mirror),
+moved.
 """
 
 import hashlib
@@ -145,19 +148,20 @@ LAW_VALUES = {
     "weibull(2,0.5)": "d2997beb64c7a902",
     "pareto(1,2)": "760d1a6434c81776",
     "pareto(2,1.5)": "71f2039407032f0b",
-    "edge(0,1)": "ecf9235eb816fcca",
-    "edge(2,1)": "6f465c74e7348b27",
-    "edge(1,0.5)": "d2a23e7098aaa1da",
+    "edge(0,1)": "8628e21c3f755b2b",
+    "edge(2,1)": "25df76e7dcc50df2",
+    "edge(1,0.5)": "e3af6ebe42b4b345",
     "lognormal(0,1)": "e32bcae1f5a4c82e",
     "normal()": "0836e6eb4ce59c85",
     "constant(1.5)": "fa96f1caedf27610",
-    "eta_power_low(0.3,2,1.5)": "fd13301f773bd1fa",
+    "eta_power_low(0.3,2,1.5)": "24de51c5b7c37d1a",
     "neg pareto(1,2)": "d4208d98359d1441",
     "neg lognormal(0,1)": "daafe0f824e2d85c",
 }
 # The slope law's log density and support, pinned apart from its law value:
 # they kept their bits when the law became the mirror of the edge law with
-# constant C, while its log SF and log CDF (read by no oracle) moved.
+# constant C, while its log SF and log CDF (read by no oracle) moved, and
+# when the edge law's log CDF moved again.
 SLOPE_DENSITY = ("5f3297ce5554dd0d", ("0x1.3333333333333p-2", "0x1.dc23c93270c24p-1"))
 ESTIMATE_PINS = {
     ("estimate_sf", "sum"): "58b8e4e406ead0a1",

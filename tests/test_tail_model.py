@@ -18,7 +18,7 @@ import tailward as tw
 from tailward import gp_extremes as gp
 from tailward.errors import DivergentMoment, DomainError, SpecError, as_double
 from tailward.quadrature import log1mexp
-from tailward.tail_model import _law_of, law, moment_by_quadrature
+from tailward.tail_model import _law_of, _tail_rank, law, moment_by_quadrature
 
 ALL_SPECS = [
     "weibull(1,2)",
@@ -327,6 +327,93 @@ def test_only_tail_model_builds_a_distribution_model():
     assert found == []
 
 
+def test_only_tail_model_ranks_two_laws():
+    # One operand rule: the oracles and conditional_sf take operands and
+    # inverse map from _conditioning, the engine orders by _heavy_first, and
+    # no other module ranks tails or orders two power orders.
+    src = Path(tw.__file__).parent
+
+    def names(path):
+        return {getattr(node, "id", getattr(node, "attr", None))
+                for node in ast.walk(ast.parse(path.read_text()))}
+
+    def ordered_power_orders(path):
+        tree = ast.parse(path.read_text())
+        is_order = lambda e: isinstance(e, ast.Call) and getattr(
+            e.func, "id", getattr(e.func, "attr", None)) == "power_order"
+        bound = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(is_order(e) for e in ast.walk(node.value))
+                 for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+        operand = lambda e: is_order(e) or (isinstance(e, ast.Name) and e.id in bound)
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Lt, ast.Gt, ast.LtE, ast.GtE)) for op in node.ops)
+                and sum(map(operand, [node.left, *node.comparators])) >= 2]
+
+    others = [p for p in sorted(src.rglob("*.py")) if p.name != "tail_model.py"]
+    assert [str(p.relative_to(src)) for p in others if "_tail_rank" in names(p)] == []
+    assert [f"{p.relative_to(src)}:{n}" for p in others for n in ordered_power_orders(p)] == []
+    for module, rule in (("oracle", "_conditioning"), ("montecarlo", "_conditioning"),
+                         ("asymptotic_engine", "_heavy_first")):
+        used = names(src / f"{module}.py")
+        assert rule in used and not {"_heavy_first", "_conditioning"} - {rule} & used, module
+
+
+def test_tail_rank_orders_declared_tails_heaviest_first():
+    # Powers by exponent; the lognormal by s, then m; weibull-type tails by
+    # alpha, then K, then rho (the normal's rho = -1 is below weibull's 0).
+    heaviest_first = ["pareto(2,0.5)", "pareto(1,2)", "lognormal(0,2)", "lognormal(1,1)",
+                      "lognormal(0,1)", "weibull(1,0.5)", "weibull(1,1)", "weibull(2,1)",
+                      "weibull(0.5,2)", "normal", "weibull(1,2)", "weibull(2,2)"]
+    laws = [tw.make_model(s) for s in heaviest_first]
+    assert sorted(reversed(laws), key=_tail_rank) == laws
+    bounded = [tw.make_model("edge(2,1)"), tw.make_model("constant(3)"),
+               gp.negate_model(tw.make_model("pareto(1,2)"))]
+    assert {_tail_rank(m) for m in bounded} == {(3,)} and (3,) > max(map(_tail_rank, laws))
+    with pytest.raises(SpecError, match="no tail rank for model 'neg_normal'"):
+        _tail_rank(gp.negate_model(tw.make_model("normal")))
+
+
+def _edge_log_cdf(sigma, mu, C, x):
+    """log(1 - C*(sigma - x)**mu) at the double x, by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.log1p(-mpmath.mpf(C) * (mpmath.mpf(sigma) - mpmath.mpf(x)) ** mu)
+
+
+@pytest.mark.parametrize("sigma,mu", [(0.0, 1.0), (3.0, 2.0)])
+def test_the_edge_log_cdf_keeps_its_relative_digits_at_both_ends(sigma, mu):
+    # log1p(-SF) where SF < 1/2 and log1mexp(log SF) below: near the top
+    # end log1mexp lost up to 2.4e-14 of edge(0,1) at 1e-300 from sigma and
+    # 1.7e-15 of edge(3,2); near the bottom end log1p would lose 3.1e-11.
+    m = tw.make_model(f"edge({sigma},{mu})")
+    lo = m.support[0]
+    for x in (sigma - 1e-300, sigma - 1e-15, sigma - 1e-8, sigma - 0.3,
+              sigma - 0.9 * (sigma - lo), lo + 1e-12, float(np.nextafter(lo, sigma))):
+        if x == sigma:
+            continue
+        ref = _edge_log_cdf(sigma, mu, 1.0, x)
+        assert abs((m.log_cdf(x) - ref) / ref) < 5e-16, x
+
+
+def test_the_slope_law_log_sf_keeps_its_relative_digits_near_its_edge():
+    # The slope law is the edge law's mirror: its log SF is that log CDF.
+    eta = gp.eta_power_low_model(0.1, 2.0, 2.0)
+    for v in (float(np.nextafter(0.1, 1.0)), 0.1 + 1e-15, 0.1 + 1e-6, 0.5, 0.7):
+        ref = _edge_log_cdf(-0.1, 2.0, 2.0, -v)
+        assert abs((eta.log_sf(v) - ref) / ref) < 5e-16, v
+
+
+def test_the_edge_log_cdf_is_log1p_of_the_sf_near_the_top_and_the_default_below():
+    for name, m in SUPPORT_RULE_LAWS.items():
+        if m.family != "edge":
+            continue
+        sigma, mu, C = m.tail.sigma, m.tail.mu, m.tail.C
+        for x in BITWISE_POINTS:
+            if m.support[0] < x < sigma:
+                sf = C * (sigma - np.array([x])) ** mu
+                want = np.log1p(-sf)[0] if sf[0] < 0.5 else log1mexp(m.log_sf(x))
+                assert m.log_cdf(x) == want, (name, x)
+
+
 def test_a_formula_that_returns_its_argument_has_a_copy_masked():
     # Formulas that hand back their argument, or a view of it.
     m = law("identity", {}, (0.0, 1.0), None, None, lambda x: x,
@@ -339,7 +426,7 @@ def test_a_formula_that_returns_its_argument_has_a_copy_masked():
 
 
 @pytest.mark.parametrize("name", [n for n, m in SUPPORT_RULE_LAWS.items()
-                                  if not m.family.startswith("neg_")])
+                                  if not m.family.startswith("neg_") and m.family != "edge"])
 def test_log_cdf_defaults_to_the_complement_of_the_sf(name):
     # A law that gives no lower tail of its own takes log(1 - SF) point by
     # point, by the arithmetic of quadrature.log1mexp.
