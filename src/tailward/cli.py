@@ -118,14 +118,18 @@ def _cmd_verify(args) -> int:
         # Fixture names carry their target as a prefix: sum-, product-, ...
         if not fixture.startswith(f"{args.target}-"):
             raise SpecError(f"fixture {fixture!r} is not a {args.target} fixture")
+        given = [f"--{k}" for k in ("x", "y", "grid", "tol") if getattr(args, k) is not None]
+        if given:
+            raise SpecError(f"fixture {fixture!r} runs as written; drop {', '.join(given)}")
         report = reports.run_fixture(fixture, seed=args.seed)
     else:  # sum or product: argparse restricts the targets
         if not (args.x and args.y and args.grid):
             raise SpecError("ad-hoc verify needs --x, --y and --grid")
-        if not 0.0 < args.tol < math.inf:
-            raise SpecError(f"--tol must be positive and finite, got {args.tol!r}")
+        tol = 0.05 if args.tol is None else args.tol
+        if not 0.0 < tol < math.inf:
+            raise SpecError(f"--tol must be positive and finite, got {tol!r}")
         grid = _parse_grid(args.grid)
-        rule = {"type": "ratio_window", "tol": args.tol,
+        rule = {"type": "ratio_window", "tol": tol,
                 "nonincreasing_last": min(3, len(grid))}
         report = reports.ratio_report(f"adhoc-{args.target}", args.x, args.y,
                                       args.target, grid, rule, seed=args.seed)
@@ -141,10 +145,9 @@ def _trend_model_from_json(text: str):
     from .gp_extremes import TrendModel
 
     # Inline JSON is never probed as a path: a long one is no valid file name.
-    raw = text if text.lstrip().startswith(("{", "[")) else Path(text).read_text()
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text if text.lstrip().startswith(("{", "[")) else Path(text).read_text())
+    except ValueError as exc:  # JSON that does not decode, or a file that is not UTF-8
         raise SpecError(f"bad trend model JSON: {exc}") from exc
     return TrendModel.from_json(obj)
 
@@ -249,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tail = sub.add_parser("tail", help="closed-form tail of a sum or product")
     p_tail.add_argument("op", choices=["sum", "product"])
-    p_tail.add_argument("--x", required=True, help="distribution spec, e.g. weibull:K=1,alpha=2")
-    p_tail.add_argument("--y", required=True)
+    p_tail.add_argument("--x", required=True,
+                        help="law spec, its parameters in order: weibull(1,2) is K=1, alpha=2")
+    p_tail.add_argument("--y", required=True, help="law spec, as --x")
     p_tail.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_tail.set_defaults(fn=_cmd_tail)
 
@@ -258,10 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("target", choices=["sum", "product", "laplace", "watson"])
     p_ver.add_argument("--fixture", default=None,
                        help="named fixture; its name starts with the target")
-    p_ver.add_argument("--x", default=None)
-    p_ver.add_argument("--y", default=None)
+    p_ver.add_argument("--x", default=None, help="law spec of an ad-hoc verify, e.g. weibull(1,2)")
+    p_ver.add_argument("--y", default=None, help="law spec, as --x")
     p_ver.add_argument("--grid", default=None, help="a:b:step or comma list")
-    p_ver.add_argument("--tol", type=float, default=0.05)
+    p_ver.add_argument("--tol", type=float, default=None,
+                       help="ratio window of an ad-hoc verify (default 0.05)")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", default=None, help="directory for JSON+CSV report")
     p_ver.set_defaults(fn=_cmd_verify)

@@ -1,11 +1,15 @@
-"""Exception taxonomy shared by all tailward modules, and the one refusal rule.
+"""Exception taxonomy shared by all tailward modules, its refusal rule and readers.
 
 The split matters for the CLI exit codes, which each class carries as
 ``exit_code``: user-input problems (2), violated mathematical hypotheses
 (3) and numerical failures (4) are reported differently.
 """
 
+import json
 import math
+import operator
+
+import numpy as np
 
 
 class TailwardError(Exception):
@@ -96,3 +100,39 @@ def as_double(name: str, compute, positive: bool = True, log_compute=None) -> fl
         kind = "positive finite" if positive else "finite"
         raise DomainError(f"{name} is not a {kind} double (got {value!r})")
     return value
+
+
+def _spelled(value) -> str:
+    """A refused value as JSON spells it (true, "1", null), else its repr."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def as_number(name: str, value, finite: bool = True) -> float:
+    """A caller's number as a float: the one reader of a law parameter, trend
+    field, slope, level or limit.  A boolean, a string, None, anything float()
+    cannot read, NaN, and +-inf unless ``finite`` is False are a SpecError."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise SpecError(f"{name} must be a number, got {_spelled(value)}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the doubles
+        raise SpecError(f"{name} is beyond the doubles, got {value}") from None
+    except (TypeError, ValueError):
+        raise SpecError(f"{name} must be a number, got {_spelled(value)}") from None
+    if not (math.isfinite(number) if finite else number == number):
+        raise SpecError(f"{name} must be {'finite' if finite else 'a number'}, got {number}")
+    return number
+
+
+def as_integer(name: str, value) -> int:
+    """A caller's count or seed as an int: an integer (Python or numpy), never a
+    boolean, a float or a string; anything else is a SpecError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise SpecError(f"{name} must be an integer, got {_spelled(value)}")

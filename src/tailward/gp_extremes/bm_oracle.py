@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, as_number
 from ..oracle import log_mixture
 from ..tail_model import DistributionModel, EdgePower, _law_of, negate_model
 from .trend import _check_slope_edge
@@ -64,6 +64,7 @@ def bm_exact_oracle(
     defaulting to zero.  Nested adaptive quadrature: outer over zeta, inner
     over eta at a tenth of the outer rtol.
     """
+    u = as_number("level u", u, finite=False)
     lo, hi = eta.support
     if lo < min(hi, 0.0):
         raise DomainError(f"eta must be positive, support {eta.support}")

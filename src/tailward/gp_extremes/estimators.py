@@ -26,12 +26,11 @@ ESS, backs no interval and is refused.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError, SpecError, as_double
+from ..errors import DomainError, SpecError, as_double, as_integer, as_number
 from ..montecarlo import (
     TailEstimate, _levels, _map_blocks, _mean_interval, _sums, _wilson_table,
 )
@@ -72,7 +71,7 @@ class McEstimate:
 
 
 def _check_paths(n_paths: int, least: int) -> None:
-    if n_paths < least:
+    if as_integer("n_paths", n_paths) < least:
         raise SpecError(f"need n_paths >= {least}, got {n_paths}")
 
 
@@ -123,21 +122,6 @@ def _hurst(process: str, H: float) -> float:
     if H != 0.5:  # NaN included: a Brownian H is never dropped silently
         raise SpecError(f"process 'bm' has H = 0.5, got H={H}")
     return 0.5
-
-
-def _slope(eta):
-    """A law as it is, a real number as a finite float; anything else is a SpecError."""
-    if isinstance(eta, DistributionModel):
-        return eta
-    if not isinstance(eta, numbers.Real):
-        raise SpecError(f"slope eta must be a real number or a law, got {eta!r}")
-    try:
-        slope = float(eta)
-    except OverflowError:  # an int beyond the doubles
-        slope = math.inf
-    if not math.isfinite(slope):
-        raise SpecError(f"slope eta must be finite, got {eta!r}")
-    return slope
 
 
 def pickands_estimate(
@@ -272,7 +256,7 @@ def sup_exceedance_mc(
     _check_paths(n_paths, 1)
     if not 0 < beta < math.inf:
         raise SpecError(f"beta must be positive and finite, got {beta}")
-    slope = _slope(eta)
+    slope = eta if isinstance(eta, DistributionModel) else as_number("slope eta", eta)
     u_grid = _levels(u_grid)
     law = isinstance(slope, DistributionModel)
     # t**beta and a number's trend grow with t, so each fits when it does at T.

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import EmbeddingFailure, SpecError
+from ..errors import EmbeddingFailure, SpecError, as_integer
 
 __all__ = [
     "fbm_path",
@@ -115,7 +115,7 @@ def _check_grid(H: float, n_steps: int, T: float) -> None:
         raise SpecError(f"horizon must be positive, got {T}")
     if T == math.inf:
         raise SpecError(f"horizon must be finite, got {T}")
-    if n_steps < 1 or (H != 1.0 and not _is_pow2(n_steps)):
+    if as_integer("n_steps", n_steps) < 1 or (H != 1.0 and not _is_pow2(n_steps)):
         raise SpecError(f"n_steps must be a power of two, got {n_steps}")
 
 

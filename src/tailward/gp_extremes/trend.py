@@ -44,6 +44,7 @@ from ..errors import (
     MissingPickands,
     SpecError,
     as_double,
+    as_number,
 )
 from ..specfun import log_norm_sf
 from ..tail_model import (
@@ -111,8 +112,8 @@ class TrendModel:
                   "d_ref.s": self.d_ref[0], "d_ref.value": self.d_ref[1],
                   "pickands": self.pickands, "e_const": self.e_const}
         for name, v in fields.items():
-            if v is not None and not math.isfinite(v):
-                raise SpecError(f"trend model field {name} must be finite, got {v}")
+            if v is not None:
+                as_number(f"trend model field {name}", v)
         if not (0 < self.H < 1):
             raise SpecError(f"H must be in (0, 1), got {self.H}")
         if not self.beta > self.H:
@@ -189,20 +190,13 @@ def _json_object(value, name: str) -> dict:
 
 
 def _json_number(obj: dict, key: str, default=_REQUIRED, where: str = "") -> float:
-    """obj[key] as a float: a JSON number, never a boolean or a numeric string."""
+    """obj[key] read by ``as_number``, or ``default`` where the key is absent."""
     name = where + key
-    value = obj.get(key, default)
-    if value is _REQUIRED:
-        raise SpecError(f"trend model field {name} is missing")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"trend model field {name} must be a number, got {json.dumps(value)}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise SpecError(f"trend model field {name} is beyond the doubles, got {value}") from None
-    if key in obj and not math.isfinite(number):  # json.loads reads NaN and Infinity
-        raise SpecError(f"trend model field {name} must be finite, got {value}")
-    return number
+    if key not in obj:
+        if default is _REQUIRED:
+            raise SpecError(f"trend model field {name} is missing")
+        return default
+    return as_number(f"trend model field {name}", obj[key])
 
 
 def _minus_tail(obj: dict, name: str, edge: str, power: str, no_edge=_REQUIRED):

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionError, SpecError, as_double
+from .errors import AssumptionError, SpecError, as_double, as_number
 from .quadrature import log_quad
 
 __all__ = [
@@ -51,6 +51,7 @@ def tail_integral_numeric(
 ) -> float:
     """log I(u) by adaptive quadrature, exact up to rtol 1e-10."""
     _check_positive(u=u, alpha=alpha, mu=mu, K=K)
+    delta = as_number("delta", delta, finite=False)
     if delta < 0:
         raise SpecError(f"delta must be nonnegative, got {delta}")
     if delta == 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SpecError
+from .errors import DomainError, SpecError, as_integer, as_number
 from .tail_model import DistributionModel, _conditioning, _light_tie
 
 __all__ = [
@@ -46,7 +46,7 @@ _NO_MASS = -(1 << 16)  # the scale of an all-zero block: any other wins
 
 def check_seed(seed: int) -> int:
     """The seed, if it fits the two uint32 words of a stream's entropy; else a SpecError."""
-    if not 0 <= seed < 1 << 64:
+    if not 0 <= as_integer("seed", seed) < 1 << 64:
         raise SpecError(f"seed must be in [0, 2**64), got {seed}")
     return seed
 
@@ -73,7 +73,7 @@ def resolve_workers(requested: int | None) -> int:
     None asks for the CPUs this process may run on.  A count below 1, or a
     TAILWARD_THREADS that is not a positive integer, is refused.
     """
-    if requested is not None and requested < 1:
+    if requested is not None and as_integer("workers", requested) < 1:
         raise SpecError(f"workers must be at least 1, got {requested}")
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -134,11 +134,9 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 
 def _levels(grid) -> np.ndarray:
-    """The levels of a u-grid as floats; a NaN level is a SpecError, before any draw."""
-    grid = np.asarray(list(grid), dtype=float)
-    if np.isnan(grid).any():
-        raise SpecError(f"levels must be numbers, got {grid.tolist()}")
-    return grid
+    """The levels of a u-grid, each read by ``as_number``, before any draw."""
+    return np.array([as_number(f"level u[{i}]", u, finite=False) for i, u in enumerate(grid)],
+                    dtype=float)
 
 
 def _wilson_table(grid, counts, n: int) -> list[TailEstimate]:
@@ -205,7 +203,7 @@ def estimate_sf(
     workers: int | None = None,
 ) -> list[TailEstimate]:
     """Direct exceedance frequencies with Wilson intervals over a u-grid."""
-    if n < 10 ** 3:
+    if as_integer("n", n) < 10 ** 3:
         raise SpecError(f"need n >= 1000 samples, got {n}")
     if combine not in ("sum", "product"):
         raise SpecError(f"unknown combine {combine!r}")
@@ -251,7 +249,7 @@ def conditional_sf(
     where no draw carries mass is never refused: its interval is the Wilson
     interval for zero successes in n, never [0, 0], and its ESS 0.
     """
-    if n < 10 ** 3:
+    if as_integer("n", n) < 10 ** 3:
         raise SpecError(f"need n >= 1000 samples, got {n}")
     exact, sampled, inverse = _conditioning(x, y, op)
     if _light_tie(x, y):

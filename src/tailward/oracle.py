@@ -29,14 +29,16 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, TailwardError, Unsupported, as_double
-from .quadrature import log_quad, logsumexp_pair
+from .errors import (DomainError, QuadratureFailure, TailwardError, Unsupported, as_double,
+                     as_number)
+from .quadrature import log1mexp, log_quad, logsumexp_pair
 from .tail_model import (AsymptoticTail, DistributionModel, _conditioning, _mass_decades,
                          sf_eval)
 
 __all__ = ["log_mixture", "sf_sum_exact", "sf_product_exact", "ratio_table"]
 
 _RTOL = 1e-9
+_TINY = 5e-324  # the least positive double
 
 
 def log_mixture(law: DistributionModel, log_kernel, lo: float, hi: float,
@@ -71,7 +73,12 @@ def log_mixture(law: DistributionModel, log_kernel, lo: float, hi: float,
 def _sf_exact(x: DistributionModel, y: DistributionModel, op: str, u: float,
               rtol: float) -> float:
     """log P(X op Y > u) = log E SF_X(inverse(Y)(u)), Y the lighter law: both oracles."""
+    u = as_number("level u", u, finite=False)
+    if op == "product" and u <= 0:
+        raise DomainError(f"product oracle needs u > 0, got u={u}")
     x, y, inverse = _conditioning(x, y, op)
+    if math.isinf(u):  # P(X op Y > inf) = 0 and P(X op Y > -inf) = 1, with no limit inf - inf
+        return -math.inf if u > 0 else 0.0
     # SF_X(inverse(yy)(u)) is 0 for yy <= lo and 1 for yy >= hi (x_lo > 0 for a product).
     x_lo, x_hi = x.support
     if op == "sum":
@@ -79,8 +86,21 @@ def _sf_exact(x: DistributionModel, y: DistributionModel, op: str, u: float,
     else:
         lo, hi = (u / e if e > 0.0 else math.inf for e in (x_hi, x_lo))
     upper = float(y.log_sf(hi)) if hi < y.support[1] else -math.inf
-    return log_mixture(y, lambda yy: x.log_sf(inverse(yy)(u)), lo, hi, upper, rtol,
-                       _mass_decades(y, lo, hi))
+
+    def log_kernel(yy):
+        return x.log_sf(inverse(yy)(u))
+
+    log_sf = log_mixture(y, log_kernel, lo, hi, upper, rtol, _mass_decades(y, lo, hi))
+    # No node lies below the least positive double.  The kernel grows with yy,
+    # so its value there bounds the share of Y's mass in [0, 5e-324); a point
+    # mass is evaluated exactly.
+    if y.family != "constant" and 0.0 <= y.support[0] < _TINY:
+        with np.errstate(all="ignore"):
+            unseen = log1mexp(float(y.log_sf(_TINY))) + float(log_kernel(_TINY))
+        if unseen > log_sf + math.log(rtol):
+            raise QuadratureFailure(f"the mass of {y.family}{y.params} below {_TINY}, where no "
+                                    f"node lies, may add e**{unseen:.6g} to e**{log_sf:.6g}")
+    return log_sf
 
 
 def sf_sum_exact(x: DistributionModel, y: DistributionModel, u: float,
@@ -92,8 +112,6 @@ def sf_sum_exact(x: DistributionModel, y: DistributionModel, u: float,
 def sf_product_exact(x: DistributionModel, y: DistributionModel, u: float,
                      rtol: float = _RTOL) -> float:
     """log P(X * Y > u) = log E SF_X(u / Y) for positive X, Y and u > 0."""
-    if u <= 0:
-        raise DomainError(f"product oracle needs u > 0, got u={u}")
     return _sf_exact(x, y, "product", u, rtol)
 
 
@@ -114,8 +132,8 @@ def ratio_table(
     oracle = {"sum": sf_sum_exact, "product": sf_product_exact}.get(op)
     if oracle is None:
         raise DomainError(f"unknown oracle op {op!r}")
-    grid = [float(g) for g in grid]
-    if any(math.isnan(g) for g in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+    grid = [as_number(f"level u[{i}]", u, finite=False) for i, u in enumerate(grid)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
     rows = []
     for u in grid:

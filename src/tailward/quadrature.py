@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import QuadratureFailure, as_number
 
 __all__ = [
     "log_quad",
@@ -188,8 +188,11 @@ def log_quad_result(
     (0, 1) with the rational substitution x = anchor +- t/(1-t).
     ``breakpoints`` (any iterable or array of numbers) are interior
     locations (support edges, kinks) that seed the initial panel set;
-    points outside the open interval (a, b) and repeats are dropped.
+    points outside the open interval (a, b) and repeats are dropped; a NaN
+    limit is a SpecError.
     """
+    a = as_number("integration limit a", a, finite=False)
+    b = as_number("integration limit b", b, finite=False)
     if a == b:
         return QuadResult(-math.inf, -math.inf, 0, True)
     if a > b:

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergentMoment, DomainError, SpecError, as_double
+from .errors import DivergentMoment, DomainError, SpecError, as_double, as_number
 from .quadrature import log1mexp, log_quad, logsumexp_pair
 from .specfun import log_norm_sf
 
@@ -442,66 +442,52 @@ _FAMILIES = {
     "constant": (_make_constant, ("c",)),
 }
 
-_SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:[:(]\s*(.*?)\s*\)?)?\s*$")
-
-
-def _spec_parts(text: str, order: tuple, spec: str):
-    """(name, text) of each part of a spec string, in order; a positional
-    part is named by the family's parameter order."""
-    for i, part in enumerate(p for p in text.split(",") if p.strip()):
-        k, eq, v = part.partition("=")
-        if eq:
-            yield k.strip(), v
-        elif i < len(order):
-            yield order[i], part
-        else:
-            raise SpecError(f"too many parameters in {spec!r}")
+_SPEC_RE = re.compile(r"\s*([a-z_]+)\s*(?:\(([^()]*)\))?\s*")
 
 
 def parse_model_spec(spec) -> tuple[str, dict]:
-    """Parse ``weibull(1,2)``, ``weibull:K=1,alpha=2`` or a JSON-style dict.
+    """Parse ``family(p1, ..., pn)``, the family's parameters in order (just
+    ``family`` when it has none), or a JSON-style dict.
 
-    Both forms pass the same checks: a known family, known parameter names,
-    every parameter present, and numbers read by ``_parse_float``.
+    Both forms pass the same checks: a known family, exactly its parameters,
+    each read by ``errors.as_number``; a string's slots are number text.
     """
     if isinstance(spec, dict):
         family, given = spec.get("family"), spec.get("params", {})
         if not isinstance(given, dict):
             raise SpecError(f"params must be a mapping in {spec!r}")
-    elif isinstance(spec, str) and (m := _SPEC_RE.match(spec)):
-        family, given = m.group(1), m.group(2) or ""
+    elif isinstance(spec, str) and (m := _SPEC_RE.fullmatch(spec)):
+        family, given = m.groups("")
     else:
         raise SpecError(f"cannot parse model spec {spec!r}")
     if not isinstance(family, str) or family not in _FAMILIES:
         raise SpecError(f"unknown distribution family {family!r}")
     order = _FAMILIES[family][1]
-    params: dict[str, float] = {}
-    parts = given.items() if isinstance(given, dict) else _spec_parts(given, order, spec)
-    for k, v in parts:
-        if k not in order:
-            raise SpecError(f"{family} has no parameter {k!r}")
-        params[k] = _parse_float(v, spec)
-    missing = [k for k in order if k not in params]
-    if missing:
+    if not isinstance(given, dict):
+        slots = given.split(",") if given.strip() else []
+        if len(slots) != len(order):
+            raise SpecError(f"{family} takes {len(order)} parameters {list(order)}, "
+                            f"got {len(slots)} in {spec!r}")
+        given = {k: _parse_float(v, spec) for k, v in zip(order, slots)}
+    if unknown := [k for k in given if k not in order]:
+        raise SpecError(f"{family} has no parameter {unknown[0]!r}")
+    if missing := [k for k in order if k not in given]:
         raise SpecError(f"{family} spec {spec!r} is missing {missing}")
-    return family, params
+    return family, {k: as_number(f"{family} parameter {k}", given[k]) for k in order}
 
 
-def _parse_float(text, spec) -> float:
+def _parse_float(text: str, spec: str) -> float:
+    """The number a law string's slot spells."""
     try:
         return float(text)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad number {text!r} in {spec!r}") from exc
+    except ValueError:
+        raise SpecError(f"bad number {text!r} in {spec!r}") from None
 
 
 def make_model(spec) -> DistributionModel:
     """Build a registry distribution from a spec string or dict."""
     family, params = parse_model_spec(spec)
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise SpecError(f"{family} parameter {name} must be finite, got {value}")
-    ctor = _FAMILIES[family][0]
-    return ctor(**params)
+    return _FAMILIES[family][0](**params)
 
 
 def _law_of(tail: PowerTail | EdgePower) -> DistributionModel:

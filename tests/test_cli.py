@@ -1,5 +1,6 @@
 """Command-line contract: one case per exit code, payloads checked against the schemas."""
 
+import argparse
 import itertools
 import json
 import math
@@ -886,3 +887,42 @@ def test_inputs_beyond_the_doubles_answer_or_refuse(capsys, validate, argv, code
         assert out == "" and err.startswith("specification error: ")
         text = err
     assert re.search(note, text), text
+
+
+@pytest.mark.parametrize("argv,given", [
+    # Each once exited 0, running the fixture as written.
+    (("verify", "sum", "--fixture", "sum-mixed-weibull-edge", "--x", "pareto(1,3)", "--tol",
+      "0.5"), "--x, --tol"),
+    (("verify", "sum", "--fixture", "sum-mixed-weibull-edge", "--y", "pareto(1,3)"), "--y"),
+    (("verify", "sum", "--fixture", "sum-mixed-weibull-edge", "--grid", "4,5"), "--grid"),
+    (("verify", "laplace", "--tol", "0.05"), "--tol"),
+])
+def test_verify_refuses_ad_hoc_inputs_next_to_a_fixture(capsys, argv, given):
+    code, out, err = _run(capsys, *argv)
+    fixture = "laplace-truncated-kernel" if argv[1] == "laplace" else argv[3]
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err == f"specification error: fixture {fixture!r} runs as written; drop {given}\n"
+
+
+def test_an_adhoc_verify_keeps_its_default_tolerance(capsys):
+    code, out, _ = _run(capsys, "verify", "sum", "--x", "weibull(1,2)", "--y", "edge(0,1)",
+                        "--grid", "4,6")
+    assert json.loads(out)["rule"]["tol"] == 0.05
+
+
+def test_unseen_mass_below_the_doubles_is_a_failed_row(capsys):
+    code, out, err = _run(capsys, "verify", "sum", "--x", "weibull(1e8,1e-8)", "--y",
+                          "pareto(1,2)", "--grid", "1e16")
+    row, = json.loads(out)["rows"]
+    assert code == cli.EXIT_CHECK_FAILED and err == ""
+    assert row["status"].startswith("failed: the mass of weibull") and row["log_sf_exact"] is None
+
+
+def test_the_law_spec_help_shows_the_one_spelling():
+    # --x once advertised weibull:K=1,alpha=2, a spelling no caller used.
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("tail", "verify"):
+        helps = {a.dest: a.help for a in sub.choices[command]._actions}
+        assert "weibull(1,2)" in helps["x"] and "weibull:" not in helps["x"]
+        assert helps["y"] == "law spec, as --x"

@@ -9,7 +9,7 @@ from scipy.stats import binomtest
 
 import tailward as tw
 from tailward import oracle, tail_model
-from tailward.errors import DomainError, QuadratureFailure, Unsupported
+from tailward.errors import DomainError, QuadratureFailure, SpecError, Unsupported
 from tailward.gp_extremes import bm_exact_oracle, negate_model
 from tailward.oracle import ratio_table, sf_product_exact, sf_sum_exact
 
@@ -201,14 +201,21 @@ def test_ratio_table_empty_grid(weibull12, edge01):
     assert ratio_table(weibull12, edge01, "sum", weibull12.tail, []) == []
 
 
-@pytest.mark.parametrize("grid", [[4.0, 4.0], [math.nan], [30.0, math.nan], [math.nan, 30.0]])
-def test_ratio_table_requires_increasing_grid(monkeypatch, weibull12, edge01, grid):
-    # A NaN level once passed the check and gave a failed row.
+@pytest.mark.parametrize("grid,error,message", [
+    ([4.0, 4.0], DomainError, "grid must be strictly increasing"),
+    # A NaN level once passed the check and gave a failed row; as_number
+    # refuses it, as every level reader does.
+    ([math.nan], SpecError, r"level u\[0\] must be a number, got nan"),
+    ([30.0, math.nan], SpecError, r"level u\[1\] must be a number, got nan"),
+    ([math.nan, 30.0], SpecError, r"level u\[0\] must be a number, got nan"),
+], ids=["grid0", "grid1", "grid2", "grid3"])
+def test_ratio_table_requires_increasing_grid(monkeypatch, weibull12, edge01, grid, error,
+                                              message):
     def no_oracle(*args):
         raise AssertionError("an oracle ran before the grid was checked")
 
     monkeypatch.setattr(oracle, "sf_sum_exact", no_oracle)
-    with pytest.raises(DomainError, match="grid must be strictly increasing"):
+    with pytest.raises(error, match=message):
         ratio_table(weibull12, edge01, "sum", weibull12.tail, grid)
 
 
@@ -347,3 +354,28 @@ def test_both_operand_orders_give_the_same_bits_where_the_ranks_differ(op):
                 if a != b:
                     moved.append((x.family, y.family, u, a, b))
     assert moved == []
+
+
+def test_mass_below_the_least_positive_double_is_a_quadrature_failure():
+    # weibull(1e8, 1e-8) holds ~1 of its mass below 5e-324, where no node
+    # lies; P(X + Y > 1e16) >= P(Y > 1e16) = 1e-32 (log -73.68) for X >= 0,
+    # yet the oracle once answered log -99,999,337.8 as converged.
+    x, y = tw.make_model("weibull(1e8,1e-8)"), tw.make_model("pareto(1,2)")
+    with pytest.raises(QuadratureFailure, match=r"below 5e-324, where no node lies"):
+        sf_sum_exact(x, y, 1e16)
+    row, = ratio_table(x, y, "sum", y.tail, [1e16])
+    assert row["status"].startswith("failed: ") and math.isnan(row["log_sf_exact"])
+
+
+@pytest.mark.parametrize("x,y,u", [
+    # A point mass is the kernel at its value, exactly: constant(0) is exempt.
+    ("pareto(1,2)", "constant(0)", 10.0),
+    # Mass below 5e-324 far under rtol of the result passes.
+    ("pareto(1,2)", "weibull(1,0.5)", 10.0),
+    ("pareto(1,2)", "lognormal(0,1)", 1e16),
+])
+def test_a_law_with_no_unseen_mass_of_weight_keeps_its_value(x, y, u):
+    x, y = tw.make_model(x), tw.make_model(y)
+    assert math.isfinite(sf_sum_exact(x, y, u)) and math.isfinite(sf_sum_exact(y, x, u))
+    if y.family == "constant":
+        assert sf_sum_exact(x, y, u) == x.log_sf(u)
